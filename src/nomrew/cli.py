@@ -3,10 +3,10 @@
 Subcommands: check (per-rule closedness), normalize, equal, alpha, fresh,
 match, step (one-step enumeration) and replay (re-verify a JSON trace).
 Exit codes are a stable contract: 0 yes/equal/all-closed, 1 no/not-equal/
-not-closed/no-match, 2 usage or parse errors, 3 inconclusive or fuel
-exhausted.  JSON reports carry "schema": 1 and embed the theory text, so a
-report replays on its own.  The NOMREW_SEED environment variable fixes the
-fresh-name counter for reproducible traces.
+not-closed/no-match, 2 usage, parse or any other error, 3 inconclusive,
+truncated or fuel exhausted.  JSON reports carry "schema": 1 and embed the
+theory text, so a report replays on its own.  The NOMREW_SEED environment
+variable fixes the fresh-name counter for reproducible traces.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .closed import (
     closed_rewrite_step,
     decide_equal,
     is_closed_rule,
-    replay_closed_step,
 )
 from .matching import MatchProblem, solve_match
 from .rewrite import (
@@ -34,9 +33,8 @@ from .rewrite import (
     SearchConfig,
     Theory,
     normalize_general,
-    replay_step,
+    replay,
     rewrite_step_general,
-    symmetric_search,
 )
 from .syntax import (
     ParseError,
@@ -46,7 +44,6 @@ from .syntax import (
     pretty,
     pretty_ctx,
     pretty_perm,
-    pretty_rule,
     pretty_subst,
     pretty_theory,
 )
@@ -161,13 +158,6 @@ def _emit(report: dict, as_json: bool) -> None:
         print(json.dumps(report, indent=2))
 
 
-def _cfg(args) -> SearchConfig:
-    return SearchConfig(
-        max_support=getattr(args, "max_support", DEFAULT_CONFIG.max_support),
-        strategy=getattr(args, "strategy", "outermost"),
-    )
-
-
 def cmd_check(args) -> int:
     theory = _load_theory(args.theory)
     namer = _namer()
@@ -200,7 +190,7 @@ def cmd_normalize(args) -> int:
     theory = _load_theory(args.theory)
     ctx = parse_context(args.ctx)
     term = parse_term(args.term, theory.signature)
-    cfg = _cfg(args)
+    cfg = SearchConfig(args.max_support)
     if args.general:
         res = normalize_general(ctx, term, theory, args.strategy, args.fuel, cfg)
         mode = "general"
@@ -337,7 +327,7 @@ def cmd_step(args) -> int:
     theory = _load_theory(args.theory)
     ctx = parse_context(args.ctx)
     term = parse_term(args.term, theory.signature)
-    cfg = _cfg(args)
+    cfg = SearchConfig(args.max_support)
     namer = _namer()
     steps = []
     truncated = False
@@ -396,11 +386,7 @@ def cmd_replay(args) -> int:
     for trace in traces:
         for data in trace:
             step = _step_from_json(data)
-            if step.mode == "closed":
-                ok = replay_closed_step(ctx, step)
-            else:
-                ok = replay_step(ctx, step, rules[step.rule])
-            if not ok:
+            if not replay(ctx, step, rules.get(step.rule)):
                 print(f"step {checked + 1} FAILED to replay: {data['rule']} at {data['path']}")
                 return EXIT_NO
             checked += 1
@@ -496,6 +482,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except NominalError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as e:  # exit 1 means "no"; an unexpected failure must not read as one
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,49 +1,53 @@
 """Freshened variants, the closedness test, closed rewriting, and the
 equality decision procedure for convergent closed theories.
 
-A closed rewrite step first renames every atom and unknown of the rule to
-machine-fresh ones, extends the context with freshness of those new atoms
-for the subject's unknowns, and then solves a plain matching problem: no
-permutation search at all, which is the efficiency payoff over general
-rewriting.  Machine atoms that the match drags into the result only ever
-occur where the extended context proves them fresh, so a scrubbing pass
-rewrites the result to an alpha-equivalent representative mentioning as few
-of them as possible.
+Closed rewriting runs on the core in rewrite.py with its own preparation of
+a rule for a subject: the rule's atoms and unknowns are renamed once to
+machine-fresh ones, the context is extended with freshness of those new
+atoms for the subject's unknowns, and each hole is solved by plain matching
+under the identity permutation.  There is no permutation search at all,
+which is the efficiency payoff over general rewriting.  Machine atoms that
+the match drags into the result only ever occur where the extended context
+proves them fresh, so a scrubbing pass rewrites each result to an
+alpha-equivalent representative mentioning as few of them as possible.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from .alpha import EMPTY_CTX, FreshnessContext, alpha_holds, fresh_holds
-from .matching import MatchProblem, MatchSolution, solve_match
+from .alpha import FreshnessContext, alpha_holds, fresh_holds
+from .matching import MatchProblem, solve_match
 from .rewrite import (
     DEFAULT_CONFIG,
     NormalizeResult,
+    PreparedRule,
     ReachableSet,
     RewriteRule,
     RewriteStep,
     SearchConfig,
     StepResults,
     Theory,
-    _decompositions,
-    _ordered_paths,
+    _complete_perm,
+    _rename_ctx,
+    _rename_rule,
+    _rename_term,
     _universe,
-    path_str,
-    positions,
-    replace_at,
-    subterm_at,
+    normalize,
+    reachable,
+    replay,
+    rewrite_steps,
 )
 from .terms import (
+    ID,
     MACHINE_MARK,
     Abstraction,
     App,
     Atom,
     AtomTerm,
     NominalError,
-    Permutation,
     Substitution,
     Suspension,
     Term,
@@ -97,24 +101,6 @@ class FreshenedVariant:
     unknown_map: dict
 
 
-def _rename_term(t: Term, amap: dict, umap: dict) -> Term:
-    match t:
-        case AtomTerm(a):
-            return AtomTerm(amap.get(a, a))
-        case Suspension(pi, x):
-            swaps = tuple((amap.get(a, a), amap.get(b, b)) for a, b in pi.swaps)
-            return Suspension(Permutation(swaps), umap.get(x, x))
-        case Abstraction(a, body):
-            return Abstraction(amap.get(a, a), _rename_term(body, amap, umap))
-        case App(f, args):
-            return App(f, tuple(_rename_term(u, amap, umap) for u in args))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _rename_ctx(ctx: FreshnessContext, amap: dict, umap: dict) -> FreshnessContext:
-    return FreshnessContext(frozenset((amap.get(a, a), umap.get(x, x)) for a, x in ctx))
-
-
 def _make_maps(atoms, unknowns, avoid_atoms, avoid_unknowns, namer: FreshNamer):
     avoid_names = {a.name for a in avoid_atoms} | {a.name for a in atoms}
     avoid_names |= {x.name for x in avoid_unknowns} | {x.name for x in unknowns}
@@ -151,13 +137,7 @@ def freshen_rule(
 ) -> FreshenedVariant:
     namer = namer or FreshNamer()
     amap, umap = _make_maps(rule.atoms(), rule.unknowns(), avoid_atoms, avoid_unknowns, namer)
-    renamed = RewriteRule(
-        rule.name,
-        _rename_ctx(rule.ctx, amap, umap),
-        _rename_term(rule.lhs, amap, umap),
-        _rename_term(rule.rhs, amap, umap),
-    )
-    return FreshenedVariant(renamed, amap, umap)
+    return FreshenedVariant(_rename_rule(rule, amap, umap), amap, umap)
 
 
 @dataclass(frozen=True)
@@ -193,23 +173,6 @@ def is_closed_rule(rule: RewriteRule, namer: FreshNamer | None = None) -> Closed
     return is_closed(rule.ctx, App(PAIR_FORMER, (rule.lhs, rule.rhs)), namer)
 
 
-def _minimize_perm(pi: Permutation, movable: set[Atom]) -> Permutation:
-    """The permutation agreeing with pi outside `movable` whose support is
-    as small as possible (disagreements stay inside `movable`)."""
-    keep = {c: v for c, v in pi.mapping.items() if c not in movable}
-    involved = set(keep) | set(keep.values())
-    missing = sorted(involved - set(keep))
-    free = set(involved) - set(keep.values())
-    for c in list(missing):
-        if c in free:
-            keep[c] = c
-            missing.remove(c)
-            free.remove(c)
-    for c, v in zip(missing, sorted(free)):
-        keep[c] = v
-    return Permutation.from_mapping(keep)
-
-
 def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
     """Rewrite t to an alpha-equivalent term (under ctx) mentioning as few
     machine atoms as possible: suspension permutations are minimized using
@@ -219,8 +182,8 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
         case AtomTerm():
             return t
         case Suspension(pi, x):
-            movable = {a for a in pi.support if (a, x) in ctx}
-            return Suspension(_minimize_perm(pi, movable), x)
+            # disagreements may stay only on atoms ctx makes fresh for x
+            return Suspension(_complete_perm({c: v for c, v in pi.mapping.items() if (c, x) not in ctx}), x)
         case Abstraction(a, body):
             body = scrub(ctx, body, pool)
             if a.is_machine:
@@ -235,106 +198,54 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _prepare_closed(
+    ctx: FreshnessContext,
+    s: Term,
+    rule: RewriteRule,
+    namer: FreshNamer,
+    cfg: SearchConfig = DEFAULT_CONFIG,
+) -> PreparedRule:
+    """Freshen the rule once against everything in sight, extend the context
+    with freshness of the freshened atoms for the subject's unknowns, and
+    solve each hole by plain matching; results are scrubbed."""
+    subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
+    variant = freshen_rule(rule, subject_atoms | rule.atoms(), subject_unknowns | rule.unknowns(), namer)
+    frule: RewriteRule = variant.renamed
+    extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
+    ctx2 = ctx | extension
+    # Same variant universe as the general engine so the two step relations
+    # stay comparable on closed rules.  Without a permutation search the cap
+    # loses no step, so the preparation is never truncated.
+    universe, _ = _universe(rule.atoms(), subject_atoms, cfg)
+    pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + [a for a in universe if a.is_machine]
+
+    def instances(hole: Term):
+        sol = solve_match(MatchProblem(frule.ctx, frule.lhs, ctx2, hole))
+        if sol is not None:
+            yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
+
+    return PreparedRule(
+        rule, ctx2, universe, False, instances,
+        lambda t: scrub(ctx2, t, pool), "closed", frule, extension,
+    )
+
+
 def closed_rewrite_step(
     ctx: FreshnessContext,
     s: Term,
     rule: RewriteRule,
     namer: FreshNamer | None = None,
     cfg: SearchConfig = DEFAULT_CONFIG,
-    with_variants: bool = True,
 ) -> StepResults:
     """All closed one-step rewrites of s by the rule, modulo alpha on the
-    subject.  The rule is freshened against everything in sight, the context
-    is extended with freshness of the freshened atoms for the subject's
-    unknowns, and each position is solved by plain matching."""
-    namer = namer or FreshNamer()
-    variant = freshen_rule(rule, atoms_of(ctx, s) | rule.atoms(), unknowns_of(ctx, s) | rule.unknowns(), namer)
-    frule: RewriteRule = variant.renamed
-    extension = FreshnessContext(
-        frozenset((a, x) for a in frule.atoms() for x in unknowns_of(ctx, s))
-    )
-    ctx2 = ctx | extension
-    # Same variant universe as the general engine so the two step relations
-    # stay comparable on closed rules.
-    universe, truncated = _universe(rule.atoms(), atoms_of(ctx, s), cfg)
-    pool = sorted(atoms_of(ctx, s)) + sorted(rule.atoms() - atoms_of(ctx, s)) + [a for a in universe if a.is_machine]
-    out = []
-    seen = set()
-    for path, _ in positions(s):
-        for hole, rebuild in _decompositions(ctx2, s, path, universe, with_variants):
-            sol = solve_match(MatchProblem(frule.ctx, frule.lhs, ctx2, hole))
-            if sol is None:
-                continue
-            raw = rebuild(substitute(frule.rhs, sol.sigma))
-            result = scrub(ctx2, raw, pool)
-            key = (path, result, sol.sigma)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                RewriteStep(
-                    rule.name,
-                    path,
-                    Permutation(),
-                    sol.sigma,
-                    s,
-                    rebuild(hole),
-                    result,
-                    mode="closed",
-                    freshened=frule,
-                    ctx_extension=extension,
-                )
-            )
-    return StepResults(out, truncated)
+    subject."""
+    return rewrite_steps(s, _prepare_closed(ctx, s, rule, namer or FreshNamer(), cfg))
 
 
 def replay_closed_step(ctx: FreshnessContext, step: RewriteStep) -> bool:
     """Re-verify a closed step from its recorded freshened rule and context
-    extension."""
-    if step.mode != "closed" or step.freshened is None:
-        return False
-    frule = step.freshened
-    ctx2 = ctx | step.ctx_extension
-    if not alpha_holds(ctx2, step.source, step.variant):
-        return False
-    try:
-        hole = subterm_at(step.variant, step.path)
-    except IndexError:
-        return False
-    theta = step.subst
-    for a, x in frule.ctx:
-        if not fresh_holds(ctx2, a, theta.image(x)):
-            return False
-    if not alpha_holds(ctx2, hole, substitute(frule.lhs, theta)):
-        return False
-    rebuilt = replace_at(step.variant, step.path, substitute(frule.rhs, theta))
-    return alpha_holds(ctx2, rebuilt, step.result)
-
-
-def _first_step_closed(
-    ctx: FreshnessContext, s: Term, theory: Theory, namer: FreshNamer, cfg: SearchConfig
-) -> Optional[RewriteStep]:
-    for path in _ordered_paths(s, cfg.strategy):
-        hole = subterm_at(s, path)
-        for rule in theory.rules:
-            variant = freshen_rule(
-                rule, atoms_of(ctx, s) | rule.atoms(), unknowns_of(ctx, s) | rule.unknowns(), namer
-            )
-            frule: RewriteRule = variant.renamed
-            extension = FreshnessContext(
-                frozenset((a, x) for a in frule.atoms() for x in unknowns_of(ctx, s))
-            )
-            ctx2 = ctx | extension
-            sol = solve_match(MatchProblem(frule.ctx, frule.lhs, ctx2, hole))
-            if sol is None:
-                continue
-            pool = sorted(atoms_of(ctx, s)) + sorted(rule.atoms() - atoms_of(ctx, s))
-            result = scrub(ctx2, replace_at(s, path, substitute(frule.rhs, sol.sigma)), pool)
-            return RewriteStep(
-                rule.name, path, Permutation(), sol.sigma, s, s, result,
-                mode="closed", freshened=frule, ctx_extension=extension,
-            )
-    return None
+    extension, the recorded rule standing in for the theory's."""
+    return replay(ctx, step, step.freshened)
 
 
 def closed_normalize(
@@ -346,26 +257,11 @@ def closed_normalize(
     strategy: str | None = None,
     cfg: SearchConfig = DEFAULT_CONFIG,
 ) -> NormalizeResult:
-    """Apply closed steps (leftmost-outermost, first rule in theory order)
-    until none applies or the fuel runs out."""
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    if strategy is not None:
-        from dataclasses import replace as _replace
-
-        cfg = _replace(cfg, strategy=strategy)
-    namer = namer or FreshNamer()
-    trace: list[RewriteStep] = []
-    current = s
-    for _ in range(fuel):
-        step = _first_step_closed(ctx, current, theory, namer, cfg)
-        if step is None:
-            return NormalizeResult(current, trace, "normal_form")
-        trace.append(step)
-        current = step.result
-    if _first_step_closed(ctx, current, theory, namer, cfg) is None:
-        return NormalizeResult(current, trace, "normal_form")
-    return NormalizeResult(current, trace, "fuel_exhausted")
+    """Normalize by closed steps (leftmost-outermost by default, first rule
+    in theory order)."""
+    return normalize(
+        ctx, s, theory, partial(_prepare_closed, namer=namer or FreshNamer(), cfg=cfg), strategy, fuel
+    )
 
 
 def closed_reachable(
@@ -376,23 +272,8 @@ def closed_reachable(
     namer: FreshNamer | None = None,
     cfg: SearchConfig = DEFAULT_CONFIG,
 ) -> ReachableSet:
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    namer = namer or FreshNamer()
-    reached = ReachableSet(ctx)
-    reached.add(s)
-    frontier = [s]
-    for _ in range(fuel):
-        new: list[Term] = []
-        for t in frontier:
-            for rule in theory.rules:
-                for step in closed_rewrite_step(ctx, t, rule, namer, cfg):
-                    if reached.add(step.result):
-                        new.append(step.result)
-        if not new:
-            break
-        frontier = new
-    return reached
+    """Everything reachable from s in at most `fuel` closed steps."""
+    return reachable(ctx, s, theory, partial(_prepare_closed, namer=namer or FreshNamer(), cfg=cfg), fuel)
 
 
 def closed_joinable(

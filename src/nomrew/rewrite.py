@@ -1,4 +1,4 @@
-"""General nominal rewriting.
+"""General nominal rewriting, and the rewriting core both engines share.
 
 A one-step rewrite instantiates a rule at a position of the subject under a
 permutation: the subject decomposes as C[s'], a permutation pi and a
@@ -10,18 +10,30 @@ enumerator also explores alpha-variants of the subject obtained by renaming
 the binders above the chosen position; that is how [b][a]a reaches [a]b
 under the abstraction-stripping rule.
 
+The core is written once: step enumeration over positions x alpha-variants
+(`rewrite_steps`), the first step under a strategy and normalization
+(`normalize`), reachability (`reachable`) and replay (`replay`).  The two
+engines differ only in how one rule is prepared for one subject, which is a
+`PreparedRule` made once per subject.  The general preparation here renames
+the rule's unknowns away from the subject's and tries the candidate
+permutations over a universe; the closed preparation (closed.py) freshens
+the rule, extends the context, matches under the identity permutation and
+scrubs the result.
+
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
 context and the subject, plus a few machine-fresh spares).  Two permutations
 agreeing on the rule's atoms produce identical steps, so this enumeration
 loses nothing inside the universe; the universe cap itself is a documented
-source of incompleteness, surfaced through the `truncated` flag.
+source of incompleteness, surfaced through the `truncated` flag and the
+`truncated` normalization status.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .alpha import EMPTY_CTX, FreshnessContext, alpha_holds, fresh_holds
@@ -44,7 +56,6 @@ from .terms import (
     substitute,
     swap,
     unknowns_of,
-    var,
 )
 
 Path = tuple  # steps are "body" or an integer argument index (0-based)
@@ -91,16 +102,8 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    step = path[0]
-    match (t, step):
-        case (Abstraction(a, body), "body"):
-            return Abstraction(a, replace_at(body, path[1:], new))
-        case (App(f, args), int()) if step < len(args):
-            args = args[:step] + (replace_at(args[step], path[1:], new),) + args[step + 1 :]
-            return App(f, args)
-    raise IndexError(f"no position {path_str(path)} in term")
+    _, rebuild = next(_decompositions(EMPTY_CTX, t, path, []))
+    return rebuild(new)
 
 
 @dataclass(frozen=True)
@@ -163,21 +166,20 @@ class Theory:
         return out
 
 
+SPARE_CAP = 2  # machine-fresh spare atoms a permutation universe may gain
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the bounded permutation search.
 
     max_support caps the atom universe the permutations act on (6 atoms
-    means at most 720 distinct permutations per position); spare_cap limits
-    how many machine-fresh spare atoms join the universe so a rule atom can
-    be sent somewhere fresh for the subject.
+    means at most 720 distinct permutations per position).  Up to SPARE_CAP
+    machine-fresh spare atoms join the universe so a rule atom can be sent
+    somewhere fresh for the subject.
     """
 
     max_support: int = 6
-    spare_cap: int = 2
-    fuel: int = 500
-    strategy: str = "outermost"
-    gamma_budget: int | None = None
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -218,7 +220,65 @@ class StepResults(list):
 class NormalizeResult:
     term: Term
     trace: list[RewriteStep]
-    status: str  # "normal_form" | "fuel_exhausted"
+    status: str  # "normal_form" | "truncated" | "fuel_exhausted"
+
+
+@dataclass(frozen=True)
+class PreparedRule:
+    """One rule made ready by one engine to fire on one subject.
+
+    `instances(hole)` yields (pi, theta, pi.(rhs theta)) for every way the
+    prepared lhs matches the hole under `ctx`; `finish` turns the rebuilt
+    subject into the reported result.  `truncated` says the permutation
+    search was cut by the universe cap, so finding no instance proves
+    nothing.  `universe` holds the names binders above a position may be
+    renamed to when alpha-variants of the subject are enumerated.
+    """
+
+    rule: RewriteRule
+    ctx: FreshnessContext
+    universe: list[Atom]
+    truncated: bool
+    instances: Callable[[Term], Iterator[tuple[Permutation, Substitution, Term]]]
+    finish: Callable[[Term], Term] = lambda t: t
+    mode: str = "general"
+    freshened: Optional[RewriteRule] = None
+    ctx_extension: FreshnessContext = EMPTY_CTX
+
+    def step(
+        self, path: Path, pi: Permutation, theta: Substitution, source: Term, variant: Term, result: Term
+    ) -> RewriteStep:
+        return RewriteStep(
+            self.rule.name, path, pi, theta, source, variant, result,
+            self.mode, self.freshened, self.ctx_extension,
+        )
+
+
+def _rename_term(t: Term, amap: dict, umap: dict) -> Term:
+    match t:
+        case AtomTerm(a):
+            return AtomTerm(amap.get(a, a))
+        case Suspension(pi, x):
+            swaps = tuple((amap.get(a, a), amap.get(b, b)) for a, b in pi.swaps)
+            return Suspension(Permutation(swaps), umap.get(x, x))
+        case Abstraction(a, body):
+            return Abstraction(amap.get(a, a), _rename_term(body, amap, umap))
+        case App(f, args):
+            return App(f, tuple(_rename_term(u, amap, umap) for u in args))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _rename_ctx(ctx: FreshnessContext, amap: dict, umap: dict) -> FreshnessContext:
+    return FreshnessContext(frozenset((amap.get(a, a), umap.get(x, x)) for a, x in ctx))
+
+
+def _rename_rule(rule: RewriteRule, amap: dict, umap: dict) -> RewriteRule:
+    return RewriteRule(
+        rule.name,
+        _rename_ctx(rule.ctx, amap, umap),
+        _rename_term(rule.lhs, amap, umap),
+        _rename_term(rule.rhs, amap, umap),
+    )
 
 
 def _freshen_rule_unknowns(rule: RewriteRule, away_from: set[Unknown]) -> RewriteRule:
@@ -229,21 +289,17 @@ def _freshen_rule_unknowns(rule: RewriteRule, away_from: set[Unknown]) -> Rewrit
     renaming = {}
     for x in sorted(clashing):
         stem = x.name.split("$")[0] or "V"
-        fresh = fresh_names(stem, 1, used)[0]
-        used.add(fresh)
-        renaming[x] = var(Unknown(fresh))
-    sigma = Substitution(renaming)
-    ctx = FreshnessContext.of(
-        *((a, sigma.image(x).unknown if x in renaming else x) for a, x in rule.ctx)
-    )
-    return RewriteRule(rule.name, ctx, substitute(rule.lhs, sigma), substitute(rule.rhs, sigma))
+        fresh = Unknown(fresh_names(stem, 1, used)[0])
+        used.add(fresh.name)
+        renaming[x] = fresh
+    return _rename_rule(rule, {}, renaming)
 
 
 def _universe(rule_atoms: set[Atom], other_atoms: set[Atom], cfg: SearchConfig) -> tuple[list[Atom], bool]:
     """The atom universe for the permutation search: rule atoms, then the
     context/subject atoms, then machine-fresh spares, capped at
     cfg.max_support (rule atoms always survive the cap)."""
-    spare_count = min(len(rule_atoms), cfg.spare_cap)
+    spare_count = min(len(rule_atoms), SPARE_CAP)
     used = {a.name for a in rule_atoms | other_atoms}
     spares = [Atom(n) for n in fresh_names("p", spare_count, used)]
     ordered = sorted(rule_atoms) + sorted(other_atoms - rule_atoms) + spares
@@ -253,20 +309,13 @@ def _universe(rule_atoms: set[Atom], other_atoms: set[Atom], cfg: SearchConfig) 
     return ordered, False
 
 
-def _complete_injection(sources: list[Atom], images: tuple[Atom, ...]) -> Permutation:
-    """Extend an injective map on the rule's atoms to a permutation."""
-    mapping = dict(zip(sources, images))
-    involved = set(mapping) | set(mapping.values())
-    free_sources = sorted(involved - set(mapping))
-    free_images = set(involved - set(mapping.values()))
-    for a in list(free_sources):
-        if a in free_images:
-            mapping[a] = a
-            free_sources.remove(a)
-            free_images.remove(a)
-    for a, b in zip(free_sources, sorted(free_images)):
-        mapping[a] = b
-    return Permutation.from_mapping(mapping)
+def _complete_perm(mapping: dict[Atom, Atom]) -> Permutation:
+    """The least-support permutation extending a one-to-one partial map:
+    the atoms in its image but not its domain are sent, in name order, to
+    the atoms in its domain but not its image."""
+    sources = sorted(set(mapping.values()) - set(mapping))
+    images = sorted(set(mapping) - set(mapping.values()))
+    return Permutation.from_mapping({**mapping, **dict(zip(sources, images))})
 
 
 def _candidate_perms(rule_atoms: list[Atom], universe: list[Atom]) -> list[Permutation]:
@@ -274,38 +323,56 @@ def _candidate_perms(rule_atoms: list[Atom], universe: list[Atom]) -> list[Permu
         return [Permutation()]
     perms = []
     for images in itertools.permutations(universe, len(rule_atoms)):
-        perms.append(_complete_injection(rule_atoms, images))
+        perms.append(_complete_perm(dict(zip(rule_atoms, images))))
     # Try the least disruptive candidates first so traces stay readable.
     perms.sort(key=lambda p: (len(p.mapping), sorted(a.name for a in p.support)))
     return perms
 
 
-def _decompositions(
+def _prepare_general(
     ctx: FreshnessContext,
-    t: Term,
-    path: Path,
-    universe: list[Atom],
-    with_variants: bool,
+    s: Term,
+    rule: RewriteRule,
+    cfg: SearchConfig = DEFAULT_CONFIG,
+    extra_atoms: set[Atom] = frozenset(),
+) -> PreparedRule:
+    """Rename the rule's unknowns away from the subject's, then try every
+    candidate permutation over the universe of rule, subject and extra
+    atoms."""
+    renamed = _freshen_rule_unknowns(rule, unknowns_of(ctx, s))
+    rule_atoms = sorted(renamed.atoms())
+    universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), cfg)
+    perms = _candidate_perms(rule_atoms, universe)
+
+    def instances(hole: Term):
+        for pi in perms:
+            sol = solve_match(MatchProblem(renamed.ctx, act(pi, renamed.lhs), ctx, hole))
+            if sol is not None:
+                yield pi, sol.sigma, substitute(act(pi, renamed.rhs), sol.sigma)
+
+    return PreparedRule(rule, ctx, universe, truncated, instances)
+
+
+def _decompositions(
+    ctx: FreshnessContext, t: Term, path: Path, universe: list[Atom]
 ) -> Iterator[tuple[Term, Callable[[Term], Term]]]:
-    """Walk down `path`, optionally renaming each binder passed to another
-    universe atom that is fresh for the body (an alpha-move).  Yields the
-    (possibly renamed) subterm at the hole and a rebuild function; rebuilding
-    with the hole content itself reconstructs the alpha-variant fired on."""
+    """Walk down `path`, renaming each binder passed to another universe
+    atom that is fresh for the body (an alpha-move), or keeping it.  Yields
+    the (possibly renamed) subterm at the hole and a rebuild function;
+    rebuilding with the hole content itself reconstructs the alpha-variant
+    fired on.  With an empty universe only t itself is decomposed."""
     if not path:
         yield t, lambda u: u
         return
     step = path[0]
     match (t, step):
         case (Abstraction(a, body), "body"):
-            binders = [a]
-            if with_variants:
-                binders += [z for z in universe if z != a and fresh_holds(ctx, z, body)]
-            for z in binders:
+            for z in [a] + [z for z in universe if z != a and fresh_holds(ctx, z, body)]:
                 inner = body if z == a else act(swap(z, a), body)
-                for hole, rebuild in _decompositions(ctx, inner, path[1:], universe, with_variants):
+                for hole, rebuild in _decompositions(ctx, inner, path[1:], universe):
                     yield hole, (lambda u, z=z, rb=rebuild: Abstraction(z, rb(u)))
         case (App(f, args), int()) if step < len(args):
-            for hole, rebuild in _decompositions(ctx, args[step], path[1:], universe, with_variants):
+            for hole, rebuild in _decompositions(ctx, args[step], path[1:], universe):
                 yield hole, (
                     lambda u, f=f, args=args, i=step, rb=rebuild: App(
                         f, args[:i] + (rb(u),) + args[i + 1 :]
@@ -315,57 +382,100 @@ def _decompositions(
             raise IndexError(f"no position {path_str(path)} in term")
 
 
+def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
+    """All one-step rewrites of s by one prepared rule, modulo alpha on the
+    subject: every position, every alpha-variant renaming the binders above
+    it into the universe, every instance the engine finds at the hole."""
+    out = []
+    seen = set()
+    for path, _ in positions(s):
+        for hole, rebuild in _decompositions(prepared.ctx, s, path, prepared.universe):
+            for pi, theta, rhs in prepared.instances(hole):
+                result = prepared.finish(rebuild(rhs))
+                key = (path, result, pi, theta)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(prepared.step(path, pi, theta, s, rebuild(hole), result))
+    return StepResults(out, prepared.truncated)
+
+
 def rewrite_step_general(
     ctx: FreshnessContext,
     s: Term,
     rule: RewriteRule,
     cfg: SearchConfig = DEFAULT_CONFIG,
-    with_variants: bool = True,
     extra_atoms: set[Atom] = frozenset(),
 ) -> StepResults:
     """All one-step rewrites of s by the rule, modulo alpha on the subject,
     within the configured permutation budget.  extra_atoms widens the
     permutation universe (used when a specific target is in mind)."""
-    rule = _freshen_rule_unknowns(rule, unknowns_of(ctx, s))
-    rule_atoms = sorted(rule.atoms())
-    universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), cfg)
-    perms = _candidate_perms(rule_atoms, universe)
-    out = []
-    seen = set()
-    for path, _ in positions(s):
-        for hole, rebuild in _decompositions(ctx, s, path, universe, with_variants):
-            for pi in perms:
-                sol = _match_instance(rule, pi, ctx, hole)
-                if sol is None:
-                    continue
-                result = rebuild(substitute(act(pi, rule.rhs), sol))
-                key = (path, result, pi, sol)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(
-                    RewriteStep(rule.name, path, pi, sol, s, rebuild(hole), result)
-                )
-    return StepResults(out, truncated)
+    return rewrite_steps(s, _prepare_general(ctx, s, rule, cfg, extra_atoms))
 
 
-def _match_instance(
-    rule: RewriteRule, pi: Permutation, ctx: FreshnessContext, hole: Term
-) -> Optional[Substitution]:
-    problem = MatchProblem(rule.ctx, act(pi, rule.lhs), ctx, hole)
-    sol = solve_match(problem)
-    return None if sol is None else sol.sigma
-
-
-def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: RewriteRule) -> bool:
-    """Re-verify a general step from its recorded witness."""
-    if step.mode != "general" or rule.name != step.rule:
+def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessContext, s: Term) -> bool:
+    """Is `renamed` the image of `rule` under one-to-one renamings of its
+    atoms and of its unknowns, onto names that occur nowhere in ctx or s?"""
+    if renamed.atoms() & atoms_of(ctx, s) or renamed.unknowns() & unknowns_of(ctx, s):
         return False
-    rule = _freshen_rule_unknowns(rule, unknowns_of(ctx, step.source))
+    amap: dict[Atom, Atom] = {}
+    umap: dict[Unknown, Unknown] = {}
+
+    def walk(t: Term, u: Term) -> bool:
+        match (t, u):
+            case (AtomTerm(a), AtomTerm(b)):
+                return amap.setdefault(a, b) == b
+            case (Suspension(_, x), Suspension(_, y)):
+                return umap.setdefault(x, y) == y
+            case (Abstraction(a, body), Abstraction(b, body2)):
+                return amap.setdefault(a, b) == b and walk(body, body2)
+            case (App(f, args), App(g, args2)):
+                return f == g and len(args) == len(args2) and all(map(walk, args, args2))
+        return False
+
+    if not (walk(rule.lhs, renamed.lhs) and walk(rule.rhs, renamed.rhs)):
+        return False
+    # Atoms met only in suspensions or in the context: try each assignment.
+    rest = sorted(rule.atoms() - amap.keys())
+    for images in itertools.permutations(sorted(renamed.atoms() - set(amap.values())), len(rest)):
+        full = {**amap, **dict(zip(rest, images))}
+        if (
+            len(set(full.values())) == len(full)
+            and len(set(umap.values())) == len(umap)
+            and _rename_rule(rule, full, umap) == renamed
+        ):
+            return True
+    return False
+
+
+def replay(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]) -> bool:
+    """Re-verify a step from its recorded witness against `rule`, the rule
+    the step names (None when there is no such rule).
+
+    A general step re-applies the rule under the recorded permutation.  A
+    closed step must record a renaming of the rule to atoms and unknowns
+    occurring nowhere in ctx or the source, and as context extension exactly
+    the freshness of those atoms for the unknowns of ctx and the source; the
+    renamed rule is then re-applied under the extended context.
+    """
+    if rule is None or rule.name != step.rule:
+        return False
+    if step.mode == "general" and step.freshened is None:
+        rule = _freshen_rule_unknowns(rule, unknowns_of(ctx, step.source))
+    elif step.mode == "closed" and step.freshened is not None:
+        fr = step.freshened
+        extension = FreshnessContext(
+            frozenset((a, x) for a in fr.atoms() for x in unknowns_of(ctx, step.source))
+        )
+        if step.ctx_extension != extension or not _fresh_renaming(rule, fr, ctx, step.source):
+            return False
+        rule, ctx = fr, ctx | extension
+    else:
+        return False
     if not alpha_holds(ctx, step.source, step.variant):
         return False
     try:
-        hole = subterm_at(step.variant, step.path)
+        hole, rebuild = next(_decompositions(ctx, step.variant, step.path, []))
     except IndexError:
         return False
     theta = step.subst
@@ -374,16 +484,19 @@ def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: RewriteRule) -> 
             return False
     if not alpha_holds(ctx, hole, substitute(act(step.perm, rule.lhs), theta)):
         return False
-    rebuilt = replace_at(step.variant, step.path, substitute(act(step.perm, rule.rhs), theta))
-    return alpha_holds(ctx, rebuilt, step.result)
+    return alpha_holds(ctx, rebuild(substitute(act(step.perm, rule.rhs), theta)), step.result)
 
 
-def _ordered_paths(s: Term, strategy: str) -> list[Path]:
-    pre = [p for p, _ in positions(s)]
+def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: RewriteRule) -> bool:
+    """Re-verify a step from its recorded witness against the named rule."""
+    return replay(ctx, step, rule)
+
+
+def _ordered_positions(s: Term, strategy: str) -> list[tuple[Path, Term]]:
     if strategy == "outermost":
-        return pre
+        return positions(s)
     if strategy == "innermost":
-        out: list[Path] = []
+        out: list[tuple[Path, Term]] = []
 
         def post(u: Term, here: Path):
             match u:
@@ -392,32 +505,51 @@ def _ordered_paths(s: Term, strategy: str) -> list[Path]:
                 case App(_, args):
                     for i, arg in enumerate(args):
                         post(arg, here + (i,))
-            out.append(here)
+            out.append((here, u))
 
         post(s, ())
         return out
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _first_step_general(
-    ctx: FreshnessContext, s: Term, theory: Theory, cfg: SearchConfig
-) -> Optional[RewriteStep]:
+def _first_step(s: Term, prepared: list[PreparedRule], strategy: str) -> Optional[RewriteStep]:
     """The first applicable step under the strategy ordering: positions in
-    strategy order, rules in theory order, least-disruptive permutation
-    first.  Only identity variants are tried; if any alpha-variant of s can
-    step then so can s itself, so this loses no normal-form detection."""
-    for path in _ordered_paths(s, cfg.strategy):
-        hole = subterm_at(s, path)
-        for rule in theory.rules:
-            frule = _freshen_rule_unknowns(rule, unknowns_of(ctx, s))
-            rule_atoms = sorted(frule.atoms())
-            universe, _ = _universe(set(rule_atoms), atoms_of(ctx, s), cfg)
-            for pi in _candidate_perms(rule_atoms, universe):
-                sol = _match_instance(frule, pi, ctx, hole)
-                if sol is not None:
-                    result = replace_at(s, path, substitute(act(pi, frule.rhs), sol))
-                    return RewriteStep(rule.name, path, pi, sol, s, s, result)
+    strategy order, rules in theory order, instances in the engine's order.
+    Only identity variants are tried; if any alpha-variant of s can step
+    then so can s itself, so this loses no normal-form detection."""
+    for path, hole in _ordered_positions(s, strategy):
+        for prep in prepared:
+            for pi, theta, rhs in prep.instances(hole):
+                return prep.step(path, pi, theta, s, s, prep.finish(replace_at(s, path, rhs)))
     return None
+
+
+def normalize(
+    ctx: FreshnessContext,
+    s: Term,
+    theory: Theory,
+    prepare: Callable[..., PreparedRule],
+    strategy: str | None = None,
+    fuel: int = 500,
+) -> NormalizeResult:
+    """Apply first steps under the strategy (default outermost), preparing
+    every rule once per subject, until none applies or the fuel runs out.
+    The status is normal_form, truncated when no step was found but some
+    permutation search was cut short, or fuel_exhausted."""
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
+    trace: list[RewriteStep] = []
+    current = s
+    while True:
+        prepared = [prepare(ctx, current, rule) for rule in theory.rules]
+        step = _first_step(current, prepared, strategy or "outermost")
+        if step is None:
+            status = "truncated" if any(p.truncated for p in prepared) else "normal_form"
+            return NormalizeResult(current, trace, status)
+        if len(trace) == fuel:
+            return NormalizeResult(current, trace, "fuel_exhausted")
+        trace.append(step)
+        current = step.result
 
 
 def normalize_general(
@@ -428,23 +560,8 @@ def normalize_general(
     fuel: int = 500,
     cfg: SearchConfig = DEFAULT_CONFIG,
 ) -> NormalizeResult:
-    """Apply steps under the strategy until none applies (normal_form) or
-    the fuel runs out (fuel_exhausted)."""
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    if strategy is not None:
-        cfg = replace(cfg, strategy=strategy)
-    trace: list[RewriteStep] = []
-    current = s
-    for _ in range(fuel):
-        step = _first_step_general(ctx, current, theory, cfg)
-        if step is None:
-            return NormalizeResult(current, trace, "normal_form")
-        trace.append(step)
-        current = step.result
-    if _first_step_general(ctx, current, theory, cfg) is None:
-        return NormalizeResult(current, trace, "normal_form")
-    return NormalizeResult(current, trace, "fuel_exhausted")
+    """Normalize by general rewriting steps."""
+    return normalize(ctx, s, theory, partial(_prepare_general, cfg=cfg), strategy, fuel)
 
 
 class ReachableSet:
@@ -471,12 +588,8 @@ class ReachableSet:
         return len(self.reps)
 
 
-def rewrite_closure_reachable(
-    ctx: FreshnessContext,
-    s: Term,
-    theory: Theory,
-    fuel: int,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+def reachable(
+    ctx: FreshnessContext, s: Term, theory: Theory, prepare: Callable[..., PreparedRule], fuel: int
 ) -> ReachableSet:
     """Everything reachable from s in at most `fuel` one-step rewrites,
     collected up to alpha-equivalence (so the set contains s's own
@@ -490,13 +603,24 @@ def rewrite_closure_reachable(
         new: list[Term] = []
         for t in frontier:
             for rule in theory.rules:
-                for step in rewrite_step_general(ctx, t, rule, cfg):
+                for step in rewrite_steps(t, prepare(ctx, t, rule)):
                     if reached.add(step.result):
                         new.append(step.result)
         if not new:
             break
         frontier = new
     return reached
+
+
+def rewrite_closure_reachable(
+    ctx: FreshnessContext,
+    s: Term,
+    theory: Theory,
+    fuel: int,
+    cfg: SearchConfig = DEFAULT_CONFIG,
+) -> ReachableSet:
+    """Everything reachable from s in at most `fuel` general steps."""
+    return reachable(ctx, s, theory, partial(_prepare_general, cfg=cfg), fuel)
 
 
 @dataclass
@@ -528,7 +652,7 @@ def symmetric_search(
     context); not_found is only a failure to find within the budget.
     """
     if gamma_budget is None:
-        gamma_budget = cfg.gamma_budget if cfg.gamma_budget is not None else len(theory.atoms())
+        gamma_budget = len(theory.atoms())
     unknowns = sorted(unknowns_of(ctx, s, t))
     used = {a.name for a in atoms_of(ctx, s, t) | theory.atoms()}
     gamma_pairs = []

@@ -162,3 +162,89 @@ def test_seed_env_changes_fresh_names_not_verdicts(capsys, monkeypatch):
     report = json.loads(out)
     assert all(r["closed"] for r in report["rules"])
     assert any("$4" in x for r in report["rules"] for x in r["witness"])
+
+
+REPLAY_CASES = {
+    "normalize-closed": ("normalize", str(BETAETA), "--term", "app(lam([a]app(app(a,X),a)),b)"),
+    "normalize-general-outermost": (
+        "normalize", str(BETAETA), "--term", "app(lam([a]app(app(a,X),a)),b)",
+        "--general", "--strategy", "outermost",
+    ),
+    "normalize-general-innermost": (
+        "normalize", str(BETAETA), "--term", "app(lam([a]app(app(a,X),a)),b)",
+        "--general", "--strategy", "innermost",
+    ),
+    "step-closed": ("step", str(BETAETA), "--term", "app(lam([a]app(X,a)),app(lam([b]b),c))"),
+    "step-general": ("step", str(BETAETA), "--term", "app(lam([a]app(X,a)),app(lam([b]b),c))", "--general"),
+    "equal": ("equal", str(FOL), "forall([a]and(P,imp(Q,Q)))", "and(P,or(not(Q),Q))", "--ctx", "a#P,a#Q"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_every_trace_replays(case, tmp_path, capsys):
+    code, out, _ = run(capsys, *REPLAY_CASES[case], "--json")
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "replay", str(path))
+    assert code == 0 and "all valid" in out
+    assert int(out.split()[1]) > 0  # "replayed N steps"
+
+
+def _one_step_report(capsys):
+    code, out, _ = run(capsys, "normalize", str(BETAETA), "--term", "app(lam([a]a),b)", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert [s["rule"] for s in report["trace"]] == ["beta_var"]
+    return report
+
+
+def test_replay_rejects_forged_closed_step(tmp_path, capsys):
+    report = _one_step_report(capsys)
+    step = report["trace"][0]
+    step.update(source="b", variant="b", result="c", path=[], perm=[], subst={}, ctx_extension=[])
+    step["freshened"].update(ctx="", lhs="b", rhs="c")
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "replay", str(path))
+    assert code == 1 and "FAILED" in out
+
+
+def test_replay_rejects_wrong_context_extension(tmp_path, capsys):
+    code, out, _ = run(capsys, "step", str(REMARK43), "--term", "X", "--json")
+    report = json.loads(out)
+    step = next(s for s in report["steps"] if s["result"] == "f(X)")
+    assert step["ctx_extension"]
+    step["ctx_extension"].append(["a", "X"])  # a is the subject's own atom, not a fresh one
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    code, _, _ = run(capsys, "replay", str(path))
+    assert code == 1
+
+
+def test_replay_rejects_rule_missing_from_theory(tmp_path, capsys):
+    report = _one_step_report(capsys)
+    report["trace"][0]["rule"] = "no_such_rule"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "replay", str(path))
+    assert code == 1 and "FAILED" in out
+
+
+def test_normalize_general_truncated_universe_exits_three(tmp_path, capsys):
+    # The step needs pi = (a z), but z is cut from the 6-atom universe.
+    theory = tmp_path / "trunc.nrw"
+    theory.write_text("theory trunc ;\nsig f:1 g:0 h:7 ;\nrule r : f(a) -> g ;\n")
+    term = "h(b,c,d,e,k,m,f(z))"
+    code, out, _ = run(capsys, "normalize", str(theory), "--term", term, "--general", "--json")
+    report = json.loads(out)
+    assert code == 3 and report["status"] == "truncated" and report["schema"] == 1
+    code, out, _ = run(capsys, "normalize", str(theory), "--term", term, "--general", "--max-support", "9")
+    assert code == 0 and out.splitlines()[0] == "h(b, c, d, e, k, m, g)"
+
+
+def test_unexpected_error_never_exits_one(capsys):
+    code, _, err = run(capsys, "fresh", "b", "[a]" * 1500 + "a")
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

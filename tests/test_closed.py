@@ -20,6 +20,7 @@ from nomrew import (
     atoms_of,
     closed_joinable,
     closed_normalize,
+    closed_reachable,
     closed_rewrite_step,
     decide_equal,
     freshen_rule,
@@ -28,6 +29,7 @@ from nomrew import (
     is_closed_rule,
     is_solution,
     replay_closed_step,
+    replay_step,
     rewrite_step_general,
     scrub,
     substitute,
@@ -197,7 +199,23 @@ def test_closed_steps_replay():
         ctx = random_ctx(rng)
         for rule in BETAETA.rules:
             for st in closed_rewrite_step(ctx, s, rule):
-                assert replay_closed_step(ctx, st)
+                assert replay_closed_step(ctx, st) and replay_step(ctx, st, rule)
+
+
+def test_closed_replay_checks_the_freshening():
+    from dataclasses import replace
+
+    ctx = FreshnessContext.of((a, X))
+    st = next(iter(closed_rewrite_step(ctx, var(X), EXPAND)))
+    assert replay_step(ctx, st, EXPAND) and replay_closed_step(ctx, st)
+    # the recorded rule must rename the rule it names
+    assert not replay_step(ctx, st, RewriteRule("expand", EMPTY_CTX, var(X), App("f", (var(X),))))
+    # to names fresh for the context and the source
+    stale = replace(st.freshened, ctx=FreshnessContext.of((a, next(iter(st.freshened.unknowns())))))
+    assert not replay_step(ctx, replace(st, freshened=stale, ctx_extension=FreshnessContext.of((a, X))), EXPAND)
+    # and the context extension must be exactly what the freshening justifies
+    assert not replay_step(ctx, replace(st, ctx_extension=st.ctx_extension.with_pairs([(b, X)])), EXPAND)
+    assert not replay_step(ctx, replace(st, ctx_extension=EMPTY_CTX), EXPAND)
 
 
 def test_closed_step_scrubs_eta_result():
@@ -273,6 +291,20 @@ def test_closed_normalize_eta():
     ctx = FreshnessContext.of((a, X))
     res = closed_normalize(ctx, lam(a, app(var(X), AtomTerm(a))), BETAETA)
     assert alpha_holds(ctx, res.term, var(X))
+
+
+def test_closed_reachable_collects_alpha_classes():
+    s = app(lam(a, app(AtomTerm(a), AtomTerm(a))), AtomTerm(b))
+    reach = closed_reachable(EMPTY_CTX, s, BETAETA, fuel=5)
+    assert s in reach and app(AtomTerm(b), AtomTerm(b)) in reach
+    assert app(lam(c, app(AtomTerm(c), AtomTerm(c))), AtomTerm(b)) in reach  # an alpha-variant of s
+    assert AtomTerm(a) not in reach
+    assert len(reach) == len(list(reach))
+    assert not reach.add(app(lam(c, app(AtomTerm(c), AtomTerm(c))), AtomTerm(b)))
+    one = closed_reachable(EMPTY_CTX, s, BETAETA, fuel=1)
+    assert app(AtomTerm(b), AtomTerm(b)) not in one and len(one) < len(reach)
+    with pytest.raises(ValueError):
+        closed_reachable(EMPTY_CTX, s, BETAETA, fuel=0)
 
 
 def test_closed_joinable():
