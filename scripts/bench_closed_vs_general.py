@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Measure the cost of the permutation search: normalize growing stacks of
-beta-redexes with the general engine (which enumerates candidate
-permutations at every position) and with the closed engine (plain matching
-after freshening).  The gap is the practical argument for closed rewriting.
+"""Normalize growing stacks of beta-redexes with the general engine (which
+tries candidate permutations at every position whose shape can match the
+rule) and with the closed engine (plain matching after freshening), assert
+that both reach alpha-equal normal forms, and print the time each took.
 """
 
 import time

@@ -357,7 +357,7 @@ def cmd_step(args) -> int:
         "steps": [_step_json(s) for s in steps],
     }
     _emit(report, args.json)
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if truncated and not steps else EXIT_OK
 
 
 def cmd_replay(args) -> int:

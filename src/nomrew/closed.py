@@ -19,7 +19,7 @@ from functools import partial
 from typing import Optional
 
 from .alpha import FreshnessContext, alpha_holds, fresh_holds
-from .matching import MatchProblem, solve_match
+from .matching import MatchProblem, _require_apart, solve_match
 from .rewrite import (
     DEFAULT_CONFIG,
     NormalizeResult,
@@ -211,6 +211,7 @@ def _prepare_closed(
     subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
     variant = freshen_rule(rule, subject_atoms | rule.atoms(), subject_unknowns | rule.unknowns(), namer)
     frule: RewriteRule = variant.renamed
+    _require_apart(unknowns_of(frule.ctx, frule.lhs), subject_unknowns)
     extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
     ctx2 = ctx | extension
     # Same variant universe as the general engine so the two step relations
@@ -220,12 +221,12 @@ def _prepare_closed(
     pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + [a for a in universe if a.is_machine]
 
     def instances(hole: Term):
-        sol = solve_match(MatchProblem(frule.ctx, frule.lhs, ctx2, hole))
+        sol = solve_match(MatchProblem._unchecked(frule.ctx, frule.lhs, ctx2, hole))
         if sol is not None:
             yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
 
     return PreparedRule(
-        rule, ctx2, universe, False, instances,
+        rule, frule.lhs, ctx2, universe, False, instances,
         lambda t: scrub(ctx2, t, pool), "closed", frule, extension,
     )
 

@@ -29,6 +29,7 @@ from .terms import (
     Substitution,
     Suspension,
     Term,
+    Unknown,
     act,
     atoms_of,
     fresh_names,
@@ -48,11 +49,22 @@ class OracleOverflow(NominalError):
     """The brute-force oracle refused an input beyond its documented bounds."""
 
 
+def _require_apart(pattern_unknowns: set[Unknown], target_unknowns: set[Unknown]) -> None:
+    """Raise MatchProblemError when the two sides share an unknown."""
+    shared = pattern_unknowns & target_unknowns
+    if shared:
+        names = ", ".join(sorted(x.name for x in shared))
+        raise MatchProblemError(f"pattern and target share unknowns: {names}")
+
+
 @dataclass(frozen=True)
 class MatchProblem:
     """(pattern_ctx |- pattern) matched against (target_ctx |- target).
 
-    The two sides may not share unknowns; this is checked at construction.
+    The two sides may not share unknowns.  The public constructor checks
+    this on every problem.  The rewriting engines instead check it once per
+    prepared rule against the whole subject, whose subterms are the only
+    targets they match, and then build each problem with `_unchecked`.
     """
 
     pattern_ctx: FreshnessContext
@@ -61,10 +73,16 @@ class MatchProblem:
     target: Term
 
     def __post_init__(self):
-        shared = unknowns_of(self.pattern_ctx, self.pattern) & unknowns_of(self.target_ctx, self.target)
-        if shared:
-            names = ", ".join(sorted(x.name for x in shared))
-            raise MatchProblemError(f"pattern and target share unknowns: {names}")
+        _require_apart(unknowns_of(self.pattern_ctx, self.pattern), unknowns_of(self.target_ctx, self.target))
+
+    @classmethod
+    def _unchecked(
+        cls, pattern_ctx: FreshnessContext, pattern: Term, target_ctx: FreshnessContext, target: Term
+    ) -> "MatchProblem":
+        """A problem whose sides the caller has already kept apart."""
+        problem = object.__new__(cls)
+        problem.__dict__.update(pattern_ctx=pattern_ctx, pattern=pattern, target_ctx=target_ctx, target=target)
+        return problem
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ engines differ only in how one rule is prepared for one subject, which is a
 the rule's unknowns away from the subject's and tries the candidate
 permutations over a universe; the closed preparation (closed.py) freshens
 the rule, extends the context, matches under the identity permutation and
-scrubs the result.
+scrubs the result.  The core asks a preparation for instances only at
+positions that pass a shape test against the prepared lhs (`_may_match`).
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -37,7 +38,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .alpha import EMPTY_CTX, FreshnessContext, alpha_holds, fresh_holds
-from .matching import MatchProblem, solve_match
+from .matching import MatchProblem, _require_apart, solve_match
 from .terms import (
     Abstraction,
     App,
@@ -227,8 +228,10 @@ class NormalizeResult:
 class PreparedRule:
     """One rule made ready by one engine to fire on one subject.
 
-    `instances(hole)` yields (pi, theta, pi.(rhs theta)) for every way the
-    prepared lhs matches the hole under `ctx`; `finish` turns the rebuilt
+    `lhs` is the prepared rule's left-hand side, which the core shape-tests
+    each hole against before asking for instances.  `instances(hole)`
+    yields (pi, theta, pi.(rhs theta)) for every way the prepared lhs
+    matches the hole under `ctx`; `finish` turns the rebuilt
     subject into the reported result.  `truncated` says the permutation
     search was cut by the universe cap, so finding no instance proves
     nothing.  `universe` holds the names binders above a position may be
@@ -236,6 +239,7 @@ class PreparedRule:
     """
 
     rule: RewriteRule
+    lhs: Term
     ctx: FreshnessContext
     universe: list[Atom]
     truncated: bool
@@ -338,19 +342,46 @@ def _prepare_general(
 ) -> PreparedRule:
     """Rename the rule's unknowns away from the subject's, then try every
     candidate permutation over the universe of rule, subject and extra
-    atoms."""
-    renamed = _freshen_rule_unknowns(rule, unknowns_of(ctx, s))
+    atoms.  The permuted sides are built once, when the first hole passes
+    the shape test."""
+    subject_unknowns = unknowns_of(ctx, s)
+    renamed = _freshen_rule_unknowns(rule, subject_unknowns)
+    _require_apart(unknowns_of(renamed.ctx, renamed.lhs), subject_unknowns)
     rule_atoms = sorted(renamed.atoms())
     universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), cfg)
-    perms = _candidate_perms(rule_atoms, universe)
+    permuted: list[tuple[Permutation, Term, Term]] = []
 
     def instances(hole: Term):
-        for pi in perms:
-            sol = solve_match(MatchProblem(renamed.ctx, act(pi, renamed.lhs), ctx, hole))
+        if not permuted:
+            permuted.extend(
+                (pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in _candidate_perms(rule_atoms, universe)
+            )
+        for pi, lhs, rhs in permuted:
+            sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
             if sol is not None:
-                yield pi, sol.sigma, substitute(act(pi, renamed.rhs), sol.sigma)
+                yield pi, sol.sigma, substitute(rhs, sol.sigma)
 
-    return PreparedRule(rule, ctx, universe, truncated, instances)
+    return PreparedRule(rule, renamed.lhs, ctx, universe, truncated, instances)
+
+
+def _may_match(lhs: Term, hole: Term) -> bool:
+    """False only when no permutation and no substitution can make lhs
+    match hole: the two differ in a constructor, a former or an arity at a
+    place where lhs is not a suspension.  A permutation renames only atoms
+    and a substitution only fills suspensions, so neither can mend that."""
+    work = [(lhs, hole)]
+    while work:
+        l, s = work.pop()
+        match (l, s):
+            case (Suspension(), _) | (AtomTerm(), AtomTerm()):
+                pass
+            case (Abstraction(_, lbody), Abstraction(_, sbody)):
+                work.append((lbody, sbody))
+            case (App(f, largs), App(g, sargs)) if f == g and len(largs) == len(sargs):
+                work.extend(zip(largs, sargs))
+            case _:
+                return False
+    return True
 
 
 def _decompositions(
@@ -388,7 +419,11 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
     it into the universe, every instance the engine finds at the hole."""
     out = []
     seen = set()
-    for path, _ in positions(s):
+    for path, here in positions(s):
+        # Alpha-variants differ from s only in atoms, so one shape test
+        # covers every variant at this position.
+        if not _may_match(prepared.lhs, here):
+            continue
         for hole, rebuild in _decompositions(prepared.ctx, s, path, prepared.universe):
             for pi, theta, rhs in prepared.instances(hole):
                 result = prepared.finish(rebuild(rhs))
@@ -519,6 +554,8 @@ def _first_step(s: Term, prepared: list[PreparedRule], strategy: str) -> Optiona
     then so can s itself, so this loses no normal-form detection."""
     for path, hole in _ordered_positions(s, strategy):
         for prep in prepared:
+            if not _may_match(prep.lhs, hole):
+                continue
             for pi, theta, rhs in prep.instances(hole):
                 return prep.step(path, pi, theta, s, s, prep.finish(replace_at(s, path, rhs)))
     return None

@@ -243,6 +243,22 @@ def test_normalize_general_truncated_universe_exits_three(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "h(b, c, d, e, k, m, g)"
 
 
+def test_step_general_truncated_universe_exits_three(tmp_path, capsys):
+    # Same cut universe as above: "no steps" proves nothing, so it is not a yes.
+    theory = tmp_path / "trunc.nrw"
+    theory.write_text("theory trunc ;\nsig f:1 g:0 h:7 ;\nrule r : f(a) -> g ;\n")
+    term = "h(b,c,d,e,k,m,f(z))"
+    code, out, _ = run(capsys, "step", str(theory), "--term", term, "--general")
+    assert code == 3 and out.splitlines() == [
+        "no steps", "(permutation universe truncated: absence of steps is inconclusive)",
+    ]
+    code, out, _ = run(capsys, "step", str(theory), "--term", term, "--general", "--json")
+    report = json.loads(out)
+    assert code == 3 and report["truncated"] and report["steps"] == [] and report["schema"] == 1
+    code, out, _ = run(capsys, "step", str(theory), "--term", term, "--general", "--max-support", "9")
+    assert code == 0 and "->1 h(b, c, d, e, k, m, g)" in out
+
+
 def test_unexpected_error_never_exits_one(capsys):
     code, _, err = run(capsys, "fresh", "b", "[a]" * 1500 + "a")
     assert code in (0, 2)

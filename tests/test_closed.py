@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import nomrew.closed as closed_module
 from nomrew import (
     Abstraction,
     App,
@@ -9,7 +10,9 @@ from nomrew import (
     AtomTerm,
     EMPTY_CTX,
     FreshNamer,
+    FreshenedVariant,
     FreshnessContext,
+    MatchProblemError,
     NotClosedError,
     PAIR_FORMER,
     RewriteRule,
@@ -343,3 +346,14 @@ def test_general_vs_closed_differential():
     assert list(rewrite_step_general(EMPTY_CTX, var(X), EXPAND)) == []
     closed = closed_rewrite_step(EMPTY_CTX, var(X), EXPAND)
     assert closed and all(alpha_holds(EMPTY_CTX, st.result, App("f", (var(X),))) for st in closed)
+
+
+def test_closed_preparation_refuses_shared_unknowns(monkeypatch):
+    # A freshening that kept the rule's unknowns would let holes share them;
+    # the preparation refuses it once instead of matching.
+    monkeypatch.setattr(closed_module, "freshen_rule", lambda rule, *args, **kw: FreshenedVariant(rule, {}, {}))
+    s = lam(a, app(var(X), AtomTerm(a)))
+    with pytest.raises(MatchProblemError):
+        closed_rewrite_step(FreshnessContext.of((a, X)), s, ETA)
+    with pytest.raises(MatchProblemError):
+        closed_normalize(FreshnessContext.of((a, X)), s, BETAETA)

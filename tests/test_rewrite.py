@@ -1,36 +1,58 @@
 import random
+from importlib import resources
+from unittest import mock
 
+import hypothesis.strategies as hst
 import pytest
+from hypothesis import given, settings
 
+import nomrew.rewrite as rewrite_module
 from nomrew import (
     Abstraction,
     App,
     Atom,
     AtomTerm,
     EMPTY_CTX,
+    FreshNamer,
     FreshnessContext,
     ID,
+    MatchProblem,
+    MatchProblemError,
     RewriteRule,
     RuleError,
     SearchConfig,
     Signature,
+    Substitution,
+    Suspension,
     Theory,
     Unknown,
     act,
     alpha_holds,
+    atoms_of,
     check_equivariance_sample,
+    closed_normalize,
+    closed_rewrite_step,
     normalize_general,
     positions,
     replace_at,
     replay_step,
     rewrite_closure_reachable,
     rewrite_step_general,
+    solve_match,
+    substitute,
     subterm_at,
+    subterms,
     swap,
     symmetric_search,
+    unknowns_of,
     var,
 )
-from strategies import random_perm, random_term
+from nomrew.rewrite import DEFAULT_CONFIG, _candidate_perms, _may_match, _rename_term, _universe
+from nomrew.syntax import parse_theory
+from nomrew.terms import MACHINE_MARK
+from strategies import (
+    atoms_st, contexts_st, perms_st, random_perm, random_term, substs_st, terms_st, unknowns_st,
+)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X, Xp, Y = Unknown("X"), Unknown("Xp"), Unknown("Y")
@@ -247,3 +269,106 @@ def test_equivariance_on_random_steps():
             assert check_equivariance_sample(EMPTY_CTX, s, st.result, rule, pi)
             checked += 1
     assert checked > 20
+
+
+# the shape test -----------------------------------------------------------------
+
+BUNDLED = [
+    parse_theory((resources.files("nomrew") / "theories" / f"{name}.nrw").read_text())
+    for name in ("betaeta", "fol", "nonclosed", "remark43")
+]
+
+
+def _apart(t):
+    """t with its unknowns renamed to machine names, which no other term here uses."""
+    return _rename_term(t, {}, {x: Unknown(x.name + MACHINE_MARK) for x in unknowns_of(t)})
+
+
+def _matches_under_some_perm(pattern, ctx, hole) -> bool:
+    """Brute force over every candidate permutation of the general engine's universe."""
+    rule_atoms = sorted(atoms_of(pattern))
+    universe, _ = _universe(set(rule_atoms), atoms_of(ctx, hole), DEFAULT_CONFIG)
+    return any(
+        solve_match(MatchProblem(EMPTY_CTX, act(pi, pattern), ctx, hole)) is not None
+        for pi in _candidate_perms(rule_atoms, universe)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms_st, contexts_st, terms_st)
+def test_shape_test_rejects_only_unmatchable_holes(pattern, ctx, hole):
+    pattern = _apart(pattern)
+    if not _may_match(pattern, hole):
+        assert not _matches_under_some_perm(pattern, ctx, hole)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms_st, perms_st, substs_st)
+def test_shape_test_passes_every_instance(pattern, pi, sigma):
+    assert _may_match(pattern, act(pi, substitute(pattern, sigma)))
+
+
+def test_shape_test_on_bundled_rules():
+    holes = {u for th in BUNDLED for rule in th.rules for side in (rule.lhs, rule.rhs) for u in subterms(side)}
+    rejected = passed = 0
+    for th in BUNDLED:
+        for rule in th.rules:
+            pattern = _apart(rule.lhs)
+            for hole in holes:
+                if _may_match(pattern, hole):
+                    passed += 1
+                else:
+                    rejected += 1
+                    assert not _matches_under_some_perm(pattern, EMPTY_CTX, hole), (rule.name, hole)
+    assert rejected > 500 and passed > 50
+
+
+def _sig_terms(theory):
+    leaves = hst.one_of(atoms_st.map(AtomTerm), hst.tuples(perms_st, unknowns_st).map(lambda pu: Suspension(*pu)))
+
+    def grow(kids):
+        options = [hst.tuples(atoms_st, kids).map(lambda ab: Abstraction(*ab))]
+        for f, n in theory.signature.arities:
+            options.append(hst.lists(kids, min_size=n, max_size=n).map(lambda args, f=f: App(f, tuple(args))))
+        return hst.one_of(options)
+
+    plain = hst.recursive(leaves, grow, max_leaves=6)
+    # Rule instances put redexes in most draws.
+    redex = hst.tuples(hst.sampled_from(theory.rules), hst.lists(plain, min_size=3, max_size=3)).map(
+        lambda ra: substitute(ra[0].lhs, Substitution(zip(sorted(unknowns_of(ra[0].lhs)), ra[1])))
+    )
+    return hst.recursive(hst.one_of(plain, redex), grow, max_leaves=3)
+
+
+_theory_terms = hst.sampled_from(BUNDLED).flatmap(lambda th: hst.tuples(hst.just(th), _sig_terms(th)))
+
+
+def _engine_runs(ctx, theory, s):
+    out = []
+    for strategy in ("outermost", "innermost"):
+        out.append(normalize_general(ctx, s, theory, strategy, fuel=4))
+        out.append(closed_normalize(ctx, s, theory, 4, FreshNamer(0), strategy))
+    for rule in theory.rules:
+        out.append(list(rewrite_step_general(ctx, s, rule)))
+        out.append(list(closed_rewrite_step(ctx, s, rule, FreshNamer(0))))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_theory_terms, contexts_st)
+def test_shape_test_changes_no_trace(theory_term, ctx):
+    theory, s = theory_term
+    filtered = _engine_runs(ctx, theory, s)
+    with mock.patch.object(rewrite_module, "_may_match", lambda lhs, hole: True):
+        assert _engine_runs(ctx, theory, s) == filtered
+
+
+def test_general_preparation_refuses_shared_unknowns(monkeypatch):
+    # Every hole is a subterm of the subject, so a rule not renamed apart
+    # from the subject must be refused once, up front, not matched.
+    monkeypatch.setattr(rewrite_module, "_freshen_rule_unknowns", lambda rule, away_from: rule)
+    s = app(lam(a, AtomTerm(a)), var(X))
+    with pytest.raises(MatchProblemError):
+        rewrite_step_general(EMPTY_CTX, s, BETA_VAR)
+    with pytest.raises(MatchProblemError):
+        normalize_general(EMPTY_CTX, s, BETAETA)
