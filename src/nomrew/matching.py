@@ -8,8 +8,11 @@ resolves to X -> pi^-1 . target.  Duplicate occurrences are reconciled by an
 alpha check, and the pattern context's obligations are checked once the
 substitution is complete.  Matching solutions are unique up to
 alpha-equivalence under the target context; the solver returns the first
-computed, which is not canonical.  Quadratic worst case; no attempt is made
-at the known linear-time bound.
+computed, which is not canonical.  The alpha checks are linear (they
+compare alpha keys), but a mismatched abstraction still applies its swap to
+the pattern body eagerly, so nested mismatched binders in the pattern make
+the solver quadratic in the pattern's depth; no attempt is made at the known
+linear-time bound.
 """
 
 from __future__ import annotations

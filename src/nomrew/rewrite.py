@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from .alpha import EMPTY_CTX, FreshnessContext, alpha_holds, fresh_holds
+from .alpha import EMPTY_CTX, FreshnessContext, alpha_holds, alpha_key, fresh_holds
 from .matching import MatchProblem, _require_apart, solve_match
 from .terms import (
     Abstraction,
@@ -602,24 +602,27 @@ def normalize_general(
 
 
 class ReachableSet:
-    """A set of terms up to alpha-equivalence under a fixed context."""
+    """A set of terms up to alpha-equivalence under a fixed context: one
+    representative per class, in insertion order, keyed by its alpha key,
+    so membership is one hash lookup."""
 
     def __init__(self, ctx: FreshnessContext):
         self.ctx = ctx
-        self.reps: list[Term] = []
+        self.reps: dict[tuple, Term] = {}
 
     def add(self, t: Term) -> bool:
         """Add t's class; True when it was new."""
-        if t in self:
+        key = alpha_key(self.ctx, t)
+        if key in self.reps:
             return False
-        self.reps.append(t)
+        self.reps[key] = t
         return True
 
     def __contains__(self, t: Term) -> bool:
-        return any(alpha_holds(self.ctx, rep, t) for rep in self.reps)
+        return alpha_key(self.ctx, t) in self.reps
 
     def __iter__(self):
-        return iter(self.reps)
+        return iter(self.reps.values())
 
     def __len__(self):
         return len(self.reps)
@@ -705,11 +708,11 @@ def symmetric_search(
         if _invertible(rule):
             rules.append(RewriteRule(rule.name + "~", rule.ctx, rule.rhs, rule.lhs))
 
-    if alpha_holds(ctx2, s, t):
+    target = alpha_key(ctx2, t)
+    reached = {alpha_key(ctx2, s)}
+    if target in reached:
         return SearchResult(True, [], gamma, ctx2)
 
-    reached = ReachableSet(ctx2)
-    reached.add(s)
     frontier: list[tuple[Term, list[RewriteStep]]] = [(s, [])]
     expansions = 0
     while frontier and expansions < fuel:
@@ -720,9 +723,11 @@ def symmetric_search(
             expansions += 1
             for rule in rules:
                 for step in rewrite_step_general(ctx2, u, rule, cfg):
-                    if alpha_holds(ctx2, step.result, t):
+                    key = alpha_key(ctx2, step.result)
+                    if key == target:
                         return SearchResult(True, trace + [step], gamma, ctx2)
-                    if reached.add(step.result):
+                    if key not in reached:
+                        reached.add(key)
                         nxt.append((step.result, trace + [step]))
         frontier = nxt
     return SearchResult(False, None, gamma, ctx2)

@@ -1,8 +1,9 @@
 import itertools
 import random
 
+import hypothesis.strategies as hst
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from nomrew import (
     Abstraction,
@@ -17,6 +18,7 @@ from nomrew import (
     Unknown,
     act,
     alpha_holds,
+    alpha_key,
     alpha_oracle_ground,
     check_alpha,
     check_fresh,
@@ -29,6 +31,7 @@ from nomrew import (
     verify_derivation,
 )
 from nomrew.alpha import NonGroundError
+from nomrew.rewrite import ReachableSet
 from strategies import alpha_perturb, contexts_st, ground_terms_st, random_ctx, random_perm, random_term, terms_st
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
@@ -181,6 +184,86 @@ def test_freshness_equivariance_ground():
             assert fresh_holds(EMPTY_CTX, atom, s) == fresh_holds(EMPTY_CTX, pi(atom), act(pi, s))
 
 
-@given(ground_terms_st, ground_terms_st)
-def test_oracle_agreement_random(s, t):
-    assert alpha_holds(EMPTY_CTX, s, t) == alpha_oracle_ground(s, t)
+@given(ground_terms_st, ground_terms_st, hst.randoms(use_true_random=False))
+def test_oracle_agreement_random(s, t, rng):
+    # Besides the random pair, an alpha-variant of s and a permuted copy of
+    # it, so that both verdicts are common.
+    u = alpha_perturb(rng, EMPTY_CTX, s)
+    for left, right in ((s, t), (s, u), (s, act(random_perm(rng), u))):
+        assert alpha_holds(EMPTY_CTX, left, right) == alpha_oracle_ground(left, right)
+
+
+# alpha_holds compares alpha keys; check_alpha applies the rules ----------------
+
+
+def _pairs(rng, ctx, s, t):
+    """A random pair, an alpha-variant pair and a near miss: an
+    alpha-variant moved by a random permutation."""
+    u = alpha_perturb(rng, ctx, s)
+    return [(s, t), (s, u), (s, act(random_perm(rng), alpha_perturb(rng, ctx, s)))]
+
+
+def _assert_agrees(ctx, s, t) -> bool:
+    derivable = check_alpha(ctx, s, t) is not None
+    assert alpha_holds(ctx, s, t) == derivable
+    assert alpha_holds(ctx, t, s) == derivable
+    return derivable
+
+
+@settings(max_examples=300, deadline=None)
+@given(contexts_st, terms_st, terms_st, hst.randoms(use_true_random=False))
+def test_alpha_key_agrees_with_rules(ctx, s, t, rng):
+    for left, right in _pairs(rng, ctx, s, t):
+        _assert_agrees(ctx, left, right)
+
+
+def test_alpha_key_agrees_with_rules_seeded():
+    rng = random.Random(53)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        ctx = random_ctx(rng)
+        s, t = random_term(rng, depth=5), random_term(rng, depth=5)
+        for left, right in _pairs(rng, ctx, s, t):
+            verdicts[_assert_agrees(ctx, left, right)] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+
+def test_alpha_key_tokens_cannot_collide():
+    # A free atom named "[" must not read as a binder, and a nullary former
+    # must not read as an atom of the same name.
+    bracket, x = AtomTerm(Atom("[")), Atom("x")
+    pairs = [
+        (App("h", (Abstraction(a, AtomTerm(c)), bracket, AtomTerm(d))),
+         App("h", (bracket, AtomTerm(c), Abstraction(x, AtomTerm(d))))),
+        (App("a", ()), AtomTerm(a)),
+    ]
+    for s, t in pairs:
+        assert check_alpha(EMPTY_CTX, s, t) is None
+        assert alpha_key(EMPTY_CTX, s) != alpha_key(EMPTY_CTX, t)
+
+
+# depth --------------------------------------------------------------------------
+
+
+def renamed_chain(n: int, stem: str, k: int) -> App:
+    """[stem0]...[stem(n-1)] g(stem k, stem 0, c), built without recursion."""
+    t = App("g", (AtomTerm(Atom(f"{stem}{k}")), AtomTerm(Atom(f"{stem}0")), AtomTerm(c)))
+    for i in reversed(range(n)):
+        t = Abstraction(Atom(f"{stem}{i}"), t)
+    return t
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_alpha_on_deep_renamed_chains(n):
+    s = renamed_chain(n, "s", n // 2)
+    assert alpha_holds(EMPTY_CTX, s, renamed_chain(n, "t", n // 2))
+    assert not alpha_holds(EMPTY_CTX, s, renamed_chain(n, "t", n // 2 + 1))
+
+
+def test_reachable_set_takes_deep_terms():
+    n = 10**4
+    reached = ReachableSet(EMPTY_CTX)
+    assert reached.add(renamed_chain(n, "s", 7))
+    assert not reached.add(renamed_chain(n, "t", 7))
+    assert renamed_chain(n, "u", 8) not in reached
+    assert len(reached) == 1

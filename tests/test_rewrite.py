@@ -29,8 +29,11 @@ from nomrew import (
     act,
     alpha_holds,
     atoms_of,
+    check_alpha,
     check_equivariance_sample,
+    closed_joinable,
     closed_normalize,
+    closed_reachable,
     closed_rewrite_step,
     normalize_general,
     positions,
@@ -47,11 +50,11 @@ from nomrew import (
     unknowns_of,
     var,
 )
-from nomrew.rewrite import DEFAULT_CONFIG, _candidate_perms, _may_match, _rename_term, _universe
+from nomrew.rewrite import DEFAULT_CONFIG, _candidate_perms, _invertible, _may_match, _rename_term, _universe
 from nomrew.syntax import parse_theory
 from nomrew.terms import MACHINE_MARK
 from strategies import (
-    atoms_st, contexts_st, perms_st, random_perm, random_term, substs_st, terms_st, unknowns_st,
+    FORMERS, atoms_st, contexts_st, perms_st, random_ctx, random_perm, random_term, substs_st, terms_st, unknowns_st,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -372,3 +375,106 @@ def test_general_preparation_refuses_shared_unknowns(monkeypatch):
         rewrite_step_general(EMPTY_CTX, s, BETA_VAR)
     with pytest.raises(MatchProblemError):
         normalize_general(EMPTY_CTX, s, BETAETA)
+
+
+# reachability and search against scans of check_alpha ----------------------------
+
+
+class _ScanSet:
+    """The reference for ReachableSet: a list of representatives and
+    membership by a scan of check_alpha."""
+
+    def __init__(self, ctx):
+        self.ctx, self.reps = ctx, []
+
+    def __contains__(self, t):
+        return any(check_alpha(self.ctx, rep, t) is not None for rep in self.reps)
+
+    def add(self, t):
+        if t in self:
+            return False
+        self.reps.append(t)
+        return True
+
+    def __iter__(self):
+        return iter(self.reps)
+
+    def __len__(self):
+        return len(self.reps)
+
+
+def _scan_search(ctx, s, t, theory, fuel):
+    """symmetric_search's breadth-first loop with the target test and the
+    visited set done by check_alpha scans; ctx is the extended context."""
+    same = lambda u, v: check_alpha(ctx, u, v) is not None
+    rules = list(theory.rules) + [
+        RewriteRule(r.name + "~", r.ctx, r.rhs, r.lhs) for r in theory.rules if _invertible(r)
+    ]
+    if same(s, t):
+        return True, []
+    reached = _ScanSet(ctx)
+    reached.add(s)
+    frontier, expansions = [(s, [])], 0
+    while frontier and expansions < fuel:
+        nxt = []
+        for u, trace in frontier:
+            if expansions >= fuel:
+                break
+            expansions += 1
+            for rule in rules:
+                for step in rewrite_step_general(ctx, u, rule):
+                    if same(step.result, t):
+                        return True, trace + [step]
+                    if reached.add(step.result):
+                        nxt.append((step.result, trace + [step]))
+        frontier = nxt
+    return False, None
+
+
+def _seeded_cases(seed, count):
+    """(theory, ctx, s, t) over the bundled theories: t is one step from s,
+    an alpha-variant of such a step, or an unrelated term."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        theory = rng.choice(BUNDLED)
+        formers = list(theory.signature.arities) or FORMERS
+        ctx = random_ctx(rng) if rng.random() < 0.5 else EMPTY_CTX
+        s = random_term(rng, rng.randint(2, 4), formers=formers)
+        if rng.random() < 0.5:  # a rule instance, so that most cases can step
+            rule = rng.choice(theory.rules)
+            sigma = Substitution({x: random_term(rng, 2, formers=formers) for x in unknowns_of(rule.lhs)})
+            s = substitute(rule.lhs, sigma)
+        steps = [st for rule in theory.rules for st in rewrite_step_general(ctx, s, rule)]
+        if steps and rng.random() < 0.7:
+            t = rng.choice(steps).result
+        else:
+            t = random_term(rng, rng.randint(1, 4), formers=formers)
+        yield theory, ctx, s, t
+
+
+def test_reachability_matches_scan_reference():
+    nonempty = 0
+    for theory, ctx, s, t in _seeded_cases(61, 40):
+        fast = [
+            list(rewrite_closure_reachable(ctx, s, theory, fuel=2)),
+            list(closed_reachable(ctx, s, theory, 2, FreshNamer(0))),
+            closed_joinable(ctx, s, t, theory, 2, FreshNamer(0)),
+        ]
+        with mock.patch.object(rewrite_module, "ReachableSet", _ScanSet):
+            slow = [
+                list(rewrite_closure_reachable(ctx, s, theory, fuel=2)),
+                list(closed_reachable(ctx, s, theory, 2, FreshNamer(0))),
+                closed_joinable(ctx, s, t, theory, 2, FreshNamer(0)),
+            ]
+        assert fast == slow
+        nonempty += len(fast[0]) > 1
+    assert nonempty > 10
+
+
+def test_symmetric_search_matches_scan_reference():
+    found = 0
+    for theory, ctx, s, t in _seeded_cases(67, 40):
+        res = symmetric_search(ctx, s, t, theory, fuel=3)
+        assert (res.found, res.trace) == _scan_search(res.ctx, s, t, theory, fuel=3)
+        found += res.found
+    assert 5 < found < 35

@@ -15,3 +15,11 @@ def test_bench_closed_vs_general_runs(capsys):
     runpy.run_path(str(SCRIPTS / "bench_closed_vs_general.py"), run_name="__main__")
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
+
+
+def test_alpha_scaling_runs(capsys, monkeypatch):
+    # The script asserts each verdict; small sizes keep the smoke run quick.
+    monkeypatch.setattr("sys.argv", ["alpha_scaling.py", "10", "100"])
+    runpy.run_path(str(SCRIPTS / "alpha_scaling.py"), run_name="__main__")
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["10", "100"]
