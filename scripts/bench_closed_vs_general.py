@@ -8,7 +8,7 @@ that both reach alpha-equal normal forms, and print the time each took.
 import time
 from importlib import resources
 
-from nomrew import EMPTY_CTX, FreshNamer, alpha_holds, closed_normalize, normalize_general
+from nomrew import EMPTY_CTX, alpha_holds, closed_normalize, normalize_general
 from nomrew.syntax import parse_term, parse_theory, pretty
 
 
@@ -26,7 +26,7 @@ def main():
         term = parse_term(redex_tower(height), theory.signature)
 
         t0 = time.perf_counter()
-        closed = closed_normalize(EMPTY_CTX, term, theory, fuel=500, namer=FreshNamer())
+        closed = closed_normalize(EMPTY_CTX, term, theory, fuel=500)
         closed_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -7,7 +7,6 @@ from importlib import resources
 
 from nomrew import (
     EMPTY_CTX,
-    FreshNamer,
     alpha_holds,
     closed_normalize,
     closed_rewrite_step,
@@ -42,7 +41,7 @@ def main():
 
     banner("closed normalization of app(lam([a]app(a,a)), b)")
     term = parse_term("app(lam([a]app(a,a)),b)", betaeta.signature)
-    res = closed_normalize(EMPTY_CTX, term, betaeta, namer=FreshNamer())
+    res = closed_normalize(EMPTY_CTX, term, betaeta)
     print(f"  {pretty(term)}")
     for step in res.trace:
         print(f"    --{step.rule}--> {pretty(step.result)}")

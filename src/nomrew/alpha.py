@@ -35,14 +35,10 @@ from .terms import (
 
 @dataclass(frozen=True, slots=True)
 class FreshnessConstraint:
-    """A pair a # t; primitive when t is a bare unknown."""
+    """A pair a # t."""
 
     atom: Atom
     target: Term
-
-    @property
-    def is_primitive(self) -> bool:
-        return isinstance(self.target, Suspension) and self.target.perm.is_identity
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,7 @@ class FreshnessContext:
         return cls(frozenset(pairs))
 
     def __iter__(self):
-        return iter(sorted(self.pairs, key=lambda p: (p[0].name, p[1].name)))
+        return iter(self.pairs)
 
     def __len__(self):
         return len(self.pairs)

@@ -5,34 +5,26 @@ match, step (one-step enumeration) and replay (re-verify a JSON trace).
 Exit codes are a stable contract: 0 yes/equal/all-closed, 1 no/not-equal/
 not-closed/no-match, 2 usage, parse or any other error, 3 inconclusive,
 truncated or fuel exhausted.  JSON reports carry "schema": 1 and embed the
-theory text, so a report replays on its own.  The NOMREW_SEED environment
-variable fixes the fresh-name counter for reproducible traces.
+theory text, so a report replays on its own.  Machine-fresh names are picked
+deterministically, so the same command prints the same trace every time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .alpha import Derivation, FreshnessContext, check_alpha, check_fresh
-from .closed import (
-    FreshNamer,
-    NotClosedError,
-    closed_normalize,
-    closed_rewrite_step,
-    decide_equal,
-    is_closed_rule,
-)
+from .closed import NotClosedError, closed_normalize, closed_rewrite_step, decide_equal, is_closed_rule
 from .matching import MatchProblem, solve_match
 from .rewrite import (
-    DEFAULT_CONFIG,
+    MAX_SUPPORT,
     RewriteRule,
     RewriteStep,
-    SearchConfig,
     Theory,
     normalize_general,
+    path_str,
     replay,
     rewrite_step_general,
 )
@@ -47,7 +39,7 @@ from .syntax import (
     pretty_subst,
     pretty_theory,
 )
-from .terms import Atom, NominalError, Permutation, Substitution, Unknown
+from .terms import Atom, AtomTerm, NominalError, Permutation, Substitution, Unknown
 
 SCHEMA = 1
 
@@ -55,14 +47,6 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
-
-
-def _namer() -> FreshNamer:
-    seed = os.environ.get("NOMREW_SEED", "0")
-    try:
-        return FreshNamer(int(seed))
-    except ValueError:
-        raise NominalError(f"NOMREW_SEED must be an integer, got {seed!r}")
 
 
 def _load_theory(path: str) -> Theory:
@@ -75,7 +59,7 @@ def _subst_json(sigma: Substitution) -> dict:
 
 
 def _ctx_json(ctx: FreshnessContext) -> list:
-    return [[a.name, x.name] for a, x in ctx]
+    return [[a.name, x.name] for a, x in sorted(ctx)]
 
 
 def _perm_json(pi: Permutation) -> list:
@@ -160,11 +144,10 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def cmd_check(args) -> int:
     theory = _load_theory(args.theory)
-    namer = _namer()
     rows = []
     all_closed = True
     for rule in theory.rules:
-        res = is_closed_rule(rule, namer)
+        res = is_closed_rule(rule)
         all_closed &= res.closed
         rows.append((rule, res))
         if not args.json:
@@ -190,12 +173,11 @@ def cmd_normalize(args) -> int:
     theory = _load_theory(args.theory)
     ctx = parse_context(args.ctx)
     term = parse_term(args.term, theory.signature)
-    cfg = SearchConfig(args.max_support)
     if args.general:
-        res = normalize_general(ctx, term, theory, args.strategy, args.fuel, cfg)
+        res = normalize_general(ctx, term, theory, args.strategy, args.fuel, args.max_support)
         mode = "general"
     else:
-        res = closed_normalize(ctx, term, theory, args.fuel, _namer(), args.strategy, cfg)
+        res = closed_normalize(ctx, term, theory, args.fuel, args.strategy, args.max_support)
         mode = "closed"
     if not args.json:
         print(pretty(res.term))
@@ -204,7 +186,7 @@ def cmd_normalize(args) -> int:
             for i, step in enumerate(res.trace):
                 pi = pretty_perm(step.perm) or "id"
                 print(
-                    f"  {i + 1}. {step.rule} at {_path_text(step.path)} pi={pi} "
+                    f"  {i + 1}. {step.rule} at {path_str(step.path)} pi={pi} "
                     f"theta={pretty_subst(step.subst)} ->1 {pretty(step.result)}"
                 )
     report = {
@@ -222,22 +204,13 @@ def cmd_normalize(args) -> int:
     return EXIT_OK if res.status == "normal_form" else EXIT_INCONCLUSIVE
 
 
-def _path_text(path) -> str:
-    from .rewrite import path_str
-
-    return path_str(path)
-
-
 def cmd_equal(args) -> int:
     theory = _load_theory(args.theory)
     ctx = parse_context(args.ctx)
     left = parse_term(args.left, theory.signature)
     right = parse_term(args.right, theory.signature)
     try:
-        decision = decide_equal(
-            ctx, left, right, theory,
-            assume_convergent=args.assume_convergent, fuel=args.fuel, namer=_namer(),
-        )
+        decision = decide_equal(ctx, left, right, theory, args.assume_convergent, args.fuel)
     except NotClosedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -282,8 +255,6 @@ def cmd_alpha(args) -> int:
 def cmd_fresh(args) -> int:
     ctx = parse_context(args.ctx)
     atom = parse_term(args.atom)
-    from .terms import AtomTerm
-
     if not isinstance(atom, AtomTerm):
         print("error: first positional argument must be an atom", file=sys.stderr)
         return EXIT_USAGE
@@ -327,15 +298,13 @@ def cmd_step(args) -> int:
     theory = _load_theory(args.theory)
     ctx = parse_context(args.ctx)
     term = parse_term(args.term, theory.signature)
-    cfg = SearchConfig(args.max_support)
-    namer = _namer()
     steps = []
     truncated = False
     for rule in theory.rules:
         if args.general:
-            got = rewrite_step_general(ctx, term, rule, cfg)
+            got = rewrite_step_general(ctx, term, rule, args.max_support)
         else:
-            got = closed_rewrite_step(ctx, term, rule, namer, cfg)
+            got = closed_rewrite_step(ctx, term, rule, args.max_support)
         truncated |= got.truncated
         steps.extend(got)
     if not args.json:
@@ -343,7 +312,7 @@ def cmd_step(args) -> int:
             print("no steps")
         for step in steps:
             pi = pretty_perm(step.perm) or "id"
-            print(f"{step.rule} at {_path_text(step.path)} pi={pi} ->1 {pretty(step.result)}")
+            print(f"{step.rule} at {path_str(step.path)} pi={pi} ->1 {pretty(step.result)}")
         if truncated:
             print("(permutation universe truncated: absence of steps is inconclusive)")
     report = {
@@ -409,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ctx", default="")
     p.add_argument("--fuel", type=int, default=500)
     p.add_argument("--strategy", choices=("outermost", "innermost"), default="outermost")
-    p.add_argument("--max-support", type=int, default=DEFAULT_CONFIG.max_support, dest="max_support")
+    p.add_argument("--max-support", type=int, default=MAX_SUPPORT, dest="max_support")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--general", action="store_true", help="general rewriting (permutation search)")
     mode.add_argument("--closed", action="store_true", help="closed rewriting (default)")
@@ -455,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("--term", required=True)
     p.add_argument("--ctx", default="")
-    p.add_argument("--max-support", type=int, default=DEFAULT_CONFIG.max_support, dest="max_support")
+    p.add_argument("--max-support", type=int, default=MAX_SUPPORT, dest="max_support")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--general", action="store_true")
     mode.add_argument("--closed", action="store_true")

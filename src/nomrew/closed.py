@@ -21,16 +21,16 @@ from typing import Optional
 from .alpha import FreshnessContext, alpha_holds, fresh_holds
 from .matching import MatchProblem, _require_apart, solve_match
 from .rewrite import (
-    DEFAULT_CONFIG,
+    MAX_SUPPORT,
     NormalizeResult,
     PreparedRule,
     ReachableSet,
     RewriteRule,
     RewriteStep,
-    SearchConfig,
     StepResults,
     Theory,
     _complete_perm,
+    _fresh_maps,
     _rename_ctx,
     _rename_rule,
     _rename_term,
@@ -42,7 +42,6 @@ from .rewrite import (
 )
 from .terms import (
     ID,
-    MACHINE_MARK,
     Abstraction,
     App,
     Atom,
@@ -66,27 +65,6 @@ class NotClosedError(NominalError):
     pass
 
 
-class FreshNamer:
-    """A monotone counter for machine-fresh names, confined to one engine
-    session.  The seed fixes the starting counter so traces reproduce."""
-
-    def __init__(self, seed: int = 0):
-        self._n = seed
-
-    def _next(self, stem: str, avoid: set[str]) -> str:
-        while True:
-            name = f"{stem}{MACHINE_MARK}{self._n}"
-            self._n += 1
-            if name not in avoid:
-                return name
-
-    def fresh_atom(self, base: str, avoid: set[str]) -> Atom:
-        return Atom(self._next(base.split(MACHINE_MARK)[0] or "a", avoid))
-
-    def fresh_unknown(self, base: str, avoid: set[str]) -> Unknown:
-        return Unknown(self._next(base.split(MACHINE_MARK)[0] or "V", avoid))
-
-
 @dataclass(frozen=True)
 class FreshenedVariant:
     """A structure-preserving renaming to machine-fresh atoms and unknowns.
@@ -101,31 +79,14 @@ class FreshenedVariant:
     unknown_map: dict
 
 
-def _make_maps(atoms, unknowns, avoid_atoms, avoid_unknowns, namer: FreshNamer):
-    avoid_names = {a.name for a in avoid_atoms} | {a.name for a in atoms}
-    avoid_names |= {x.name for x in avoid_unknowns} | {x.name for x in unknowns}
-    amap = {}
-    for a in sorted(atoms):
-        fresh = namer.fresh_atom(a.name, avoid_names)
-        avoid_names.add(fresh.name)
-        amap[a] = fresh
-    umap = {}
-    for x in sorted(unknowns):
-        fresh = namer.fresh_unknown(x.name, avoid_names)
-        avoid_names.add(fresh.name)
-        umap[x] = fresh
-    return amap, umap
-
-
 def freshen_term_in_context(
     ctx: FreshnessContext,
     t: Term,
     avoid_atoms: set[Atom] = frozenset(),
     avoid_unknowns: set[Unknown] = frozenset(),
-    namer: FreshNamer | None = None,
 ) -> FreshenedVariant:
-    namer = namer or FreshNamer()
-    amap, umap = _make_maps(atoms_of(ctx, t), unknowns_of(ctx, t), avoid_atoms, avoid_unknowns, namer)
+    avoid = {v.name for v in [*avoid_atoms, *avoid_unknowns]}
+    amap, umap = _fresh_maps(atoms_of(ctx, t), unknowns_of(ctx, t), avoid)
     return FreshenedVariant((_rename_ctx(ctx, amap, umap), _rename_term(t, amap, umap)), amap, umap)
 
 
@@ -133,10 +94,9 @@ def freshen_rule(
     rule: RewriteRule,
     avoid_atoms: set[Atom] = frozenset(),
     avoid_unknowns: set[Unknown] = frozenset(),
-    namer: FreshNamer | None = None,
 ) -> FreshenedVariant:
-    namer = namer or FreshNamer()
-    amap, umap = _make_maps(rule.atoms(), rule.unknowns(), avoid_atoms, avoid_unknowns, namer)
+    avoid = {v.name for v in [*avoid_atoms, *avoid_unknowns]}
+    amap, umap = _fresh_maps(rule.atoms(), rule.unknowns(), avoid)
     return FreshenedVariant(_rename_rule(rule, amap, umap), amap, umap)
 
 
@@ -151,11 +111,11 @@ class ClosednessResult:
         return self.closed
 
 
-def is_closed(ctx: FreshnessContext, t: Term, namer: FreshNamer | None = None) -> ClosednessResult:
+def is_closed(ctx: FreshnessContext, t: Term) -> ClosednessResult:
     """Does (ctx |- t) match its own freshened variant under ctx extended
     with freshness of all the variant's atoms for all of t's unknowns?  The
     answer does not depend on which freshened variant is chosen."""
-    variant = freshen_term_in_context(ctx, t, atoms_of(ctx, t), unknowns_of(ctx, t), namer)
+    variant = freshen_term_in_context(ctx, t)
     fresh_ctx, fresh_t = variant.renamed
     extension = {
         (a, x)
@@ -167,10 +127,10 @@ def is_closed(ctx: FreshnessContext, t: Term, namer: FreshNamer | None = None) -
     return ClosednessResult(sol is not None, problem, sol.sigma if sol else None, variant)
 
 
-def is_closed_rule(rule: RewriteRule, namer: FreshNamer | None = None) -> ClosednessResult:
+def is_closed_rule(rule: RewriteRule) -> ClosednessResult:
     """A rule (or axiom) is closed when its context paired with both sides,
     packed with a reserved pair former, is closed."""
-    return is_closed(rule.ctx, App(PAIR_FORMER, (rule.lhs, rule.rhs)), namer)
+    return is_closed(rule.ctx, App(PAIR_FORMER, (rule.lhs, rule.rhs)))
 
 
 def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
@@ -202,14 +162,13 @@ def _prepare_closed(
     ctx: FreshnessContext,
     s: Term,
     rule: RewriteRule,
-    namer: FreshNamer,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> PreparedRule:
     """Freshen the rule once against everything in sight, extend the context
     with freshness of the freshened atoms for the subject's unknowns, and
     solve each hole by plain matching; results are scrubbed."""
     subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
-    variant = freshen_rule(rule, subject_atoms | rule.atoms(), subject_unknowns | rule.unknowns(), namer)
+    variant = freshen_rule(rule, subject_atoms, subject_unknowns)
     frule: RewriteRule = variant.renamed
     _require_apart(unknowns_of(frule.ctx, frule.lhs), subject_unknowns)
     extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
@@ -217,7 +176,7 @@ def _prepare_closed(
     # Same variant universe as the general engine so the two step relations
     # stay comparable on closed rules.  Without a permutation search the cap
     # loses no step, so the preparation is never truncated.
-    universe, _ = _universe(rule.atoms(), subject_atoms, cfg)
+    universe, _ = _universe(rule.atoms(), subject_atoms, max_support)
     pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + [a for a in universe if a.is_machine]
 
     def instances(hole: Term):
@@ -235,12 +194,11 @@ def closed_rewrite_step(
     ctx: FreshnessContext,
     s: Term,
     rule: RewriteRule,
-    namer: FreshNamer | None = None,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> StepResults:
     """All closed one-step rewrites of s by the rule, modulo alpha on the
     subject."""
-    return rewrite_steps(s, _prepare_closed(ctx, s, rule, namer or FreshNamer(), cfg))
+    return rewrite_steps(s, _prepare_closed(ctx, s, rule, max_support))
 
 
 def replay_closed_step(ctx: FreshnessContext, step: RewriteStep) -> bool:
@@ -254,15 +212,12 @@ def closed_normalize(
     s: Term,
     theory: Theory,
     fuel: int = 500,
-    namer: FreshNamer | None = None,
     strategy: str | None = None,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> NormalizeResult:
     """Normalize by closed steps (leftmost-outermost by default, first rule
     in theory order)."""
-    return normalize(
-        ctx, s, theory, partial(_prepare_closed, namer=namer or FreshNamer(), cfg=cfg), strategy, fuel
-    )
+    return normalize(ctx, s, theory, partial(_prepare_closed, max_support=max_support), strategy, fuel)
 
 
 def closed_reachable(
@@ -270,11 +225,10 @@ def closed_reachable(
     s: Term,
     theory: Theory,
     fuel: int,
-    namer: FreshNamer | None = None,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> ReachableSet:
     """Everything reachable from s in at most `fuel` closed steps."""
-    return reachable(ctx, s, theory, partial(_prepare_closed, namer=namer or FreshNamer(), cfg=cfg), fuel)
+    return reachable(ctx, s, theory, partial(_prepare_closed, max_support=max_support), fuel)
 
 
 def closed_joinable(
@@ -283,12 +237,11 @@ def closed_joinable(
     t: Term,
     theory: Theory,
     fuel: int = 5,
-    namer: FreshNamer | None = None,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> bool:
     """Is there a term both sides closed-rewrite to (within the fuel)?"""
-    from_s = closed_reachable(ctx, s, theory, fuel, namer, cfg)
-    from_t = closed_reachable(ctx, t, theory, fuel, namer, cfg)
+    from_s = closed_reachable(ctx, s, theory, fuel, max_support)
+    from_t = closed_reachable(ctx, t, theory, fuel, max_support)
     return any(u in from_t for u in from_s)
 
 
@@ -307,8 +260,7 @@ def decide_equal(
     theory: Theory,
     assume_convergent: bool = False,
     fuel: int = 500,
-    namer: FreshNamer | None = None,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> Decision:
     """Normalize both sides by closed rewriting and compare normal forms up
     to alpha.  "equal" is always definitive (soundness); "not_equal" is
@@ -318,12 +270,11 @@ def decide_equal(
     Every rule of the theory must be closed; otherwise the theorems backing
     this procedure do not apply and the offending rules are reported.
     """
-    bad = [rule.name for rule in theory.rules if not is_closed_rule(rule, namer)]
+    bad = [rule.name for rule in theory.rules if not is_closed_rule(rule)]
     if bad:
         raise NotClosedError(f"rules not closed: {', '.join(bad)}")
-    namer = namer or FreshNamer()
-    left = closed_normalize(ctx, s, theory, fuel, namer, cfg=cfg)
-    right = closed_normalize(ctx, t, theory, fuel, namer, cfg=cfg)
+    left = closed_normalize(ctx, s, theory, fuel, max_support=max_support)
+    right = closed_normalize(ctx, t, theory, fuel, max_support=max_support)
     if alpha_holds(ctx, left.term, right.term):
         return Decision("equal", left, right, assume_convergent)
     if left.status == "normal_form" and right.status == "normal_form" and assume_convergent:

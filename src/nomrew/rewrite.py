@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, Optional
 
 from .alpha import EMPTY_CTX, FreshnessContext, alpha_holds, alpha_key, fresh_holds
 from .matching import MatchProblem, _require_apart, solve_match
 from .terms import (
+    MACHINE_MARK,
     Abstraction,
     App,
     Atom,
@@ -135,11 +136,17 @@ class RewriteRule:
             signature.check_term(self.lhs)
             signature.check_term(self.rhs)
 
-    def atoms(self) -> set[Atom]:
-        return atoms_of(self.ctx, self.lhs, self.rhs)
+    def atoms(self) -> frozenset[Atom]:
+        return self._names[0]
 
-    def unknowns(self) -> set[Unknown]:
-        return unknowns_of(self.ctx, self.lhs, self.rhs)
+    def unknowns(self) -> frozenset[Unknown]:
+        return self._names[1]
+
+    @cached_property
+    def _names(self) -> tuple[frozenset[Atom], frozenset[Unknown]]:
+        """The rule's atoms and unknowns, collected on first use."""
+        parts = (self.ctx, self.lhs, self.rhs)
+        return frozenset(atoms_of(*parts)), frozenset(unknowns_of(*parts))
 
 
 @dataclass(frozen=True)
@@ -167,23 +174,12 @@ class Theory:
         return out
 
 
-SPARE_CAP = 2  # machine-fresh spare atoms a permutation universe may gain
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the bounded permutation search.
-
-    max_support caps the atom universe the permutations act on (6 atoms
-    means at most 720 distinct permutations per position).  Up to SPARE_CAP
-    machine-fresh spare atoms join the universe so a rule atom can be sent
-    somewhere fresh for the subject.
-    """
-
-    max_support: int = 6
-
-
-DEFAULT_CONFIG = SearchConfig()
+# The bounded permutation search acts on at most MAX_SUPPORT atoms (6 atoms
+# means at most 720 distinct permutations per position), among them up to
+# SPARE_CAP machine-fresh spares, so a rule atom can be sent somewhere fresh
+# for the subject.
+MAX_SUPPORT = 6
+SPARE_CAP = 2
 
 
 @dataclass(frozen=True)
@@ -285,29 +281,40 @@ def _rename_rule(rule: RewriteRule, amap: dict, umap: dict) -> RewriteRule:
     )
 
 
+def _fresh_maps(atoms, unknowns, avoid_names: set[str]) -> tuple[dict[Atom, Atom], dict[Unknown, Unknown]]:
+    """One-to-one renamings of the atoms and of the unknowns, in name order,
+    each to the first machine name stem$n on its own stem that avoids
+    avoid_names, the names being renamed and the names already picked."""
+    used = set(avoid_names) | {v.name for v in itertools.chain(atoms, unknowns)}
+
+    def rename(names, make, default):
+        out = {}
+        for v in sorted(names):
+            fresh = fresh_names(v.name.split(MACHINE_MARK)[0] or default, 1, used)[0]
+            used.add(fresh)
+            out[v] = make(fresh)
+        return out
+
+    return rename(atoms, Atom, "a"), rename(unknowns, Unknown, "V")
+
+
 def _freshen_rule_unknowns(rule: RewriteRule, away_from: set[Unknown]) -> RewriteRule:
     clashing = rule.unknowns() & away_from
     if not clashing:
         return rule
-    used = {x.name for x in rule.unknowns() | away_from}
-    renaming = {}
-    for x in sorted(clashing):
-        stem = x.name.split("$")[0] or "V"
-        fresh = Unknown(fresh_names(stem, 1, used)[0])
-        used.add(fresh.name)
-        renaming[x] = fresh
+    _, renaming = _fresh_maps((), clashing, {x.name for x in rule.unknowns() | away_from})
     return _rename_rule(rule, {}, renaming)
 
 
-def _universe(rule_atoms: set[Atom], other_atoms: set[Atom], cfg: SearchConfig) -> tuple[list[Atom], bool]:
+def _universe(rule_atoms: set[Atom], other_atoms: set[Atom], max_support: int) -> tuple[list[Atom], bool]:
     """The atom universe for the permutation search: rule atoms, then the
-    context/subject atoms, then machine-fresh spares, capped at
-    cfg.max_support (rule atoms always survive the cap)."""
+    context/subject atoms, then machine-fresh spares, capped at max_support
+    (rule atoms always survive the cap)."""
     spare_count = min(len(rule_atoms), SPARE_CAP)
     used = {a.name for a in rule_atoms | other_atoms}
     spares = [Atom(n) for n in fresh_names("p", spare_count, used)]
     ordered = sorted(rule_atoms) + sorted(other_atoms - rule_atoms) + spares
-    limit = max(cfg.max_support, len(rule_atoms))
+    limit = max(max_support, len(rule_atoms))
     if len(ordered) > limit:
         return ordered[:limit], True
     return ordered, False
@@ -337,7 +344,7 @@ def _prepare_general(
     ctx: FreshnessContext,
     s: Term,
     rule: RewriteRule,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
     extra_atoms: set[Atom] = frozenset(),
 ) -> PreparedRule:
     """Rename the rule's unknowns away from the subject's, then try every
@@ -348,7 +355,7 @@ def _prepare_general(
     renamed = _freshen_rule_unknowns(rule, subject_unknowns)
     _require_apart(unknowns_of(renamed.ctx, renamed.lhs), subject_unknowns)
     rule_atoms = sorted(renamed.atoms())
-    universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), cfg)
+    universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), max_support)
     permuted: list[tuple[Permutation, Term, Term]] = []
 
     def instances(hole: Term):
@@ -439,13 +446,13 @@ def rewrite_step_general(
     ctx: FreshnessContext,
     s: Term,
     rule: RewriteRule,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
     extra_atoms: set[Atom] = frozenset(),
 ) -> StepResults:
     """All one-step rewrites of s by the rule, modulo alpha on the subject,
-    within the configured permutation budget.  extra_atoms widens the
-    permutation universe (used when a specific target is in mind)."""
-    return rewrite_steps(s, _prepare_general(ctx, s, rule, cfg, extra_atoms))
+    within a permutation universe of max_support atoms.  extra_atoms widens
+    the universe (used when a specific target is in mind)."""
+    return rewrite_steps(s, _prepare_general(ctx, s, rule, max_support, extra_atoms))
 
 
 def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessContext, s: Term) -> bool:
@@ -595,10 +602,10 @@ def normalize_general(
     theory: Theory,
     strategy: str | None = None,
     fuel: int = 500,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> NormalizeResult:
     """Normalize by general rewriting steps."""
-    return normalize(ctx, s, theory, partial(_prepare_general, cfg=cfg), strategy, fuel)
+    return normalize(ctx, s, theory, partial(_prepare_general, max_support=max_support), strategy, fuel)
 
 
 class ReachableSet:
@@ -657,10 +664,10 @@ def rewrite_closure_reachable(
     s: Term,
     theory: Theory,
     fuel: int,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> ReachableSet:
     """Everything reachable from s in at most `fuel` general steps."""
-    return reachable(ctx, s, theory, partial(_prepare_general, cfg=cfg), fuel)
+    return reachable(ctx, s, theory, partial(_prepare_general, max_support=max_support), fuel)
 
 
 @dataclass
@@ -682,7 +689,7 @@ def symmetric_search(
     theory: Theory,
     fuel: int = 100,
     gamma_budget: int | None = None,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> SearchResult:
     """Bounded search for s <-> t: breadth-first over steps of the theory
     and of its executable reversals, under the context extended with up to
@@ -722,7 +729,7 @@ def symmetric_search(
                 break
             expansions += 1
             for rule in rules:
-                for step in rewrite_step_general(ctx2, u, rule, cfg):
+                for step in rewrite_step_general(ctx2, u, rule, max_support):
                     key = alpha_key(ctx2, step.result)
                     if key == target:
                         return SearchResult(True, trace + [step], gamma, ctx2)
@@ -739,11 +746,11 @@ def check_equivariance_sample(
     t: Term,
     rule: RewriteRule,
     pi: Permutation,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    max_support: int = MAX_SUPPORT,
 ) -> bool:
     """Given that s one-step rewrites to t, confirm pi.s one-step rewrites
     to pi.t (equivariance of the one-step relation).  The target's atoms are
     added to the search universe so the witnessing permutation is in range."""
     target = act(pi, t)
-    steps = rewrite_step_general(ctx, act(pi, s), rule, cfg, extra_atoms=atoms_of(target))
+    steps = rewrite_step_general(ctx, act(pi, s), rule, max_support, extra_atoms=atoms_of(target))
     return any(alpha_holds(ctx, step.result, target) for step in steps)

@@ -362,7 +362,7 @@ def pretty(t: Term) -> str:
 
 
 def pretty_ctx(ctx: FreshnessContext) -> str:
-    return ", ".join(f"{a.name}#{x.name}" for a, x in ctx)
+    return ", ".join(f"{a.name}#{x.name}" for a, x in sorted(ctx))
 
 
 def pretty_subst(sigma: Substitution) -> str:

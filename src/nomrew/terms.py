@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .alpha import FreshnessContext
 
 MACHINE_MARK = "$"
 
@@ -285,63 +288,55 @@ def substitute(t: Term, sigma: Substitution) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def atoms_of(*items) -> set[Atom]:
-    """All atoms appearing anywhere in the given syntax.
-
-    Accepts terms, atoms, unknowns, permutations, substitutions and
-    arbitrarily nested iterables of these (freshness contexts iterate as
-    (atom, unknown) pairs, so they work too).  The atoms of a suspension are
-    the support of its permutation.
-    """
+def atoms_of(*items: Term | FreshnessContext) -> set[Atom]:
+    """All atoms of the given terms and freshness contexts.  The atoms of a
+    suspension are the support of its permutation."""
     out: set[Atom] = set()
-    stack = list(items)
+    stack: list = []
+    for it in items:
+        if isinstance(it, Term):
+            stack.append(it)
+        else:
+            out.update(a for a, _ in it.pairs)
+    # Dispatch on the exact type, as alpha_key does: class patterns in a
+    # match statement take about twice as long.
     while stack:
-        it = stack.pop()
-        match it:
-            case None | Unknown() | str() | int():
-                pass
-            case Atom():
-                out.add(it)
-            case AtomTerm(a):
-                out.add(a)
-            case Suspension(pi, _):
-                out.update(pi.support)
-            case Abstraction(a, body):
-                out.add(a)
-                stack.append(body)
-            case App(_, args):
-                stack.extend(args)
-            case Permutation():
-                out.update(it.support)
-            case Substitution():
-                stack.extend(it.values())
-            case _:
-                stack.extend(it)
+        u = stack.pop()
+        kind = type(u)
+        if kind is App:
+            stack.extend(u.args)
+        elif kind is Abstraction:
+            out.add(u.atom)
+            stack.append(u.body)
+        elif kind is AtomTerm:
+            out.add(u.atom)
+        elif kind is Suspension:
+            out.update(u.perm.mapping)
+        else:
+            raise TypeError(f"not a term: {u!r}")
     return out
 
 
-def unknowns_of(*items) -> set[Unknown]:
-    """All unknowns appearing anywhere in the given syntax; see atoms_of."""
+def unknowns_of(*items: Term | FreshnessContext) -> set[Unknown]:
+    """All unknowns of the given terms and freshness contexts."""
     out: set[Unknown] = set()
-    stack = list(items)
+    stack: list = []
+    for it in items:
+        if isinstance(it, Term):
+            stack.append(it)
+        else:
+            out.update(x for _, x in it.pairs)
     while stack:
-        it = stack.pop()
-        match it:
-            case None | Atom() | AtomTerm() | Permutation() | str() | int():
-                pass
-            case Unknown():
-                out.add(it)
-            case Suspension(_, x):
-                out.add(x)
-            case Abstraction(_, body):
-                stack.append(body)
-            case App(_, args):
-                stack.extend(args)
-            case Substitution():
-                stack.extend(it.keys())
-                stack.extend(it.values())
-            case _:
-                stack.extend(it)
+        u = stack.pop()
+        kind = type(u)
+        if kind is App:
+            stack.extend(u.args)
+        elif kind is Abstraction:
+            stack.append(u.body)
+        elif kind is Suspension:
+            out.add(u.unknown)
+        elif kind is not AtomTerm:
+            raise TypeError(f"not a term: {u!r}")
     return out
 
 

@@ -108,9 +108,10 @@ def machine_atoms(t):
 def alpha_mod_machine(ctx: FreshnessContext, s, t) -> bool:
     """Alpha-equivalence up to a bijective renaming of machine-fresh atoms.
 
-    Freshened-variant choices are seed-dependent, so two runs of the closed
-    engine may report results differing only in which machine atoms they
-    picked; this is the right notion of agreement for such results.
+    The freshened variant depends on the names of the rule and the subject,
+    so two runs of the closed engine may report results differing only in
+    which machine atoms they picked; this is the right notion of agreement
+    for such results.
     """
     if alpha_holds(ctx, s, t):
         return True

@@ -14,10 +14,8 @@ from nomrew import (
     Atom,
     AtomTerm,
     EMPTY_CTX,
-    FreshNamer,
     FreshnessContext,
     ID,
-    SearchConfig,
     Substitution,
     Suspension,
     Unknown,
@@ -88,7 +86,7 @@ def test_criterion_01_beta_eta_reduction(capsys):
     with criterion(1, "closed normalize app(lam([a]app(a,a)),b) -> app(b,b)", budget=1.0):
         s = parse_term("app(lam([a]app(a,a)),b)", BETAETA.signature)
         want = parse_term("app(b,b)", BETAETA.signature)
-        res = closed_normalize(EMPTY_CTX, s, BETAETA, namer=FreshNamer())
+        res = closed_normalize(EMPTY_CTX, s, BETAETA)
         assert res.status == "normal_form"
         assert alpha_holds(EMPTY_CTX, res.term, want)
         code = cli_main([
@@ -298,7 +296,7 @@ def test_criterion_09_closed_rewriting_propositions():
             ctx = random_ctx(rng, atoms=[a, b], unknowns=[X, Y])
             assert fresh_gamma_atom not in atoms_of(ctx, s)
 
-            closed_steps = closed_rewrite_step(ctx, s, rule, FreshNamer(0))
+            closed_steps = closed_rewrite_step(ctx, s, rule)
             general_steps = rewrite_step_general(ctx, s, rule)
 
             if closed_steps:
@@ -306,7 +304,7 @@ def test_criterion_09_closed_rewriting_propositions():
                 # one-step rewriting unchanged (both directions).
                 gamma = [(fresh_gamma_atom, x) for x in (unknowns_of(ctx, s) or {X})]
                 bigger = ctx.with_pairs(gamma)
-                extended = closed_rewrite_step(bigger, s, rule, FreshNamer(0))
+                extended = closed_rewrite_step(bigger, s, rule)
                 assert step_classes_match(
                     bigger, [st.result for st in closed_steps], [st.result for st in extended]
                 )
@@ -327,8 +325,7 @@ def test_criterion_09_closed_rewriting_propositions():
                 # Prop: every closed step is a general step once the trace's
                 # machine-fresh constraints extend the context.
                 ctx_ext = ctx | cst.ctx_extension
-                wide = SearchConfig(max_support=10)
-                again = rewrite_step_general(ctx_ext, s, rule, wide)
+                again = rewrite_step_general(ctx_ext, s, rule, max_support=10)
                 assert any(
                     alpha_mod_machine(ctx_ext, cst.result, st.result) for st in again
                 ), (rule.name, cst)

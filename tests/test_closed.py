@@ -9,7 +9,6 @@ from nomrew import (
     Atom,
     AtomTerm,
     EMPTY_CTX,
-    FreshNamer,
     FreshenedVariant,
     FreshnessContext,
     MatchProblemError,
@@ -40,6 +39,8 @@ from nomrew import (
     unknowns_of,
     var,
 )
+from nomrew.rewrite import _rename_rule
+from nomrew.terms import MACHINE_MARK
 from strategies import alpha_mod_machine, random_ctx, random_term, step_classes_match
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -84,7 +85,7 @@ BETAETA = Theory(
 
 def test_freshen_abstractions_get_distinct_atoms():
     t = Abstraction(a, Abstraction(b, var(X)))
-    fv = freshen_term_in_context(EMPTY_CTX, t, namer=FreshNamer())
+    fv = freshen_term_in_context(EMPTY_CTX, t)
     _, renamed = fv.renamed
     assert isinstance(renamed, Abstraction)
     outer, inner = renamed.atom, renamed.body.atom
@@ -94,7 +95,7 @@ def test_freshen_abstractions_get_distinct_atoms():
 
 
 def test_freshen_constraint():
-    fv = freshen_term_in_context(FreshnessContext.of((a, X)), var(X), namer=FreshNamer())
+    fv = freshen_term_in_context(FreshnessContext.of((a, X)), var(X))
     ctx, t = fv.renamed
     (fa, fx), = list(ctx)
     assert fa.is_machine and fx.is_machine
@@ -106,10 +107,13 @@ def test_freshen_never_identifies_atoms():
     for _ in range(100):
         t = random_term(rng, depth=4)
         ctx = random_ctx(rng)
-        fv = freshen_term_in_context(ctx, t, namer=FreshNamer(rng.randint(0, 50)))
+        # Machine names on the term's own stems, which freshening must skip.
+        skip = rng.randint(0, 3)
+        taken = {Atom(f"{x.name}{MACHINE_MARK}{n}") for x in atoms_of(ctx, t) for n in range(skip)}
+        fv = freshen_term_in_context(ctx, t, taken)
         assert len(set(fv.atom_map.values())) == len(fv.atom_map)
         assert len(set(fv.unknown_map.values())) == len(fv.unknown_map)
-        originals = atoms_of(ctx, t) | unknowns_of(ctx, t)
+        originals = atoms_of(ctx, t) | unknowns_of(ctx, t) | taken
         images = set(fv.atom_map.values()) | set(fv.unknown_map.values())
         assert not originals & images
 
@@ -166,11 +170,19 @@ def test_is_closed_rule_wrapper():
         assert is_closed_rule(rule).closed
 
 
-def test_closedness_verdict_is_seed_independent():
-    for seed in (0, 17, 999):
-        namer = FreshNamer(seed)
-        assert is_closed_rule(ETA, namer).closed
-        assert not is_closed_rule(ATOM_AB, namer).closed
+def _renamed_copy(rule: RewriteRule) -> RewriteRule:
+    """The rule with every atom and unknown renamed one-to-one, onto names
+    the random subjects also use, so that its freshened variant differs."""
+    return _rename_rule(rule, {a: b, b: c, c: Atom("d")}, {X: Y, Xp: Unknown("Z"), Y: X})
+
+
+def test_closedness_verdict_is_independent_of_names():
+    for rule in (ETA, ATOM_AB, STRIP, EXPAND, *BETAETA.rules):
+        copy = _renamed_copy(rule)
+        assert freshen_rule(copy).renamed != freshen_rule(rule).renamed
+        assert is_closed_rule(copy).closed == is_closed_rule(rule).closed
+    assert is_closed_rule(_renamed_copy(ETA)).closed
+    assert not is_closed_rule(_renamed_copy(ATOM_AB)).closed
 
 
 # closed steps ----------------------------------------------------------------
@@ -244,14 +256,21 @@ def test_scrub_renames_machine_binder():
 
 
 def test_variant_independence_of_closed_steps():
+    """A rule and a renamed copy of it are freshened to different variants
+    but make the same steps."""
     rng = random.Random(29)
+    stepped = 0
     for _ in range(30):
         s = random_term(rng, depth=3)
         ctx = random_ctx(rng)
         for rule in (BETAETA.rules[0], BETAETA.rules[1], ETA, EXPAND):
-            one = [st.result for st in closed_rewrite_step(ctx, s, rule, FreshNamer(0))]
-            two = [st.result for st in closed_rewrite_step(ctx, s, rule, FreshNamer(1000))]
-            assert step_classes_match(ctx, one, two)
+            one = closed_rewrite_step(ctx, s, rule)
+            two = closed_rewrite_step(ctx, s, _renamed_copy(rule))
+            assert step_classes_match(ctx, [st.result for st in one], [st.result for st in two])
+            if one:
+                assert one[0].freshened != two[0].freshened
+                stepped += 1
+    assert stepped >= 20
 
 
 # strengthening (fresh constraints do not change closed rewriting) -------------
@@ -268,8 +287,8 @@ def test_strengthening_fresh_context_both_directions():
         gamma = [(fresh, x) for x in unknowns_of(s) or {X}]
         bigger = ctx.with_pairs(gamma)
         for rule in (BETAETA.rules[1], ETA, EXPAND):
-            plain = [st.result for st in closed_rewrite_step(ctx, s, rule, FreshNamer(0))]
-            extended = [st.result for st in closed_rewrite_step(bigger, s, rule, FreshNamer(0))]
+            plain = [st.result for st in closed_rewrite_step(ctx, s, rule)]
+            extended = [st.result for st in closed_rewrite_step(bigger, s, rule)]
             assert step_classes_match(bigger, plain, extended)
             checked += bool(plain)
     assert checked >= 5

@@ -13,14 +13,12 @@ from nomrew import (
     Atom,
     AtomTerm,
     EMPTY_CTX,
-    FreshNamer,
     FreshnessContext,
     ID,
     MatchProblem,
     MatchProblemError,
     RewriteRule,
     RuleError,
-    SearchConfig,
     Signature,
     Substitution,
     Suspension,
@@ -50,7 +48,7 @@ from nomrew import (
     unknowns_of,
     var,
 )
-from nomrew.rewrite import DEFAULT_CONFIG, _candidate_perms, _invertible, _may_match, _rename_term, _universe
+from nomrew.rewrite import MAX_SUPPORT, _candidate_perms, _invertible, _may_match, _rename_term, _universe
 from nomrew.syntax import parse_theory
 from nomrew.terms import MACHINE_MARK
 from strategies import (
@@ -171,9 +169,8 @@ def test_steps_replay():
 
 
 def test_truncation_flag():
-    cfg = SearchConfig(max_support=2)
     t = App("app", (AtomTerm(c), AtomTerm(Atom("d"))))
-    steps = rewrite_step_general(EMPTY_CTX, t, ATOM_AB, cfg)
+    steps = rewrite_step_general(EMPTY_CTX, t, ATOM_AB, max_support=2)
     assert steps.truncated
 
 
@@ -290,7 +287,7 @@ def _apart(t):
 def _matches_under_some_perm(pattern, ctx, hole) -> bool:
     """Brute force over every candidate permutation of the general engine's universe."""
     rule_atoms = sorted(atoms_of(pattern))
-    universe, _ = _universe(set(rule_atoms), atoms_of(ctx, hole), DEFAULT_CONFIG)
+    universe, _ = _universe(set(rule_atoms), atoms_of(ctx, hole), MAX_SUPPORT)
     return any(
         solve_match(MatchProblem(EMPTY_CTX, act(pi, pattern), ctx, hole)) is not None
         for pi in _candidate_perms(rule_atoms, universe)
@@ -350,10 +347,10 @@ def _engine_runs(ctx, theory, s):
     out = []
     for strategy in ("outermost", "innermost"):
         out.append(normalize_general(ctx, s, theory, strategy, fuel=4))
-        out.append(closed_normalize(ctx, s, theory, 4, FreshNamer(0), strategy))
+        out.append(closed_normalize(ctx, s, theory, 4, strategy))
     for rule in theory.rules:
         out.append(list(rewrite_step_general(ctx, s, rule)))
-        out.append(list(closed_rewrite_step(ctx, s, rule, FreshNamer(0))))
+        out.append(list(closed_rewrite_step(ctx, s, rule)))
     return out
 
 
@@ -457,14 +454,14 @@ def test_reachability_matches_scan_reference():
     for theory, ctx, s, t in _seeded_cases(61, 40):
         fast = [
             list(rewrite_closure_reachable(ctx, s, theory, fuel=2)),
-            list(closed_reachable(ctx, s, theory, 2, FreshNamer(0))),
-            closed_joinable(ctx, s, t, theory, 2, FreshNamer(0)),
+            list(closed_reachable(ctx, s, theory, 2)),
+            closed_joinable(ctx, s, t, theory, 2),
         ]
         with mock.patch.object(rewrite_module, "ReachableSet", _ScanSet):
             slow = [
                 list(rewrite_closure_reachable(ctx, s, theory, fuel=2)),
-                list(closed_reachable(ctx, s, theory, 2, FreshNamer(0))),
-                closed_joinable(ctx, s, t, theory, 2, FreshNamer(0)),
+                list(closed_reachable(ctx, s, theory, 2)),
+                closed_joinable(ctx, s, t, theory, 2),
             ]
         assert fast == slow
         nonempty += len(fast[0]) > 1
