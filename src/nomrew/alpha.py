@@ -1,14 +1,15 @@
 """Derivability of freshness (a # t) and alpha-equivalence (s =a= t)
 judgements under a freshness context.
 
-`check_fresh` and `check_alpha` apply the rules #ab, #[a], #[b], #X, #f and
-~a, ~[a], ~[b], ~X, ~f by syntax-directed recursion and answer with a
-replayable derivation tree, or None.  The fast paths answer with a plain
-boolean: `fresh_holds` walks the same freshness rules, and `alpha_holds`
-compares canonical alpha keys (`alpha_key`), flat nameless encodings built
-in one explicit-stack pass, so it runs in linear time at any depth.  A de
-Bruijn style conversion of ground terms (`nameless_form`) provides an
-independent oracle for alpha-equivalence.
+`check_alpha` applies the rules ~a, ~[a], ~[b], ~X, ~f by syntax-directed
+recursion, and `check_fresh` the rules #ab, #[a], #[b], #X, #f by one fold
+over the term (`terms._fold`); both answer with a replayable derivation
+tree, or None.  The fast paths answer with a plain boolean: `fresh_holds`
+walks the freshness rules with a worklist, and `alpha_holds` compares
+canonical alpha keys (`alpha_key`), flat nameless encodings built in one
+explicit-stack pass; both run in linear time at any depth.  A de Bruijn
+style conversion of ground terms (`nameless_form`) provides an independent
+oracle for alpha-equivalence.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .terms import (
     AtomTerm,
     NominalError,
     Permutation,
-    Substitution,
     Suspension,
     Term,
     Unknown,
+    _fold,
     act,
     swap,
     unknowns_of,
@@ -88,41 +89,40 @@ class Derivation:
 
 
 def fresh_holds(ctx: FreshnessContext, a: Atom, t: Term) -> bool:
-    """Is ctx |- a # t derivable?  Fast path without derivation recording."""
-    match t:
-        case AtomTerm(b):
-            return a != b
-        case Suspension(pi, x):
-            return (pi.inverse()(a), x) in ctx
-        case Abstraction(b, body):
-            return a == b or fresh_holds(ctx, a, body)
-        case App(_, args):
-            return all(fresh_holds(ctx, a, u) for u in args)
-    raise TypeError(f"not a term: {t!r}")
+    """Is ctx |- a # t derivable?  Fast path without derivation recording,
+    in one worklist pass that skips the bodies of binders of a."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        kind = type(u)
+        if kind is App:
+            stack.extend(u.args)
+        elif kind is Abstraction:
+            if u.atom != a:
+                stack.append(u.body)
+        elif kind is AtomTerm:
+            if u.atom == a:
+                return False
+        elif kind is Suspension:
+            mapping, c = u.perm.mapping, a  # pi^-1(a): follow a's cycle in pi back to a
+            while (d := mapping.get(c, a)) != a:
+                c = d
+            if (c, u.unknown) not in ctx.pairs:
+                return False
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return True
 
 
 def check_fresh(ctx: FreshnessContext, a: Atom, t: Term) -> Optional[Derivation]:
-    """Like fresh_holds but returns the derivation, or None."""
-    conclusion = ("fresh", ctx, a, t)
-    match t:
-        case AtomTerm(b):
-            return Derivation("#ab", conclusion) if a != b else None
-        case Suspension(pi, x):
-            return Derivation("#X", conclusion) if (pi.inverse()(a), x) in ctx else None
-        case Abstraction(b, body):
-            if a == b:
-                return Derivation("#[a]", conclusion)
-            sub = check_fresh(ctx, a, body)
-            return Derivation("#[b]", conclusion, (sub,)) if sub else None
-        case App(_, args):
-            subs = []
-            for u in args:
-                sub = check_fresh(ctx, a, u)
-                if sub is None:
-                    return None
-                subs.append(sub)
-            return Derivation("#f", conclusion, tuple(subs))
-    raise TypeError(f"not a term: {t!r}")
+    """Like fresh_holds but returns the derivation, or None.  A derivation
+    that holds has t's own shape, cut below each binder of a (#[a]), so it
+    is one fold over t once fresh_holds says yes."""
+    if not fresh_holds(ctx, a, t):
+        return None
+    node = lambda rule, u, children=(): Derivation(rule, ("fresh", ctx, a, u), children)
+    on_abs = lambda u, body: node("#[a]", u) if u.atom == a else node("#[b]", u, (body,))
+    return _fold(t, lambda u: node("#ab", u), lambda u: node("#X", u), on_abs, lambda u, args: node("#f", u, args))
 
 
 def disagreement_set(pi: Permutation, pi2: Permutation) -> frozenset[Atom]:

@@ -130,10 +130,9 @@ def _deriv_json(d: Derivation) -> dict:
     return {"rule": d.rule, "judgement": judgement, "children": [_deriv_json(c) for c in d.children]}
 
 
-def _print_deriv(d: Derivation, indent: int = 0) -> None:
-    info = _deriv_json(d)
+def _print_deriv(info: dict, indent: int = 0) -> None:
     print("  " * indent + f"[{info['rule']}] {info['judgement']}")
-    for child in d.children:
+    for child in info["children"]:
         _print_deriv(child, indent + 1)
 
 
@@ -233,23 +232,23 @@ def cmd_equal(args) -> int:
     return {"equal": EXIT_OK, "not_equal": EXIT_NO}.get(decision.verdict, EXIT_INCONCLUSIVE)
 
 
+def _judgement(args, deriv: Derivation | None, report: dict) -> int:
+    """Answer an alpha or freshness judgement, with its derivation printed
+    under --trace and reported under --json, both from one JSON form."""
+    info = None if deriv is None else _deriv_json(deriv)
+    if not args.json:
+        print("no" if info is None else "yes")
+        if args.trace and info:
+            _print_deriv(info)
+    _emit({**report, "holds": info is not None, "derivation": info}, args.json)
+    return EXIT_NO if info is None else EXIT_OK
+
+
 def cmd_alpha(args) -> int:
     ctx = parse_context(args.ctx)
-    s = parse_term(args.left)
-    t = parse_term(args.right)
-    deriv = check_alpha(ctx, s, t)
-    holds = deriv is not None
-    if not args.json:
-        print("yes" if holds else "no")
-        if args.trace and deriv:
-            _print_deriv(deriv)
-    report = {
-        "schema": SCHEMA, "command": "alpha", "ctx": pretty_ctx(ctx),
-        "left": pretty(s), "right": pretty(t), "holds": holds,
-        "derivation": _deriv_json(deriv) if deriv else None,
-    }
-    _emit(report, args.json)
-    return EXIT_OK if holds else EXIT_NO
+    s, t = parse_term(args.left), parse_term(args.right)
+    report = {"schema": SCHEMA, "command": "alpha", "ctx": pretty_ctx(ctx), "left": pretty(s), "right": pretty(t)}
+    return _judgement(args, check_alpha(ctx, s, t), report)
 
 
 def cmd_fresh(args) -> int:
@@ -259,19 +258,9 @@ def cmd_fresh(args) -> int:
         print("error: first positional argument must be an atom", file=sys.stderr)
         return EXIT_USAGE
     t = parse_term(args.term)
-    deriv = check_fresh(ctx, atom.atom, t)
-    holds = deriv is not None
-    if not args.json:
-        print("yes" if holds else "no")
-        if args.trace and deriv:
-            _print_deriv(deriv)
-    report = {
-        "schema": SCHEMA, "command": "fresh", "ctx": pretty_ctx(ctx),
-        "atom": atom.atom.name, "term": pretty(t), "holds": holds,
-        "derivation": _deriv_json(deriv) if deriv else None,
-    }
-    _emit(report, args.json)
-    return EXIT_OK if holds else EXIT_NO
+    report = {"schema": SCHEMA, "command": "fresh", "ctx": pretty_ctx(ctx),
+              "atom": atom.atom.name, "term": pretty(t)}
+    return _judgement(args, check_fresh(ctx, atom.atom, t), report)
 
 
 def cmd_match(args) -> int:

@@ -45,12 +45,12 @@ from .terms import (
     Abstraction,
     App,
     Atom,
-    AtomTerm,
     NominalError,
     Substitution,
     Suspension,
     Term,
     Unknown,
+    _fold,
     act,
     atoms_of,
     substitute,
@@ -138,24 +138,23 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
     machine atoms as possible: suspension permutations are minimized using
     the freshness facts ctx provides, and machine-named binders are renamed
     into the pool where freshness allows."""
-    match t:
-        case AtomTerm():
-            return t
-        case Suspension(pi, x):
-            # disagreements may stay only on atoms ctx makes fresh for x
-            return Suspension(_complete_perm({c: v for c, v in pi.mapping.items() if (c, x) not in ctx}), x)
-        case Abstraction(a, body):
-            body = scrub(ctx, body, pool)
-            if a.is_machine:
-                for z in pool:
-                    if z != a and fresh_holds(ctx, z, body):
-                        # the rename pushes a swap into suspensions, so the
-                        # renamed body needs scrubbing again
-                        return Abstraction(z, scrub(ctx, act(swap(z, a), body), pool))
-            return Abstraction(a, body)
-        case App(f, args):
-            return App(f, tuple(scrub(ctx, u, pool) for u in args))
-    raise TypeError(f"not a term: {t!r}")
+
+    def on_susp(u: Suspension) -> Term:
+        # disagreements may stay only on atoms ctx makes fresh for x
+        x = u.unknown
+        return Suspension(_complete_perm({c: v for c, v in u.perm.mapping.items() if (c, x) not in ctx}), x)
+
+    def on_abs(u: Abstraction, body: Term) -> Term:
+        a = u.atom
+        if a.is_machine:
+            for z in pool:
+                if z != a and fresh_holds(ctx, z, body):
+                    # the rename pushes a swap into suspensions, so the
+                    # renamed body needs scrubbing again
+                    return Abstraction(z, scrub(ctx, act(swap(z, a), body), pool))
+        return Abstraction(a, body)
+
+    return _fold(t, lambda u: u, on_susp, on_abs, lambda u, args: App(u.former, args))
 
 
 def _prepare_closed(

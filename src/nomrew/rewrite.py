@@ -52,6 +52,7 @@ from .terms import (
     Suspension,
     Term,
     Unknown,
+    _rebuild,
     act,
     atoms_of,
     fresh_names,
@@ -73,39 +74,30 @@ def path_str(path: Path) -> str:
     return ".".join("body" if s == "body" else f"arg{s + 1}" for s in path)
 
 
-def positions(t: Term) -> list[tuple[Path, Term]]:
-    """All positions of t in leftmost-outermost (preorder) order, paired
-    with the subterm at each.  Suspensions are leaves."""
+def positions(t: Term, innermost: bool = False) -> list[tuple[Path, Term]]:
+    """All positions of t paired with the subterm at each, in
+    leftmost-outermost (preorder) order, or leftmost-innermost (postorder)
+    when innermost is set.  Suspensions are leaves."""
     out: list[tuple[Path, Term]] = []
-
-    def walk(u: Term, here: Path):
+    stack = [((), t)]
+    while stack:
+        here, u = stack.pop()
         out.append((here, u))
-        match u:
-            case Abstraction(_, body):
-                walk(body, here + ("body",))
-            case App(_, args):
-                for i, arg in enumerate(args):
-                    walk(arg, here + (i,))
-
-    walk(t, ())
-    return out
+        if type(u) is Abstraction:
+            stack.append((here + ("body",), u.body))
+        elif type(u) is App:
+            kids = [(here + (i,), arg) for i, arg in enumerate(u.args)]
+            # postorder is the reverse of a right-to-left preorder
+            stack.extend(kids if innermost else reversed(kids))
+    return out[::-1] if innermost else out
 
 
 def subterm_at(t: Term, path: Path) -> Term:
-    for step in path:
-        match (t, step):
-            case (Abstraction(_, body), "body"):
-                t = body
-            case (App(_, args), int()) if step < len(args):
-                t = args[step]
-            case _:
-                raise IndexError(f"no position {path_str(path)} in term")
-    return t
+    return next(_decompositions(EMPTY_CTX, t, path, []))[0]
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
-    _, rebuild = next(_decompositions(EMPTY_CTX, t, path, []))
-    return rebuild(new)
+    return _plug(next(_decompositions(EMPTY_CTX, t, path, []))[1], new)
 
 
 @dataclass(frozen=True)
@@ -255,17 +247,11 @@ class PreparedRule:
 
 
 def _rename_term(t: Term, amap: dict, umap: dict) -> Term:
-    match t:
-        case AtomTerm(a):
-            return AtomTerm(amap.get(a, a))
-        case Suspension(pi, x):
-            swaps = tuple((amap.get(a, a), amap.get(b, b)) for a, b in pi.swaps)
-            return Suspension(Permutation(swaps), umap.get(x, x))
-        case Abstraction(a, body):
-            return Abstraction(amap.get(a, a), _rename_term(body, amap, umap))
-        case App(f, args):
-            return App(f, tuple(_rename_term(u, amap, umap) for u in args))
-    raise TypeError(f"not a term: {t!r}")
+    def on_susp(u: Suspension) -> Term:
+        swaps = tuple((amap.get(a, a), amap.get(b, b)) for a, b in u.perm.swaps)
+        return Suspension(Permutation(swaps), umap.get(u.unknown, u.unknown))
+
+    return _rebuild(t, lambda a: amap.get(a, a), on_susp)
 
 
 def _rename_ctx(ctx: FreshnessContext, amap: dict, umap: dict) -> FreshnessContext:
@@ -393,31 +379,43 @@ def _may_match(lhs: Term, hole: Term) -> bool:
 
 def _decompositions(
     ctx: FreshnessContext, t: Term, path: Path, universe: list[Atom]
-) -> Iterator[tuple[Term, Callable[[Term], Term]]]:
+) -> Iterator[tuple[Term, tuple | None]]:
     """Walk down `path`, renaming each binder passed to another universe
     atom that is fresh for the body (an alpha-move), or keeping it.  Yields
-    the (possibly renamed) subterm at the hole and a rebuild function;
-    rebuilding with the hole content itself reconstructs the alpha-variant
-    fired on.  With an empty universe only t itself is decomposed."""
-    if not path:
-        yield t, lambda u: u
-        return
-    step = path[0]
-    match (t, step):
-        case (Abstraction(a, body), "body"):
-            for z in [a] + [z for z in universe if z != a and fresh_holds(ctx, z, body)]:
-                inner = body if z == a else act(swap(z, a), body)
-                for hole, rebuild in _decompositions(ctx, inner, path[1:], universe):
-                    yield hole, (lambda u, z=z, rb=rebuild: Abstraction(z, rb(u)))
-        case (App(f, args), int()) if step < len(args):
-            for hole, rebuild in _decompositions(ctx, args[step], path[1:], universe):
-                yield hole, (
-                    lambda u, f=f, args=args, i=step, rb=rebuild: App(
-                        f, args[:i] + (rb(u),) + args[i + 1 :]
-                    )
-                )
-        case _:
+    the (possibly renamed) subterm at the hole and its rebuild frames, a
+    linked list (frame, outer frames), innermost first, whose frames are
+    binders and (application, argument index) pairs; `_plug` puts a term
+    in the hole, and plugging the hole itself gives the alpha-variant fired
+    on.  A step is "body" under an abstraction or an int (not a bool) from
+    0 to arity - 1.  With an empty universe only t itself is decomposed."""
+    stack: list = [(t, 0, None)]
+    while stack:
+        u, depth, frames = stack.pop()
+        if depth == len(path):
+            yield u, frames
+            continue
+        step = path[depth]
+        if type(u) is Abstraction and step == "body":
+            a, body = u.atom, u.body
+            renamings = [a] + [z for z in universe if z != a and fresh_holds(ctx, z, body)]
+            for z in reversed(renamings):
+                stack.append((body if z == a else act(swap(z, a), body), depth + 1, (z, frames)))
+        elif type(u) is App and type(step) is int and 0 <= step < len(u.args):
+            stack.append((u.args[step], depth + 1, ((u, step), frames)))
+        else:
             raise IndexError(f"no position {path_str(path)} in term")
+
+
+def _plug(frames: tuple | None, u: Term) -> Term:
+    """Put u in the hole of a decomposition's rebuild frames."""
+    while frames is not None:
+        frame, frames = frames
+        if type(frame) is Atom:
+            u = Abstraction(frame, u)
+        else:
+            app, i = frame
+            u = App(app.former, app.args[:i] + (u,) + app.args[i + 1 :])
+    return u
 
 
 def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
@@ -431,14 +429,14 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
         # covers every variant at this position.
         if not _may_match(prepared.lhs, here):
             continue
-        for hole, rebuild in _decompositions(prepared.ctx, s, path, prepared.universe):
+        for hole, frames in _decompositions(prepared.ctx, s, path, prepared.universe):
             for pi, theta, rhs in prepared.instances(hole):
-                result = prepared.finish(rebuild(rhs))
+                result = prepared.finish(_plug(frames, rhs))
                 key = (path, result, pi, theta)
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(prepared.step(path, pi, theta, s, rebuild(hole), result))
+                out.append(prepared.step(path, pi, theta, s, _plug(frames, hole), result))
     return StepResults(out, prepared.truncated)
 
 
@@ -517,7 +515,7 @@ def replay(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]
     if not alpha_holds(ctx, step.source, step.variant):
         return False
     try:
-        hole, rebuild = next(_decompositions(ctx, step.variant, step.path, []))
+        hole, frames = next(_decompositions(ctx, step.variant, step.path, []))
     except IndexError:
         return False
     theta = step.subst
@@ -526,7 +524,7 @@ def replay(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]
             return False
     if not alpha_holds(ctx, hole, substitute(act(step.perm, rule.lhs), theta)):
         return False
-    return alpha_holds(ctx, rebuild(substitute(act(step.perm, rule.rhs), theta)), step.result)
+    return alpha_holds(ctx, _plug(frames, substitute(act(step.perm, rule.rhs), theta)), step.result)
 
 
 def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: RewriteRule) -> bool:
@@ -534,32 +532,12 @@ def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: RewriteRule) -> 
     return replay(ctx, step, rule)
 
 
-def _ordered_positions(s: Term, strategy: str) -> list[tuple[Path, Term]]:
-    if strategy == "outermost":
-        return positions(s)
-    if strategy == "innermost":
-        out: list[tuple[Path, Term]] = []
-
-        def post(u: Term, here: Path):
-            match u:
-                case Abstraction(_, body):
-                    post(body, here + ("body",))
-                case App(_, args):
-                    for i, arg in enumerate(args):
-                        post(arg, here + (i,))
-            out.append((here, u))
-
-        post(s, ())
-        return out
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _first_step(s: Term, prepared: list[PreparedRule], strategy: str) -> Optional[RewriteStep]:
+def _first_step(s: Term, prepared: list[PreparedRule], innermost: bool) -> Optional[RewriteStep]:
     """The first applicable step under the strategy ordering: positions in
     strategy order, rules in theory order, instances in the engine's order.
     Only identity variants are tried; if any alpha-variant of s can step
     then so can s itself, so this loses no normal-form detection."""
-    for path, hole in _ordered_positions(s, strategy):
+    for path, hole in positions(s, innermost):
         for prep in prepared:
             if not _may_match(prep.lhs, hole):
                 continue
@@ -582,11 +560,13 @@ def normalize(
     permutation search was cut short, or fuel_exhausted."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    if strategy not in (None, "", "outermost", "innermost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     trace: list[RewriteStep] = []
     current = s
     while True:
         prepared = [prepare(ctx, current, rule) for rule in theory.rules]
-        step = _first_step(current, prepared, strategy or "outermost")
+        step = _first_step(current, prepared, strategy == "innermost")
         if step is None:
             status = "truncated" if any(p.truncated for p in prepared) else "normal_form"
             return NormalizeResult(current, trace, status)

@@ -349,16 +349,31 @@ def pretty_perm(pi: Permutation) -> str:
 
 
 def pretty(t: Term) -> str:
-    match t:
-        case AtomTerm(a):
-            return a.name
-        case Suspension(pi, x):
-            return x.name if pi.is_identity else f"{pretty_perm(pi)}.{x.name}"
-        case Abstraction(a, body):
-            return f"[{a.name}]{pretty(body)}"
-        case App(f, args):
-            return f if not args else f"{f}({', '.join(pretty(u) for u in args)})"
-    raise TypeError(f"not a term: {t!r}")
+    """The concrete syntax of t, its pieces emitted in order by one worklist
+    pass and joined once."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        kind = type(u)
+        if kind is str:
+            out.append(u)
+        elif kind is AtomTerm:
+            out.append(u.atom.name)
+        elif kind is Suspension:
+            out.append(u.unknown.name if u.perm.is_identity else f"{pretty_perm(u.perm)}.{u.unknown.name}")
+        elif kind is Abstraction:
+            stack += (u.body, f"[{u.atom.name}]")
+        elif kind is App:
+            out.append(u.former)
+            if u.args:  # "(", the arguments between ", " and ")" come off the stack in order
+                stack.append(")")
+                for arg in reversed(u.args):
+                    stack += (arg, ", ")
+                stack[-1] = "("
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return "".join(out)
 
 
 def pretty_ctx(ctx: FreshnessContext) -> str:

@@ -5,7 +5,9 @@ and a term is an atom, a suspension pi.X (a permutation waiting on an
 unknown), an atom-abstraction [a]t, or a term-former application
 f(t1,...,tn).  Permutations are finitely supported bijections on atoms kept
 as swap lists; substitutions map unknowns to terms and do not avoid capture.
-Everything here is an immutable value.
+Everything here is an immutable value.  Every walker keeps its own stack, so
+terms of any depth work; those that rebuild a term or combine its children's
+values go through one bottom-up fold, `_fold`.
 """
 
 from __future__ import annotations
@@ -205,6 +207,42 @@ def var(x: Unknown) -> Suspension:
     return Suspension(ID, x)
 
 
+def _fold(t: Term, on_atom, on_susp, on_abs, on_app):
+    """Combine t bottom-up: a leaf's value is on_atom(u) or on_susp(u), an
+    abstraction's on_abs(u, body's value) and an application's on_app(u,
+    tuple of its arguments' values).  Every walker that rebuilds a term or
+    combines its children's values comes here; the walk keeps its own stack,
+    so terms of any depth work, and dispatches on the exact type."""
+    stack: list = [t]
+    values: list = []
+    while stack:
+        u = stack.pop()
+        kind = type(u)
+        if kind is AtomTerm:
+            values.append(on_atom(u))
+        elif kind is Suspension:
+            values.append(on_susp(u))
+        elif kind is Abstraction:
+            stack += ((u,), u.body)
+        elif kind is App:
+            stack += ((u,), *reversed(u.args))
+        elif kind is not tuple:
+            raise TypeError(f"not a term: {u!r}")
+        elif type(u := u[0]) is Abstraction:  # (u,): u's children are done
+            values[-1] = on_abs(u, values[-1])
+        else:
+            n = len(values) - len(u.args)
+            values[n:] = [on_app(u, tuple(values[n:]))]
+    return values[0]
+
+
+def _rebuild(t: Term, rename, on_susp) -> Term:
+    """t with each atom a, bound or free, renamed to rename(a) and each
+    suspension u replaced by on_susp(u)."""
+    on_abs = lambda u, body: Abstraction(rename(u.atom), body)
+    return _fold(t, lambda u: AtomTerm(rename(u.atom)), on_susp, on_abs, lambda u, args: App(u.former, args))
+
+
 def act(pi: Permutation, t: Term) -> Term:
     """Permutation action on a term.
 
@@ -214,16 +252,7 @@ def act(pi: Permutation, t: Term) -> Term:
     """
     if pi.is_identity:
         return t
-    match t:
-        case AtomTerm(a):
-            return AtomTerm(pi(a))
-        case Suspension(inner, x):
-            return Suspension(pi * inner, x)
-        case Abstraction(a, body):
-            return Abstraction(pi(a), act(pi, body))
-        case App(f, args):
-            return App(f, tuple(act(pi, u) for u in args))
-    raise TypeError(f"not a term: {t!r}")
+    return _rebuild(t, pi, lambda u: Suspension(pi * u.perm, u.unknown))
 
 
 class Substitution(Mapping):
@@ -275,17 +304,8 @@ def substitute(t: Term, sigma: Substitution) -> Term:
     bodies are substituted under the binder unchanged."""
     if not sigma:
         return t
-    match t:
-        case AtomTerm():
-            return t
-        case Suspension(pi, x):
-            got = sigma._map.get(x)
-            return t if got is None else act(pi, got)
-        case Abstraction(a, body):
-            return Abstraction(a, substitute(body, sigma))
-        case App(f, args):
-            return App(f, tuple(substitute(u, sigma) for u in args))
-    raise TypeError(f"not a term: {t!r}")
+    binds = sigma._map
+    return _rebuild(t, lambda a: a, lambda u: act(u.perm, binds[u.unknown]) if u.unknown in binds else u)
 
 
 def atoms_of(*items: Term | FreshnessContext) -> set[Atom]:
@@ -343,13 +363,14 @@ def unknowns_of(*items: Term | FreshnessContext) -> set[Unknown]:
 def subterms(t: Term) -> Iterator[Term]:
     """All subterms of t in preorder, including t itself.  Suspensions are
     leaves: nothing under an unknown is a subterm."""
-    yield t
-    match t:
-        case Abstraction(_, body):
-            yield from subterms(body)
-        case App(_, args):
-            for u in args:
-                yield from subterms(u)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if type(u) is App:
+            stack.extend(reversed(u.args))
+        elif type(u) is Abstraction:
+            stack.append(u.body)
 
 
 def term_size(t: Term) -> int:
@@ -358,13 +379,8 @@ def term_size(t: Term) -> int:
 
 def term_depth(t: Term) -> int:
     """Depth with leaves (atoms and suspensions) at depth 1."""
-    match t:
-        case Abstraction(_, body):
-            return 1 + term_depth(body)
-        case App(_, args):
-            return 1 + max((term_depth(u) for u in args), default=0)
-        case _:
-            return 1
+    leaf = lambda u: 1
+    return _fold(t, leaf, leaf, lambda u, d: d + 1, lambda u, ds: 1 + max(ds, default=0))
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,21 @@ def test_replay_rejects_rule_missing_from_theory(tmp_path, capsys):
     assert code == 1 and "FAILED" in out
 
 
+def test_replay_rejects_a_position_that_does_not_exist(tmp_path, capsys):
+    code, out, _ = run(capsys, "normalize", str(BETAETA), "--term", "app(c, app(lam([a]a), b))", "--json")
+    report = json.loads(out)
+    step = report["trace"][0]
+    assert code == 0 and len(report["trace"]) == 1 and step["path"] == [1]
+    # Index -1 would pick the last argument, and plugging a term back in
+    # there would make four arguments from two.
+    source = "g(c, app(lam([a]a), b))"
+    step.update(path=[-1], source=source, variant=source, result="g(c, b, c, app(lam([a]a), b))")
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "replay", str(path))
+    assert code == 1 and "FAILED" in out
+
+
 def test_normalize_general_truncated_universe_exits_three(tmp_path, capsys):
     # The step needs pi = (a z), but z is cut from the 6-atom universe.
     theory = tmp_path / "trunc.nrw"

@@ -111,6 +111,20 @@ def test_subterm_and_replace_roundtrip():
         assert replace_at(t, path, sub) == t
 
 
+def test_positions_leftmost_innermost():
+    t = App("app", (AtomTerm(a), App("f", (AtomTerm(b),))))
+    assert [p for p, _ in positions(t, innermost=True)] == [(0,), (1, 0), (1,), ()]
+
+
+@pytest.mark.parametrize("path", [(-1,), (2,), (True,), ("body",), (0, "body"), (0, 0, 0)])
+def test_a_position_that_does_not_exist_raises(path):
+    t = app(lam(a, AtomTerm(a)), AtomTerm(b))  # app(lam([a]a), b)
+    with pytest.raises(IndexError):
+        subterm_at(t, path)
+    with pytest.raises(IndexError):
+        replace_at(t, path, AtomTerm(c))
+
+
 def test_rule_validation():
     with pytest.raises(RuleError):
         RewriteRule("bad", EMPTY_CTX, var(X), var(Y)).validate()

@@ -1,0 +1,242 @@
+"""The term walkers at any depth, and against their recursive references.
+
+Deep inputs are spines: n levels, alternately an abstraction [a]... and a
+unary application, wrapped around a small bottom term.  Results on them are
+checked through their printed text, since comparing two deep terms with ==
+goes through the generated dataclass __eq__, which recurses.  The rewriting
+engines are checked at 10^3 only: `positions` stores a full path per
+position, so it costs O(size x depth).
+"""
+
+from functools import cache
+from importlib import resources
+from itertools import islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nomrew import (
+    EMPTY_CTX,
+    Abstraction,
+    App,
+    Atom,
+    AtomTerm,
+    FreshnessContext,
+    MatchProblem,
+    Substitution,
+    Suspension,
+    Unknown,
+    act,
+    alpha_holds,
+    check_fresh,
+    closed_normalize,
+    decide_equal,
+    fresh_holds,
+    normalize_general,
+    positions,
+    replace_at,
+    scrub,
+    solve_match,
+    substitute,
+    subterm_at,
+    subterms,
+    swap,
+    term_depth,
+    term_size,
+    var,
+)
+from nomrew.rewrite import _decompositions, _plug, _rename_term
+from nomrew.syntax import parse_theory, pretty
+
+import reference_walkers as ref
+from strategies import ATOMS, contexts_st, perms_st, substs_st, terms_st
+
+a, b, c, d, e = (Atom(n) for n in "abcde")
+X, Y = Unknown("X"), Unknown("Y")
+DEPTHS = [10**3, 10**4, 10**5]
+BOTTOM = App("g", (Suspension(swap(a, b), X), AtomTerm(c)))  # g((a b).X, c)
+BETAETA = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
+
+
+def spine(n: int, bottom, former: str = "u", binder: Atom = a):
+    t = bottom
+    for i in range(n):
+        t = App(former, (t,)) if i % 2 else Abstraction(binder, t)
+    return t
+
+
+def spine_text(n: int, bottom: str, former: str = "u", binder: str = "a") -> str:
+    levels = (f"{former}(" if i % 2 else f"[{binder}]" for i in reversed(range(n)))
+    return "".join(levels) + bottom + ")" * (n // 2)
+
+
+@cache
+def deep(n: int):
+    return spine(n, BOTTOM)
+
+
+def spine_path(n: int) -> tuple:
+    return tuple(0 if i % 2 else "body" for i in reversed(range(n)))
+
+
+# -- every rerouted walker answers on spines 10^3, 10^4 and 10^5 deep ---------
+
+
+@pytest.mark.parametrize("n", DEPTHS)
+def test_pretty_size_and_depth_at_depth(n):
+    t = deep(n)
+    assert pretty(t) == spine_text(n, "g((a b).X, c)")
+    assert term_size(t) == n + 3
+    assert term_depth(t) == n + 2
+    assert next(islice(subterms(t), n, None)) is BOTTOM
+
+
+@pytest.mark.parametrize("n", DEPTHS)
+def test_act_and_substitute_at_depth(n):
+    t = deep(n)
+    pi = swap(a, d)
+    swapped = spine_text(n, pretty(act(pi, BOTTOM)), binder="d")
+    assert pretty(act(pi, t)) == swapped
+    sigma = Substitution({X: App("f", (AtomTerm(a),))})
+    assert pretty(substitute(t, sigma)) == spine_text(n, "g(f(b), c)")
+    # a deep image, once under a suspension's permutation and once bare
+    twice = substitute(App("h", (Suspension(pi, Y), var(Y))), Substitution({Y: t}))
+    assert pretty(twice) == f"h({swapped}, {spine_text(n, 'g((a b).X, c)')})"
+
+
+@pytest.mark.parametrize("n", DEPTHS)
+def test_freshness_at_depth(n):
+    t = deep(n)
+    assert not fresh_holds(EMPTY_CTX, d, t)  # d # (a b).X needs d # X
+    assert fresh_holds(FreshnessContext.of((d, X)), d, t)
+    assert not fresh_holds(FreshnessContext.of((d, X)), c, t)
+    assert fresh_holds(FreshnessContext.of((a, X)), b, t)  # (a b)^-1(b) = a
+    assert check_fresh(EMPTY_CTX, d, t) is None
+    deriv = check_fresh(FreshnessContext.of((d, X)), d, t)
+    assert deriv.conclusion[3] is t
+    rules = []
+    while len(deriv.children) == 1:
+        rules.append(deriv.rule)
+        (deriv,) = deriv.children
+    assert rules == ["#f" if i % 2 else "#[b]" for i in reversed(range(n))]
+    assert deriv.rule == "#f" and [child.rule for child in deriv.children] == ["#X", "#ab"]
+
+
+@pytest.mark.parametrize("n", DEPTHS)
+def test_scrub_at_depth(n):
+    t = deep(n)
+    ctx = FreshnessContext.of((a, X), (b, X))
+    assert pretty(scrub(ctx, t, [c, d])) == spine_text(n, "g(X, c)")
+
+
+@pytest.mark.parametrize("n", DEPTHS)
+def test_subterm_at_and_replace_at_at_depth(n):
+    t = deep(n)
+    assert subterm_at(t, spine_path(n)) is BOTTOM
+    assert pretty(replace_at(t, spine_path(n), AtomTerm(d))) == spine_text(n, "d")
+
+
+# -- the engines answer on inputs 10^3 deep -----------------------------------
+
+
+def test_positions_at_depth():
+    n = 10**3
+    t = deep(n)
+    outer, inner = positions(t), positions(t, innermost=True)
+    assert len(outer) == len(inner) == n + 3
+    assert outer[0] == ((), t) and inner[-1][1] is t
+    assert outer[n] == (spine_path(n), BOTTOM) and inner[2] == (spine_path(n), BOTTOM)
+
+
+def test_solve_match_at_depth():
+    n = 10**3
+    # [e]Y against [d]t sends Y to (d e).t, which leaves e # t to prove.
+    target, ctx = Abstraction(d, deep(n)), FreshnessContext.of((e, X))
+    problem = MatchProblem(EMPTY_CTX, Abstraction(e, var(Y)), ctx, target)
+    sigma = solve_match(problem).sigma
+    assert alpha_holds(ctx, substitute(problem.pattern, sigma), target)
+    assert pretty(sigma[Y]) == spine_text(n, pretty(act(swap(d, e), BOTTOM)))
+    assert solve_match(MatchProblem(EMPTY_CTX, problem.pattern, EMPTY_CTX, target)) is None
+
+
+def test_normalization_and_equality_at_depth():
+    n = 10**3
+    redex = App("app", (App("lam", (Abstraction(b, AtomTerm(b)),)), AtomTerm(c)))
+    s, normal = spine(n, redex, "lam"), spine_text(n, "c", "lam")
+    for res in (closed_normalize(EMPTY_CTX, s, BETAETA), normalize_general(EMPTY_CTX, s, BETAETA)):
+        assert res.status == "normal_form" and len(res.trace) == 1
+        assert res.trace[0].path == spine_path(n)
+        assert pretty(res.term) == normal
+    decision = decide_equal(EMPTY_CTX, s, spine(n, AtomTerm(c), "lam"), BETAETA, assume_convergent=True)
+    assert decision.verdict == "equal"
+
+
+# -- every rerouted walker agrees with its recursive reference ---------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms_st, perms_st, substs_st)
+def test_actions_match_reference(t, pi, sigma):
+    assert act(pi, t) == ref.act(pi, t)
+    assert substitute(t, sigma) == ref.substitute(t, sigma)
+    amap = {a: Atom("a$0"), b: c, c: b}
+    umap = {X: Unknown("Z$1")}
+    assert _rename_term(t, amap, umap) == ref.rename_term(t, amap, umap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms_st)
+def test_shape_walkers_match_reference(t):
+    assert list(subterms(t)) == list(ref.subterms(t))
+    assert term_size(t) == len(list(ref.subterms(t)))
+    assert term_depth(t) == ref.term_depth(t)
+    assert pretty(t) == ref.pretty(t)
+    for innermost in (False, True):
+        assert positions(t, innermost) == ref.positions(t, innermost)
+    for path, _ in ref.positions(t):
+        assert subterm_at(t, path) == ref.subterm_at(t, path)
+        assert replace_at(t, path, AtomTerm(d)) == ref.replace_at(t, path, AtomTerm(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(contexts_st, terms_st)
+def test_freshness_matches_reference(ctx, t):
+    for atom in ATOMS:
+        assert fresh_holds(ctx, atom, t) == ref.fresh_holds(ctx, atom, t)
+        assert check_fresh(ctx, atom, t) == ref.check_fresh(ctx, atom, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(contexts_st, terms_st, st.sampled_from(ATOMS))
+def test_scrub_matches_reference(ctx, t, machine):
+    # renaming one atom to a machine name gives scrub binders to rename
+    t = _rename_term(t, {machine: Atom(machine.name + "$0")}, {})
+    pool = [z for z in ATOMS if z != machine]
+    assert scrub(ctx, t, pool) == ref.scrub(ctx, t, pool)
+
+
+def _reference_decompositions(ctx, t, path, universe):
+    """The recursive definition, with rebuild closures in place of frames."""
+    if not path:
+        yield t, lambda u: u
+        return
+    if path[0] == "body":
+        at, body = t.atom, t.body
+        for z in [at] + [z for z in universe if z != at and ref.fresh_holds(ctx, z, body)]:
+            inner = body if z == at else ref.act(swap(z, at), body)
+            for hole, rebuild in _reference_decompositions(ctx, inner, path[1:], universe):
+                yield hole, (lambda u, z=z, rb=rebuild: Abstraction(z, rb(u)))
+    else:
+        i = path[0]
+        for hole, rebuild in _reference_decompositions(ctx, t.args[i], path[1:], universe):
+            yield hole, (lambda u, t=t, i=i, rb=rebuild: App(t.former, t.args[:i] + (rb(u),) + t.args[i + 1 :]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(contexts_st, terms_st)
+def test_decompositions_match_reference(ctx, t):
+    for path, _ in ref.positions(t):
+        got = [(hole, _plug(frames, hole), _plug(frames, AtomTerm(e))) for hole, frames in _decompositions(ctx, t, path, ATOMS)]
+        want = [(hole, rb(hole), rb(AtomTerm(e))) for hole, rb in _reference_decompositions(ctx, t, path, ATOMS)]
+        assert got == want
