@@ -11,12 +11,12 @@ from nomrew import (
     closed_normalize,
     closed_rewrite_step,
     is_closed_rule,
-    replay_closed_step,
     replay_step,
     rewrite_step_general,
     symmetric_search,
     var,
 )
+from nomrew.rewrite import replay
 from nomrew.syntax import parse_term, parse_theory, pretty, pretty_perm, pretty_subst
 
 
@@ -45,7 +45,7 @@ def main():
     print(f"  {pretty(term)}")
     for step in res.trace:
         print(f"    --{step.rule}--> {pretty(step.result)}")
-        assert replay_closed_step(EMPTY_CTX, step)
+        assert replay(EMPTY_CTX, step, step.freshened)
     print(f"  status: {res.status}, every step replays")
 
     banner("a rewrite that needs a permutation: [b][a]a under [a]X -> X")

@@ -104,10 +104,7 @@ def fresh_holds(ctx: FreshnessContext, a: Atom, t: Term) -> bool:
             if u.atom == a:
                 return False
         elif kind is Suspension:
-            mapping, c = u.perm.mapping, a  # pi^-1(a): follow a's cycle in pi back to a
-            while (d := mapping.get(c, a)) != a:
-                c = d
-            if (c, u.unknown) not in ctx.pairs:
+            if (u.perm.inverse()(a), u.unknown) not in ctx.pairs:
                 return False
         else:
             raise TypeError(f"not a term: {u!r}")
@@ -126,8 +123,8 @@ def check_fresh(ctx: FreshnessContext, a: Atom, t: Term) -> Optional[Derivation]
 
 
 def disagreement_set(pi: Permutation, pi2: Permutation) -> frozenset[Atom]:
-    """The atoms on which the two permutations differ."""
-    return frozenset(a for a in pi.support | pi2.support if pi(a) != pi2(a))
+    """The atoms on which the two permutations differ: supp(pi^-1 o pi2)."""
+    return (pi.inverse() * pi2).support
 
 
 # Tags that open a node in an alpha key.  Bound atoms are keyed by their
@@ -198,12 +195,9 @@ def _suspension_pairs(pairs, pi: Permutation, x: Unknown, level: dict[str, int],
     `level`, for the atoms c in supp(pi) or in pi^-1 of a bound atom that
     are not fresh for X."""
     image = {c.name: (c, v.name) for c, v in pi.mapping.items()}
-    if level:
-        preimage = {v.name: c for c, v in pi.mapping.items()}
-        for b in level:
-            c = preimage.get(b)
-            if c is None:
-                image[b] = (Atom(b), b)
+    for b in level:  # a bound atom outside supp(pi), which is its own preimage
+        if b not in image:
+            image[b] = (Atom(b), b)
     entries = []
     for c, v in image.values():
         if (c, x) not in pairs:

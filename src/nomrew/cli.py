@@ -63,7 +63,7 @@ def _ctx_json(ctx: FreshnessContext) -> list:
 
 
 def _perm_json(pi: Permutation) -> list:
-    return [[a.name, b.name] for a, b in pi.normalized().swaps]
+    return [[a.name, b.name] for a, b in pi.swaps]
 
 
 def _step_json(step: RewriteStep) -> dict:
@@ -103,7 +103,7 @@ def _step_from_json(data: dict) -> RewriteStep:
         )
     return RewriteStep(
         rule=data["rule"],
-        path=tuple(s if s == "body" else int(s) for s in data["path"]),
+        path=tuple(data["path"]),
         perm=Permutation(tuple((Atom(a), Atom(b)) for a, b in data["perm"])),
         subst=Substitution(
             (Unknown(x), parse_term(t, allow_machine=True)) for x, t in data["subst"].items()

@@ -26,7 +26,6 @@ from .rewrite import (
     PreparedRule,
     ReachableSet,
     RewriteRule,
-    RewriteStep,
     StepResults,
     Theory,
     _complete_perm,
@@ -37,7 +36,6 @@ from .rewrite import (
     _universe,
     normalize,
     reachable,
-    replay,
     rewrite_steps,
 )
 from .terms import (
@@ -198,12 +196,6 @@ def closed_rewrite_step(
     """All closed one-step rewrites of s by the rule, modulo alpha on the
     subject."""
     return rewrite_steps(s, _prepare_closed(ctx, s, rule, max_support))
-
-
-def replay_closed_step(ctx: FreshnessContext, step: RewriteStep) -> bool:
-    """Re-verify a closed step from its recorded freshened rule and context
-    extension, the recorded rule standing in for the theory's."""
-    return replay(ctx, step, step.freshened)
 
 
 def closed_normalize(

@@ -1,18 +1,18 @@
 """Nominal matching: instantiate the unknowns of a pattern-in-context so it
 becomes alpha-equivalent to a target term under the target's context.
 
-The solver decomposes a worklist of pattern/target pairs.  Mismatched
-abstractions turn into a swapped equation plus a pending freshness
-obligation, mirroring the ~[b] rule; a suspension pi.X on the pattern side
-resolves to X -> pi^-1 . target.  Duplicate occurrences are reconciled by an
-alpha check, and the pattern context's obligations are checked once the
-substitution is complete.  Matching solutions are unique up to
+The solver decomposes a worklist of pattern/target pairs, reading the
+pattern under a pending permutation rho that it carries down instead of
+applying (Calves & Fernandez).  A mismatched abstraction [a]l against [b]s
+records the obligation rho^-1(b) # l, mirroring the ~[b] rule, and goes on
+with l under (b rho(a)) o rho; a suspension pi.X resolves to
+X -> (rho o pi)^-1 . target.  Duplicate occurrences are reconciled by an
+alpha check, and the pending and pattern-context obligations are checked
+once the substitution is complete.  Matching solutions are unique up to
 alpha-equivalence under the target context; the solver returns the first
-computed, which is not canonical.  The alpha checks are linear (they
-compare alpha keys), but a mismatched abstraction still applies its swap to
-the pattern body eagerly, so nested mismatched binders in the pattern make
-the solver quadratic in the pattern's depth; no attempt is made at the known
-linear-time bound.
+computed, which is not canonical.  The alpha checks are linear, but each
+mismatched binder's pending freshness check walks its substituted body, so
+a chain of n nested mismatched binders costs O(n^2).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Optional
 
 from .alpha import FreshnessContext, alpha_holds, fresh_holds
 from .terms import (
+    ID,
     Abstraction,
     App,
     Atom,
@@ -109,31 +110,31 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
     """Return a solution, or None when none exists."""
     delta = problem.target_ctx
     binds: dict = {}
-    pending: list[tuple[Atom, Term]] = []  # b # p, checked once binds is complete
-    work = [(problem.pattern, problem.target)]
+    pending: list[tuple[Atom, Term]] = []  # c # l, checked once binds is complete
+    work = [(problem.pattern, problem.target, ID)]
     while work:
-        l, s = work.pop()
+        l, s, rho = work.pop()  # rho.l is to match s
         match (l, s):
             case (AtomTerm(a), AtomTerm(b)):
-                if a != b:
+                if rho(a) != b:
                     return None
             case (Suspension(pi, x), _):
-                image = act(pi.inverse(), s)
+                image = act((rho * pi).inverse(), s)
                 if x in binds:
                     if not alpha_holds(delta, binds[x], image):
                         return None
                 else:
                     binds[x] = image
             case (Abstraction(a, lbody), Abstraction(b, sbody)):
-                if a == b:
-                    work.append((lbody, sbody))
-                else:
-                    pending.append((b, lbody))
-                    work.append((act(swap(b, a), lbody), sbody))
+                a = rho(a)
+                if a != b:  # b # rho.lbody, and (b a).rho.lbody matches sbody
+                    pending.append((rho.inverse()(b), lbody))
+                    rho = swap(b, a) * rho
+                work.append((lbody, sbody, rho))
             case (App(f, largs), App(g, sargs)):
                 if f != g or len(largs) != len(sargs):
                     return None
-                work.extend(zip(largs, sargs))
+                work.extend(zip(largs, sargs, itertools.repeat(rho)))
             case _:
                 return None
 

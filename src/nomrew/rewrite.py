@@ -71,7 +71,7 @@ class RuleError(NominalError):
 def path_str(path: Path) -> str:
     if not path:
         return "e"
-    return ".".join("body" if s == "body" else f"arg{s + 1}" for s in path)
+    return ".".join("body" if s == "body" else f"arg{s + 1}" if type(s) is int else repr(s) for s in path)
 
 
 def positions(t: Term, innermost: bool = False) -> list[tuple[Path, Term]]:
@@ -247,9 +247,9 @@ class PreparedRule:
 
 
 def _rename_term(t: Term, amap: dict, umap: dict) -> Term:
-    def on_susp(u: Suspension) -> Term:
-        swaps = tuple((amap.get(a, a), amap.get(b, b)) for a, b in u.perm.swaps)
-        return Suspension(Permutation(swaps), umap.get(u.unknown, u.unknown))
+    def on_susp(u: Suspension) -> Term:  # pi becomes amap o pi o amap^-1, amap being one-to-one
+        pi = Permutation.from_mapping({amap.get(c, c): amap.get(v, v) for c, v in u.perm.mapping.items()})
+        return Suspension(pi, umap.get(u.unknown, u.unknown))
 
     return _rebuild(t, lambda a: amap.get(a, a), on_susp)
 

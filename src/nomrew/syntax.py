@@ -172,7 +172,7 @@ class _Parser:
         tok = self.expect("IDENT", "an unknown")
         if not _is_unknown_name(tok.text):
             self.fail(f"expected an unknown (uppercase-initial), found {tok.text!r}", tok)
-        return Suspension(Permutation(tuple(swaps)), Unknown(tok.text))
+        return Suspension(Permutation(swaps), Unknown(tok.text))
 
     def atom_name(self) -> Atom:
         tok = self.expect("IDENT", "an atom")
@@ -345,7 +345,7 @@ def parse_theory(text: str, allow_machine: bool = False) -> Theory:
 def pretty_perm(pi: Permutation) -> str:
     if pi.is_identity:
         return ""
-    return "".join(f"({a.name} {b.name})" for a, b in pi.normalized().swaps)
+    return "".join(f"({a.name} {b.name})" for a, b in pi.swaps)
 
 
 def pretty(t: Term) -> str:

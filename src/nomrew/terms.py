@@ -4,7 +4,8 @@ Atoms are bindable object-level names, unknowns are instantiable variables,
 and a term is an atom, a suspension pi.X (a permutation waiting on an
 unknown), an atom-abstraction [a]t, or a term-former application
 f(t1,...,tn).  Permutations are finitely supported bijections on atoms kept
-as swap lists; substitutions map unknowns to terms and do not avoid capture.
+as the canonical map of the atoms they move; swap lists are only read and
+printed.  Substitutions map unknowns to terms and do not avoid capture.
 Everything here is an immutable value.  Every walker keeps its own stack, so
 terms of any depth work; those that rebuild a term or combine its children's
 values go through one bottom-up fold, `_fold`.
@@ -69,39 +70,39 @@ class Unknown:
 
 
 class Permutation:
-    """A finitely supported bijection on atoms, stored as a swap list.
+    """A finitely supported bijection on atoms, stored in canonical form:
+    the dict `mapping` of the atoms it moves to their images.
 
-    The list ``[s1, ..., sn]`` denotes the composition ``s1 o ... o sn``
-    where the rightmost swap acts first.  Composition is concatenation and
-    inverse is reversal, so both are cheap.  Equality and hashing go through
-    the induced mapping: two swap lists describing the same bijection
-    compare equal.
+    ``Permutation([s1, ..., sn])`` composes the swap list once, as
+    ``s1 o ... o sn`` with the rightmost swap acting first.  Equal
+    bijections hold equal dicts.  `inverse()` is built once and kept;
+    `swaps` is the canonical swap list read off the cycles, for printing.
     """
 
-    __slots__ = ("swaps", "_mapping", "_hash")
+    __slots__ = ("mapping", "_inverse", "_hash")
 
     def __init__(self, swaps: Iterable[tuple[Atom, Atom]] = ()):
-        self.swaps = tuple((a, b) for a, b in swaps)
-        self._mapping: dict[Atom, Atom] | None = None
-        self._hash: int | None = None
+        mapping: dict[Atom, Atom] = {}
+        for a, b in swaps:  # mapping o (a b)
+            mapping[a], mapping[b] = mapping.get(b, b), mapping.get(a, a)
+        self.mapping = {c: v for c, v in mapping.items() if c != v}
+        self._inverse = self._hash = None
 
-    @property
-    def mapping(self) -> dict[Atom, Atom]:
-        """The nontrivial part of the induced function."""
-        if self._mapping is None:
-            mentioned = {c for pair in self.swaps for c in pair}
-            out = {}
-            for c in mentioned:
-                img = c
-                for a, b in reversed(self.swaps):
-                    if img == a:
-                        img = b
-                    elif img == b:
-                        img = a
-                if img != c:
-                    out[c] = img
-            self._mapping = out
-        return self._mapping
+    @classmethod
+    def _of(cls, mapping: dict[Atom, Atom]) -> "Permutation":
+        """The permutation whose nontrivial mapping is the given dict: one
+        to one, onto its own keys and without fixed points."""
+        pi = object.__new__(cls)
+        pi.mapping, pi._inverse, pi._hash = mapping, None, None
+        return pi
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[Atom, Atom]) -> "Permutation":
+        """Build a permutation from its mapping (must be bijective)."""
+        nontrivial = {a: b for a, b in mapping.items() if a != b}
+        if set(nontrivial) != set(nontrivial.values()):
+            raise ValueError(f"not a bijection: {mapping}")
+        return cls._of(nontrivial)
 
     @property
     def support(self) -> frozenset[Atom]:
@@ -115,11 +116,18 @@ class Permutation:
         return self.mapping.get(a, a)
 
     def inverse(self) -> "Permutation":
-        return Permutation(tuple(reversed(self.swaps)))
+        if self._inverse is None:
+            self._inverse = Permutation._of({v: c for c, v in self.mapping.items()})
+        return self._inverse
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Functional composition: ``(p * q)(a) == p(q(a))``."""
-        return Permutation(self.swaps + other.swaps)
+        p, q = self.mapping, other.mapping
+        if not p or not q:
+            return other if not p else self
+        out = {c: p.get(v, v) for c, v in q.items()}
+        out.update((c, v) for c, v in p.items() if c not in q)
+        return Permutation._of({c: v for c, v in out.items() if c != v})
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
@@ -131,36 +139,24 @@ class Permutation:
             self._hash = hash(frozenset(self.mapping.items()))
         return self._hash
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[Atom, Atom]) -> "Permutation":
-        """Build a permutation from its nontrivial mapping (must be bijective)."""
-        nontrivial = {a: b for a, b in mapping.items() if a != b}
-        if set(nontrivial) != set(nontrivial.values()):
-            raise ValueError(f"not a bijection: {mapping}")
-        swaps = []
-        seen = set()
-        for start in sorted(nontrivial):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            nxt = nontrivial[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = nontrivial[nxt]
-            for i in range(len(cycle) - 1):
-                swaps.append((cycle[i], cycle[i + 1]))
-        return cls(tuple(swaps))
-
-    def normalized(self) -> "Permutation":
-        """An equal permutation with a canonical (cycle-derived) swap list."""
-        return Permutation.from_mapping(self.mapping)
+    @property
+    def swaps(self) -> tuple[tuple[Atom, Atom], ...]:
+        """The canonical swap list: each cycle, in the order of its least
+        atom c0 and starting there, as (c0 c1)(c1 c2)...(ck-1 ck)."""
+        mapping, seen, out = self.mapping, set(), []
+        for start in sorted(mapping):
+            c = start
+            while c not in seen:
+                seen.add(c)
+                if mapping[c] != start:
+                    out.append((c, mapping[c]))
+                c = mapping[c]
+        return tuple(out)
 
     def __repr__(self):
         if self.is_identity:
             return "Permutation(id)"
-        body = "".join(f"({a.name} {b.name})" for a, b in self.normalized().swaps)
+        body = "".join(f"({a.name} {b.name})" for a, b in self.swaps)
         return f"Permutation({body})"
 
 
@@ -420,8 +416,6 @@ class Signature:
                         f"former {u.former} has arity {self.arity(u.former)}, applied to {len(u.args)} arguments"
                     )
 
-
-EMPTY_SIGNATURE = Signature(())
 
 
 def fresh_names(base: str, count: int, avoid: set[str]) -> list[str]:

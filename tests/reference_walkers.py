@@ -1,16 +1,33 @@
-"""Recursive reference definitions of the term walkers.
+"""Reference definitions that the library replaced with faster ones.
 
-Each function is the plain syntax-directed recursion that the library's
-walker replaced with an explicit stack (`terms._fold` or a worklist).  The
-property tests in test_walkers.py check that the two agree on small terms;
-these references raise RecursionError on terms about a thousand deep, which
-is why the library does not use them.
+Most functions here are the plain syntax-directed recursion that the
+library's walker replaced with an explicit stack (`terms._fold` or a
+worklist).  The property tests in test_walkers.py check that the two agree
+on small terms; these references raise RecursionError on terms about a
+thousand deep, which is why the library does not use them.  At the end are
+the swap-list reading of a permutation and the matcher that copies the
+pattern body under each mismatched binder, which test_terms.py and
+test_matching.py compare `Permutation` and `solve_match` against.
 """
 
 from __future__ import annotations
 
-from nomrew import Abstraction, App, AtomTerm, Derivation, Permutation, Suspension, swap
+from nomrew import (
+    Abstraction,
+    App,
+    Atom,
+    AtomTerm,
+    Derivation,
+    MatchSolution,
+    Permutation,
+    Substitution,
+    Suspension,
+    alpha_holds,
+    atoms_of,
+    swap,
+)
 from nomrew.rewrite import _complete_perm
+from nomrew.terms import fresh_names
 
 
 def act(pi, t):
@@ -107,7 +124,7 @@ def check_fresh(ctx, a, t):
 
 
 def pretty_perm(pi):
-    return "".join(f"({a.name} {b.name})" for a, b in pi.normalized().swaps)
+    return "".join(f"({a.name} {b.name})" for a, b in pi.swaps)
 
 
 def pretty(t):
@@ -183,3 +200,94 @@ def replace_at(t, path, new):
     if step == "body":
         return Abstraction(t.atom, replace_at(t.body, rest, new))
     return App(t.former, t.args[:step] + (replace_at(t.args[step], rest, new),) + t.args[step + 1 :])
+
+
+# -- permutations as swap lists ------------------------------------------------
+
+
+def swap_list_mapping(swaps):
+    """The nontrivial mapping of the swap list [s1, ..., sn] read as
+    s1 o ... o sn: each atom it mentions pushed through the swaps, the
+    rightmost first."""
+    out = {}
+    for c in {c for pair in swaps for c in pair}:
+        img = c
+        for a, b in reversed(swaps):
+            if img == a:
+                img = b
+            elif img == b:
+                img = a
+        if img != c:
+            out[c] = img
+    return out
+
+
+def cycle_swaps(mapping):
+    """The canonical swap list of a nontrivial mapping: each cycle, in the
+    order of its least atom and starting there, as (c0 c1)(c1 c2)..."""
+    swaps = []
+    seen = set()
+    for start in sorted(mapping):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        nxt = mapping[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen.add(nxt)
+            nxt = mapping[nxt]
+        for i in range(len(cycle) - 1):
+            swaps.append((cycle[i], cycle[i + 1]))
+    return tuple(swaps)
+
+
+# -- matching with an eager copy under each mismatched binder -----------------
+
+
+def solve_match(problem):
+    """Nominal matching that applies the swap (b a) to a copy of the
+    pattern body at each mismatched binder [a]l against [b]s."""
+    delta = problem.target_ctx
+    binds = {}
+    pending = []
+    work = [(problem.pattern, problem.target)]
+    while work:
+        l, s = work.pop()
+        match (l, s):
+            case (AtomTerm(a), AtomTerm(b)):
+                if a != b:
+                    return None
+            case (Suspension(pi, x), _):
+                image = act(pi.inverse(), s)
+                if x in binds:
+                    if not alpha_holds(delta, binds[x], image):
+                        return None
+                else:
+                    binds[x] = image
+            case (Abstraction(a, lbody), Abstraction(b, sbody)):
+                if a == b:
+                    work.append((lbody, sbody))
+                else:
+                    pending.append((b, lbody))
+                    work.append((act(swap(b, a), lbody), sbody))
+            case (App(f, largs), App(g, sargs)):
+                if f != g or len(largs) != len(sargs):
+                    return None
+                work.extend(zip(largs, sargs))
+            case _:
+                return None
+    leftover = {x for _, x in problem.pattern_ctx if x not in binds}
+    if leftover:
+        used = {a.name for a in atoms_of(problem.pattern_ctx, problem.pattern, problem.target_ctx, problem.target)}
+        spare = AtomTerm(Atom(fresh_names("m", 1, used)[0]))
+        for x in leftover:
+            binds[x] = spare
+    sigma = Substitution(binds)
+    for b, p in pending:
+        if not fresh_holds(delta, b, substitute(p, sigma)):
+            return None
+    for a, x in problem.pattern_ctx:
+        if not fresh_holds(delta, a, sigma.image(x)):
+            return None
+    return MatchSolution(sigma)

@@ -258,6 +258,16 @@ def test_replay_rejects_a_position_that_does_not_exist(tmp_path, capsys):
     path.write_text(json.dumps(report))
     code, out, _ = run(capsys, "replay", str(path))
     assert code == 1 and "FAILED" in out
+    # A step is "body" or a JSON integer, never coerced to one: int() would
+    # read each of these as 0.
+    code, out, _ = run(capsys, "normalize", str(BETAETA), "--term", "lam([c]app(lam([a]a), b))", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["trace"][0]["path"] == [0, "body"]
+    for first in (0.9, False, "0", -0.5):
+        report["trace"][0]["path"] = [first, "body"]
+        path.write_text(json.dumps(report))
+        code, out, _ = run(capsys, "replay", str(path))
+        assert code == 1 and "FAILED" in out, first
 
 
 def test_normalize_general_truncated_universe_exits_three(tmp_path, capsys):

@@ -30,7 +30,6 @@ from nomrew import (
     is_closed,
     is_closed_rule,
     is_solution,
-    replay_closed_step,
     replay_step,
     rewrite_step_general,
     scrub,
@@ -39,7 +38,7 @@ from nomrew import (
     unknowns_of,
     var,
 )
-from nomrew.rewrite import _rename_rule
+from nomrew.rewrite import _rename_rule, replay
 from nomrew.terms import MACHINE_MARK
 from strategies import alpha_mod_machine, random_ctx, random_term, step_classes_match
 
@@ -214,7 +213,7 @@ def test_closed_steps_replay():
         ctx = random_ctx(rng)
         for rule in BETAETA.rules:
             for st in closed_rewrite_step(ctx, s, rule):
-                assert replay_closed_step(ctx, st) and replay_step(ctx, st, rule)
+                assert replay(ctx, st, st.freshened) and replay_step(ctx, st, rule)
 
 
 def test_closed_replay_checks_the_freshening():
@@ -222,7 +221,7 @@ def test_closed_replay_checks_the_freshening():
 
     ctx = FreshnessContext.of((a, X))
     st = next(iter(closed_rewrite_step(ctx, var(X), EXPAND)))
-    assert replay_step(ctx, st, EXPAND) and replay_closed_step(ctx, st)
+    assert replay_step(ctx, st, EXPAND) and replay(ctx, st, st.freshened)
     # the recorded rule must rename the rule it names
     assert not replay_step(ctx, st, RewriteRule("expand", EMPTY_CTX, var(X), App("f", (var(X),))))
     # to names fresh for the context and the source

@@ -1,6 +1,7 @@
 import random
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nomrew import (
     Abstraction,
@@ -23,7 +24,8 @@ from nomrew import (
     var,
 )
 import pytest
-from strategies import ATOMS, perms_st, random_perm, random_subst, random_term, substs_st, terms_st
+from reference_walkers import cycle_swaps, swap_list_mapping
+from strategies import ATOMS, atoms_st, perms_st, random_perm, random_subst, random_term, substs_st, terms_st
 
 a, b, c, d = (Atom(n) for n in "abcd")
 X, Y = Unknown("X"), Unknown("Y")
@@ -141,6 +143,32 @@ def test_signature_checks():
         sig.check_term(App("nope", ()))
     with pytest.raises(SignatureError):
         Signature.of([("f", 1), ("f", 2)])
+
+
+def test_swaps_are_the_canonical_cycle_list():
+    assert ID.swaps == ()
+    assert Permutation(((c, a), (b, c))).swaps == ((a, c), (c, b))  # a -> c -> b -> a
+    assert Permutation(((d, c), (b, a))).swaps == ((a, b), (c, d))
+    assert repr(swap(b, a)) == "Permutation((a b))"
+
+
+# -- the swap-list reading of a permutation: one composition, then the map ---
+
+# repeated swaps and self-swaps (a a) included
+swap_lists_st = st.lists(st.tuples(atoms_st, atoms_st), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_lists_st, swap_lists_st)
+def test_permutation_agrees_with_swap_list_reference(s1, s2):
+    p, q = Permutation(s1), Permutation(s2)
+    assert p.mapping == swap_list_mapping(s1)
+    assert p.inverse().mapping == swap_list_mapping(s1[::-1])
+    assert (p * q).mapping == swap_list_mapping(s1 + s2)
+    assert p.swaps == cycle_swaps(swap_list_mapping(s1))
+    assert Permutation(p.swaps) == p and Permutation(p.swaps).mapping == p.mapping
+    assert Permutation.from_mapping(p.mapping) == p
+    assert p.inverse() * p == ID and hash(p * p.inverse()) == hash(ID)
 
 
 # algebraic laws ------------------------------------------------------------
