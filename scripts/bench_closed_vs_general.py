@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Normalize growing stacks of beta-redexes with the general engine (which
 tries candidate permutations at every position whose shape can match the
-rule) and with the closed engine (plain matching after freshening), assert
-that both reach alpha-equal normal forms, and print the time each took.
+rule) and with the closed engine (plain matching of each rule's one
+freshened variant), assert that both reach alpha-equal normal forms, and
+print the time each took.
+
+    python scripts/bench_closed_vs_general.py [HEIGHT ...]   # default 1 to 6
 """
 
+import sys
 import time
 from importlib import resources
 
@@ -19,10 +23,10 @@ def redex_tower(height: int) -> str:
     return term
 
 
-def main():
+def main(heights):
     theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
     print(f"{'height':>6} {'closed (s)':>12} {'general (s)':>12} {'steps':>6}")
-    for height in range(1, 5):
+    for height in heights:
         term = parse_term(redex_tower(height), theory.signature)
 
         t0 = time.perf_counter()
@@ -40,4 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main([int(h) for h in sys.argv[1:]] or range(1, 7))

@@ -12,6 +12,7 @@ deterministically, so the same command prints the same trace every time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,7 +52,14 @@ EXIT_INCONCLUSIVE = 3
 
 def _load_theory(path: str) -> Theory:
     with open(path, encoding="utf-8") as fh:
-        return parse_theory(fh.read())
+        return _parse_theory_text(fh.read())
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_theory_text(text: str) -> Theory:
+    """The theory a file's text parses to, kept for repeated calls in one
+    process, so the variants and verdicts its rules keep are reused."""
+    return parse_theory(text)
 
 
 def _subst_json(sigma: Substitution) -> dict:
@@ -427,9 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of `main`."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:

@@ -2,14 +2,19 @@
 equality decision procedure for convergent closed theories.
 
 Closed rewriting runs on the core in rewrite.py with its own preparation of
-a rule for a subject: the rule's atoms and unknowns are renamed once to
-machine-fresh ones, the context is extended with freshness of those new
-atoms for the subject's unknowns, and each hole is solved by plain matching
-under the identity permutation.  There is no permutation search at all,
-which is the efficiency payoff over general rewriting.  Machine atoms that
-the match drags into the result only ever occur where the extended context
-proves them fresh, so a scrubbing pass rewrites each result to an
-alpha-equivalent representative mentioning as few of them as possible.
+a rule for a subject.  Each rule is freshened once, with nothing to avoid:
+its atoms and unknowns are renamed to machine names (stem$n), which no
+parsed subject can mention, and that variant is kept with the rule object
+together with its closedness verdict.  A subject only falls back to a
+variant freshened away from it when it already mentions one of the kept
+variant's names.  At the first hole whose shape can match, the context is
+extended with freshness of the variant's atoms for the subject's unknowns,
+and each hole is solved by plain matching under the identity permutation.
+There is no permutation search at all, which is the efficiency payoff over
+general rewriting.  Machine atoms that the match drags into the result only
+ever occur where the extended context proves them fresh, so a scrubbing
+pass rewrites each result to an alpha-equivalent representative mentioning
+as few of them as possible.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .alpha import FreshnessContext, alpha_holds, fresh_holds
 from .matching import MatchProblem, _require_apart, solve_match
 from .rewrite import (
     MAX_SUPPORT,
+    Firing,
     NormalizeResult,
     PreparedRule,
     ReachableSet,
@@ -155,36 +161,62 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
     return _fold(t, lambda u: u, on_susp, on_abs, lambda u, args: App(u.former, args))
 
 
+def _variant(rule: RewriteRule) -> RewriteRule:
+    """The rule freshened with nothing to avoid, made once per rule object."""
+    compiled = rule.compiled
+    if "variant" not in compiled:
+        compiled["variant"] = freshen_rule(rule).renamed
+    return compiled["variant"]
+
+
+def _is_closed(rule: RewriteRule) -> bool:
+    """The rule's closedness verdict, decided once per rule object."""
+    compiled = rule.compiled
+    if "closed" not in compiled:
+        compiled["closed"] = is_closed_rule(rule).closed
+    return compiled["closed"]
+
+
 def _prepare_closed(
     ctx: FreshnessContext,
     s: Term,
     rule: RewriteRule,
     max_support: int = MAX_SUPPORT,
 ) -> PreparedRule:
-    """Freshen the rule once against everything in sight, extend the context
-    with freshness of the freshened atoms for the subject's unknowns, and
-    solve each hole by plain matching; results are scrubbed."""
-    subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
-    variant = freshen_rule(rule, subject_atoms, subject_unknowns)
-    frule: RewriteRule = variant.renamed
-    _require_apart(unknowns_of(frule.ctx, frule.lhs), subject_unknowns)
-    extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
-    ctx2 = ctx | extension
-    # Same variant universe as the general engine so the two step relations
-    # stay comparable on closed rules.  Without a permutation search the cap
-    # loses no step, so the preparation is never truncated.
-    universe, _ = _universe(rule.atoms(), subject_atoms, max_support)
-    pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + [a for a in universe if a.is_machine]
+    """Match the rule's kept variant, or one freshened away from the subject
+    when the subject already mentions a name of it, under the context
+    extended with freshness of the variant's atoms for the subject's
+    unknowns; each hole is solved by plain matching and results are
+    scrubbed.  All of that but the variant is built at the first hole that
+    passes the shape test."""
+    variant = _variant(rule)
 
-    def instances(hole: Term):
-        sol = solve_match(MatchProblem._unchecked(frule.ctx, frule.lhs, ctx2, hole))
-        if sol is not None:
-            yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
+    def fire() -> Firing:
+        subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
+        frule = variant
+        # The kept variant is the one freshening away from the subject would
+        # pick unless the subject mentions one of its names (of either sort,
+        # as freshening avoids both); only then is the rule freshened again.
+        taken = {v.name for v in (*subject_atoms, *subject_unknowns)}
+        if any(v.name in taken for v in (*frule.atoms(), *frule.unknowns())):
+            frule = freshen_rule(rule, subject_atoms, subject_unknowns).renamed
+        _require_apart(unknowns_of(frule.ctx, frule.lhs), subject_unknowns)
+        extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
+        ctx2 = ctx | extension
+        # Same variant universe as the general engine so the two step
+        # relations stay comparable on closed rules.  Without a permutation
+        # search the cap loses no step, so the preparation is never truncated.
+        universe, _ = _universe(rule.atoms(), subject_atoms, max_support)
+        pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + [a for a in universe if a.is_machine]
 
-    return PreparedRule(
-        rule, frule.lhs, ctx2, universe, False, instances,
-        lambda t: scrub(ctx2, t, pool), "closed", frule, extension,
-    )
+        def instances(hole: Term):
+            sol = solve_match(MatchProblem._unchecked(frule.ctx, frule.lhs, ctx2, hole))
+            if sol is not None:
+                yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
+
+        return Firing(ctx2, universe, instances, lambda t: scrub(ctx2, t, pool), frule, extension)
+
+    return PreparedRule(rule, variant.lhs, fire, mode="closed")
 
 
 def closed_rewrite_step(
@@ -261,7 +293,7 @@ def decide_equal(
     Every rule of the theory must be closed; otherwise the theorems backing
     this procedure do not apply and the offending rules are reported.
     """
-    bad = [rule.name for rule in theory.rules if not is_closed_rule(rule)]
+    bad = [rule.name for rule in theory.rules if not _is_closed(rule)]
     if bad:
         raise NotClosedError(f"rules not closed: {', '.join(bad)}")
     left = closed_normalize(ctx, s, theory, fuel, max_support=max_support)

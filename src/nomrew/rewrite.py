@@ -16,10 +16,12 @@ The core is written once: step enumeration over positions x alpha-variants
 engines differ only in how one rule is prepared for one subject, which is a
 `PreparedRule` made once per subject.  The general preparation here renames
 the rule's unknowns away from the subject's and tries the candidate
-permutations over a universe; the closed preparation (closed.py) freshens
-the rule, extends the context, matches under the identity permutation and
-scrubs the result.  The core asks a preparation for instances only at
-positions that pass a shape test against the prepared lhs (`_may_match`).
+permutations over a universe; the closed preparation (closed.py) matches the
+rule's fixed freshened variant under an extended context and the identity
+permutation, and scrubs the result.  The core asks a preparation for
+instances only at positions that pass a shape test against the prepared lhs
+(`_may_match`), and a preparation builds what it needs for that (its
+`Firing`) only when the first hole passes.
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -140,6 +142,12 @@ class RewriteRule:
         parts = (self.ctx, self.lhs, self.rhs)
         return frozenset(atoms_of(*parts)), frozenset(unknowns_of(*parts))
 
+    @cached_property
+    def compiled(self) -> dict:
+        """What an engine works out once for this rule object and keeps with
+        it (closed.py keeps the rule's variant and closedness verdict)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Theory:
@@ -213,36 +221,54 @@ class NormalizeResult:
 
 
 @dataclass(frozen=True)
+class Firing:
+    """What a prepared rule needs to fire at the holes of its subject.
+
+    `instances(hole)` yields (pi, theta, pi.(rhs theta)) for every way the
+    prepared lhs matches the hole under `ctx`; `finish` turns the rebuilt
+    subject into the reported result.  `universe` holds the names binders
+    above a position may be renamed to when alpha-variants of the subject
+    are enumerated.  A closed step also records the freshened rule and the
+    context extension it fired under.
+    """
+
+    ctx: FreshnessContext
+    universe: list[Atom]
+    instances: Callable[[Term], Iterator[tuple[Permutation, Substitution, Term]]]
+    finish: Callable[[Term], Term] = lambda t: t
+    freshened: Optional[RewriteRule] = None
+    ctx_extension: FreshnessContext = EMPTY_CTX
+
+
+@dataclass(frozen=True)
 class PreparedRule:
     """One rule made ready by one engine to fire on one subject.
 
     `lhs` is the prepared rule's left-hand side, which the core shape-tests
-    each hole against before asking for instances.  `instances(hole)`
-    yields (pi, theta, pi.(rhs theta)) for every way the prepared lhs
-    matches the hole under `ctx`; `finish` turns the rebuilt
-    subject into the reported result.  `truncated` says the permutation
-    search was cut by the universe cap, so finding no instance proves
-    nothing.  `universe` holds the names binders above a position may be
-    renamed to when alpha-variants of the subject are enumerated.
+    each hole against.  `truncated` says the permutation search was cut by
+    the universe cap, so finding no instance proves nothing.  `fire` builds
+    the rest, the `Firing`, when the first hole passes the shape test; a
+    preparation whose rule fits no hole never builds it, and none builds it
+    twice.
     """
 
     rule: RewriteRule
     lhs: Term
-    ctx: FreshnessContext
-    universe: list[Atom]
-    truncated: bool
-    instances: Callable[[Term], Iterator[tuple[Permutation, Substitution, Term]]]
-    finish: Callable[[Term], Term] = lambda t: t
+    fire: Callable[[], Firing]
+    truncated: bool = False
     mode: str = "general"
-    freshened: Optional[RewriteRule] = None
-    ctx_extension: FreshnessContext = EMPTY_CTX
+
+    @cached_property
+    def firing(self) -> Firing:
+        return self.fire()
 
     def step(
         self, path: Path, pi: Permutation, theta: Substitution, source: Term, variant: Term, result: Term
     ) -> RewriteStep:
+        firing = self.firing
         return RewriteStep(
             self.rule.name, path, pi, theta, source, variant, result,
-            self.mode, self.freshened, self.ctx_extension,
+            self.mode, firing.freshened, firing.ctx_extension,
         )
 
 
@@ -342,19 +368,19 @@ def _prepare_general(
     _require_apart(unknowns_of(renamed.ctx, renamed.lhs), subject_unknowns)
     rule_atoms = sorted(renamed.atoms())
     universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), max_support)
-    permuted: list[tuple[Permutation, Term, Term]] = []
 
-    def instances(hole: Term):
-        if not permuted:
-            permuted.extend(
-                (pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in _candidate_perms(rule_atoms, universe)
-            )
-        for pi, lhs, rhs in permuted:
-            sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
-            if sol is not None:
-                yield pi, sol.sigma, substitute(rhs, sol.sigma)
+    def fire() -> Firing:
+        permuted = [(pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in _candidate_perms(rule_atoms, universe)]
 
-    return PreparedRule(rule, renamed.lhs, ctx, universe, truncated, instances)
+        def instances(hole: Term):
+            for pi, lhs, rhs in permuted:
+                sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
+                if sol is not None:
+                    yield pi, sol.sigma, substitute(rhs, sol.sigma)
+
+        return Firing(ctx, universe, instances)
+
+    return PreparedRule(rule, renamed.lhs, fire, truncated)
 
 
 def _may_match(lhs: Term, hole: Term) -> bool:
@@ -429,9 +455,10 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
         # covers every variant at this position.
         if not _may_match(prepared.lhs, here):
             continue
-        for hole, frames in _decompositions(prepared.ctx, s, path, prepared.universe):
-            for pi, theta, rhs in prepared.instances(hole):
-                result = prepared.finish(_plug(frames, rhs))
+        firing = prepared.firing
+        for hole, frames in _decompositions(firing.ctx, s, path, firing.universe):
+            for pi, theta, rhs in firing.instances(hole):
+                result = firing.finish(_plug(frames, rhs))
                 key = (path, result, pi, theta)
                 if key in seen:
                     continue
@@ -541,8 +568,9 @@ def _first_step(s: Term, prepared: list[PreparedRule], innermost: bool) -> Optio
         for prep in prepared:
             if not _may_match(prep.lhs, hole):
                 continue
-            for pi, theta, rhs in prep.instances(hole):
-                return prep.step(path, pi, theta, s, s, prep.finish(replace_at(s, path, rhs)))
+            firing = prep.firing
+            for pi, theta, rhs in firing.instances(hole):
+                return prep.step(path, pi, theta, s, s, firing.finish(replace_at(s, path, rhs)))
     return None
 
 

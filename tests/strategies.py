@@ -23,7 +23,9 @@ from nomrew import (
     alpha_holds,
     atoms_of,
     fresh_holds,
+    substitute,
     swap,
+    unknowns_of,
     var,
 )
 
@@ -66,6 +68,26 @@ ground_terms_st = st.recursive(
 substs_st = st.dictionaries(unknowns_st, terms_st, max_size=3).map(Substitution)
 
 contexts_st = st.frozensets(st.tuples(atoms_st, unknowns_st), max_size=8).map(FreshnessContext)
+
+
+def sig_terms_st(theory, atoms=atoms_st, unknowns=unknowns_st):
+    """Terms over a theory's signature, most of them with rule instances
+    (redexes) inside."""
+    perms = st.lists(st.tuples(atoms, atoms), max_size=3).map(lambda swaps: Permutation(tuple(swaps)))
+    leaves = st.one_of(atoms.map(AtomTerm), st.tuples(perms, unknowns).map(lambda pu: Suspension(*pu)))
+
+    def grow(kids):
+        options = [st.tuples(atoms, kids).map(lambda ab: Abstraction(*ab))]
+        for f, n in theory.signature.arities:
+            options.append(st.lists(kids, min_size=n, max_size=n).map(lambda args, f=f: App(f, tuple(args))))
+        return st.one_of(options)
+
+    plain = st.recursive(leaves, grow, max_leaves=6)
+    # Rule instances put redexes in most draws.
+    redex = st.tuples(st.sampled_from(theory.rules), st.lists(plain, min_size=3, max_size=3)).map(
+        lambda ra: substitute(ra[0].lhs, Substitution(zip(sorted(unknowns_of(ra[0].lhs)), ra[1])))
+    )
+    return st.recursive(st.one_of(plain, redex), grow, max_leaves=3)
 
 
 def random_perm(rng: random.Random, atoms=ATOMS, max_swaps: int = 3) -> Permutation:

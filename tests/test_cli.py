@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import nomrew
+import nomrew.cli as cli_module
 from nomrew.cli import main
 
 BETAETA = resources.files("nomrew") / "theories" / "betaeta.nrw"
@@ -303,3 +304,30 @@ def test_unexpected_error_never_exits_one(capsys):
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda: built.append(1) or build())
+    cli_module._parser.cache_clear()
+    assert run(capsys, "check", str(REMARK43))[0] == 0
+    assert run(capsys, "check", str(NONCLOSED))[0] == 1
+    assert built == [1]
+
+
+def test_theory_file_is_parsed_once_per_text(tmp_path, monkeypatch, capsys):
+    parsed = []
+    parse = cli_module.parse_theory
+    monkeypatch.setattr(cli_module, "parse_theory", lambda text: parsed.append(text) or parse(text))
+    cli_module._parse_theory_text.cache_clear()
+    path = tmp_path / "swap.nrw"
+    path.write_text("sig f:1 g:1 ;\nrule r : f(X) -> g(X) ;\n")
+    for _ in range(2):
+        code, out, _ = run(capsys, "normalize", str(path), "--term", "f(a)")
+        assert code == 0 and out.splitlines()[0] == "g(a)"
+    assert len(parsed) == 1
+    path.write_text("sig f:1 g:1 ;\nrule r : g(X) -> f(X) ;\n")
+    code, out, _ = run(capsys, "normalize", str(path), "--term", "g(a)")
+    assert code == 0 and out.splitlines()[0] == "f(a)"
+    assert len(parsed) == 2

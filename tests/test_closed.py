@@ -1,6 +1,11 @@
+import dataclasses
 import random
+from collections import Counter
+from importlib import resources
 
+import hypothesis.strategies as hst
 import pytest
+from hypothesis import given, settings
 
 import nomrew.closed as closed_module
 from nomrew import (
@@ -38,9 +43,15 @@ from nomrew import (
     unknowns_of,
     var,
 )
-from nomrew.rewrite import _rename_rule, replay
-from nomrew.terms import MACHINE_MARK
-from strategies import alpha_mod_machine, random_ctx, random_term, step_classes_match
+from nomrew.matching import MatchProblem, solve_match
+from nomrew.rewrite import (
+    MAX_SUPPORT, Firing, PreparedRule, _fresh_renaming, _rename_rule, _universe, normalize, replay, rewrite_steps,
+)
+from nomrew.syntax import parse_context, parse_term, parse_theory
+from nomrew.terms import ID, MACHINE_MARK
+from strategies import (
+    ATOMS, UNKNOWNS, alpha_mod_machine, contexts_st, random_ctx, random_term, sig_terms_st, step_classes_match,
+)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X, Xp, Y = Unknown("X"), Unknown("Xp"), Unknown("Y")
@@ -368,10 +379,120 @@ def test_general_vs_closed_differential():
 
 def test_closed_preparation_refuses_shared_unknowns(monkeypatch):
     # A freshening that kept the rule's unknowns would let holes share them;
-    # the preparation refuses it once instead of matching.
+    # the preparation refuses it once instead of matching.  A rule keeps its
+    # variant once made, so fresh copies of the rules are compiled under the
+    # patched freshening.
     monkeypatch.setattr(closed_module, "freshen_rule", lambda rule, *args, **kw: FreshenedVariant(rule, {}, {}))
     s = lam(a, app(var(X), AtomTerm(a)))
     with pytest.raises(MatchProblemError):
-        closed_rewrite_step(FreshnessContext.of((a, X)), s, ETA)
+        closed_rewrite_step(FreshnessContext.of((a, X)), s, dataclasses.replace(ETA))
+    theory = dataclasses.replace(BETAETA, rules=tuple(dataclasses.replace(r) for r in BETAETA.rules))
     with pytest.raises(MatchProblemError):
-        closed_normalize(FreshnessContext.of((a, X)), s, BETAETA)
+        closed_normalize(FreshnessContext.of((a, X)), s, theory)
+
+
+# kept variants and verdicts --------------------------------------------------
+
+
+def _bundled(name):
+    return parse_theory((resources.files("nomrew") / "theories" / f"{name}.nrw").read_text())
+
+
+def test_subject_mentioning_the_kept_variant_gets_one_freshened_apart():
+    rule = next(r for r in _bundled("fol").rules if r.name == "forall_const")  # a#P |- forall([a]P) -> P
+    kept = closed_module._variant(rule)
+    (ka,), (kx,) = kept.atoms(), kept.unknowns()
+    ctx = parse_context(f"{ka.name}#{kx.name}", allow_machine=True)
+    s = parse_term(f"forall([{ka.name}]{kx.name})", allow_machine=True)
+    (step,) = closed_rewrite_step(ctx, s, rule)
+    assert step.result == var(kx)
+    assert step.freshened == freshen_rule(rule, atoms_of(ctx, s), unknowns_of(ctx, s)).renamed != kept
+    assert not step.freshened.atoms() & atoms_of(ctx, s) and not step.freshened.unknowns() & unknowns_of(ctx, s)
+    assert _fresh_renaming(rule, step.freshened, ctx, s) and not _fresh_renaming(rule, kept, ctx, s)
+    assert replay(ctx, step, rule)
+    assert closed_module._variant(rule) is kept
+
+
+def _reference_prepare(ctx, s, rule, max_support=MAX_SUPPORT):
+    """The closed preparation with nothing kept: the rule freshened against
+    each subject, and everything built up front."""
+    subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
+    frule = freshen_rule(rule, subject_atoms, subject_unknowns).renamed
+    extension = FreshnessContext(frozenset((x, y) for x in frule.atoms() for y in subject_unknowns))
+    ctx2 = ctx | extension
+    universe, _ = _universe(rule.atoms(), subject_atoms, max_support)
+    pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + [x for x in universe if x.is_machine]
+
+    def instances(hole):
+        sol = solve_match(MatchProblem(frule.ctx, frule.lhs, ctx2, hole))
+        if sol is not None:
+            yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
+
+    firing = Firing(ctx2, universe, instances, lambda t: scrub(ctx2, t, pool), frule, extension)
+    return PreparedRule(rule, frule.lhs, lambda: firing, mode="closed")
+
+
+def _same_steps(ctx, rules, got, want):
+    assert [(st.rule, st.path) for st in got] == [(st.rule, st.path) for st in want]
+    assert all(alpha_mod_machine(ctx, g.result, w.result) for g, w in zip(got, want))
+    assert all(replay(ctx, st, rules[st.rule]) for st in got)
+    # The kept variant is the one per-subject freshening picks, names and all.
+    assert got == want
+
+
+# Subjects may mention the machine names of the variants that the rules of
+# fol.nrw and betaeta.nrw keep, so that some preparations must fall back.
+_KEPT = [_bundled("fol"), _bundled("betaeta")]
+_VARIANTS = [freshen_rule(rule).renamed for theory in _KEPT for rule in theory.rules]
+_MACHINE_ATOMS = sorted(set().union(*(v.atoms() for v in _VARIANTS)))
+_MACHINE_UNKNOWNS = sorted(set().union(*(v.unknowns() for v in _VARIANTS)))
+_NAMES = [
+    (hst.sampled_from(ATOMS), hst.sampled_from(UNKNOWNS)),
+    (hst.sampled_from(ATOMS + _MACHINE_ATOMS), hst.sampled_from(UNKNOWNS + _MACHINE_UNKNOWNS)),
+]
+_kept_terms = hst.one_of(
+    [hst.tuples(hst.just(theory), sig_terms_st(theory, *names)) for theory in _KEPT for names in _NAMES]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kept_terms, contexts_st)
+def test_kept_variants_step_as_per_subject_freshening_does(theory_term, ctx):
+    theory, s = theory_term
+    rules = {rule.name: rule for rule in theory.rules}
+    for strategy in ("outermost", "innermost"):
+        got = closed_normalize(ctx, s, theory, 4, strategy)
+        want = normalize(ctx, s, theory, _reference_prepare, strategy, 4)
+        assert got.status == want.status
+        _same_steps(ctx, rules, got.trace, want.trace)
+    for rule in theory.rules:
+        _same_steps(ctx, rules, closed_rewrite_step(ctx, s, rule), rewrite_steps(s, _reference_prepare(ctx, s, rule)))
+
+
+def test_decide_equal_compiles_each_rule_once(monkeypatch):
+    theory = _bundled("fol")
+    calls = Counter()
+
+    def count(name):
+        real = getattr(closed_module, name)
+
+        def counted(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(closed_module, name, counted)
+
+    count("freshen_rule")
+    count("is_closed_rule")
+    pairs = [
+        ("", "not(not(P))", "P"),
+        ("a#P", "forall([a]P)", "P"),
+        ("", "forall([a]and(a,P))", "and(forall([b]b),forall([a]P))"),
+        ("", "imp(a,b)", "or(not(a),c)"),
+        ("b#Q", "not(forall([b]or(Q,b)))", "exists([c]not(or(Q,c)))"),
+    ]
+    for i in range(50):
+        ctx, s, t = pairs[i % len(pairs)]
+        decide_equal(parse_context(ctx), parse_term(s), parse_term(t), theory, assume_convergent=True)
+    assert 0 < calls["freshen_rule"] <= len(theory.rules)
+    assert 0 < calls["is_closed_rule"] <= len(theory.rules)

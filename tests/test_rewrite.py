@@ -52,7 +52,8 @@ from nomrew.rewrite import MAX_SUPPORT, _candidate_perms, _invertible, _may_matc
 from nomrew.syntax import parse_theory
 from nomrew.terms import MACHINE_MARK
 from strategies import (
-    FORMERS, atoms_st, contexts_st, perms_st, random_ctx, random_perm, random_term, substs_st, terms_st, unknowns_st,
+    FORMERS, atoms_st, contexts_st, perms_st, random_ctx, random_perm, random_term, sig_terms_st, substs_st, terms_st,
+    unknowns_st,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -337,24 +338,7 @@ def test_shape_test_on_bundled_rules():
     assert rejected > 500 and passed > 50
 
 
-def _sig_terms(theory):
-    leaves = hst.one_of(atoms_st.map(AtomTerm), hst.tuples(perms_st, unknowns_st).map(lambda pu: Suspension(*pu)))
-
-    def grow(kids):
-        options = [hst.tuples(atoms_st, kids).map(lambda ab: Abstraction(*ab))]
-        for f, n in theory.signature.arities:
-            options.append(hst.lists(kids, min_size=n, max_size=n).map(lambda args, f=f: App(f, tuple(args))))
-        return hst.one_of(options)
-
-    plain = hst.recursive(leaves, grow, max_leaves=6)
-    # Rule instances put redexes in most draws.
-    redex = hst.tuples(hst.sampled_from(theory.rules), hst.lists(plain, min_size=3, max_size=3)).map(
-        lambda ra: substitute(ra[0].lhs, Substitution(zip(sorted(unknowns_of(ra[0].lhs)), ra[1])))
-    )
-    return hst.recursive(hst.one_of(plain, redex), grow, max_leaves=3)
-
-
-_theory_terms = hst.sampled_from(BUNDLED).flatmap(lambda th: hst.tuples(hst.just(th), _sig_terms(th)))
+_theory_terms = hst.sampled_from(BUNDLED).flatmap(lambda th: hst.tuples(hst.just(th), sig_terms_st(th)))
 
 
 def _engine_runs(ctx, theory, s):

@@ -10,8 +10,9 @@ def test_demo_walkthrough_runs(capsys):
     assert "every step replays" in out and "found=True" in out
 
 
-def test_bench_closed_vs_general_runs(capsys):
+def test_bench_closed_vs_general_runs(capsys, monkeypatch):
     # The script asserts that both engines reach alpha-equal normal forms.
+    monkeypatch.setattr("sys.argv", ["bench_closed_vs_general.py", "1", "2", "3", "4"])
     runpy.run_path(str(SCRIPTS / "bench_closed_vs_general.py"), run_name="__main__")
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
