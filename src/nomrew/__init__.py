@@ -32,26 +32,19 @@ from .terms import (
 )
 from .alpha import (
     Derivation,
-    FreshnessConstraint,
     FreshnessContext,
     EMPTY_CTX,
     alpha_holds,
     alpha_key,
-    alpha_oracle_ground,
     check_alpha,
     check_fresh,
-    ctx_entails,
-    disagreement_set,
     fresh_holds,
-    nameless_form,
     verify_derivation,
 )
 from .matching import (
     MatchProblem,
     MatchProblemError,
     MatchSolution,
-    OracleOverflow,
-    enumerate_solutions_small,
     is_solution,
     solve_match,
 )
@@ -65,7 +58,6 @@ from .rewrite import (
     SearchResult,
     StepResults,
     Theory,
-    check_equivariance_sample,
     normalize_general,
     path_str,
     positions,
@@ -79,7 +71,6 @@ from .rewrite import (
 from .closed import (
     ClosednessResult,
     Decision,
-    FreshenedVariant,
     NotClosedError,
     PAIR_FORMER,
     closed_joinable,
@@ -88,7 +79,6 @@ from .closed import (
     closed_rewrite_step,
     decide_equal,
     freshen_rule,
-    freshen_term_in_context,
     is_closed,
     is_closed_rule,
     scrub,

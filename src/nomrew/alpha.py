@@ -1,15 +1,15 @@
 """Derivability of freshness (a # t) and alpha-equivalence (s =a= t)
 judgements under a freshness context.
 
-`check_alpha` applies the rules ~a, ~[a], ~[b], ~X, ~f by syntax-directed
-recursion, and `check_fresh` the rules #ab, #[a], #[b], #X, #f by one fold
-over the term (`terms._fold`); both answer with a replayable derivation
-tree, or None.  The fast paths answer with a plain boolean: `fresh_holds`
-walks the freshness rules with a worklist, and `alpha_holds` compares
-canonical alpha keys (`alpha_key`), flat nameless encodings built in one
-explicit-stack pass; both run in linear time at any depth.  A de Bruijn
-style conversion of ground terms (`nameless_form`) provides an independent
-oracle for alpha-equivalence.
+Each judgement is decided once, by a fast path that answers with a plain
+boolean: `fresh_holds` walks the freshness rules with a worklist, and
+`alpha_holds` compares canonical alpha keys (`alpha_key`), flat nameless
+encodings built in one explicit-stack pass; both run in linear time at any
+depth.  A derivation that holds is unique, so `check_fresh` (rules #ab,
+#[a], #[b], #X, #f) and `check_alpha` (rules ~a, ~[a], ~[b], ~X, ~f) read
+the replayable derivation tree off the term once the fast path says yes,
+with no failure branches, and answer None otherwise.  Both builds and
+`verify_derivation` keep their own stacks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .terms import (
     App,
     Atom,
     AtomTerm,
-    NominalError,
     Permutation,
     Suspension,
     Term,
@@ -30,16 +29,7 @@ from .terms import (
     _fold,
     act,
     swap,
-    unknowns_of,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class FreshnessConstraint:
-    """A pair a # t."""
-
-    atom: Atom
-    target: Term
 
 
 @dataclass(frozen=True)
@@ -67,12 +57,6 @@ class FreshnessContext:
 
     def with_pairs(self, pairs: Iterable[tuple[Atom, Unknown]]) -> "FreshnessContext":
         return FreshnessContext(self.pairs | frozenset(pairs))
-
-    def atoms(self) -> set[Atom]:
-        return {a for a, _ in self.pairs}
-
-    def unknowns(self) -> set[Unknown]:
-        return {x for _, x in self.pairs}
 
 
 EMPTY_CTX = FreshnessContext()
@@ -120,11 +104,6 @@ def check_fresh(ctx: FreshnessContext, a: Atom, t: Term) -> Optional[Derivation]
     node = lambda rule, u, children=(): Derivation(rule, ("fresh", ctx, a, u), children)
     on_abs = lambda u, body: node("#[a]", u) if u.atom == a else node("#[b]", u, (body,))
     return _fold(t, lambda u: node("#ab", u), lambda u: node("#X", u), on_abs, lambda u, args: node("#f", u, args))
-
-
-def disagreement_set(pi: Permutation, pi2: Permutation) -> frozenset[Atom]:
-    """The atoms on which the two permutations differ: supp(pi^-1 o pi2)."""
-    return (pi.inverse() * pi2).support
 
 
 # Tags that open a node in an alpha key.  Bound atoms are keyed by their
@@ -224,49 +203,42 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
 
 
 def check_alpha(ctx: FreshnessContext, s: Term, t: Term) -> Optional[Derivation]:
-    """Like alpha_holds but returns the derivation, or None."""
-    conclusion = ("alpha", ctx, s, t)
-    match (s, t):
-        case (AtomTerm(a), AtomTerm(b)):
-            return Derivation("~a", conclusion) if a == b else None
-        case (Suspension(p1, x1), Suspension(p2, x2)):
-            if x1 == x2 and all((a, x1) in ctx for a in disagreement_set(p1, p2)):
-                return Derivation("~X", conclusion)
-            return None
-        case (Abstraction(a, u), Abstraction(b, v)):
-            if a == b:
-                sub = check_alpha(ctx, u, v)
-                return Derivation("~[a]", conclusion, (sub,)) if sub else None
-            fr = check_fresh(ctx, b, u)
-            if fr is None:
-                return None
-            sub = check_alpha(ctx, act(swap(b, a), u), v)
-            return Derivation("~[b]", conclusion, (fr, sub)) if sub else None
-        case (App(f, xs), App(g, ys)):
-            if f != g or len(xs) != len(ys):
-                return None
-            subs = []
-            for u, v in zip(xs, ys):
-                sub = check_alpha(ctx, u, v)
-                if sub is None:
-                    return None
-                subs.append(sub)
-            return Derivation("~f", conclusion, tuple(subs))
-    return None
-
-
-def ctx_entails(ctx: FreshnessContext, constraints: Iterable[FreshnessConstraint | tuple[Atom, Term]]) -> bool:
-    """Does ctx derive every constraint a # t in the collection?"""
-    for c in constraints:
-        a, t = (c.atom, c.target) if isinstance(c, FreshnessConstraint) else c
-        if not fresh_holds(ctx, a, t):
-            return False
-    return True
+    """Like alpha_holds but returns the derivation, or None.  A derivation
+    that holds follows s and t down together, so once alpha_holds says yes
+    it is built on one explicit stack: a pair (u, v) to derive, or a node
+    (rule, conclusion, n) whose n children are the last n values built."""
+    if not alpha_holds(ctx, s, t):
+        return None
+    stack: list = [(s, t)]
+    values: list[Derivation] = []
+    while stack:
+        item = stack.pop()
+        if len(item) == 3:
+            rule, conclusion, n = item
+            k = len(values) - n
+            values[k:] = [Derivation(rule, conclusion, tuple(values[k:]))]
+            continue
+        u, v = item
+        conclusion = ("alpha", ctx, u, v)
+        kind = type(u)
+        if kind is AtomTerm:
+            values.append(Derivation("~a", conclusion))
+        elif kind is Suspension:
+            values.append(Derivation("~X", conclusion))
+        elif kind is App:
+            stack += (("~f", conclusion, len(u.args)), *reversed(tuple(zip(u.args, v.args))))
+        elif u.atom == v.atom:
+            stack += (("~[a]", conclusion, 1), (u.body, v.body))
+        else:  # ~[b]: the freshness child comes first
+            values.append(check_fresh(ctx, v.atom, u.body))
+            stack += (("~[b]", conclusion, 2), (act(swap(v.atom, u.atom), u.body), v.body))
+    return values[0]
 
 
 def verify_derivation(d: Derivation) -> bool:
     """Replay a derivation: check that each node is a correct application of
-    its rule to its children's conclusions."""
+    its rule to its children's conclusions, by comparing it node by node
+    with the unique derivation of its conclusion."""
     match d.conclusion:
         case ("fresh", ctx, a, t):
             expected = check_fresh(ctx, a, t)
@@ -274,47 +246,12 @@ def verify_derivation(d: Derivation) -> bool:
             expected = check_alpha(ctx, s, t)
         case _:
             return False
-    return expected is not None and _same_shape(expected, d)
-
-
-def _same_shape(a: Derivation, b: Derivation) -> bool:
-    return (
-        a.rule == b.rule
-        and a.conclusion == b.conclusion
-        and len(a.children) == len(b.children)
-        and all(_same_shape(x, y) for x, y in zip(a.children, b.children))
-    )
-
-
-class NonGroundError(NominalError):
-    pass
-
-
-def nameless_form(t: Term, binders: tuple[Atom, ...] = ()) -> tuple:
-    """Convert a ground term to a nameless (binder-indexed) tree.
-
-    Bound atoms become their de Bruijn distance to the binder, free atoms
-    stay by name.  Two ground terms are alpha-equivalent exactly when their
-    nameless forms are equal.
-    """
-    match t:
-        case AtomTerm(a):
-            for i, b in enumerate(reversed(binders)):
-                if a == b:
-                    return ("bound", i)
-            return ("free", a.name)
-        case Abstraction(a, body):
-            return ("abs", nameless_form(body, binders + (a,)))
-        case App(f, args):
-            return ("app", f, tuple(nameless_form(u, binders) for u in args))
-        case Suspension():
-            raise NonGroundError(f"term contains an unknown: {t!r}")
-    raise TypeError(f"not a term: {t!r}")
-
-
-def alpha_oracle_ground(s: Term, t: Term) -> bool:
-    """Alpha-equivalence of ground terms, decided independently of the
-    Figure-style rules via the nameless conversion."""
-    if unknowns_of(s) or unknowns_of(t):
-        raise NonGroundError("alpha_oracle_ground requires ground terms")
-    return nameless_form(s) == nameless_form(t)
+    if expected is None:
+        return False
+    work = [(expected, d)]
+    while work:
+        x, y = work.pop()
+        if x.rule != y.rule or x.conclusion != y.conclusion or len(x.children) != len(y.children):
+            return False
+        work.extend(zip(x.children, y.children))
+    return True

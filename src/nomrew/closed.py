@@ -5,9 +5,10 @@ Closed rewriting runs on the core in rewrite.py with its own preparation of
 a rule for a subject.  Each rule is freshened once, with nothing to avoid:
 its atoms and unknowns are renamed to machine names (stem$n), which no
 parsed subject can mention, and that variant is kept with the rule object
-together with its closedness verdict.  A subject only falls back to a
-variant freshened away from it when it already mentions one of the kept
-variant's names.  At the first hole whose shape can match, the context is
+together with its closedness verdict.  The closedness test matches the rule
+against that same variant, and closed steps fire it; a subject only falls
+back to a variant freshened away from it when it already mentions one of the
+kept variant's names.  At the first hole whose shape can match, the context is
 extended with freshness of the variant's atoms for the subject's unknowns,
 and each hole is solved by plain matching under the identity permutation.
 There is no permutation search at all, which is the efficiency payoff over
@@ -69,39 +70,15 @@ class NotClosedError(NominalError):
     pass
 
 
-@dataclass(frozen=True)
-class FreshenedVariant:
-    """A structure-preserving renaming to machine-fresh atoms and unknowns.
-
-    `renamed` has exactly the shape of the original with the two bijections
-    applied; the images avoid the caller's avoid sets and everything in the
-    original.
-    """
-
-    renamed: object
-    atom_map: dict
-    unknown_map: dict
-
-
-def freshen_term_in_context(
-    ctx: FreshnessContext,
-    t: Term,
-    avoid_atoms: set[Atom] = frozenset(),
-    avoid_unknowns: set[Unknown] = frozenset(),
-) -> FreshenedVariant:
-    avoid = {v.name for v in [*avoid_atoms, *avoid_unknowns]}
-    amap, umap = _fresh_maps(atoms_of(ctx, t), unknowns_of(ctx, t), avoid)
-    return FreshenedVariant((_rename_ctx(ctx, amap, umap), _rename_term(t, amap, umap)), amap, umap)
-
-
 def freshen_rule(
     rule: RewriteRule,
     avoid_atoms: set[Atom] = frozenset(),
     avoid_unknowns: set[Unknown] = frozenset(),
-) -> FreshenedVariant:
+) -> RewriteRule:
+    """The rule with its atoms and its unknowns renamed one to one to machine
+    names that avoid the given ones and everything in the rule."""
     avoid = {v.name for v in [*avoid_atoms, *avoid_unknowns]}
-    amap, umap = _fresh_maps(rule.atoms(), rule.unknowns(), avoid)
-    return FreshenedVariant(_rename_rule(rule, amap, umap), amap, umap)
+    return _rename_rule(rule, *_fresh_maps(rule.atoms(), rule.unknowns(), avoid))
 
 
 @dataclass(frozen=True)
@@ -109,7 +86,6 @@ class ClosednessResult:
     closed: bool
     problem: MatchProblem
     witness: Optional[Substitution]
-    variant: FreshenedVariant
 
     def __bool__(self):
         return self.closed
@@ -119,22 +95,27 @@ def is_closed(ctx: FreshnessContext, t: Term) -> ClosednessResult:
     """Does (ctx |- t) match its own freshened variant under ctx extended
     with freshness of all the variant's atoms for all of t's unknowns?  The
     answer does not depend on which freshened variant is chosen."""
-    variant = freshen_term_in_context(ctx, t)
-    fresh_ctx, fresh_t = variant.renamed
-    extension = {
-        (a, x)
-        for a in atoms_of(fresh_ctx, fresh_t)
-        for x in unknowns_of(ctx, t)
-    }
-    problem = MatchProblem(fresh_ctx, fresh_t, ctx.with_pairs(extension), t)
-    sol = solve_match(problem)
-    return ClosednessResult(sol is not None, problem, sol.sigma if sol else None, variant)
+    amap, umap = _fresh_maps(atoms_of(ctx, t), unknowns_of(ctx, t), set())
+    return _match_variant(ctx, t, _rename_ctx(ctx, amap, umap), _rename_term(t, amap, umap))
 
 
 def is_closed_rule(rule: RewriteRule) -> ClosednessResult:
     """A rule (or axiom) is closed when its context paired with both sides,
-    packed with a reserved pair former, is closed."""
-    return is_closed(rule.ctx, App(PAIR_FORMER, (rule.lhs, rule.rhs)))
+    packed with a reserved pair former, is closed.  The variant matched is
+    the one the rule keeps for closed rewriting; paired up, it is the very
+    variant that is_closed picks for the pair."""
+    variant = _variant(rule)
+    pair = lambda r: App(PAIR_FORMER, (r.lhs, r.rhs))
+    return _match_variant(rule.ctx, pair(rule), variant.ctx, pair(variant))
+
+
+def _match_variant(ctx: FreshnessContext, t: Term, fresh_ctx: FreshnessContext, fresh_t: Term) -> ClosednessResult:
+    """Match (fresh_ctx |- fresh_t), a freshened variant of (ctx |- t),
+    against t under ctx extended with freshness of the variant's atoms."""
+    extension = {(a, x) for a in atoms_of(fresh_ctx, fresh_t) for x in unknowns_of(ctx, t)}
+    problem = MatchProblem(fresh_ctx, fresh_t, ctx.with_pairs(extension), t)
+    sol = solve_match(problem)
+    return ClosednessResult(sol is not None, problem, sol.sigma if sol else None)
 
 
 def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
@@ -165,7 +146,7 @@ def _variant(rule: RewriteRule) -> RewriteRule:
     """The rule freshened with nothing to avoid, made once per rule object."""
     compiled = rule.compiled
     if "variant" not in compiled:
-        compiled["variant"] = freshen_rule(rule).renamed
+        compiled["variant"] = freshen_rule(rule)
     return compiled["variant"]
 
 
@@ -199,7 +180,7 @@ def _prepare_closed(
         # as freshening avoids both); only then is the rule freshened again.
         taken = {v.name for v in (*subject_atoms, *subject_unknowns)}
         if any(v.name in taken for v in (*frule.atoms(), *frule.unknowns())):
-            frule = freshen_rule(rule, subject_atoms, subject_unknowns).renamed
+            frule = freshen_rule(rule, subject_atoms, subject_unknowns)
         _require_apart(unknowns_of(frule.ctx, frule.lhs), subject_unknowns)
         extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
         ctx2 = ctx | extension

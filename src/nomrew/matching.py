@@ -29,7 +29,6 @@ from .terms import (
     Atom,
     AtomTerm,
     NominalError,
-    Permutation,
     Substitution,
     Suspension,
     Term,
@@ -37,20 +36,14 @@ from .terms import (
     act,
     atoms_of,
     fresh_names,
-    subterms,
     substitute,
     swap,
-    term_size,
     unknowns_of,
 )
 
 
 class MatchProblemError(NominalError):
     pass
-
-
-class OracleOverflow(NominalError):
-    """The brute-force oracle refused an input beyond its documented bounds."""
 
 
 def _require_apart(pattern_unknowns: set[Unknown], target_unknowns: set[Unknown]) -> None:
@@ -157,46 +150,3 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
     assert is_solution(problem, sigma)
     return MatchSolution(sigma)
 
-
-MAX_ORACLE_NODES = 12
-MAX_ORACLE_UNKNOWNS = 3
-
-
-def enumerate_solutions_small(problem: MatchProblem, atom_budget: int = 1) -> list[Substitution]:
-    """Brute-force matching oracle for desk-scale problems.
-
-    Candidate images are the subterms of the target (plus bare atoms) closed
-    under all permutations of the problem's atoms plus `atom_budget` spare
-    atoms; every assignment of pattern unknowns to candidates is filtered
-    through is_solution.  Used to certify no-match answers in tests.
-    Raises OracleOverflow beyond its documented bounds rather than silently
-    truncating.
-    """
-    if term_size(problem.target) > MAX_ORACLE_NODES:
-        raise OracleOverflow(f"target has more than {MAX_ORACLE_NODES} nodes")
-    pattern_unknowns = sorted(unknowns_of(problem.pattern_ctx, problem.pattern))
-    if len(pattern_unknowns) > MAX_ORACLE_UNKNOWNS:
-        raise OracleOverflow(f"pattern has more than {MAX_ORACLE_UNKNOWNS} unknowns")
-
-    base = atoms_of(problem.pattern_ctx, problem.pattern, problem.target_ctx, problem.target)
-    spare_names = fresh_names("s", atom_budget, {a.name for a in base})
-    universe = sorted(base) + [Atom(n) for n in spare_names]
-
-    seeds = list(subterms(problem.target)) + [AtomTerm(a) for a in universe]
-    candidates = set()
-    for perm_images in itertools.permutations(universe):
-        pi = Permutation.from_mapping(dict(zip(universe, perm_images)))
-        for u in seeds:
-            candidates.add(act(pi, u))
-    ordered = sorted(candidates, key=repr)
-
-    out = []
-    seen = set()
-    for images in itertools.product(ordered, repeat=len(pattern_unknowns)):
-        sigma = Substitution(zip(pattern_unknowns, images))
-        if sigma in seen:
-            continue
-        seen.add(sigma)
-        if is_solution(problem, sigma):
-            out.append(sigma)
-    return out

@@ -112,7 +112,7 @@ class RewriteRule:
     lhs: Term
     rhs: Term
 
-    def validate(self, signature: Signature | None = None) -> None:
+    def validate(self) -> None:
         lhs_unknowns = unknowns_of(self.lhs)
         extra = unknowns_of(self.rhs) - lhs_unknowns
         if extra:
@@ -126,9 +126,6 @@ class RewriteRule:
             # A completely unconstrained variable lhs would rewrite every
             # term to an instance of the rhs; reject it as degenerate.
             raise RuleError(f"rule {self.name}: lhs is an unconstrained variable")
-        if signature is not None:
-            signature.check_term(self.lhs)
-            signature.check_term(self.rhs)
 
     def atoms(self) -> frozenset[Atom]:
         return self._names[0]
@@ -158,14 +155,6 @@ class Theory:
     rules: tuple[RewriteRule, ...]
     kind: str = "rewrite"
     name: str = ""
-
-    def validate(self) -> None:
-        seen = set()
-        for rule in self.rules:
-            if rule.name in seen:
-                raise RuleError(f"duplicate rule name {rule.name}")
-            seen.add(rule.name)
-            rule.validate(self.signature)
 
     def atoms(self) -> set[Atom]:
         out: set[Atom] = set()
@@ -708,6 +697,8 @@ def symmetric_search(
     """
     if gamma_budget is None:
         gamma_budget = len(theory.atoms())
+    if gamma_budget < 0:
+        raise ValueError("gamma_budget must not be negative")
     unknowns = sorted(unknowns_of(ctx, s, t))
     used = {a.name for a in atoms_of(ctx, s, t) | theory.atoms()}
     gamma_pairs = []
@@ -747,18 +738,3 @@ def symmetric_search(
         frontier = nxt
     return SearchResult(False, None, gamma, ctx2)
 
-
-def check_equivariance_sample(
-    ctx: FreshnessContext,
-    s: Term,
-    t: Term,
-    rule: RewriteRule,
-    pi: Permutation,
-    max_support: int = MAX_SUPPORT,
-) -> bool:
-    """Given that s one-step rewrites to t, confirm pi.s one-step rewrites
-    to pi.t (equivariance of the one-step relation).  The target's atoms are
-    added to the search universe so the witnessing permutation is in range."""
-    target = act(pi, t)
-    steps = rewrite_step_general(ctx, act(pi, s), rule, max_support, extra_atoms=atoms_of(target))
-    return any(alpha_holds(ctx, step.result, target) for step in steps)

@@ -231,23 +231,6 @@ class _Parser:
                 self.next()
         return FreshnessContext(frozenset(pairs))
 
-    def _turnstile_before_rule_body(self) -> bool:
-        depth = 0
-        ahead = 0
-        while True:
-            tok = self.peek(ahead)
-            if tok.kind == "EOF" or tok.kind == "SEMI":
-                return False
-            if tok.kind == "TURNSTILE" and depth == 0:
-                return True
-            if tok.kind in ("ARROW", "EQ") and depth == 0:
-                return False
-            if tok.kind == "LPAREN":
-                depth += 1
-            elif tok.kind == "RPAREN":
-                depth -= 1
-            ahead += 1
-
     def theory(self) -> Theory:
         # Rules are checked against the signature as they are parsed, so sig
         # statements must precede the rules that use their formers.
@@ -277,7 +260,10 @@ class _Parser:
                 rule_tok = self.expect("IDENT", "a rule name")
                 self.expect("COLON", "':'")
                 ctx = FreshnessContext(frozenset())
-                if self._turnstile_before_rule_body():
+                # A body has a context exactly when it opens with one: no
+                # term starts with '|-' or with an identifier and '#'.
+                first = self.peek().kind
+                if first == "TURNSTILE" or (first == "IDENT" and self.peek(1).kind == "HASH"):
                     ctx = self.context()
                     self.expect("TURNSTILE", "'|-'")
                 lhs = self.term()

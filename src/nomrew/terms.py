@@ -406,21 +406,12 @@ class Signature:
     def __contains__(self, former: str) -> bool:
         return any(name == former for name, _ in self.arities)
 
-    def check_term(self, t: Term) -> None:
-        """Raise SignatureError if t applies an undeclared or misused former.
-        Reserved machine formers (containing $) pass unchecked."""
-        for u in subterms(t):
-            if isinstance(u, App) and MACHINE_MARK not in u.former:
-                if len(u.args) != self.arity(u.former):
-                    raise SignatureError(
-                        f"former {u.former} has arity {self.arity(u.former)}, applied to {len(u.args)} arguments"
-                    )
-
-
 
 def fresh_names(base: str, count: int, avoid: set[str]) -> list[str]:
     """Deterministically pick `count` machine names base$0, base$1, ... that
     avoid the given names."""
+    if count < 0:
+        raise ValueError("count must not be negative")
     out: list[str] = []
     for n in itertools.count():
         if len(out) == count:

@@ -4,7 +4,9 @@ Most functions here are the plain syntax-directed recursion that the
 library's walker replaced with an explicit stack (`terms._fold` or a
 worklist).  The property tests in test_walkers.py check that the two agree
 on small terms; these references raise RecursionError on terms about a
-thousand deep, which is why the library does not use them.  At the end are
+thousand deep, which is why the library does not use them.  `check_alpha`
+is the rule-by-rule alpha check that test_alpha.py and test_rewrite.py
+compare `alpha_holds` and the library's `check_alpha` against.  At the end are
 the swap-list reading of a permutation and the matcher that copies the
 pattern body under each mismatched binder, which test_terms.py and
 test_matching.py compare `Permutation` and `solve_match` against.
@@ -121,6 +123,41 @@ def check_fresh(ctx, a, t):
                     return None
                 subs.append(sub)
             return Derivation("#f", conclusion, tuple(subs))
+
+
+def check_alpha(ctx, s, t):
+    """The rules ~a, ~[a], ~[b], ~X, ~f applied by syntax-directed recursion,
+    each failing where its side condition does; the library reads the same
+    derivation off alpha_holds instead."""
+    conclusion = ("alpha", ctx, s, t)
+    match (s, t):
+        case (AtomTerm(a), AtomTerm(b)):
+            return Derivation("~a", conclusion) if a == b else None
+        case (Suspension(p1, x1), Suspension(p2, x2)):
+            # the disagreement set of p1 and p2 is supp(p1^-1 o p2)
+            if x1 == x2 and all((a, x1) in ctx for a in (p1.inverse() * p2).support):
+                return Derivation("~X", conclusion)
+            return None
+        case (Abstraction(a, u), Abstraction(b, v)):
+            if a == b:
+                sub = check_alpha(ctx, u, v)
+                return Derivation("~[a]", conclusion, (sub,)) if sub else None
+            fr = check_fresh(ctx, b, u)
+            if fr is None:
+                return None
+            sub = check_alpha(ctx, act(swap(b, a), u), v)
+            return Derivation("~[b]", conclusion, (fr, sub)) if sub else None
+        case (App(f, xs), App(g, ys)):
+            if f != g or len(xs) != len(ys):
+                return None
+            subs = []
+            for u, v in zip(xs, ys):
+                sub = check_alpha(ctx, u, v)
+                if sub is None:
+                    return None
+                subs.append(sub)
+            return Derivation("~f", conclusion, tuple(subs))
+    return None
 
 
 def pretty_perm(pi):

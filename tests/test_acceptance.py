@@ -21,15 +21,12 @@ from nomrew import (
     Unknown,
     act,
     alpha_holds,
-    alpha_oracle_ground,
     atoms_of,
     closed_normalize,
     closed_rewrite_step,
-    enumerate_solutions_small,
     fresh_holds,
     is_closed_rule,
     is_solution,
-    nameless_form,
     rewrite_closure_reachable,
     replay_step,
     rewrite_step_general,
@@ -44,6 +41,7 @@ from nomrew import (
 from nomrew.cli import main as cli_main
 from nomrew.matching import MatchProblem
 from nomrew.syntax import parse_term, parse_theory
+from oracles import alpha_oracle_ground, enumerate_solutions_small, nameless_form
 from strategies import (
     alpha_mod_machine,
     alpha_perturb,

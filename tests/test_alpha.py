@@ -5,33 +5,30 @@ import hypothesis.strategies as hst
 import pytest
 from hypothesis import given, settings
 
+import reference_walkers as ref
 from nomrew import (
     Abstraction,
     App,
     Atom,
     AtomTerm,
+    Derivation,
     EMPTY_CTX,
-    FreshnessConstraint,
     FreshnessContext,
-    ID,
     Suspension,
     Unknown,
     act,
     alpha_holds,
     alpha_key,
-    alpha_oracle_ground,
     check_alpha,
     check_fresh,
-    ctx_entails,
-    disagreement_set,
     fresh_holds,
     swap,
     term_depth,
     var,
     verify_derivation,
 )
-from nomrew.alpha import NonGroundError
 from nomrew.rewrite import ReachableSet
+from oracles import NonGroundError, alpha_oracle_ground
 from strategies import alpha_perturb, contexts_st, ground_terms_st, random_ctx, random_perm, random_term, terms_st
 
 a, b, c, d = Atom("a"), Atom("b"), Atom("c"), Atom("d")
@@ -51,13 +48,6 @@ def test_fresh_suspension_uses_inverse():
     ctx = FreshnessContext.of((b, X))
     assert fresh_holds(ctx, a, Suspension(swap(a, b), X))
     assert not fresh_holds(EMPTY_CTX, a, var(X))
-
-
-def test_disagreement_set():
-    assert disagreement_set(ID, ID) == frozenset()
-    assert disagreement_set(swap(a, b), swap(a, b).inverse()) == frozenset()
-    assert disagreement_set(swap(a, b), ID) == {a, b}
-    assert disagreement_set(swap(a, b), swap(a, b) * swap(c, d)) == {c, d}
 
 
 def test_alpha_abstractions():
@@ -93,11 +83,20 @@ def test_derivations_replay():
     assert [child.rule for child in d.children] == ["#ab", "~a"]
 
 
-def test_ctx_entails():
-    assert ctx_entails(EMPTY_CTX, [])
-    ctx = FreshnessContext.of((a, X))
-    assert ctx_entails(ctx, [FreshnessConstraint(a, App("f", (var(X), AtomTerm(b))))])
-    assert not ctx_entails(EMPTY_CTX, [(a, var(X))])
+def test_a_tampered_derivation_does_not_replay():
+    s, t = App("f", (Abstraction(a, AtomTerm(a)), AtomTerm(c))), App("f", (Abstraction(b, AtomTerm(b)), AtomTerm(c)))
+    d = check_alpha(EMPTY_CTX, s, t)
+    (left, right) = d.children
+    bad = [
+        Derivation("~f", d.conclusion, (left,)),  # a child missing
+        Derivation("~f", d.conclusion, (left, Derivation("~X", right.conclusion))),  # a wrong rule
+        Derivation("~f", d.conclusion, (right, left)),  # children swapped
+        Derivation("~f", ("alpha", EMPTY_CTX, s, s), d.children),  # a wrong conclusion
+        Derivation("~f", ("alpha", EMPTY_CTX, s, AtomTerm(c)), d.children),  # not derivable
+        Derivation("~f", ("equal", EMPTY_CTX, s, t), d.children),  # no such judgement
+    ]
+    assert verify_derivation(d)
+    assert not any(verify_derivation(x) for x in bad)
 
 
 def test_oracle_examples():
@@ -193,7 +192,7 @@ def test_oracle_agreement_random(s, t, rng):
         assert alpha_holds(EMPTY_CTX, left, right) == alpha_oracle_ground(left, right)
 
 
-# alpha_holds compares alpha keys; check_alpha applies the rules ----------------
+# alpha_holds compares alpha keys; the reference check_alpha applies the rules --
 
 
 def _pairs(rng, ctx, s, t):
@@ -204,7 +203,7 @@ def _pairs(rng, ctx, s, t):
 
 
 def _assert_agrees(ctx, s, t) -> bool:
-    derivable = check_alpha(ctx, s, t) is not None
+    derivable = ref.check_alpha(ctx, s, t) is not None
     assert alpha_holds(ctx, s, t) == derivable
     assert alpha_holds(ctx, t, s) == derivable
     return derivable
@@ -238,8 +237,33 @@ def test_alpha_key_tokens_cannot_collide():
         (App("a", ()), AtomTerm(a)),
     ]
     for s, t in pairs:
-        assert check_alpha(EMPTY_CTX, s, t) is None
+        assert ref.check_alpha(EMPTY_CTX, s, t) is None
         assert alpha_key(EMPTY_CTX, s) != alpha_key(EMPTY_CTX, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(contexts_st, terms_st, terms_st, hst.randoms(use_true_random=False))
+def test_check_alpha_reads_off_the_reference_derivation(ctx, s, t, rng):
+    derived = []
+    for left, right in _pairs(rng, ctx, s, t):
+        d = check_alpha(ctx, left, right)
+        assert d == ref.check_alpha(ctx, left, right)
+        assert d is None or verify_derivation(d)
+        derived.append(d is not None)
+    assert derived[1]  # the alpha-variant pair always holds; the seeded test counts both verdicts
+
+
+def test_check_alpha_reads_off_the_reference_derivation_seeded():
+    rng = random.Random(59)
+    verdicts = {True: 0, False: 0}
+    for _ in range(500):
+        ctx = random_ctx(rng)
+        s, t = random_term(rng, depth=5), random_term(rng, depth=5)
+        for left, right in _pairs(rng, ctx, s, t):
+            d = check_alpha(ctx, left, right)
+            assert d == ref.check_alpha(ctx, left, right)
+            verdicts[d is not None] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 300
 
 
 # depth --------------------------------------------------------------------------
@@ -258,6 +282,24 @@ def test_alpha_on_deep_renamed_chains(n):
     s = renamed_chain(n, "s", n // 2)
     assert alpha_holds(EMPTY_CTX, s, renamed_chain(n, "t", n // 2))
     assert not alpha_holds(EMPTY_CTX, s, renamed_chain(n, "t", n // 2 + 1))
+
+
+def same_binder_chain(n: int) -> Abstraction:
+    """[a]...[a]a, n binders deep, built without recursion."""
+    t = AtomTerm(a)
+    for _ in range(n):
+        t = Abstraction(a, t)
+    return t
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_derivations_on_deep_same_binder_chains(n):
+    s, t = same_binder_chain(n), same_binder_chain(n)
+    d = check_alpha(EMPTY_CTX, s, t)
+    assert d.rule == "~[a]" and verify_derivation(d)
+    assert check_alpha(EMPTY_CTX, s, Abstraction(b, t)) is None
+    fr = check_fresh(EMPTY_CTX, b, s)
+    assert fr.rule == "#[b]" and verify_derivation(fr)
 
 
 def test_reachable_set_takes_deep_terms():

@@ -14,7 +14,6 @@ from nomrew import (
     Atom,
     AtomTerm,
     EMPTY_CTX,
-    FreshenedVariant,
     FreshnessContext,
     MatchProblemError,
     NotClosedError,
@@ -31,7 +30,6 @@ from nomrew import (
     closed_rewrite_step,
     decide_equal,
     freshen_rule,
-    freshen_term_in_context,
     is_closed,
     is_closed_rule,
     is_solution,
@@ -45,7 +43,8 @@ from nomrew import (
 )
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
-    MAX_SUPPORT, Firing, PreparedRule, _fresh_renaming, _rename_rule, _universe, normalize, replay, rewrite_steps,
+    MAX_SUPPORT, Firing, PreparedRule, _fresh_maps, _fresh_renaming, _rename_rule, _rename_term, _universe, normalize,
+    replay, rewrite_steps,
 )
 from nomrew.syntax import parse_context, parse_term, parse_theory
 from nomrew.terms import ID, MACHINE_MARK
@@ -95,8 +94,7 @@ BETAETA = Theory(
 
 def test_freshen_abstractions_get_distinct_atoms():
     t = Abstraction(a, Abstraction(b, var(X)))
-    fv = freshen_term_in_context(EMPTY_CTX, t)
-    _, renamed = fv.renamed
+    renamed = _rename_term(t, *_fresh_maps(atoms_of(t), unknowns_of(t), set()))
     assert isinstance(renamed, Abstraction)
     outer, inner = renamed.atom, renamed.body.atom
     assert outer != inner
@@ -105,11 +103,10 @@ def test_freshen_abstractions_get_distinct_atoms():
 
 
 def test_freshen_constraint():
-    fv = freshen_term_in_context(FreshnessContext.of((a, X)), var(X))
-    ctx, t = fv.renamed
-    (fa, fx), = list(ctx)
+    fresh = freshen_rule(RewriteRule("r", FreshnessContext.of((a, X)), var(X), App("f", (var(X),))))
+    (fa, fx), = list(fresh.ctx)
     assert fa.is_machine and fx.is_machine
-    assert t.unknown == fx
+    assert fresh.lhs.unknown == fx
 
 
 def test_freshen_never_identifies_atoms():
@@ -120,32 +117,30 @@ def test_freshen_never_identifies_atoms():
         # Machine names on the term's own stems, which freshening must skip.
         skip = rng.randint(0, 3)
         taken = {Atom(f"{x.name}{MACHINE_MARK}{n}") for x in atoms_of(ctx, t) for n in range(skip)}
-        fv = freshen_term_in_context(ctx, t, taken)
-        assert len(set(fv.atom_map.values())) == len(fv.atom_map)
-        assert len(set(fv.unknown_map.values())) == len(fv.unknown_map)
+        amap, umap = _fresh_maps(atoms_of(ctx, t), unknowns_of(ctx, t), {x.name for x in taken})
+        assert len(set(amap.values())) == len(amap)
+        assert len(set(umap.values())) == len(umap)
         originals = atoms_of(ctx, t) | unknowns_of(ctx, t) | taken
-        images = set(fv.atom_map.values()) | set(fv.unknown_map.values())
+        images = set(amap.values()) | set(umap.values())
         assert not originals & images
+        # freshen_rule renames a rule by the same maps, avoiding the same names
+        rule = RewriteRule("r", ctx, t, t)
+        fresh = freshen_rule(rule, taken)
+        assert fresh == _rename_rule(rule, amap, umap)
+        assert not (fresh.atoms() | fresh.unknowns()) & originals
 
 
 def test_freshen_rule_is_structure_preserving():
-    fv = freshen_rule(ETA)
-    renamed = fv.renamed
-    assert substitute(renamed.lhs, _inverse_subst(fv)) is not None  # shape sanity
+    renamed = freshen_rule(ETA)
+    amap, umap = _fresh_maps(ETA.atoms(), ETA.unknowns(), set())
     assert renamed.name == ETA.name
     assert len(renamed.ctx) == len(ETA.ctx)
-    # applying the recorded bijections to the original reproduces the variant
-    from nomrew.closed import _rename_ctx, _rename_term
+    # applying the bijections to the original reproduces the variant
+    from nomrew.closed import _rename_ctx
 
-    assert _rename_term(ETA.lhs, fv.atom_map, fv.unknown_map) == renamed.lhs
-    assert _rename_term(ETA.rhs, fv.atom_map, fv.unknown_map) == renamed.rhs
-    assert _rename_ctx(ETA.ctx, fv.atom_map, fv.unknown_map) == renamed.ctx
-
-
-def _inverse_subst(fv):
-    from nomrew import Substitution
-
-    return Substitution({x2: var(x1) for x1, x2 in fv.unknown_map.items()})
+    assert _rename_term(ETA.lhs, amap, umap) == renamed.lhs
+    assert _rename_term(ETA.rhs, amap, umap) == renamed.rhs
+    assert _rename_ctx(ETA.ctx, amap, umap) == renamed.ctx
 
 
 # closedness ------------------------------------------------------------------
@@ -189,10 +184,35 @@ def _renamed_copy(rule: RewriteRule) -> RewriteRule:
 def test_closedness_verdict_is_independent_of_names():
     for rule in (ETA, ATOM_AB, STRIP, EXPAND, *BETAETA.rules):
         copy = _renamed_copy(rule)
-        assert freshen_rule(copy).renamed != freshen_rule(rule).renamed
+        assert freshen_rule(copy) != freshen_rule(rule)
         assert is_closed_rule(copy).closed == is_closed_rule(rule).closed
     assert is_closed_rule(_renamed_copy(ETA)).closed
     assert not is_closed_rule(_renamed_copy(ATOM_AB)).closed
+
+
+def test_closedness_of_a_rule_matches_its_kept_variant(monkeypatch):
+    # is_closed_rule matches the variant the rule keeps for closed rewriting;
+    # is_closed freshens the pair term itself.  The two pick the same names.
+    freshenings = Counter()
+    real = closed_module.freshen_rule
+
+    def counted(rule, *args):
+        freshenings[id(rule)] += 1
+        return real(rule, *args)
+
+    monkeypatch.setattr(closed_module, "freshen_rule", counted)
+    bundled = [rule for name in ("betaeta", "fol", "nonclosed", "remark43") for rule in _bundled(name).rules]
+    assert len(bundled) == 15
+    verdicts = set()
+    for rule in bundled + [_renamed_copy(rule) for rule in bundled]:
+        got = is_closed_rule(rule)
+        assert freshenings[id(rule)] == 1  # the kept variant, made here
+        want = is_closed(rule.ctx, App(PAIR_FORMER, (rule.lhs, rule.rhs)))
+        assert (got.closed, got.witness, got.problem) == (want.closed, want.witness, want.problem)
+        assert is_closed_rule(rule) == got
+        assert freshenings[id(rule)] == 1  # none beyond it
+        verdicts.add(got.closed)
+    assert verdicts == {True, False}
 
 
 # closed steps ----------------------------------------------------------------
@@ -382,7 +402,7 @@ def test_closed_preparation_refuses_shared_unknowns(monkeypatch):
     # the preparation refuses it once instead of matching.  A rule keeps its
     # variant once made, so fresh copies of the rules are compiled under the
     # patched freshening.
-    monkeypatch.setattr(closed_module, "freshen_rule", lambda rule, *args, **kw: FreshenedVariant(rule, {}, {}))
+    monkeypatch.setattr(closed_module, "freshen_rule", lambda rule, *args, **kw: rule)
     s = lam(a, app(var(X), AtomTerm(a)))
     with pytest.raises(MatchProblemError):
         closed_rewrite_step(FreshnessContext.of((a, X)), s, dataclasses.replace(ETA))
@@ -406,7 +426,7 @@ def test_subject_mentioning_the_kept_variant_gets_one_freshened_apart():
     s = parse_term(f"forall([{ka.name}]{kx.name})", allow_machine=True)
     (step,) = closed_rewrite_step(ctx, s, rule)
     assert step.result == var(kx)
-    assert step.freshened == freshen_rule(rule, atoms_of(ctx, s), unknowns_of(ctx, s)).renamed != kept
+    assert step.freshened == freshen_rule(rule, atoms_of(ctx, s), unknowns_of(ctx, s)) != kept
     assert not step.freshened.atoms() & atoms_of(ctx, s) and not step.freshened.unknowns() & unknowns_of(ctx, s)
     assert _fresh_renaming(rule, step.freshened, ctx, s) and not _fresh_renaming(rule, kept, ctx, s)
     assert replay(ctx, step, rule)
@@ -417,7 +437,7 @@ def _reference_prepare(ctx, s, rule, max_support=MAX_SUPPORT):
     """The closed preparation with nothing kept: the rule freshened against
     each subject, and everything built up front."""
     subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
-    frule = freshen_rule(rule, subject_atoms, subject_unknowns).renamed
+    frule = freshen_rule(rule, subject_atoms, subject_unknowns)
     extension = FreshnessContext(frozenset((x, y) for x in frule.atoms() for y in subject_unknowns))
     ctx2 = ctx | extension
     universe, _ = _universe(rule.atoms(), subject_atoms, max_support)
@@ -443,7 +463,7 @@ def _same_steps(ctx, rules, got, want):
 # Subjects may mention the machine names of the variants that the rules of
 # fol.nrw and betaeta.nrw keep, so that some preparations must fall back.
 _KEPT = [_bundled("fol"), _bundled("betaeta")]
-_VARIANTS = [freshen_rule(rule).renamed for theory in _KEPT for rule in theory.rules]
+_VARIANTS = [freshen_rule(rule) for theory in _KEPT for rule in theory.rules]
 _MACHINE_ATOMS = sorted(set().union(*(v.atoms() for v in _VARIANTS)))
 _MACHINE_UNKNOWNS = sorted(set().union(*(v.unknowns() for v in _VARIANTS)))
 _NAMES = [

@@ -16,12 +16,10 @@ from nomrew import (
     FreshnessContext,
     MatchProblem,
     MatchProblemError,
-    OracleOverflow,
     Substitution,
     Suspension,
     Unknown,
     alpha_holds,
-    enumerate_solutions_small,
     freshen_rule,
     is_solution,
     solve_match,
@@ -33,6 +31,7 @@ from nomrew import (
 )
 from nomrew.rewrite import _rename_rule
 from nomrew.syntax import parse_theory
+from oracles import OracleOverflow, enumerate_solutions_small
 from strategies import alpha_perturb, contexts_st, random_ctx, random_term, substs_st, terms_st
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -222,7 +221,7 @@ def test_solve_match_agrees_with_eager_reference_on_bundled_rules():
     hits = 0
     for rule in rules:
         apart = _rename_rule(rule, {}, {x: Unknown(x.name + "$") for x in rule.unknowns()})
-        fresh = freshen_rule(rule).renamed
+        fresh = freshen_rule(rule)
         for pattern in (apart, fresh):
             for other in rules:
                 extension = {(a, x) for a in fresh.atoms() for x in other.unknowns()}

@@ -15,9 +15,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nomrew"
 
 ALLOWED = {
     "syntax._Parser.term": "recursive descent; an operator-stack parser is still to come",
-    "alpha.check_alpha": "the rule-by-rule reference that tests compare alpha_holds against",
-    "alpha._same_shape": "compares derivations as deep as check_alpha's, in verify_derivation",
-    "alpha.nameless_form": "the ground alpha oracle, kept independent of the engine's walkers",
     "rewrite._fresh_renaming.walk": "walks the sides of a rule, which are written by hand",
     "cli._deriv_json": "prints derivations of parsed terms, and the parser recurses as deep",
     "cli._print_deriv": "prints the dict that _deriv_json built",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import nomrew.rewrite as rewrite_module
+import reference_walkers as ref
 from nomrew import (
     Abstraction,
     App,
@@ -27,8 +28,6 @@ from nomrew import (
     act,
     alpha_holds,
     atoms_of,
-    check_alpha,
-    check_equivariance_sample,
     closed_joinable,
     closed_normalize,
     closed_reachable,
@@ -51,6 +50,7 @@ from nomrew import (
 from nomrew.rewrite import MAX_SUPPORT, _candidate_perms, _invertible, _may_match, _rename_term, _universe
 from nomrew.syntax import parse_theory
 from nomrew.terms import MACHINE_MARK
+from oracles import check_equivariance_sample
 from strategies import (
     FORMERS, atoms_st, contexts_st, perms_st, random_ctx, random_perm, random_term, sig_terms_st, substs_st, terms_st,
     unknowns_st,
@@ -261,6 +261,14 @@ def test_symmetric_search_uses_reversed_rules():
     assert res.found
 
 
+def test_symmetric_search_refuses_a_negative_gamma_budget():
+    th = Theory(SIG, (BETA_VAR,))
+    for s in (var(X), AtomTerm(b)):  # the budget names gamma atoms only when there are unknowns
+        with pytest.raises(ValueError):
+            symmetric_search(EMPTY_CTX, s, AtomTerm(b), th, fuel=5, gamma_budget=-1)
+    assert symmetric_search(EMPTY_CTX, var(X), var(X), th, gamma_budget=0).gamma == EMPTY_CTX
+
+
 def test_equivariance_samples():
     s = app(lam(a, AtomTerm(a)), AtomTerm(b))
     steps = rewrite_step_general(EMPTY_CTX, s, BETA_VAR)
@@ -372,18 +380,18 @@ def test_general_preparation_refuses_shared_unknowns(monkeypatch):
         normalize_general(EMPTY_CTX, s, BETAETA)
 
 
-# reachability and search against scans of check_alpha ----------------------------
+# reachability and search against scans of the reference check_alpha --------------
 
 
 class _ScanSet:
     """The reference for ReachableSet: a list of representatives and
-    membership by a scan of check_alpha."""
+    membership by a scan of the rule-by-rule check_alpha."""
 
     def __init__(self, ctx):
         self.ctx, self.reps = ctx, []
 
     def __contains__(self, t):
-        return any(check_alpha(self.ctx, rep, t) is not None for rep in self.reps)
+        return any(ref.check_alpha(self.ctx, rep, t) is not None for rep in self.reps)
 
     def add(self, t):
         if t in self:
@@ -400,8 +408,9 @@ class _ScanSet:
 
 def _scan_search(ctx, s, t, theory, fuel):
     """symmetric_search's breadth-first loop with the target test and the
-    visited set done by check_alpha scans; ctx is the extended context."""
-    same = lambda u, v: check_alpha(ctx, u, v) is not None
+    visited set done by scans of the rule-by-rule check_alpha; ctx is the
+    extended context."""
+    same = lambda u, v: ref.check_alpha(ctx, u, v) is not None
     rules = list(theory.rules) + [
         RewriteRule(r.name + "~", r.ctx, r.rhs, r.lhs) for r in theory.rules if _invertible(r)
     ]

