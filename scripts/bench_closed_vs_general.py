@@ -3,15 +3,20 @@
 tries candidate permutations at every position whose shape can match the
 rule) and with the closed engine (plain matching of each rule's one
 freshened variant), assert that both reach alpha-equal normal forms, and
-print the time each took.
+print the time each took and the match calls each made.  Closed makes one
+match per hole that passes the shape test; general makes up to one per
+candidate permutation at each such hole.
 
     python scripts/bench_closed_vs_general.py [HEIGHT ...]   # default 1 to 6
 """
 
 import sys
 import time
+from contextlib import contextmanager
 from importlib import resources
 
+import nomrew.closed
+import nomrew.rewrite
 from nomrew import EMPTY_CTX, alpha_holds, closed_normalize, normalize_general
 from nomrew.syntax import parse_term, parse_theory, pretty
 
@@ -23,24 +28,45 @@ def redex_tower(height: int) -> str:
     return term
 
 
+@contextmanager
+def counting_matches(module):
+    """Count the calls the engine module makes to solve_match."""
+    real = module.solve_match
+    calls = [0]
+
+    def counted(problem):
+        calls[0] += 1
+        return real(problem)
+
+    module.solve_match = counted
+    try:
+        yield calls
+    finally:
+        module.solve_match = real
+
+
 def main(heights):
     theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
-    print(f"{'height':>6} {'closed (s)':>12} {'general (s)':>12} {'steps':>6}")
+    print(f"{'height':>6} {'closed (s)':>12} {'general (s)':>12} {'steps':>6} {'closed matches':>15} "
+          f"{'general matches':>16}")
     for height in heights:
         term = parse_term(redex_tower(height), theory.signature)
 
-        t0 = time.perf_counter()
-        closed = closed_normalize(EMPTY_CTX, term, theory, fuel=500)
-        closed_s = time.perf_counter() - t0
+        with counting_matches(nomrew.closed) as closed_matches:
+            t0 = time.perf_counter()
+            closed = closed_normalize(EMPTY_CTX, term, theory, fuel=500)
+            closed_s = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        general = normalize_general(EMPTY_CTX, term, theory, fuel=500)
-        general_s = time.perf_counter() - t0
+        with counting_matches(nomrew.rewrite) as general_matches:
+            t0 = time.perf_counter()
+            general = normalize_general(EMPTY_CTX, term, theory, fuel=500)
+            general_s = time.perf_counter() - t0
 
         assert closed.status == general.status == "normal_form"
         assert alpha_holds(EMPTY_CTX, closed.term, general.term), (
             pretty(closed.term), pretty(general.term))
-        print(f"{height:>6} {closed_s:>12.3f} {general_s:>12.3f} {len(closed.trace):>6}")
+        print(f"{height:>6} {closed_s:>12.3f} {general_s:>12.3f} {len(closed.trace):>6} {closed_matches[0]:>15} "
+              f"{general_matches[0]:>16}")
 
 
 if __name__ == "__main__":

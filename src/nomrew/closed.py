@@ -34,9 +34,11 @@ from .rewrite import (
     ReachableSet,
     RewriteRule,
     StepResults,
+    Subject,
     Theory,
     _complete_perm,
     _fresh_maps,
+    _kept_names,
     _rename_ctx,
     _rename_rule,
     _rename_term,
@@ -159,8 +161,7 @@ def _is_closed(rule: RewriteRule) -> bool:
 
 
 def _prepare_closed(
-    ctx: FreshnessContext,
-    s: Term,
+    subject: Subject,
     rule: RewriteRule,
     max_support: int = MAX_SUPPORT,
 ) -> PreparedRule:
@@ -169,11 +170,12 @@ def _prepare_closed(
     extended with freshness of the variant's atoms for the subject's
     unknowns; each hole is solved by plain matching and results are
     scrubbed.  All of that but the variant is built at the first hole that
-    passes the shape test."""
+    passes the shape test, from the subject's names that every rule's
+    preparation shares."""
     variant = _variant(rule)
 
     def fire() -> Firing:
-        subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
+        ctx, subject_atoms, subject_unknowns = subject.ctx, subject.atoms, subject.unknowns
         frule = variant
         # The kept variant is the one freshening away from the subject would
         # pick unless the subject mentions one of its names (of either sort,
@@ -181,7 +183,7 @@ def _prepare_closed(
         taken = {v.name for v in (*subject_atoms, *subject_unknowns)}
         if any(v.name in taken for v in (*frule.atoms(), *frule.unknowns())):
             frule = freshen_rule(rule, subject_atoms, subject_unknowns)
-        _require_apart(unknowns_of(frule.ctx, frule.lhs), subject_unknowns)
+        _require_apart(_kept_names(frule)[1], subject_unknowns)
         extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
         ctx2 = ctx | extension
         # Same variant universe as the general engine so the two step
@@ -208,7 +210,7 @@ def closed_rewrite_step(
 ) -> StepResults:
     """All closed one-step rewrites of s by the rule, modulo alpha on the
     subject."""
-    return rewrite_steps(s, _prepare_closed(ctx, s, rule, max_support))
+    return rewrite_steps(s, _prepare_closed(Subject(ctx, s), rule, max_support))
 
 
 def closed_normalize(

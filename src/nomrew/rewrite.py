@@ -14,14 +14,24 @@ The core is written once: step enumeration over positions x alpha-variants
 (`rewrite_steps`), the first step under a strategy and normalization
 (`normalize`), reachability (`reachable`) and replay (`replay`).  The two
 engines differ only in how one rule is prepared for one subject, which is a
-`PreparedRule` made once per subject.  The general preparation here renames
-the rule's unknowns away from the subject's and tries the candidate
-permutations over a universe; the closed preparation (closed.py) matches the
-rule's fixed freshened variant under an extended context and the identity
-permutation, and scrubs the result.  The core asks a preparation for
-instances only at positions that pass a shape test against the prepared lhs
-(`_may_match`), and a preparation builds what it needs for that (its
-`Firing`) only when the first hole passes.
+`PreparedRule` made once per subject.  The core walks each subject once for
+its atoms and unknowns (`Subject`), and every rule's preparation reads them.
+The general preparation here renames the rule's unknowns away from the
+subject's and tries the candidate permutations over a universe; the closed
+preparation (closed.py) matches the rule's fixed freshened variant under an
+extended context and the identity permutation, and scrubs the result.  The
+core asks a preparation for instances only at positions that pass a shape
+test against the prepared lhs (`_may_match`), and a preparation builds what
+it needs for that (its `Firing`) only when the first hole passes.
+
+What does not depend on the step is not redone at each step.  The renamed
+rule depends only on the unknowns it shares with the subject, so it is kept
+with the rule, with its sorted atoms and lhs unknowns, once per shared set; a
+subject that mentions a machine unknown (stem$n, a name the renaming may
+pick) falls back to a rule renamed for it alone.  The permuted sides
+(pi, pi.lhs, pi.rhs) depend only on the renamed rule and the universe, so
+`normalize_general`, `rewrite_closure_reachable` and `symmetric_search` keep
+them in a dict of their own for the length of the call.
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -230,6 +240,29 @@ class Firing:
 
 
 @dataclass(frozen=True)
+class Subject:
+    """A term to rewrite under a context.  Its atoms and unknowns (the
+    context's included) are collected on first use and then read by every
+    rule prepared for it, so one step walks the subject once for each."""
+
+    ctx: FreshnessContext
+    term: Term
+
+    @cached_property
+    def atoms(self) -> frozenset[Atom]:
+        return frozenset(atoms_of(self.ctx, self.term))
+
+    @cached_property
+    def unknowns(self) -> frozenset[Unknown]:
+        return frozenset(unknowns_of(self.ctx, self.term))
+
+    @cached_property
+    def machine(self) -> bool:
+        """Does the subject mention a machine-named unknown?"""
+        return any(x.is_machine for x in self.unknowns)
+
+
+@dataclass(frozen=True)
 class PreparedRule:
     """One rule made ready by one engine to fire on one subject.
 
@@ -300,11 +333,31 @@ def _fresh_maps(atoms, unknowns, avoid_names: set[str]) -> tuple[dict[Atom, Atom
 
 
 def _freshen_rule_unknowns(rule: RewriteRule, away_from: set[Unknown]) -> RewriteRule:
+    """The rule with the unknowns it shares with away_from renamed to
+    machine names apart from both.  Those names (stem$n) depend only on the
+    shared set unless away_from already holds a machine name, so otherwise
+    the renamed rule is made once per shared set and kept with the rule."""
     clashing = rule.unknowns() & away_from
     if not clashing:
         return rule
-    _, renaming = _fresh_maps((), clashing, {x.name for x in rule.unknowns() | away_from})
-    return _rename_rule(rule, {}, renaming)
+    machine = any(x.is_machine for x in away_from)
+    kept = rule.compiled.setdefault("apart", {})
+    if machine or clashing not in kept:
+        _, renaming = _fresh_maps((), clashing, {x.name for x in rule.unknowns() | away_from})
+        renamed = _rename_rule(rule, {}, renaming)
+        if machine:
+            return renamed
+        kept[clashing] = renamed
+    return kept[clashing]
+
+
+def _kept_names(rule: RewriteRule) -> tuple[list[Atom], set[Unknown]]:
+    """The rule's atoms in name order and the unknowns of its context and
+    lhs, collected once per rule object."""
+    compiled = rule.compiled
+    if "general" not in compiled:
+        compiled["general"] = sorted(rule.atoms()), unknowns_of(rule.ctx, rule.lhs)
+    return compiled["general"]
 
 
 def _universe(rule_atoms: set[Atom], other_atoms: set[Atom], max_support: int) -> tuple[list[Atom], bool]:
@@ -342,24 +395,39 @@ def _candidate_perms(rule_atoms: list[Atom], universe: list[Atom]) -> list[Permu
 
 
 def _prepare_general(
-    ctx: FreshnessContext,
-    s: Term,
+    subject: Subject,
     rule: RewriteRule,
     max_support: int = MAX_SUPPORT,
     extra_atoms: set[Atom] = frozenset(),
+    sides: dict | None = None,
 ) -> PreparedRule:
     """Rename the rule's unknowns away from the subject's, then try every
     candidate permutation over the universe of rule, subject and extra
-    atoms.  The permuted sides are built once, when the first hole passes
-    the shape test."""
-    subject_unknowns = unknowns_of(ctx, s)
-    renamed = _freshen_rule_unknowns(rule, subject_unknowns)
-    _require_apart(unknowns_of(renamed.ctx, renamed.lhs), subject_unknowns)
-    rule_atoms = sorted(renamed.atoms())
-    universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), max_support)
+    atoms.
+
+    The renamed rule, its sorted atoms and its lhs unknowns are kept with
+    the rule, per set of unknowns it shares with the subject; a subject
+    that mentions a machine unknown gets a rule renamed for it alone.  The
+    permuted sides (pi, pi.lhs, pi.rhs) are built when the first hole passes
+    the shape test.  A caller running many steps passes `sides`, a dict it
+    owns, and they are then built once per kept renamed rule and universe
+    for the length of its call."""
+    ctx = subject.ctx
+    renamed = _freshen_rule_unknowns(rule, subject.unknowns)
+    rule_atoms, lhs_unknowns = _kept_names(renamed)
+    _require_apart(lhs_unknowns, subject.unknowns)
+    universe, truncated = _universe(renamed.atoms(), subject.atoms | extra_atoms, max_support)
 
     def fire() -> Firing:
-        permuted = [(pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in _candidate_perms(rule_atoms, universe)]
+        if sides is None or subject.machine:
+            permuted = _permuted_sides(renamed, rule_atoms, universe)
+        else:
+            # Keyed by identity; the entry holds the renamed rule, so no other
+            # object takes its id while the dict lives.
+            key = (id(renamed), tuple(universe))
+            if key not in sides:
+                sides[key] = renamed, _permuted_sides(renamed, rule_atoms, universe)
+            permuted = sides[key][1]
 
         def instances(hole: Term):
             for pi, lhs, rhs in permuted:
@@ -370,6 +438,11 @@ def _prepare_general(
         return Firing(ctx, universe, instances)
 
     return PreparedRule(rule, renamed.lhs, fire, truncated)
+
+
+def _permuted_sides(rule: RewriteRule, rule_atoms: list[Atom], universe: list[Atom]) -> list[tuple]:
+    """Each candidate permutation with the rule's two sides permuted by it."""
+    return [(pi, act(pi, rule.lhs), act(pi, rule.rhs)) for pi in _candidate_perms(rule_atoms, universe)]
 
 
 def _may_match(lhs: Term, hole: Term) -> bool:
@@ -466,7 +539,7 @@ def rewrite_step_general(
     """All one-step rewrites of s by the rule, modulo alpha on the subject,
     within a permutation universe of max_support atoms.  extra_atoms widens
     the universe (used when a specific target is in mind)."""
-    return rewrite_steps(s, _prepare_general(ctx, s, rule, max_support, extra_atoms))
+    return rewrite_steps(s, _prepare_general(Subject(ctx, s), rule, max_support, extra_atoms))
 
 
 def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessContext, s: Term) -> bool:
@@ -572,7 +645,8 @@ def normalize(
     fuel: int = 500,
 ) -> NormalizeResult:
     """Apply first steps under the strategy (default outermost), preparing
-    every rule once per subject, until none applies or the fuel runs out.
+    every rule once per subject with `prepare(subject, rule)`, until none
+    applies or the fuel runs out.
     The status is normal_form, truncated when no step was found but some
     permutation search was cut short, or fuel_exhausted."""
     if fuel <= 0:
@@ -582,7 +656,8 @@ def normalize(
     trace: list[RewriteStep] = []
     current = s
     while True:
-        prepared = [prepare(ctx, current, rule) for rule in theory.rules]
+        subject = Subject(ctx, current)
+        prepared = [prepare(subject, rule) for rule in theory.rules]
         step = _first_step(current, prepared, strategy == "innermost")
         if step is None:
             status = "truncated" if any(p.truncated for p in prepared) else "normal_form"
@@ -602,7 +677,8 @@ def normalize_general(
     max_support: int = MAX_SUPPORT,
 ) -> NormalizeResult:
     """Normalize by general rewriting steps."""
-    return normalize(ctx, s, theory, partial(_prepare_general, max_support=max_support), strategy, fuel)
+    prepare = partial(_prepare_general, max_support=max_support, sides={})
+    return normalize(ctx, s, theory, prepare, strategy, fuel)
 
 
 class ReachableSet:
@@ -646,8 +722,9 @@ def reachable(
     for _ in range(fuel):
         new: list[Term] = []
         for t in frontier:
+            subject = Subject(ctx, t)
             for rule in theory.rules:
-                for step in rewrite_steps(t, prepare(ctx, t, rule)):
+                for step in rewrite_steps(t, prepare(subject, rule)):
                     if reached.add(step.result):
                         new.append(step.result)
         if not new:
@@ -664,7 +741,7 @@ def rewrite_closure_reachable(
     max_support: int = MAX_SUPPORT,
 ) -> ReachableSet:
     """Everything reachable from s in at most `fuel` general steps."""
-    return reachable(ctx, s, theory, partial(_prepare_general, max_support=max_support), fuel)
+    return reachable(ctx, s, theory, partial(_prepare_general, max_support=max_support, sides={}), fuel)
 
 
 @dataclass
@@ -721,14 +798,16 @@ def symmetric_search(
 
     frontier: list[tuple[Term, list[RewriteStep]]] = [(s, [])]
     expansions = 0
+    sides: dict = {}
     while frontier and expansions < fuel:
         nxt: list[tuple[Term, list[RewriteStep]]] = []
         for u, trace in frontier:
             if expansions >= fuel:
                 break
             expansions += 1
+            subject = Subject(ctx2, u)
             for rule in rules:
-                for step in rewrite_step_general(ctx2, u, rule, max_support):
+                for step in rewrite_steps(u, _prepare_general(subject, rule, max_support, sides=sides)):
                     key = alpha_key(ctx2, step.result)
                     if key == target:
                         return SearchResult(True, trace + [step], gamma, ctx2)

@@ -26,7 +26,6 @@ from nomrew import (
     substitute,
     swap,
     unknowns_of,
-    var,
 )
 
 ATOMS = [Atom(n) for n in ("a", "b", "c", "d")]

@@ -22,6 +22,7 @@ from nomrew import (
     act,
     alpha_holds,
     atoms_of,
+    check_alpha,
     closed_normalize,
     closed_rewrite_step,
     fresh_holds,
@@ -204,15 +205,23 @@ def _ground_terms_by_depth(max_depth):
 
 
 def test_criterion_07_alpha_oracle_equivalence():
-    with criterion(7, "check_alpha agrees with the nameless oracle, exhaustive depth 3", budget=60.0):
+    description = "alpha_holds agrees with the nameless oracle, exhaustive depth 3; check_alpha on a sample"
+    with criterion(7, description, budget=60.0):
         terms = _ground_terms_by_depth(3)
         assert len(terms) > 100
         assert alpha_oracle_ground(terms[0], terms[0])  # oracle sanity on a ground input
         # alpha_oracle_ground(s, t) is nameless_form(s) == nameless_form(t);
         # precomputing the forms makes the exhaustive sweep quadratic-cheap.
         forms = [(t, nameless_form(t)) for t in terms]
-        for (s, sform), (t, tform) in itertools.product(forms, forms):
+        pairs = list(itertools.product(forms, forms))
+        for (s, sform), (t, tform) in pairs:
             assert alpha_holds(EMPTY_CTX, s, t) == (sform == tform)
+        # check_alpha builds the derivation: a seeded sample of 2,000 of the
+        # sweep's pairs, and every alpha-equivalent pair, since few drawn are.
+        equal = [pair for pair in pairs if pair[0][1] == pair[1][1]]
+        sample = random.Random(7).sample(pairs, 2000) + equal
+        for (s, sform), (t, tform) in sample:
+            assert (check_alpha(EMPTY_CTX, s, t) is not None) == (sform == tform)
 
 
 def _patterns():

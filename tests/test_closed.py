@@ -43,8 +43,8 @@ from nomrew import (
 )
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
-    MAX_SUPPORT, Firing, PreparedRule, _fresh_maps, _fresh_renaming, _rename_rule, _rename_term, _universe, normalize,
-    replay, rewrite_steps,
+    MAX_SUPPORT, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _rename_rule, _rename_term, _universe,
+    normalize, replay, rewrite_steps,
 )
 from nomrew.syntax import parse_context, parse_term, parse_theory
 from nomrew.terms import ID, MACHINE_MARK
@@ -433,9 +433,10 @@ def test_subject_mentioning_the_kept_variant_gets_one_freshened_apart():
     assert closed_module._variant(rule) is kept
 
 
-def _reference_prepare(ctx, s, rule, max_support=MAX_SUPPORT):
+def _reference_prepare(subject, rule, max_support=MAX_SUPPORT):
     """The closed preparation with nothing kept: the rule freshened against
     each subject, and everything built up front."""
+    ctx, s = subject.ctx, subject.term
     subject_atoms, subject_unknowns = atoms_of(ctx, s), unknowns_of(ctx, s)
     frule = freshen_rule(rule, subject_atoms, subject_unknowns)
     extension = FreshnessContext(frozenset((x, y) for x in frule.atoms() for y in subject_unknowns))
@@ -486,7 +487,8 @@ def test_kept_variants_step_as_per_subject_freshening_does(theory_term, ctx):
         assert got.status == want.status
         _same_steps(ctx, rules, got.trace, want.trace)
     for rule in theory.rules:
-        _same_steps(ctx, rules, closed_rewrite_step(ctx, s, rule), rewrite_steps(s, _reference_prepare(ctx, s, rule)))
+        want = rewrite_steps(s, _reference_prepare(Subject(ctx, s), rule))
+        _same_steps(ctx, rules, closed_rewrite_step(ctx, s, rule), want)
 
 
 def test_decide_equal_compiles_each_rule_once(monkeypatch):

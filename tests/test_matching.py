@@ -19,14 +19,12 @@ from nomrew import (
     Substitution,
     Suspension,
     Unknown,
-    alpha_holds,
     freshen_rule,
     is_solution,
     solve_match,
     subterms,
     substitute,
     swap,
-    unknowns_of,
     var,
 )
 from nomrew.rewrite import _rename_rule

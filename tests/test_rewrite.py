@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from importlib import resources
 from unittest import mock
 
@@ -22,7 +23,6 @@ from nomrew import (
     RuleError,
     Signature,
     Substitution,
-    Suspension,
     Theory,
     Unknown,
     act,
@@ -47,13 +47,15 @@ from nomrew import (
     unknowns_of,
     var,
 )
-from nomrew.rewrite import MAX_SUPPORT, _candidate_perms, _invertible, _may_match, _rename_term, _universe
-from nomrew.syntax import parse_theory
+from nomrew.rewrite import (
+    MAX_SUPPORT, Firing, PreparedRule, Subject, _candidate_perms, _fresh_maps, _invertible, _may_match, _rename_rule,
+    _rename_term, _universe, normalize, reachable, rewrite_steps,
+)
+from nomrew.syntax import parse_term, parse_theory
 from nomrew.terms import MACHINE_MARK
 from oracles import check_equivariance_sample
 from strategies import (
-    FORMERS, atoms_st, contexts_st, perms_st, random_ctx, random_perm, random_term, sig_terms_st, substs_st, terms_st,
-    unknowns_st,
+    FORMERS, contexts_st, perms_st, random_ctx, random_perm, random_term, sig_terms_st, substs_st, terms_st,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -482,3 +484,94 @@ def test_symmetric_search_matches_scan_reference():
         assert (res.found, res.trace) == _scan_search(res.ctx, s, t, theory, fuel=3)
         found += res.found
     assert 5 < found < 35
+
+
+# kept general preparations against per-subject renaming ----------------------------
+
+
+def _reference_prepare_general(subject, rule, max_support=MAX_SUPPORT, extra_atoms=frozenset(), sides=None):
+    """The general preparation with nothing kept: the rule's unknowns renamed
+    apart from each subject, and every permuted side built up front.  sides
+    is accepted and ignored."""
+    ctx, s = subject.ctx, subject.term
+    subject_unknowns = unknowns_of(ctx, s)
+    clashing = rule.unknowns() & subject_unknowns
+    renamed = _rename_rule(rule, {}, _fresh_maps((), clashing, {x.name for x in rule.unknowns() | subject_unknowns})[1])
+    rule_atoms = sorted(renamed.atoms())
+    universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), max_support)
+    permuted = [(pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in _candidate_perms(rule_atoms, universe)]
+
+    def instances(hole):
+        for pi, lhs, rhs in permuted:
+            sol = solve_match(MatchProblem(renamed.ctx, lhs, ctx, hole))
+            if sol is not None:
+                yield pi, sol.sigma, substitute(rhs, sol.sigma)
+
+    firing = Firing(ctx, universe, instances)
+    return PreparedRule(rule, renamed.lhs, lambda: firing, truncated)
+
+
+# Half of the subjects mention the machine names that the kept renamings of
+# these rules pick, in the context and maybe in the term, so that those
+# preparations must fall back to renaming for the subject alone.  The
+# theories are module-level, so what one example keeps with a rule is there
+# for the next.
+_KEPT_THEORIES = [th for th in BUNDLED if th.name in ("betaeta", "nonclosed", "remark43")]
+_RULE_UNKNOWNS = [X, Xp, Y]
+_MACHINE_UNKNOWNS = [Unknown(f"{x.name}{MACHINE_MARK}0") for x in _RULE_UNKNOWNS]
+_machine_contexts = hst.tuples(contexts_st, hst.sampled_from([a, b, c]), hst.sampled_from(_MACHINE_UNKNOWNS)).map(
+    lambda cax: cax[0] | FreshnessContext.of(cax[1:])
+)
+_kept_general_cases = hst.one_of([
+    hst.tuples(hst.just(theory), sig_terms_st(theory, unknowns=hst.sampled_from(names)), sig_terms_st(theory), ctxs)
+    for theory in _KEPT_THEORIES
+    for names, ctxs in ((_RULE_UNKNOWNS, contexts_st), (_RULE_UNKNOWNS + _MACHINE_UNKNOWNS, _machine_contexts))
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kept_general_cases)
+def test_kept_general_preparation_steps_as_per_subject_renaming_does(case):
+    theory, s, t, ctx = case
+    for strategy in ("outermost", "innermost"):
+        got = normalize_general(ctx, s, theory, strategy, fuel=4)
+        assert got == normalize(ctx, s, theory, _reference_prepare_general, strategy, 4)
+    for rule in theory.rules:
+        got = rewrite_step_general(ctx, s, rule)
+        want = rewrite_steps(s, _reference_prepare_general(Subject(ctx, s), rule))
+        assert (got, got.truncated) == (want, want.truncated)
+    got = list(rewrite_closure_reachable(ctx, s, theory, fuel=2))
+    assert got == list(reachable(ctx, s, theory, _reference_prepare_general, 2))
+    # One target a step away, so that searches find something, and one drawn,
+    # which most searches do not find and so expand a second subject.
+    steps = [step for rule in theory.rules for step in rewrite_step_general(ctx, s, rule)]
+    for target, fuel in [(step.result, 1) for step in steps[:1]] + [(t, 2)]:
+        res = symmetric_search(ctx, s, target, theory, fuel=fuel)
+        with mock.patch.object(rewrite_module, "_prepare_general", _reference_prepare_general):
+            want = symmetric_search(ctx, s, target, theory, fuel=fuel)
+        assert (res.found, res.trace) == (want.found, want.trace)
+
+
+def test_general_renamings_are_kept_per_clashing_set(monkeypatch):
+    # A theory of its own, so nothing is kept yet.  Renaming at every
+    # preparation makes 650 renamings of these 50 normalizations.
+    theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
+    calls = Counter()
+    real = rewrite_module._rename_rule
+
+    def counted(rule, amap, umap):
+        calls[rule.name, frozenset(umap)] += 1
+        return real(rule, amap, umap)
+
+    monkeypatch.setattr(rewrite_module, "_rename_rule", counted)
+    subjects = [
+        "app(lam([a]app(X,a)),Y)",
+        "app(lam([a]app(Xp,X)),app(lam([b]b),Y))",
+        "lam([a]app(app(lam([b]b),X),a))",
+        "app(lam([a]lam([b]app(X,b))),Y)",
+        "app(lam([a]app(lam([c]c),a)),app(Y,Xp))",
+    ]
+    for i in range(50):
+        res = normalize_general(EMPTY_CTX, parse_term(subjects[i % len(subjects)], theory.signature), theory)
+        assert res.status == "normal_form"
+    assert len(calls) > 3 and max(calls.values()) == 1

@@ -14,8 +14,13 @@ def test_bench_closed_vs_general_runs(capsys, monkeypatch):
     # The script asserts that both engines reach alpha-equal normal forms.
     monkeypatch.setattr("sys.argv", ["bench_closed_vs_general.py", "1", "2", "3", "4"])
     runpy.run_path(str(SCRIPTS / "bench_closed_vs_general.py"), run_name="__main__")
-    rows = capsys.readouterr().out.splitlines()[1:]
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[-4:] == ["closed", "matches", "general", "matches"]
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
+    for row in rows:
+        steps, closed_matches, general_matches = map(int, row.split()[3:])
+        # Every step is one successful match in each engine.
+        assert steps > 0 and closed_matches >= steps and general_matches >= steps
 
 
 def test_alpha_scaling_runs(capsys, monkeypatch):
