@@ -38,7 +38,6 @@ from .rewrite import (
     Theory,
     _complete_perm,
     _fresh_maps,
-    _kept_names,
     _rename_ctx,
     _rename_rule,
     _rename_term,
@@ -183,7 +182,7 @@ def _prepare_closed(
         taken = {v.name for v in (*subject_atoms, *subject_unknowns)}
         if any(v.name in taken for v in (*frule.atoms(), *frule.unknowns())):
             frule = freshen_rule(rule, subject_atoms, subject_unknowns)
-        _require_apart(_kept_names(frule)[1], subject_unknowns)
+        _require_apart(frule.lhs_unknowns, subject_unknowns)
         extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
         ctx2 = ctx | extension
         # Same variant universe as the general engine so the two step

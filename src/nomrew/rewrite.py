@@ -26,12 +26,13 @@ it needs for that (its `Firing`) only when the first hole passes.
 
 What does not depend on the step is not redone at each step.  The renamed
 rule depends only on the unknowns it shares with the subject, so it is kept
-with the rule, with its sorted atoms and lhs unknowns, once per shared set; a
-subject that mentions a machine unknown (stem$n, a name the renaming may
+with the rule once per shared set, and its names are collected once with it;
+a subject that mentions a machine unknown (stem$n, a name the renaming may
 pick) falls back to a rule renamed for it alone.  The permuted sides
 (pi, pi.lhs, pi.rhs) depend only on the renamed rule and the universe, so
 `normalize_general`, `rewrite_closure_reachable` and `symmetric_search` keep
-them in a dict of their own for the length of the call.
+them in a dict of their own for the length of the call
+(`rewrite_step_general`'s call is one step).
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -150,6 +151,12 @@ class RewriteRule:
         return frozenset(atoms_of(*parts)), frozenset(unknowns_of(*parts))
 
     @cached_property
+    def lhs_unknowns(self) -> frozenset[Unknown]:
+        """The unknowns of the context and the lhs, which a subject may not
+        share with the rule when the rule fires on it."""
+        return frozenset(unknowns_of(self.ctx, self.lhs))
+
+    @cached_property
     def compiled(self) -> dict:
         """What an engine works out once for this rule object and keeps with
         it (closed.py keeps the rule's variant and closedness verdict)."""
@@ -256,11 +263,6 @@ class Subject:
     def unknowns(self) -> frozenset[Unknown]:
         return frozenset(unknowns_of(self.ctx, self.term))
 
-    @cached_property
-    def machine(self) -> bool:
-        """Does the subject mention a machine-named unknown?"""
-        return any(x.is_machine for x in self.unknowns)
-
 
 @dataclass(frozen=True)
 class PreparedRule:
@@ -351,15 +353,6 @@ def _freshen_rule_unknowns(rule: RewriteRule, away_from: set[Unknown]) -> Rewrit
     return kept[clashing]
 
 
-def _kept_names(rule: RewriteRule) -> tuple[list[Atom], set[Unknown]]:
-    """The rule's atoms in name order and the unknowns of its context and
-    lhs, collected once per rule object."""
-    compiled = rule.compiled
-    if "general" not in compiled:
-        compiled["general"] = sorted(rule.atoms()), unknowns_of(rule.ctx, rule.lhs)
-    return compiled["general"]
-
-
 def _universe(rule_atoms: set[Atom], other_atoms: set[Atom], max_support: int) -> tuple[list[Atom], bool]:
     """The atom universe for the permutation search: rule atoms, then the
     context/subject atoms, then machine-fresh spares, capped at max_support
@@ -399,35 +392,33 @@ def _prepare_general(
     rule: RewriteRule,
     max_support: int = MAX_SUPPORT,
     extra_atoms: set[Atom] = frozenset(),
-    sides: dict | None = None,
+    *,
+    sides: dict,
 ) -> PreparedRule:
     """Rename the rule's unknowns away from the subject's, then try every
     candidate permutation over the universe of rule, subject and extra
     atoms.
 
-    The renamed rule, its sorted atoms and its lhs unknowns are kept with
-    the rule, per set of unknowns it shares with the subject; a subject
-    that mentions a machine unknown gets a rule renamed for it alone.  The
-    permuted sides (pi, pi.lhs, pi.rhs) are built when the first hole passes
-    the shape test.  A caller running many steps passes `sides`, a dict it
-    owns, and they are then built once per kept renamed rule and universe
-    for the length of its call."""
+    The renamed rule is kept with the rule, per set of unknowns it shares
+    with the subject; a subject that mentions a machine unknown gets a rule
+    renamed for it alone.  The permuted sides (pi, pi.lhs, pi.rhs) are built
+    when the first hole passes the shape test, and kept in `sides`, a dict
+    the caller owns, once per renamed rule and universe: a caller running
+    many steps passes one dict for its whole call."""
     ctx = subject.ctx
     renamed = _freshen_rule_unknowns(rule, subject.unknowns)
-    rule_atoms, lhs_unknowns = _kept_names(renamed)
-    _require_apart(lhs_unknowns, subject.unknowns)
+    _require_apart(renamed.lhs_unknowns, subject.unknowns)
     universe, truncated = _universe(renamed.atoms(), subject.atoms | extra_atoms, max_support)
 
     def fire() -> Firing:
-        if sides is None or subject.machine:
-            permuted = _permuted_sides(renamed, rule_atoms, universe)
-        else:
-            # Keyed by identity; the entry holds the renamed rule, so no other
-            # object takes its id while the dict lives.
-            key = (id(renamed), tuple(universe))
-            if key not in sides:
-                sides[key] = renamed, _permuted_sides(renamed, rule_atoms, universe)
-            permuted = sides[key][1]
+        # Keyed by identity; the entry holds the renamed rule, so no other
+        # object takes its id while the dict lives.  A rule renamed for one
+        # subject alone gets an entry that no other subject reads.
+        key = (id(renamed), tuple(universe))
+        if key not in sides:
+            perms = _candidate_perms(sorted(renamed.atoms()), universe)
+            sides[key] = renamed, [(pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in perms]
+        permuted = sides[key][1]
 
         def instances(hole: Term):
             for pi, lhs, rhs in permuted:
@@ -438,11 +429,6 @@ def _prepare_general(
         return Firing(ctx, universe, instances)
 
     return PreparedRule(rule, renamed.lhs, fire, truncated)
-
-
-def _permuted_sides(rule: RewriteRule, rule_atoms: list[Atom], universe: list[Atom]) -> list[tuple]:
-    """Each candidate permutation with the rule's two sides permuted by it."""
-    return [(pi, act(pi, rule.lhs), act(pi, rule.rhs)) for pi in _candidate_perms(rule_atoms, universe)]
 
 
 def _may_match(lhs: Term, hole: Term) -> bool:
@@ -539,7 +525,7 @@ def rewrite_step_general(
     """All one-step rewrites of s by the rule, modulo alpha on the subject,
     within a permutation universe of max_support atoms.  extra_atoms widens
     the universe (used when a specific target is in mind)."""
-    return rewrite_steps(s, _prepare_general(Subject(ctx, s), rule, max_support, extra_atoms))
+    return rewrite_steps(s, _prepare_general(Subject(ctx, s), rule, max_support, extra_atoms, sides={}))
 
 
 def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessContext, s: Term) -> bool:
