@@ -40,7 +40,7 @@ from .syntax import (
     pretty_subst,
     pretty_theory,
 )
-from .terms import Atom, AtomTerm, NominalError, Permutation, Substitution, Unknown
+from .terms import Atom, AtomTerm, NominalError, Permutation, Signature, Substitution, Unknown
 
 SCHEMA = 1
 
@@ -99,26 +99,23 @@ def _step_json(step: RewriteStep) -> dict:
     return out
 
 
-def _step_from_json(data: dict) -> RewriteStep:
+def _step_from_json(data: dict, signature: Signature) -> RewriteStep:
+    """The step a report records, its terms parsed under the theory's
+    signature so that a nullary former reads back as a former, not an atom."""
+    term = lambda text: parse_term(text, signature, allow_machine=True)
     freshened = None
     if data.get("freshened"):
         fr = data["freshened"]
-        freshened = RewriteRule(
-            fr["name"],
-            parse_context(fr["ctx"], allow_machine=True),
-            parse_term(fr["lhs"], allow_machine=True),
-            parse_term(fr["rhs"], allow_machine=True),
-        )
+        ctx = parse_context(fr["ctx"], allow_machine=True)
+        freshened = RewriteRule(fr["name"], ctx, term(fr["lhs"]), term(fr["rhs"]))
     return RewriteStep(
         rule=data["rule"],
         path=tuple(data["path"]),
         perm=Permutation(tuple((Atom(a), Atom(b)) for a, b in data["perm"])),
-        subst=Substitution(
-            (Unknown(x), parse_term(t, allow_machine=True)) for x, t in data["subst"].items()
-        ),
-        source=parse_term(data["source"], allow_machine=True),
-        variant=parse_term(data["variant"], allow_machine=True),
-        result=parse_term(data["result"], allow_machine=True),
+        subst=Substitution((Unknown(x), term(t)) for x, t in data["subst"].items()),
+        source=term(data["source"]),
+        variant=term(data["variant"]),
+        result=term(data["result"]),
         mode=data["mode"],
         freshened=freshened,
         ctx_extension=FreshnessContext(
@@ -184,7 +181,7 @@ def cmd_normalize(args) -> int:
         res = normalize_general(ctx, term, theory, args.strategy, args.fuel, args.max_support)
         mode = "general"
     else:
-        res = closed_normalize(ctx, term, theory, args.fuel, args.strategy, args.max_support)
+        res = closed_normalize(ctx, term, theory, args.fuel, args.strategy)
         mode = "closed"
     if not args.json:
         print(pretty(res.term))
@@ -301,7 +298,7 @@ def cmd_step(args) -> int:
         if args.general:
             got = rewrite_step_general(ctx, term, rule, args.max_support)
         else:
-            got = closed_rewrite_step(ctx, term, rule, args.max_support)
+            got = closed_rewrite_step(ctx, term, rule)
         truncated |= got.truncated
         steps.extend(got)
     if not args.json:
@@ -351,8 +348,11 @@ def cmd_replay(args) -> int:
     checked = 0
     for trace in traces:
         for data in trace:
-            step = _step_from_json(data)
-            if not replay(ctx, step, rules.get(step.rule)):
+            try:
+                valid = replay(ctx, _step_from_json(data, theory.signature), rules.get(data["rule"]))
+            except ParseError:  # a term outside the theory's signature is no step of it
+                valid = False
+            if not valid:
                 print(f"step {checked + 1} FAILED to replay: {data['rule']} at {data['path']}")
                 return EXIT_NO
             checked += 1
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ctx", default="")
     p.add_argument("--fuel", type=int, default=500)
     p.add_argument("--strategy", choices=("outermost", "innermost"), default="outermost")
-    p.add_argument("--max-support", type=int, default=MAX_SUPPORT, dest="max_support")
+    p.add_argument("--max-support", type=int, default=MAX_SUPPORT, dest="max_support", help="general rewriting only")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--general", action="store_true", help="general rewriting (permutation search)")
     mode.add_argument("--closed", action="store_true", help="closed rewriting (default)")
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("--term", required=True)
     p.add_argument("--ctx", default="")
-    p.add_argument("--max-support", type=int, default=MAX_SUPPORT, dest="max_support")
+    p.add_argument("--max-support", type=int, default=MAX_SUPPORT, dest="max_support", help="general rewriting only")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--general", action="store_true")
     mode.add_argument("--closed", action="store_true")

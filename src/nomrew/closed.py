@@ -12,22 +12,24 @@ kept variant's names.  At the first hole whose shape can match, the context is
 extended with freshness of the variant's atoms for the subject's unknowns,
 and each hole is solved by plain matching under the identity permutation.
 There is no permutation search at all, which is the efficiency payoff over
-general rewriting.  Machine atoms that the match drags into the result only
-ever occur where the extended context proves them fresh, so a scrubbing
-pass rewrites each result to an alpha-equivalent representative mentioning
-as few of them as possible.
+general rewriting, and no alpha-variant of the subject is tried: firing a
+variant freshened apart from the subject makes closed steps respect
+alpha-equivalence (Fernandez & Gabbay), so the steps of the subject as
+written are all there is to find.  Machine atoms that the match drags into
+the result only ever occur where the extended context proves them fresh, so
+a scrubbing pass rewrites each result to an alpha-equivalent representative
+mentioning as few of them as possible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .alpha import FreshnessContext, alpha_holds, fresh_holds
 from .matching import MatchProblem, _require_apart, solve_match
 from .rewrite import (
-    MAX_SUPPORT,
+    SPARE_CAP,
     Firing,
     NormalizeResult,
     PreparedRule,
@@ -41,7 +43,6 @@ from .rewrite import (
     _rename_ctx,
     _rename_rule,
     _rename_term,
-    _universe,
     normalize,
     reachable,
     rewrite_steps,
@@ -59,6 +60,7 @@ from .terms import (
     _fold,
     act,
     atoms_of,
+    fresh_names,
     substitute,
     swap,
     unknowns_of,
@@ -159,11 +161,7 @@ def _is_closed(rule: RewriteRule) -> bool:
     return compiled["closed"]
 
 
-def _prepare_closed(
-    subject: Subject,
-    rule: RewriteRule,
-    max_support: int = MAX_SUPPORT,
-) -> PreparedRule:
+def _prepare_closed(subject: Subject, rule: RewriteRule) -> PreparedRule:
     """Match the rule's kept variant, or one freshened away from the subject
     when the subject already mentions a name of it, under the context
     extended with freshness of the variant's atoms for the subject's
@@ -185,31 +183,27 @@ def _prepare_closed(
         _require_apart(frule.lhs_unknowns, subject_unknowns)
         extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
         ctx2 = ctx | extension
-        # Same variant universe as the general engine so the two step
-        # relations stay comparable on closed rules.  Without a permutation
-        # search the cap loses no step, so the preparation is never truncated.
-        universe, _ = _universe(rule.atoms(), subject_atoms, max_support)
-        pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + [a for a in universe if a.is_machine]
+        # Binders the match drags in are renamed back to the subject's and
+        # the rule's atoms where freshness allows, else to a few spares.
+        used = {a.name for a in rule.atoms() | subject_atoms}
+        spares = [Atom(n) for n in fresh_names("p", min(len(rule.atoms()), SPARE_CAP), used)]
+        pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + spares
 
         def instances(hole: Term):
             sol = solve_match(MatchProblem._unchecked(frule.ctx, frule.lhs, ctx2, hole))
             if sol is not None:
                 yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
 
-        return Firing(ctx2, universe, instances, lambda t: scrub(ctx2, t, pool), frule, extension)
+        return Firing(ctx2, [], instances, lambda t: scrub(ctx2, t, pool), frule, extension)
 
     return PreparedRule(rule, variant.lhs, fire, mode="closed")
 
 
-def closed_rewrite_step(
-    ctx: FreshnessContext,
-    s: Term,
-    rule: RewriteRule,
-    max_support: int = MAX_SUPPORT,
-) -> StepResults:
-    """All closed one-step rewrites of s by the rule, modulo alpha on the
-    subject."""
-    return rewrite_steps(s, _prepare_closed(Subject(ctx, s), rule, max_support))
+def closed_rewrite_step(ctx: FreshnessContext, s: Term, rule: RewriteRule) -> StepResults:
+    """All closed one-step rewrites of s as written by the rule.  Closed
+    steps respect alpha-equivalence: what an alpha-variant of s steps to is,
+    under the step's extended context, alpha-equivalent to one of these."""
+    return rewrite_steps(s, _prepare_closed(Subject(ctx, s), rule))
 
 
 def closed_normalize(
@@ -218,22 +212,15 @@ def closed_normalize(
     theory: Theory,
     fuel: int = 500,
     strategy: str | None = None,
-    max_support: int = MAX_SUPPORT,
 ) -> NormalizeResult:
     """Normalize by closed steps (leftmost-outermost by default, first rule
     in theory order)."""
-    return normalize(ctx, s, theory, partial(_prepare_closed, max_support=max_support), strategy, fuel)
+    return normalize(ctx, s, theory, _prepare_closed, strategy, fuel)
 
 
-def closed_reachable(
-    ctx: FreshnessContext,
-    s: Term,
-    theory: Theory,
-    fuel: int,
-    max_support: int = MAX_SUPPORT,
-) -> ReachableSet:
+def closed_reachable(ctx: FreshnessContext, s: Term, theory: Theory, fuel: int) -> ReachableSet:
     """Everything reachable from s in at most `fuel` closed steps."""
-    return reachable(ctx, s, theory, partial(_prepare_closed, max_support=max_support), fuel)
+    return reachable(ctx, s, theory, _prepare_closed, fuel)
 
 
 def closed_joinable(
@@ -242,11 +229,10 @@ def closed_joinable(
     t: Term,
     theory: Theory,
     fuel: int = 5,
-    max_support: int = MAX_SUPPORT,
 ) -> bool:
     """Is there a term both sides closed-rewrite to (within the fuel)?"""
-    from_s = closed_reachable(ctx, s, theory, fuel, max_support)
-    from_t = closed_reachable(ctx, t, theory, fuel, max_support)
+    from_s = closed_reachable(ctx, s, theory, fuel)
+    from_t = closed_reachable(ctx, t, theory, fuel)
     return any(u in from_t for u in from_s)
 
 
@@ -265,7 +251,6 @@ def decide_equal(
     theory: Theory,
     assume_convergent: bool = False,
     fuel: int = 500,
-    max_support: int = MAX_SUPPORT,
 ) -> Decision:
     """Normalize both sides by closed rewriting and compare normal forms up
     to alpha.  "equal" is always definitive (soundness); "not_equal" is
@@ -278,8 +263,8 @@ def decide_equal(
     bad = [rule.name for rule in theory.rules if not _is_closed(rule)]
     if bad:
         raise NotClosedError(f"rules not closed: {', '.join(bad)}")
-    left = closed_normalize(ctx, s, theory, fuel, max_support=max_support)
-    right = closed_normalize(ctx, t, theory, fuel, max_support=max_support)
+    left = closed_normalize(ctx, s, theory, fuel)
+    right = closed_normalize(ctx, t, theory, fuel)
     if alpha_holds(ctx, left.term, right.term):
         return Decision("equal", left, right, assume_convergent)
     if left.status == "normal_form" and right.status == "normal_form" and assume_convergent:

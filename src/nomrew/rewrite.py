@@ -5,10 +5,13 @@ permutation: the subject decomposes as C[s'], a permutation pi and a
 substitution theta are found with the rule context entailed, s' alpha-equal
 to pi.(lhs theta), and the result is C[pi.(rhs theta)], where the step's
 output is only meaningful up to alpha-equivalence.  Because the reflexive
-case of the rewrite relation is alpha-equivalence itself, the step
-enumerator also explores alpha-variants of the subject obtained by renaming
-the binders above the chosen position; that is how [b][a]a reaches [a]b
-under the abstraction-stripping rule.
+case of the rewrite relation is alpha-equivalence itself, general step
+enumeration also explores alpha-variants of the subject obtained by renaming
+the binders above the chosen position into the permutation universe; that
+is how [b][a]a reaches [a]b under the abstraction-stripping rule.  Closed
+rewriting needs no alpha-variants: it fires a variant freshened apart from
+the subject and so respects alpha-equivalence by itself, and its steps are
+those of the subject as written.
 
 The core is written once: step enumeration over positions x alpha-variants
 (`rewrite_steps`), the first step under a strategy and normalization
@@ -179,6 +182,14 @@ class Theory:
             out |= rule.atoms()
         return out
 
+    @cached_property
+    def _reversed_rules(self) -> tuple[RewriteRule, ...]:
+        """The executable reversals of the rules, made once per theory object
+        so that what each keeps (its renamings) lasts across searches.  They
+        need not pass the parse-time lhs restriction: a bare variable lhs
+        just makes an expansion step, which a search's fuel bounds."""
+        return tuple(RewriteRule(r.name + "~", r.ctx, r.rhs, r.lhs) for r in self.rules if _invertible(r))
+
 
 # The bounded permutation search acts on at most MAX_SUPPORT atoms (6 atoms
 # means at most 720 distinct permutations per position), among them up to
@@ -234,8 +245,9 @@ class Firing:
     prepared lhs matches the hole under `ctx`; `finish` turns the rebuilt
     subject into the reported result.  `universe` holds the names binders
     above a position may be renamed to when alpha-variants of the subject
-    are enumerated.  A closed step also records the freshened rule and the
-    context extension it fired under.
+    are enumerated; only general rewriting needs them, and a closed firing's
+    universe is empty.  A closed step also records the freshened rule and
+    the context extension it fired under.
     """
 
     ctx: FreshnessContext
@@ -495,7 +507,8 @@ def _plug(frames: tuple | None, u: Term) -> Term:
 def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
     """All one-step rewrites of s by one prepared rule, modulo alpha on the
     subject: every position, every alpha-variant renaming the binders above
-    it into the universe, every instance the engine finds at the hole."""
+    it into the firing's universe (s alone when that is empty, as in closed
+    rewriting), every instance the engine finds at the hole."""
     out = []
     seen = set()
     for path, here in positions(s):
@@ -528,10 +541,11 @@ def rewrite_step_general(
     return rewrite_steps(s, _prepare_general(Subject(ctx, s), rule, max_support, extra_atoms, sides={}))
 
 
-def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessContext, s: Term) -> bool:
+def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessContext, *terms: Term) -> bool:
     """Is `renamed` the image of `rule` under one-to-one renamings of its
-    atoms and of its unknowns, onto names that occur nowhere in ctx or s?"""
-    if renamed.atoms() & atoms_of(ctx, s) or renamed.unknowns() & unknowns_of(ctx, s):
+    atoms and of its unknowns, onto names that occur nowhere in ctx or the
+    terms?"""
+    if renamed.atoms() & atoms_of(ctx, *terms) or renamed.unknowns() & unknowns_of(ctx, *terms):
         return False
     amap: dict[Atom, Atom] = {}
     umap: dict[Unknown, Unknown] = {}
@@ -569,9 +583,10 @@ def replay(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]
 
     A general step re-applies the rule under the recorded permutation.  A
     closed step must record a renaming of the rule to atoms and unknowns
-    occurring nowhere in ctx or the source, and as context extension exactly
-    the freshness of those atoms for the unknowns of ctx and the source; the
-    renamed rule is then re-applied under the extended context.
+    occurring nowhere in ctx, the source or the variant it fired on, and as
+    context extension exactly the freshness of those atoms for the unknowns
+    of ctx and the source; the renamed rule is then re-applied under the
+    extended context.
     """
     if rule is None or rule.name != step.rule:
         return False
@@ -582,7 +597,7 @@ def replay(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]
         extension = FreshnessContext(
             frozenset((a, x) for a in fr.atoms() for x in unknowns_of(ctx, step.source))
         )
-        if step.ctx_extension != extension or not _fresh_renaming(rule, fr, ctx, step.source):
+        if step.ctx_extension != extension or not _fresh_renaming(rule, fr, ctx, step.source, step.variant):
             return False
         rule, ctx = fr, ctx | extension
     else:
@@ -770,13 +785,7 @@ def symmetric_search(
     gamma = FreshnessContext(frozenset(gamma_pairs))
     ctx2 = ctx | gamma
 
-    # Reversed rules need not pass the parse-time lhs restriction: a bare
-    # variable lhs just makes an expansion step, which the fuel bounds.
-    rules = list(theory.rules)
-    for rule in theory.rules:
-        if _invertible(rule):
-            rules.append(RewriteRule(rule.name + "~", rule.ctx, rule.rhs, rule.lhs))
-
+    rules = (*theory.rules, *theory._reversed_rules)
     target = alpha_key(ctx2, t)
     reached = {alpha_key(ctx2, s)}
     if target in reached:

@@ -331,3 +331,50 @@ def test_theory_file_is_parsed_once_per_text(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "normalize", str(path), "--term", "g(a)")
     assert code == 0 and out.splitlines()[0] == "f(a)"
     assert len(parsed) == 2
+
+
+NULLARY = "theory nullary ;\nsig f:1 g:0 h:1 ;\nrule r : f(X) -> g ;\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--term", "f(f(c))"],
+    ["normalize", "--term", "f(f(c))", "--general"],
+    ["normalize", "--term", "h(f(g))", "--strategy", "innermost"],
+    ["step", "--term", "h(f(f(g)))"],
+    ["step", "--term", "h(f(f(g)))", "--general"],
+])
+def test_reports_with_a_nullary_former_replay(argv, tmp_path, capsys):
+    # Replay parses under the theory's signature, so g reads back as the
+    # former, not as an atom, and the recorded steps check out.
+    theory = tmp_path / "nullary.nrw"
+    theory.write_text(NULLARY)
+    code, out, _ = run(capsys, argv[0], str(theory), *argv[1:], "--json")
+    report = json.loads(out)
+    assert code == 0 and "g" in json.dumps(report["trace" if argv[0] == "normalize" else "steps"])
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "replay", str(path))
+    assert code == 0 and "all valid" in out
+
+
+def test_replay_rejects_a_step_fired_on_the_freshened_rule_own_atom(tmp_path, capsys):
+    # The binder c renamed to p$0, the atom f(p) -> g is freshened to, made
+    # the rule fire under [c]; the same rule over q fires nowhere.
+    step = {
+        "rule": "r", "path": ["body"], "perm": [], "subst": {},
+        "source": "[c]f(c)", "variant": "[p$0]f(p$0)", "result": "[c]g",
+        "mode": "closed", "ctx_extension": [],
+        "freshened": {"name": "r", "ctx": "", "lhs": "f(p$0)", "rhs": "g"},
+    }
+    report = {
+        "schema": 1, "command": "step", "theory": "theory t ;\nsig f:1 g:0 ;\nrule r : f(p) -> g ;\n",
+        "ctx": "", "mode": "closed", "term": "[c]f(c)", "truncated": False, "steps": [step],
+    }
+    path = tmp_path / "unsound.json"
+    path.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "replay", str(path))
+    assert code == 1 and "FAILED" in out
+    theory = tmp_path / "t.nrw"
+    theory.write_text(report["theory"])
+    code, out, _ = run(capsys, "step", str(theory), "--term", "[c]f(c)")
+    assert code == 0 and out == "no steps\n"

@@ -34,6 +34,7 @@ from nomrew import (
     is_closed_rule,
     is_solution,
     replay_step,
+    RewriteStep,
     rewrite_step_general,
     scrub,
     substitute,
@@ -43,13 +44,14 @@ from nomrew import (
 )
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
-    MAX_SUPPORT, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _rename_rule, _rename_term, _universe,
-    normalize, replay, rewrite_steps,
+    MAX_SUPPORT, SPARE_CAP, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _rename_rule, _rename_term,
+    _universe, normalize, reachable, replay, rewrite_steps,
 )
-from nomrew.syntax import parse_context, parse_term, parse_theory
-from nomrew.terms import ID, MACHINE_MARK
+from nomrew.syntax import parse_context, parse_term, parse_theory, pretty
+from nomrew.terms import ID, MACHINE_MARK, Substitution, fresh_names
 from strategies import (
-    ATOMS, UNKNOWNS, alpha_mod_machine, contexts_st, random_ctx, random_term, sig_terms_st, step_classes_match,
+    ATOMS, UNKNOWNS, alpha_mod_machine, atoms_st, contexts_st, machine_atoms, random_ctx, random_term, sig_terms_st,
+    step_classes_match,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -433,7 +435,7 @@ def test_subject_mentioning_the_kept_variant_gets_one_freshened_apart():
     assert closed_module._variant(rule) is kept
 
 
-def _reference_prepare(subject, rule, max_support=MAX_SUPPORT):
+def _reference_prepare(subject, rule):
     """The closed preparation with nothing kept: the rule freshened against
     each subject, and everything built up front."""
     ctx, s = subject.ctx, subject.term
@@ -441,15 +443,16 @@ def _reference_prepare(subject, rule, max_support=MAX_SUPPORT):
     frule = freshen_rule(rule, subject_atoms, subject_unknowns)
     extension = FreshnessContext(frozenset((x, y) for x in frule.atoms() for y in subject_unknowns))
     ctx2 = ctx | extension
-    universe, _ = _universe(rule.atoms(), subject_atoms, max_support)
-    pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + [x for x in universe if x.is_machine]
+    used = {x.name for x in rule.atoms() | subject_atoms}
+    spares = [Atom(n) for n in fresh_names("p", min(len(rule.atoms()), SPARE_CAP), used)]
+    pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + spares
 
     def instances(hole):
         sol = solve_match(MatchProblem(frule.ctx, frule.lhs, ctx2, hole))
         if sol is not None:
             yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
 
-    firing = Firing(ctx2, universe, instances, lambda t: scrub(ctx2, t, pool), frule, extension)
+    firing = Firing(ctx2, [], instances, lambda t: scrub(ctx2, t, pool), frule, extension)
     return PreparedRule(rule, frule.lhs, lambda: firing, mode="closed")
 
 
@@ -518,3 +521,110 @@ def test_decide_equal_compiles_each_rule_once(monkeypatch):
         decide_equal(parse_context(ctx), parse_term(s), parse_term(t), theory, assume_convergent=True)
     assert 0 < calls["freshen_rule"] <= len(theory.rules)
     assert 0 < calls["is_closed_rule"] <= len(theory.rules)
+
+
+# closed steps fire on the subject as written -----------------------------------
+
+
+def _enumerating_prepare(subject, rule):
+    """The closed preparation that also tries every alpha-variant of the
+    subject renaming the binders above a position into the general engine's
+    permutation universe, as closed rewriting once did."""
+    firing = _reference_prepare(subject, rule).firing
+    universe, _ = _universe(rule.atoms(), atoms_of(subject.ctx, subject.term), MAX_SUPPORT)
+    enumerating = dataclasses.replace(firing, universe=universe)
+    return PreparedRule(rule, firing.freshened.lhs, lambda: enumerating, mode="closed")
+
+
+def _classes_match(ctx, s, got, want):
+    """Do two lists of results cover the same classes, compared under ctx
+    extended with freshness of every machine atom in either list for every
+    unknown of (ctx, s)?  Results may keep a freshened variant's atoms in
+    suspensions, such as (b b$0)(c d).Z, that only the extension makes
+    collapse, so the classes are compared under it."""
+    machine = set().union(*map(machine_atoms, [*got, *want]))
+    ext = ctx.with_pairs((m, x) for m in machine for x in unknowns_of(ctx, s))
+    return step_classes_match(ext, got, want)
+
+
+def _under_binders(binders_term):
+    binders, t = binders_term
+    for atom in reversed(binders):
+        t = Abstraction(atom, t)
+    return t
+
+
+_ALL_BUNDLED = [_bundled(name) for name in ("betaeta", "fol", "nonclosed", "remark43")]
+_subjects = hst.one_of([
+    hst.tuples(hst.just(theory), hst.tuples(hst.lists(atoms_st, max_size=2), sig_terms_st(theory)).map(_under_binders))
+    for theory in _ALL_BUNDLED
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subjects, contexts_st)
+def test_closed_steps_of_the_subject_cover_those_of_its_alpha_variants(theory_term, ctx):
+    theory, s = theory_term
+    for rule in theory.rules:
+        got = closed_rewrite_step(ctx, s, rule)
+        want = rewrite_steps(s, _enumerating_prepare(Subject(ctx, s), rule))
+        assert all(st.variant == s for st in got)
+        assert _classes_match(ctx, s, [st.result for st in got], [st.result for st in want])
+        # Replay still accepts a closed step fired on an alpha-variant.
+        assert all(replay(ctx, st, rule) for st in want)
+    got = list(closed_reachable(ctx, s, theory, 2))
+    want = list(reachable(ctx, s, theory, _enumerating_prepare, 2))
+    assert _classes_match(ctx, s, got, want)
+
+
+def test_closed_steps_do_not_depend_on_the_rule_atom_names():
+    # An alpha-variant search would rename the binder c to the spare p$0,
+    # the very name f(p) -> g is freshened to, and fire the rule under [c],
+    # where f(q) -> g fires nowhere.
+    sig = Signature.of({"f": 1, "g": 0, "h": 1})
+    for text in ("[c]f(c)", "h([c]f(c))"):
+        s = parse_term(text, sig)
+        for name in ("p", "q"):
+            rule = RewriteRule("r", EMPTY_CTX, App("f", (AtomTerm(Atom(name)),)), App("g", ()))
+            assert list(closed_rewrite_step(EMPTY_CTX, s, rule)) == []
+            assert closed_normalize(EMPTY_CTX, s, Theory(sig, (rule,))).trace == []
+
+
+def test_replay_rejects_a_freshened_name_in_the_variant():
+    # The unsound step an alpha-variant search would report for [c]f(c).
+    p0 = Atom("p$0")
+    rule = RewriteRule("r", EMPTY_CTX, App("f", (AtomTerm(Atom("p")),)), App("g", ()))
+    fr = freshen_rule(rule)
+    assert fr.lhs == App("f", (AtomTerm(p0),))
+    source = Abstraction(c, App("f", (AtomTerm(c),)))
+    variant = Abstraction(p0, App("f", (AtomTerm(p0),)))
+    step = RewriteStep(
+        "r", ("body",), ID, Substitution(), source, variant, Abstraction(c, App("g", ())), "closed", fr, EMPTY_CTX
+    )
+    assert _fresh_renaming(rule, fr, EMPTY_CTX, source)
+    assert not _fresh_renaming(rule, fr, EMPTY_CTX, source, variant)
+    assert not replay(EMPTY_CTX, step, rule)
+
+
+def _beta_var_under(n, redex=app(lam(a, AtomTerm(a)), AtomTerm(c))):
+    t = redex
+    for i in range(n):
+        t = lam(Atom(f"x{i % 4}"), t)
+    return t
+
+
+def test_closed_step_under_binders_lists_the_subject_as_written():
+    # Listing a step per alpha-variant gives 320 steps under 4 binders and
+    # 81,920 under 8.
+    for n in (5, 8):
+        s = _beta_var_under(n)
+        (step,) = closed_rewrite_step(EMPTY_CTX, s, BETAETA.rules[1])
+        assert step.path == (0, "body") * n
+        assert step.variant == s and step.result == _beta_var_under(n, AtomTerm(c))
+
+
+def test_closed_reachable_answers_on_a_200_binder_spine():
+    # Terms compare by their printed text: a deeper == would recurse.
+    s = _beta_var_under(200)
+    reached = closed_reachable(EMPTY_CTX, s, BETAETA, fuel=2)
+    assert [pretty(t) for t in reached] == [pretty(s), pretty(_beta_var_under(200, AtomTerm(c)))]

@@ -575,3 +575,25 @@ def test_general_renamings_are_kept_per_clashing_set(monkeypatch):
         res = normalize_general(EMPTY_CTX, parse_term(subjects[i % len(subjects)], theory.signature), theory)
         assert res.status == "normal_form"
     assert len(calls) > 3 and max(calls.values()) == 1
+
+
+def test_reversed_rules_are_kept_with_the_theory(monkeypatch):
+    # A theory of its own, so nothing is kept yet.  Reversing the rules at
+    # every search makes 100 renamings of expand~ in these 100 searches.
+    theory = parse_theory((resources.files("nomrew") / "theories" / "remark43.nrw").read_text())
+    calls = Counter()
+    real = rewrite_module._rename_rule
+
+    def counted(rule, amap, umap):
+        calls[rule.name] += 1
+        return real(rule, amap, umap)
+
+    monkeypatch.setattr(rewrite_module, "_rename_rule", counted)
+    s, t = parse_term("f(X)", theory.signature), parse_term("f(f(f(X)))", theory.signature)
+    results = [symmetric_search(EMPTY_CTX, s, t, theory, fuel=5) for _ in range(100)]
+    assert calls == Counter({"expand": 1, "expand~": 1})
+    assert [rule.name for rule in theory._reversed_rules] == ["expand~"]
+    monkeypatch.undo()
+    res = results[0]
+    assert res.found and all((r.found, r.trace) == (res.found, res.trace) for r in results)
+    assert (res.found, res.trace) == _scan_search(res.ctx, s, t, theory, fuel=5)
