@@ -5,7 +5,9 @@ rule) and with the closed engine (plain matching of each rule's one
 freshened variant), assert that both reach alpha-equal normal forms, and
 print the time each took and the match calls each made.  Closed makes one
 match per hole that passes the shape test; general makes up to one per
-candidate permutation at each such hole.
+candidate permutation at each distinct such hole of a normalization, since
+it keeps what it found at a hole for the rest of the call, and `beta_app`
+copies its argument, so the towers repeat holes.
 
     python scripts/bench_closed_vs_general.py [HEIGHT ...]   # default 1 to 6
 """

@@ -125,20 +125,31 @@ def _step_from_json(data: dict, signature: Signature) -> RewriteStep:
 
 
 def _deriv_json(d: Derivation) -> dict:
-    kind = d.conclusion[0]
-    if kind == "fresh":
-        _, ctx, a, t = d.conclusion
-        judgement = f"{pretty_ctx(ctx)} |- {a.name} # {pretty(t)}"
-    else:
-        _, ctx, s, t = d.conclusion
-        judgement = f"{pretty_ctx(ctx)} |- {pretty(s)} =a= {pretty(t)}"
-    return {"rule": d.rule, "judgement": judgement, "children": [_deriv_json(c) for c in d.children]}
+    """The derivation as nested dicts, built top-down on an explicit stack of
+    (node, the children list of its parent's dict)."""
+    root: list = []
+    stack = [(d, root)]
+    while stack:
+        node, siblings = stack.pop()
+        kind, ctx, left, t = node.conclusion
+        if kind == "fresh":
+            judgement = f"{pretty_ctx(ctx)} |- {left.name} # {pretty(t)}"
+        else:
+            judgement = f"{pretty_ctx(ctx)} |- {pretty(left)} =a= {pretty(t)}"
+        info = {"rule": node.rule, "judgement": judgement, "children": []}
+        siblings.append(info)
+        stack.extend((child, info["children"]) for child in reversed(node.children))
+    return root[0]
 
 
-def _print_deriv(info: dict, indent: int = 0) -> None:
-    print("  " * indent + f"[{info['rule']}] {info['judgement']}")
-    for child in info["children"]:
-        _print_deriv(child, indent + 1)
+def _print_deriv(info: dict) -> None:
+    """Print each node of _deriv_json's dict on a line, in preorder,
+    indented two spaces per level."""
+    stack = [(info, 0)]
+    while stack:
+        node, indent = stack.pop()
+        print("  " * indent + f"[{node['rule']}] {node['judgement']}")
+        stack.extend((child, indent + 1) for child in reversed(node["children"]))
 
 
 def _emit(report: dict, as_json: bool) -> None:

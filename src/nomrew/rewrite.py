@@ -32,10 +32,12 @@ rule depends only on the unknowns it shares with the subject, so it is kept
 with the rule once per shared set, and its names are collected once with it;
 a subject that mentions a machine unknown (stem$n, a name the renaming may
 pick) falls back to a rule renamed for it alone.  The permuted sides
-(pi, pi.lhs, pi.rhs) depend only on the renamed rule and the universe, so
+(pi, pi.lhs, pi.rhs) depend only on the renamed rule and the universe, and
+the instances found at a hole only on those, the context and the hole, so
 `normalize_general`, `rewrite_closure_reachable` and `symmetric_search` keep
-them in a dict of their own for the length of the call
-(`rewrite_step_general`'s call is one step).
+both in a dict of their own for the length of the call
+(`rewrite_step_general`'s call is one step): the permutation search runs
+once per distinct hole per call, however often the hole comes back.
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -68,6 +70,7 @@ from .terms import (
     Suspension,
     Term,
     Unknown,
+    _flat_key,
     _rebuild,
     act,
     atoms_of,
@@ -415,8 +418,13 @@ def _prepare_general(
     with the subject; a subject that mentions a machine unknown gets a rule
     renamed for it alone.  The permuted sides (pi, pi.lhs, pi.rhs) are built
     when the first hole passes the shape test, and kept in `sides`, a dict
-    the caller owns, once per renamed rule and universe: a caller running
-    many steps passes one dict for its whole call."""
+    the caller owns, once per renamed rule, universe and context: a caller
+    running many steps passes one dict for its whole call.  The same entry
+    keeps each hole's instances, keyed by the hole's flat key (`_flat_key`,
+    exact and built without recursion) and filled lazily: a reader that
+    stops at the first instance leaves the rest of the search unrun, and a
+    later reader of an equal hole gets the instances found so far, then the
+    search resumed where it stopped."""
     ctx = subject.ctx
     renamed = _freshen_rule_unknowns(rule, subject.unknowns)
     _require_apart(renamed.lhs_unknowns, subject.unknowns)
@@ -426,21 +434,44 @@ def _prepare_general(
         # Keyed by identity; the entry holds the renamed rule, so no other
         # object takes its id while the dict lives.  A rule renamed for one
         # subject alone gets an entry that no other subject reads.
-        key = (id(renamed), tuple(universe))
+        key = (id(renamed), tuple(universe), ctx)
         if key not in sides:
             perms = _candidate_perms(sorted(renamed.atoms()), universe)
-            sides[key] = renamed, [(pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in perms]
-        permuted = sides[key][1]
+            sides[key] = renamed, [(pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in perms], {}
+        _, permuted, solved = sides[key]
 
-        def instances(hole: Term):
+        def search(hole: Term):
             for pi, lhs, rhs in permuted:
                 sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
                 if sol is not None:
                     yield pi, sol.sigma, substitute(rhs, sol.sigma)
 
+        def instances(hole: Term):
+            hole_key = _flat_key(hole)
+            found = solved.get(hole_key)
+            if found is None:
+                found = solved[hole_key] = [], search(hole)
+            return _resume(*found)
+
         return Firing(ctx, universe, instances)
 
     return PreparedRule(rule, renamed.lhs, fire, truncated)
+
+
+def _resume(done: list, rest: Iterator) -> Iterator:
+    """Yield the items `rest` has given so far, kept in `done`, then draw
+    on from it, keeping each new item.  Every reader of one search sees the
+    same items in the same order, and the search runs at most once however
+    far each reader goes and however their reads interleave."""
+    i = 0
+    while True:
+        while i < len(done):
+            yield done[i]
+            i += 1
+        item = next(rest, None)
+        if item is None:
+            return
+        done.append(item)
 
 
 def _may_match(lhs: Term, hole: Term) -> bool:
@@ -508,9 +539,16 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
     """All one-step rewrites of s by one prepared rule, modulo alpha on the
     subject: every position, every alpha-variant renaming the binders above
     it into the firing's universe (s alone when that is empty, as in closed
-    rewriting), every instance the engine finds at the hole."""
+    rewriting), every instance the engine finds at the hole.
+
+    The steps are distinct without a check.  Steps at two positions differ
+    in their path; two alpha-variants at one position rename some binder
+    above it differently, so their general results differ there; two
+    general instances at one hole differ in pi.  Closed rewriting has one
+    variant, the subject, and at most one instance per hole.  So no result
+    is hashed, which also keeps deep results away from the recursive term
+    hash."""
     out = []
-    seen = set()
     for path, here in positions(s):
         # Alpha-variants differ from s only in atoms, so one shape test
         # covers every variant at this position.
@@ -520,10 +558,6 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
         for hole, frames in _decompositions(firing.ctx, s, path, firing.universe):
             for pi, theta, rhs in firing.instances(hole):
                 result = firing.finish(_plug(frames, rhs))
-                key = (path, result, pi, theta)
-                if key in seen:
-                    continue
-                seen.add(key)
                 out.append(prepared.step(path, pi, theta, s, _plug(frames, hole), result))
     return StepResults(out, prepared.truncated)
 
@@ -549,29 +583,30 @@ def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessConte
         return False
     amap: dict[Atom, Atom] = {}
     umap: dict[Unknown, Unknown] = {}
-
-    def walk(t: Term, u: Term) -> bool:
-        match (t, u):
-            case (AtomTerm(a), AtomTerm(b)):
-                return amap.setdefault(a, b) == b
-            case (Suspension(_, x), Suspension(_, y)):
-                return umap.setdefault(x, y) == y
-            case (Abstraction(a, body), Abstraction(b, body2)):
-                return amap.setdefault(a, b) == b and walk(body, body2)
-            case (App(f, args), App(g, args2)):
-                return f == g and len(args) == len(args2) and all(map(walk, args, args2))
-        return False
-
-    if not (walk(rule.lhs, renamed.lhs) and walk(rule.rhs, renamed.rhs)):
-        return False
+    work = [(rule.rhs, renamed.rhs), (rule.lhs, renamed.lhs)]
+    while work:
+        match work.pop():
+            case (AtomTerm(a), AtomTerm(b)) if amap.setdefault(a, b) == b:
+                pass
+            case (Suspension(_, x), Suspension(_, y)) if umap.setdefault(x, y) == y:
+                pass
+            case (Abstraction(a, body), Abstraction(b, body2)) if amap.setdefault(a, b) == b:
+                work.append((body, body2))
+            case (App(f, args), App(g, args2)) if f == g and len(args) == len(args2):
+                work.extend(zip(args, args2))
+            case _:
+                return False
     # Atoms met only in suspensions or in the context: try each assignment.
+    # Sides are compared by their flat keys, since the generated == recurses.
+    flat = lambda r: (r.name, r.ctx, _flat_key(r.lhs), _flat_key(r.rhs))
+    want = flat(renamed)
     rest = sorted(rule.atoms() - amap.keys())
     for images in itertools.permutations(sorted(renamed.atoms() - set(amap.values())), len(rest)):
         full = {**amap, **dict(zip(rest, images))}
         if (
             len(set(full.values())) == len(full)
             and len(set(umap.values())) == len(umap)
-            and _rename_rule(rule, full, umap) == renamed
+            and flat(_rename_rule(rule, full, umap)) == want
         ):
             return True
     return False

@@ -333,6 +333,38 @@ def atoms_of(*items: Term | FreshnessContext) -> set[Atom]:
     return out
 
 
+# Tags that open a node in a flat key.  Atoms are keyed by their name, a
+# string, so a tag can never be read as an atom.
+_ABS, _APP, _SUSP = -1, -2, -3
+
+
+def _flat_key(t: Term) -> tuple:
+    """An exact, hashable key for t: its nodes in preorder, each opening
+    with one token.  An atom is its name, an abstraction _ABS and its atom's
+    name, an application _APP, its former and its arity, a suspension _SUSP,
+    its unknown's name and its permutation.  The stream decodes in exactly
+    one way, so equal keys mean equal terms; unlike hashing the term, whose
+    generated hash recurses, the walk keeps its own stack."""
+    out: list = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        kind = type(u)
+        if kind is App:
+            out += (_APP, u.former, len(u.args))
+            stack.extend(reversed(u.args))
+        elif kind is Abstraction:
+            out += (_ABS, u.atom.name)
+            stack.append(u.body)
+        elif kind is AtomTerm:
+            out.append(u.atom.name)
+        elif kind is Suspension:
+            out += (_SUSP, u.unknown.name, u.perm)
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return tuple(out)
+
+
 def unknowns_of(*items: Term | FreshnessContext) -> set[Unknown]:
     """All unknowns of the given terms and freshness contexts."""
     out: set[Unknown] = set()

@@ -44,8 +44,8 @@ from nomrew import (
 )
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
-    MAX_SUPPORT, SPARE_CAP, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _rename_rule, _rename_term,
-    _universe, normalize, reachable, replay, rewrite_steps,
+    MAX_SUPPORT, SPARE_CAP, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _prepare_general, _rename_rule,
+    _rename_term, _universe, normalize, reachable, replay, rewrite_steps,
 )
 from nomrew.syntax import parse_context, parse_term, parse_theory, pretty
 from nomrew.terms import ID, MACHINE_MARK, Substitution, fresh_names
@@ -575,6 +575,39 @@ def test_closed_steps_of_the_subject_cover_those_of_its_alpha_variants(theory_te
     got = list(closed_reachable(ctx, s, theory, 2))
     want = list(reachable(ctx, s, theory, _enumerating_prepare, 2))
     assert _classes_match(ctx, s, got, want)
+
+
+def _repeated_steps(steps):
+    """How many steps repeat the (path, result, pi, theta) of an earlier one."""
+    keys = [(st.path, st.result, st.perm, st.subst) for st in steps]
+    return len(keys) - len(set(keys))
+
+
+# Binders drawn from two atoms, so that most subjects shadow one, as [a][a]t.
+_shadowed = hst.one_of([
+    hst.tuples(hst.just(theory), hst.tuples(hst.lists(hst.sampled_from([a, b]), max_size=2), sig_terms_st(theory)))
+    .map(lambda tb: (tb[0], _under_binders(tb[1])))
+    for theory in _ALL_BUNDLED
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shadowed, contexts_st)
+def test_rewrite_steps_lists_each_step_once(theory_term, ctx):
+    theory, s = theory_term
+    subject = Subject(ctx, s)
+    for rule in theory.rules:
+        for prepared in (_prepare_general(subject, rule, sides={}), closed_module._prepare_closed(subject, rule)):
+            assert _repeated_steps(rewrite_steps(s, prepared)) == 0
+
+
+def test_a_scrubbing_alpha_variant_search_repeats_steps():
+    # The check above can fail: scrubbing the results of a closed firing on
+    # alpha-variants of [a][a]a maps two of them to one step.
+    rule = next(r for r in _bundled("nonclosed").rules if r.name == "strip")
+    s = parse_term("[a][a]a")
+    assert _repeated_steps(rewrite_steps(s, _enumerating_prepare(Subject(EMPTY_CTX, s), rule))) == 1
+    assert _repeated_steps(rewrite_steps(s, closed_module._prepare_closed(Subject(EMPTY_CTX, s), rule))) == 0
 
 
 def test_closed_steps_do_not_depend_on_the_rule_atom_names():

@@ -44,15 +44,16 @@ from nomrew import (
     subterms,
     swap,
     symmetric_search,
+    term_size,
     unknowns_of,
     var,
 )
 from nomrew.rewrite import (
-    MAX_SUPPORT, Firing, PreparedRule, Subject, _candidate_perms, _fresh_maps, _invertible, _may_match, _rename_rule,
-    _rename_term, _universe, normalize, reachable, rewrite_steps,
+    MAX_SUPPORT, Firing, PreparedRule, Subject, _candidate_perms, _fresh_maps, _invertible, _may_match,
+    _prepare_general, _rename_rule, _rename_term, _universe, normalize, reachable, rewrite_steps,
 )
 from nomrew.syntax import parse_term, parse_theory
-from nomrew.terms import MACHINE_MARK
+from nomrew.terms import MACHINE_MARK, _flat_key
 from oracles import check_equivariance_sample
 from strategies import (
     FORMERS, contexts_st, perms_st, random_ctx, random_perm, random_term, sig_terms_st, substs_st, terms_st,
@@ -522,8 +523,17 @@ _MACHINE_UNKNOWNS = [Unknown(f"{x.name}{MACHINE_MARK}0") for x in _RULE_UNKNOWNS
 _machine_contexts = hst.tuples(contexts_st, hst.sampled_from([a, b, c]), hst.sampled_from(_MACHINE_UNKNOWNS)).map(
     lambda cax: cax[0] | FreshnessContext.of(cax[1:])
 )
+# Half of the subjects are h(u, u), so that a call meets the same holes
+# twice and the second time reads what it kept from the first.  General
+# steps try every renaming of the binders above a position, so u is kept
+# small and has at most two binders, which keeps the reachability and the
+# searches of the doubled term quick.
+_small = lambda u: term_size(u) <= 10 and sum(type(v) is Abstraction for v in subterms(u)) <= 2
+_repeated = lambda terms: hst.one_of(terms, terms.filter(_small).map(lambda u: App("h", (u, u))))
 _kept_general_cases = hst.one_of([
-    hst.tuples(hst.just(theory), sig_terms_st(theory, unknowns=hst.sampled_from(names)), sig_terms_st(theory), ctxs)
+    hst.tuples(
+        hst.just(theory), _repeated(sig_terms_st(theory, unknowns=hst.sampled_from(names))), sig_terms_st(theory), ctxs
+    )
     for theory in _KEPT_THEORIES
     for names, ctxs in ((_RULE_UNKNOWNS, contexts_st), (_RULE_UNKNOWNS + _MACHINE_UNKNOWNS, _machine_contexts))
 ])
@@ -575,6 +585,64 @@ def test_general_renamings_are_kept_per_clashing_set(monkeypatch):
         res = normalize_general(EMPTY_CTX, parse_term(subjects[i % len(subjects)], theory.signature), theory)
         assert res.status == "normal_form"
     assert len(calls) > 3 and max(calls.values()) == 1
+
+
+def test_general_search_solves_each_hole_once_per_call(monkeypatch):
+    # One search of the nonclosed-search benchmark's kind.  Every match the
+    # engine makes is attributed to the rule and universe of the preparation
+    # running it: symmetric_search takes all the steps of one preparation
+    # before it makes the next.
+    theory = parse_theory((resources.files("nomrew") / "theories" / "nonclosed.nrw").read_text())
+    s, t = parse_term("h(g([c]c),h(a,a))"), parse_term("h(g([c]c),h(b,b))")
+    calls, now, candidates = Counter(), {}, {}
+    real_solve, real_universe, real_freshen = solve_match, rewrite_module._universe, rewrite_module._freshen_rule_unknowns
+
+    def counted(problem):
+        calls[now["rule"], now["universe"], _flat_key(problem.target)] += 1
+        return real_solve(problem)
+
+    def universe(rule_atoms, other_atoms, max_support):
+        out, truncated = real_universe(rule_atoms, other_atoms, max_support)
+        now["universe"] = tuple(out)
+        candidates[now["rule"], tuple(out)] = len(_candidate_perms(sorted(rule_atoms), out))
+        return out, truncated
+
+    def freshen(rule, away_from):
+        now["rule"] = rule.name
+        return real_freshen(rule, away_from)
+
+    monkeypatch.setattr(rewrite_module, "solve_match", counted)
+    monkeypatch.setattr(rewrite_module, "_universe", universe)
+    monkeypatch.setattr(rewrite_module, "_freshen_rule_unknowns", freshen)
+    res = symmetric_search(EMPTY_CTX, s, t, theory, fuel=10)
+    assert res.found and len(res.trace) == 2
+    engine = sum(calls.values())
+    assert all(n <= candidates[rule, universe] for (rule, universe, _), n in calls.items())
+
+    calls.clear()
+    monkeypatch.setitem(globals(), "solve_match", lambda problem: calls.update(["reference"]) or real_solve(problem))
+    with mock.patch.object(rewrite_module, "_prepare_general", _reference_prepare_general):
+        want = symmetric_search(EMPTY_CTX, s, t, theory, fuel=10)
+    assert (res.found, res.trace) == (want.found, want.trace)
+    assert 0 < engine < calls["reference"]
+
+
+def test_kept_instances_resume_where_the_first_reader_stopped(monkeypatch):
+    # [a]X matches [c]g(c) under each of the three candidates for a.
+    nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
+    rule = next(r for r in nonclosed.rules if r.name == "strip")
+    s = parse_term("h([c]g(c),[c]g(c))")
+    hole = s.args[0]
+    calls = Counter()
+    monkeypatch.setattr(rewrite_module, "solve_match", lambda problem: calls.update(["match"]) or solve_match(problem))
+    firing = _prepare_general(Subject(EMPTY_CTX, s), rule, sides={}).firing
+    first = next(firing.instances(hole))
+    assert calls["match"] == 1
+    got = list(firing.instances(s.args[1]))
+    want = list(_reference_prepare_general(Subject(EMPTY_CTX, s), rule).firing.instances(hole))
+    assert got == want and got[0] == first and len(got) == 3
+    assert calls["match"] == 3
+    assert list(firing.instances(hole)) == want and calls["match"] == 3
 
 
 def test_reversed_rules_are_kept_with_the_theory(monkeypatch):

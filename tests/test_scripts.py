@@ -19,8 +19,10 @@ def test_bench_closed_vs_general_runs(capsys, monkeypatch):
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
     for row in rows:
         steps, closed_matches, general_matches = map(int, row.split()[3:])
-        # Every step is one successful match in each engine.
-        assert steps > 0 and closed_matches >= steps and general_matches >= steps
+        # Every closed step is one successful match.  General keeps each
+        # hole's instances for the whole normalization, and the towers repeat
+        # holes, so it may make fewer matches than steps.
+        assert steps > 0 and closed_matches >= steps and general_matches > 0
 
 
 def test_alpha_scaling_runs(capsys, monkeypatch):

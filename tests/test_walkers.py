@@ -24,18 +24,23 @@ from nomrew import (
     AtomTerm,
     FreshnessContext,
     MatchProblem,
+    RewriteRule,
     Substitution,
     Suspension,
     Unknown,
     act,
     alpha_holds,
+    check_alpha,
     check_fresh,
     closed_normalize,
+    closed_reachable,
+    closed_rewrite_step,
     decide_equal,
     fresh_holds,
     normalize_general,
     positions,
     replace_at,
+    rewrite_step_general,
     scrub,
     solve_match,
     substitute,
@@ -46,7 +51,8 @@ from nomrew import (
     term_size,
     var,
 )
-from nomrew.rewrite import _decompositions, _plug, _rename_term
+from nomrew import cli
+from nomrew.rewrite import _decompositions, _fresh_renaming, _plug, _rename_rule, _rename_term
 from nomrew.syntax import parse_theory, pretty
 
 import reference_walkers as ref
@@ -57,6 +63,7 @@ X, Y = Unknown("X"), Unknown("Y")
 DEPTHS = [10**3, 10**4, 10**5]
 BOTTOM = App("g", (Suspension(swap(a, b), X), AtomTerm(c)))  # g((a b).X, c)
 BETAETA = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
+REMARK43 = parse_theory((resources.files("nomrew") / "theories" / "remark43.nrw").read_text())
 
 
 def spine(n: int, bottom, former: str = "u", binder: Atom = a):
@@ -170,6 +177,75 @@ def test_normalization_and_equality_at_depth():
         assert pretty(res.term) == normal
     decision = decide_equal(EMPTY_CTX, s, spine(n, AtomTerm(c), "lam"), BETAETA, assume_convergent=True)
     assert decision.verdict == "equal"
+
+
+def test_closed_step_and_reachability_at_depth():
+    n = 10**3
+    redex = App("app", (App("lam", (Abstraction(b, AtomTerm(b)),)), AtomTerm(c)))
+    s, normal = spine(n, redex, "lam"), spine_text(n, "c", "lam")
+    beta_var = next(rule for rule in BETAETA.rules if rule.name == "beta_var")
+    [step] = closed_rewrite_step(EMPTY_CTX, s, beta_var)
+    assert step.path == spine_path(n) and pretty(step.result) == normal
+    assert [pretty(t) for t in closed_reachable(EMPTY_CTX, s, BETAETA, 2)] == [pretty(s), normal]
+
+
+def test_general_steps_at_depth():
+    # f(...f(c)) 10^3 deep, no binders: general steps under binders try every
+    # renaming of them, which is exponential in the depth.
+    n = 10**3
+    t = AtomTerm(c)
+    for _ in range(n):
+        t = App("f", (t,))
+    wrapped = "f(" * (n + 1) + "c" + ")" * (n + 1)
+    # A universe of the rule's atom alone gives one instance per position.
+    steps = rewrite_step_general(EMPTY_CTX, t, REMARK43.rules[0], max_support=1)
+    assert steps.truncated and [step.path for step in steps] == [path for path, _ in positions(t)]
+    assert all(step.perm.is_identity and pretty(step.result) == wrapped for step in steps)
+    res = normalize_general(EMPTY_CTX, t, REMARK43, fuel=3)
+    assert res.status == "fuel_exhausted" and [step.path for step in res.trace] == [()] * 3
+    assert pretty(res.term) == "f(" * (n + 3) + "c" + ")" * (n + 3)
+
+
+def test_fresh_renaming_at_depth():
+    n = 10**3
+    a0, b0, c0, x0 = Atom("a$0"), Atom("b$0"), Atom("c$0"), Unknown("X$0")
+    # b occurs only in the context and a suspension, so the check ends by
+    # comparing whole renamed rules.
+    rule = RewriteRule("deep", FreshnessContext.of((b, X)), spine(n, Suspension(swap(a, b), X)), var(X))
+    assert _fresh_renaming(rule, _rename_rule(rule, {a: a0, b: b0}, {X: x0}), EMPTY_CTX)
+    bad = RewriteRule("deep", FreshnessContext.of((b0, x0)), spine(n, Suspension(swap(a0, c0), x0), binder=a0), var(x0))
+    assert not _fresh_renaming(rule, bad, EMPTY_CTX)
+
+
+class _Indents:
+    """A stdout that keeps only the indentation of each line printed."""
+
+    def __init__(self):
+        self.indents = []
+
+    def write(self, text):
+        if text != "\n":
+            self.indents.append(len(text) - len(text.lstrip(" ")))
+
+
+def test_derivation_report_at_depth(monkeypatch):
+    n = 10**4
+    t = spine(n, AtomTerm(c))
+    # Each judgement prints its terms in full, which is quadratic in n; the
+    # report's shape is what is checked here.
+    monkeypatch.setattr(cli, "pretty", lambda u: type(u).__name__)
+    monkeypatch.setattr(cli, "pretty_ctx", lambda ctx: "")
+    info = cli._deriv_json(check_alpha(EMPTY_CTX, t, t))
+    rules, node = [], info
+    while node["children"]:
+        rules.append(node["rule"])
+        [node] = node["children"]
+    assert rules + [node["rule"]] == ["~f", "~[a]"] * (n // 2) + ["~a"]
+    assert info["judgement"] == " |- App =a= App" and node["judgement"] == " |- AtomTerm =a= AtomTerm"
+    out = _Indents()
+    monkeypatch.setattr("sys.stdout", out)
+    cli._print_deriv(info)
+    assert out.indents == [2 * i for i in range(n + 1)]
 
 
 # -- every rerouted walker agrees with its recursive reference ---------------
