@@ -75,6 +75,16 @@ class Derivation:
 def fresh_holds(ctx: FreshnessContext, a: Atom, t: Term) -> bool:
     """Is ctx |- a # t derivable?  Fast path without derivation recording,
     in one worklist pass that skips the bodies of binders of a."""
+    pairs = ctx.pairs
+    return _fresh_where(a, t, lambda c, x: (c, x) in pairs)
+
+
+def _fresh_where(a: Atom, t: Term, fresh_susp) -> bool:
+    """The freshness rules for a # t on one worklist, asking
+    fresh_susp(pi^-1(a), X) at each suspension pi.X: is a # pi.X, that is
+    pi^-1(a) # X, to be taken as holding?  fresh_holds asks the context;
+    matching asks about the image of X under a substitution, which reads
+    a # t.sigma off t without building it."""
     stack = [t]
     while stack:
         u = stack.pop()
@@ -82,13 +92,13 @@ def fresh_holds(ctx: FreshnessContext, a: Atom, t: Term) -> bool:
         if kind is App:
             stack.extend(u.args)
         elif kind is Abstraction:
-            if u.atom != a:
+            if u.atom is not a:
                 stack.append(u.body)
         elif kind is AtomTerm:
-            if u.atom == a:
+            if u.atom is a:
                 return False
         elif kind is Suspension:
-            if (u.perm.inverse()(a), u.unknown) not in ctx.pairs:
+            if not fresh_susp(u.perm.inverse()(a), u.unknown):
                 return False
         else:
             raise TypeError(f"not a term: {u!r}")

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .alpha import Derivation, FreshnessContext, check_alpha, check_fresh
 from .closed import NotClosedError, closed_normalize, closed_rewrite_step, decide_equal, is_closed_rule
@@ -152,9 +153,64 @@ def _print_deriv(info: dict) -> None:
         stack.extend((child, indent + 1) for child in reversed(node["children"]))
 
 
+def _json_text(report) -> str:
+    """Exactly ``json.dumps(report, indent=2)`` for reports made of dicts
+    with string keys, lists, tuples, strings, ints, booleans and None, on an
+    explicit stack: a derivation nests as deep as its term, past the depth
+    at which the json encoder, which recurses per level, gives up.  Anything
+    else raises TypeError; reports hold no floats."""
+    if type(report) not in (dict, list, tuple):
+        return _json_scalar(report)
+    out: list[str] = []
+    stack: list = [("", report, "\n")]  # text to write, or (label, container, newline and indent of its level)
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        label, value, indent = item
+        kind = type(value)
+        if not value:
+            out.append(label + ("{}" if kind is dict else "[]"))
+            continue
+        if kind is dict:
+            for key in value:
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(label + "{")
+            stack.append(indent + "}")
+            entries = [(encode_basestring_ascii(key) + ": ", child) for key, child in value.items()]
+        else:
+            out.append(label + "[")
+            stack.append(indent + "]")
+            entries = [("", child) for child in value]
+        inner = indent + "  "
+        for i in range(len(entries) - 1, -1, -1):  # the first entry ends on top
+            label, child = entries[i]
+            label = ("," if i else "") + inner + label
+            kind = type(child)
+            if kind is dict or kind is list or kind is tuple:
+                stack.append((label, child, inner))
+            else:
+                stack.append(label + _json_scalar(child))
+    return "".join(out)
+
+
+def _json_scalar(value) -> str:
+    """json.dumps of a string, int, boolean or None."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
 
 
 def cmd_check(args) -> int:

@@ -10,9 +10,12 @@ X -> (rho o pi)^-1 . target.  Duplicate occurrences are reconciled by an
 alpha check, and the pending and pattern-context obligations are checked
 once the substitution is complete.  Matching solutions are unique up to
 alpha-equivalence under the target context; the solver returns the first
-computed, which is not canonical.  The alpha checks are linear, but each
-mismatched binder's pending freshness check walks its substituted body, so
-a chain of n nested mismatched binders costs O(n^2).
+computed, which is not canonical.  The alpha checks are linear.  A pending
+check c # l.sigma builds no instance: it walks the pattern body l, and at
+a suspension pi.X asks pi^-1(c) # sigma(X), each (atom, unknown) pair once
+per solve, so each image is walked once per distinct pair however often X
+occurs.  A chain of n nested mismatched binders in the pattern still walks
+O(n^2) pattern nodes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .alpha import FreshnessContext, alpha_holds, fresh_holds
+from .alpha import FreshnessContext, _fresh_where, alpha_holds, fresh_holds
 from .terms import (
     ID,
     Abstraction,
@@ -140,12 +143,22 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
         for x in leftover:
             binds[x] = spare
 
+    # b # p.sigma is read off the pattern p: a suspension pi.X asks
+    # pi^-1(b) # sigma(X), and each (atom, unknown) pair is asked once.
     sigma = Substitution(binds)
+    known: dict = {}
+
+    def fresh_image(c: Atom, x: Unknown) -> bool:
+        got = known.get((c, x))
+        if got is None:
+            got = known[c, x] = fresh_holds(delta, c, sigma.image(x))
+        return got
+
     for b, p in pending:
-        if not fresh_holds(delta, b, substitute(p, sigma)):
+        if not _fresh_where(b, p, fresh_image):
             return None
     for a, x in problem.pattern_ctx:
-        if not fresh_holds(delta, a, sigma.image(x)):
+        if not fresh_image(a, x):
             return None
     assert is_solution(problem, sigma)
     return MatchSolution(sigma)

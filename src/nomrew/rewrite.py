@@ -546,8 +546,7 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
     above it differently, so their general results differ there; two
     general instances at one hole differ in pi.  Closed rewriting has one
     variant, the subject, and at most one instance per hole.  So no result
-    is hashed, which also keeps deep results away from the recursive term
-    hash."""
+    is hashed."""
     out = []
     for path, here in positions(s):
         # Alpha-variants differ from s only in atoms, so one shape test
@@ -558,7 +557,10 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
         for hole, frames in _decompositions(firing.ctx, s, path, firing.universe):
             for pi, theta, rhs in firing.instances(hole):
                 result = firing.finish(_plug(frames, rhs))
-                out.append(prepared.step(path, pi, theta, s, _plug(frames, hole), result))
+                # The hole is s's own subterm only when no binder above it
+                # was renamed, and then the variant fired on is s itself.
+                variant = s if hole is here else _plug(frames, hole)
+                out.append(prepared.step(path, pi, theta, s, variant, result))
     return StepResults(out, prepared.truncated)
 
 
@@ -597,16 +599,13 @@ def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessConte
             case _:
                 return False
     # Atoms met only in suspensions or in the context: try each assignment.
-    # Sides are compared by their flat keys, since the generated == recurses.
-    flat = lambda r: (r.name, r.ctx, _flat_key(r.lhs), _flat_key(r.rhs))
-    want = flat(renamed)
     rest = sorted(rule.atoms() - amap.keys())
     for images in itertools.permutations(sorted(renamed.atoms() - set(amap.values())), len(rest)):
         full = {**amap, **dict(zip(rest, images))}
         if (
             len(set(full.values())) == len(full)
             and len(set(umap.values())) == len(umap)
-            and flat(_rename_rule(rule, full, umap)) == want
+            and _rename_rule(rule, full, umap) == renamed
         ):
             return True
     return False

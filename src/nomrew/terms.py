@@ -6,14 +6,22 @@ unknown), an atom-abstraction [a]t, or a term-former application
 f(t1,...,tn).  Permutations are finitely supported bijections on atoms kept
 as the canonical map of the atoms they move; swap lists are only read and
 printed.  Substitutions map unknowns to terms and do not avoid capture.
-Everything here is an immutable value.  Every walker keeps its own stack, so
-terms of any depth work; those that rebuild a term or combine its children's
-values go through one bottom-up fold, `_fold`.
+
+Atoms and unknowns are interned: one live object per name, so they compare
+by identity and hash by address, both in C.  Term nodes are plain slotted
+classes, immutable by convention: nothing outside this module assigns a
+field (tests/test_terms_immutable.py keeps it so).  Term `==` and `hash`
+read the flat preorder key (`_flat_key`) on an explicit stack, and the hash
+is kept on the node once computed.  Every walker keeps its own stack, so
+terms of any depth work; those that rebuild a term or combine its
+children's values go through one bottom-up fold, `_fold`.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -31,42 +39,66 @@ class SignatureError(NominalError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+_INTERNING = threading.Lock()
+
+
+class _Name:
+    """An interned name: one live object per (class, name), so equality is
+    identity and hashing is the object's own, both in C.  Each subclass
+    keeps its own weak table, so an unused name is not kept alive.  Names
+    are immutable; copying or pickling one interns it again."""
+
+    __slots__ = ("name", "__weakref__")
+
+    def __init_subclass__(cls):
+        cls._interned = weakref.WeakValueDictionary()
+
+    def __new__(cls, name: str):
+        got = cls._interned.get(name)
+        if got is None:
+            # Two threads making the same new name must get one object.
+            with _INTERNING:
+                got = cls._interned.get(name)
+                if got is None:
+                    got = object.__new__(cls)
+                    object.__setattr__(got, "name", name)
+                    cls._interned[name] = got
+        return got
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+    @property
+    def is_machine(self) -> bool:
+        return MACHINE_MARK in self.name
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name!r})"
+
+    def __lt__(self, other):
+        return self.name < other.name
+
+
+class Atom(_Name):
     """An object-level name; equal iff the names are equal.
 
     Names containing the reserved ``$`` marker are machine-generated and can
     never be written in user syntax, so they are fresh by construction.
     """
 
-    name: str
-
-    @property
-    def is_machine(self) -> bool:
-        return MACHINE_MARK in self.name
-
-    def __repr__(self):
-        return f"Atom({self.name!r})"
-
-    def __lt__(self, other: "Atom"):
-        return self.name < other.name
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Unknown:
+class Unknown(_Name):
     """A variable standing for an as yet unknown term."""
 
-    name: str
-
-    @property
-    def is_machine(self) -> bool:
-        return MACHINE_MARK in self.name
-
-    def __repr__(self):
-        return f"Unknown({self.name!r})"
-
-    def __lt__(self, other: "Unknown"):
-        return self.name < other.name
+    __slots__ = ()
 
 
 class Permutation:
@@ -168,17 +200,35 @@ def swap(a: Atom, b: Atom) -> Permutation:
 
 
 class Term:
-    """Base class of the four term constructors."""
+    """Base class of the four term constructors: equal when their flat keys
+    are, with the hash computed on first use and kept in the `_hash` slot."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return False if isinstance(other, Term) else NotImplemented
+        return _flat_key(self) == _flat_key(other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(_flat_key(self))
+            return h
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class AtomTerm(Term):
     atom: Atom
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class Suspension(Term):
     """A permutation suspended on an unknown, applied once it is instantiated."""
 
@@ -186,13 +236,13 @@ class Suspension(Term):
     unknown: Unknown
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class Abstraction(Term):
     atom: Atom
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class App(Term):
     former: str
     args: tuple[Term, ...] = ()
@@ -343,8 +393,8 @@ def _flat_key(t: Term) -> tuple:
     with one token.  An atom is its name, an abstraction _ABS and its atom's
     name, an application _APP, its former and its arity, a suspension _SUSP,
     its unknown's name and its permutation.  The stream decodes in exactly
-    one way, so equal keys mean equal terms; unlike hashing the term, whose
-    generated hash recurses, the walk keeps its own stack."""
+    one way, so equal keys mean equal terms; term == and hash compare and
+    hash it.  The walk keeps its own stack."""
     out: list = []
     stack = [t]
     while stack:

@@ -378,3 +378,56 @@ def test_replay_rejects_a_step_fired_on_the_freshened_rule_own_atom(tmp_path, ca
     theory.write_text(report["theory"])
     code, out, _ = run(capsys, "step", str(theory), "--term", "[c]f(c)")
     assert code == 0 and out == "no steps\n"
+
+
+JSON_CASES = {
+    **{f"check-{theory.stem}": ("check", str(theory)) for theory in (BETAETA, FOL, NONCLOSED, REMARK43)},
+    "normalize-closed": ("normalize", str(BETAETA), "--term", "app(lam([a]app(app(a,X),a)),b)", "--trace"),
+    "normalize-general": (
+        "normalize", str(FOL), "--term", "forall([a]and(P,imp(Q,Q)))", "--ctx", "a#P,a#Q", "--general",
+    ),
+    "normalize-nonclosed": ("normalize", str(NONCLOSED), "--term", "[b][a]a", "--general"),
+    "normalize-fuel": ("normalize", str(REMARK43), "--term", "X", "--ctx", "a#X", "--fuel", "3"),
+    "step-general": ("step", str(BETAETA), "--term", "app(lam([a]app(X,a)),app(lam([b]b),c))", "--general"),
+    "step-closed": ("step", str(REMARK43), "--term", "X"),
+    "equal": ("equal", str(FOL), "forall([a]and(P,imp(Q,Q)))", "and(P,or(not(Q),Q))", "--ctx", "a#P,a#Q"),
+    "equal-convergent": ("equal", str(BETAETA), "a", "b", "--assume-convergent"),
+    "alpha": ("alpha", "--ctx", "a#X,b#X", "[a]f((a b).X, é)", "[b]f(X, é)"),
+    "fresh": ("fresh", "--ctx", "a#X", "a", "[b]f(X, b)"),
+    "match": ("match", "", "[a]f(X, a)", "", "[b]f(c, b)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_json_reports_print_as_json_dumps(case, capsys, monkeypatch):
+    reports = []
+    write = cli_module._json_text
+    monkeypatch.setattr(cli_module, "_json_text", lambda report: reports.append(report) or write(report))
+    _, out, _ = run(capsys, *JSON_CASES[case], "--json")
+    [report] = reports
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
+def test_json_text_is_json_dumps_on_deep_and_odd_reports():
+    leaf = {"text": 'tab\t"quote" \\ café ∀ \U0001d4b3 \x00', "empty": [{}, [], ()], "n": [-3, 0, True, False, None]}
+    report: dict = leaf
+    for depth in range(400):
+        report = {"node": depth, "children": [report, ("tuple", leaf)] if depth % 3 else (report,)}
+    assert cli_module._json_text(report) == json.dumps(report, indent=2)
+    for value in ({}, [], (), "", 7, None):
+        assert cli_module._json_text(value) == json.dumps(value, indent=2)
+    for bad in ({"x": 1.5}, {1: "int key"}, [{"x": object()}]):
+        with pytest.raises(TypeError):
+            cli_module._json_text(bad)
+
+
+def test_json_text_writes_a_report_5000_deep():
+    report: list = []
+    for _ in range(4999):
+        report = [report]
+    lines = cli_module._json_text(report).split("\n")
+    assert lines == [" " * 2 * i + "[" for i in range(4999)] + [" " * 9998 + "[]"] + [
+        " " * 2 * i + "]" for i in reversed(range(4999))
+    ]
+    with pytest.raises(RecursionError):
+        json.dumps(report, indent=2)

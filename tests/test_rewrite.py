@@ -53,7 +53,7 @@ from nomrew.rewrite import (
     _prepare_general, _rename_rule, _rename_term, _universe, normalize, reachable, rewrite_steps,
 )
 from nomrew.syntax import parse_term, parse_theory
-from nomrew.terms import MACHINE_MARK, _flat_key
+from nomrew.terms import MACHINE_MARK
 from oracles import check_equivariance_sample
 from strategies import (
     FORMERS, contexts_st, perms_st, random_ctx, random_perm, random_term, sig_terms_st, substs_st, terms_st,
@@ -459,6 +459,19 @@ def _seeded_cases(seed, count):
         yield theory, ctx, s, t
 
 
+def test_a_step_fired_on_the_subject_as_written_reuses_it():
+    counts = Counter()
+    for theory, ctx, s, _ in _seeded_cases(67, 40):
+        for rule in theory.rules:
+            for step in closed_rewrite_step(ctx, s, rule):
+                assert step.variant is step.source
+            for step in rewrite_step_general(ctx, s, rule):
+                # A variant that renames a binder above the hole differs from s.
+                assert (step.variant is step.source) == (step.variant == step.source)
+                counts[step.variant is step.source] += 1
+    assert counts[True] and counts[False]
+
+
 def test_reachability_matches_scan_reference():
     nonempty = 0
     for theory, ctx, s, t in _seeded_cases(61, 40):
@@ -598,7 +611,7 @@ def test_general_search_solves_each_hole_once_per_call(monkeypatch):
     real_solve, real_universe, real_freshen = solve_match, rewrite_module._universe, rewrite_module._freshen_rule_unknowns
 
     def counted(problem):
-        calls[now["rule"], now["universe"], _flat_key(problem.target)] += 1
+        calls[now["rule"], now["universe"], problem.target] += 1
         return real_solve(problem)
 
     def universe(rule_atoms, other_atoms, max_support):

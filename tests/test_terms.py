@@ -1,14 +1,19 @@
+import copy
+import pickle
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nomrew import (
+    EMPTY_CTX,
     Abstraction,
     App,
     Atom,
     AtomTerm,
     EMPTY_SUBST,
+    FreshnessContext,
+    MatchProblem,
     ID,
     Permutation,
     Signature,
@@ -18,17 +23,23 @@ from nomrew import (
     Unknown,
     act,
     atoms_of,
+    check_alpha,
+    check_fresh,
+    fresh_holds,
+    solve_match,
     substitute,
     swap,
     unknowns_of,
     var,
+    verify_derivation,
 )
 import pytest
-from nomrew.terms import fresh_names
+from nomrew import matching
+from nomrew.terms import _flat_key, fresh_names
 from reference_walkers import cycle_swaps, swap_list_mapping
 from strategies import ATOMS, atoms_st, perms_st, random_perm, random_subst, random_term, substs_st, terms_st
 
-a, b, c, d = (Atom(n) for n in "abcd")
+a, b, c, d, e = (Atom(n) for n in "abcde")
 X, Y = Unknown("X"), Unknown("Y")
 
 
@@ -215,3 +226,111 @@ def test_laws_on_seeded_random_terms():
         assert act(pi * pi2, t) == act(pi, act(pi2, t))
         assert act(pi, substitute(t, sigma)) == substitute(act(pi, t), sigma)
         assert substitute(t, sigma.compose(theta)) == substitute(substitute(t, sigma), theta)
+
+
+# -- the kernel: interned names, flat == and hash ------------------------------
+
+
+def test_names_are_interned_and_immutable():
+    assert Atom("a") is a and Unknown("X") is X
+    assert Atom("a") != Unknown("a") and hash(Atom("a")) != hash(Unknown("a"))
+    for name in (a, X, Atom("m$0")):
+        assert copy.copy(name) is name and copy.deepcopy(name) is name
+        assert pickle.loads(pickle.dumps(name)) is name
+        with pytest.raises(AttributeError):
+            name.name = "b"
+    assert repr(a) == "Atom('a')" and repr(X) == "Unknown('X')"
+    assert sorted([c, a, b]) == [a, b, c] and Atom("m$0").is_machine and not X.is_machine
+
+
+def test_terms_copy_and_pickle_as_values():
+    t = Abstraction(a, App("g", (Suspension(swap(a, b), X), AtomTerm(c))))
+    hash(t)
+    for u in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        # A kept hash depends on the addresses of the names, so a copy,
+        # which may be made in another process, starts without one.
+        assert not hasattr(u, "_hash")
+        assert u == t and hash(u) == hash(t) and u.body.args[0].unknown is X
+
+
+def _rebuilt(t):
+    """A copy of t sharing no node with it."""
+    return act(swap(a, b), act(swap(a, b), t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms_st, terms_st)
+def test_equality_and_hash_follow_the_flat_key(s, t):
+    for u in (t, _rebuilt(s)):
+        assert (s == u) == (_flat_key(s) == _flat_key(u))
+        if s == u:
+            assert hash(s) == hash(u)
+    assert s == _rebuilt(s) and not s != _rebuilt(s)
+
+
+def _chain(n: int, bottom):
+    t = bottom
+    for i in range(n):
+        t = App("u", (t,)) if i % 2 else Abstraction(a, t)
+    return t
+
+
+def test_equality_and_hash_at_depth():
+    n = 10**5
+    s, t = _chain(n, AtomTerm(c)), _chain(n, AtomTerm(c))
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert {s: 1}[t] == 1
+    assert s != _chain(n, AtomTerm(d)) and s != _chain(n - 1, AtomTerm(c))
+
+
+def test_derivations_verify_at_depth():
+    n = 10**4
+    s = _chain(n, Abstraction(a, App("g", (AtomTerm(a), Suspension(swap(a, b), X)))))
+    t = _chain(n, Abstraction(b, App("g", (AtomTerm(b), Suspension(swap(a, b), X)))))
+    ctx = FreshnessContext.of((b, X))  # b # (a b).X, that is a # X, fails
+    assert check_alpha(ctx, s, t) is None
+    ctx = FreshnessContext.of((a, X), (b, X), (c, X))
+    assert verify_derivation(check_alpha(ctx, s, t))
+    assert verify_derivation(check_fresh(ctx, c, s))
+
+
+def test_substitutions_with_a_deep_image_compare_and_hash():
+    n = 10**5
+    sigma, theta = Substitution({X: _chain(n, AtomTerm(c))}), Substitution({X: _chain(n, AtomTerm(c))})
+    assert sigma == theta and hash(sigma) == hash(theta)
+    assert sigma != Substitution({X: _chain(n, AtomTerm(d))})
+
+
+# -- matching checks pending freshness on the pattern, not its instance ------------
+
+
+@pytest.mark.parametrize(
+    "image, holds",
+    [
+        (App("g", (AtomTerm(c), AtomTerm(d), AtomTerm(e))), True),
+        (App("g", (AtomTerm(c), AtomTerm(a))), False),  # c # [b]f(X, X) fails
+        (App("g", (AtomTerm(c), AtomTerm(b))), False),  # d # f(X, X) fails
+        (Abstraction(a, App("g", (AtomTerm(a), Suspension(swap(c, e), Y)))), True),
+        (Suspension(swap(a, e), Y), False),  # asks e # Y, which the context does not give
+    ],
+)
+def test_pending_freshness_agrees_with_the_substituted_body(monkeypatch, image, holds):
+    # [a][b]f(X, X) against [c][d]f(s, s): both binders mismatch, leaving
+    # c # [b]f(X, X) and then d # f(X, X), with X sent to rho^-1.s where
+    # rho = (d b) o (c a).
+    pattern = Abstraction(a, Abstraction(b, App("f", (var(X), var(X)))))
+    target = Abstraction(c, Abstraction(d, App("f", (image, image))))
+    delta = FreshnessContext.of((c, Y), (b, Y))
+    sigma = Substitution({X: act((swap(d, b) * swap(c, a)).inverse(), image)})
+    expected = fresh_holds(delta, c, substitute(pattern.body, sigma)) and fresh_holds(
+        delta, d, substitute(pattern.body.body, sigma)
+    )
+    asked = []
+    monkeypatch.setattr(matching, "fresh_holds", lambda ctx, atom, t: asked.append((atom, t)) or fresh_holds(ctx, atom, t))
+    got = solve_match(MatchProblem(EMPTY_CTX, pattern, delta, target))
+    assert (got is not None) == expected == holds
+    if got is not None:
+        assert got.sigma == sigma
+    # X occurs four times in the two pending bodies, and is asked about at
+    # most once per atom, on its image alone.
+    assert asked in ([(c, sigma[X]), (d, sigma[X])], [(c, sigma[X])])

@@ -2,8 +2,8 @@
 
 Deep inputs are spines: n levels, alternately an abstraction [a]... and a
 unary application, wrapped around a small bottom term.  Results on them are
-checked through their printed text, since comparing two deep terms with ==
-goes through the generated dataclass __eq__, which recurses.  The rewriting
+checked through their printed text and, since term == and hash keep their
+own stack, with == against the expected term built separately.  The rewriting
 engines are checked at 10^3 only: `positions` stores a full path per
 position, so it costs O(size x depth).
 """
@@ -105,11 +105,14 @@ def test_act_and_substitute_at_depth(n):
     pi = swap(a, d)
     swapped = spine_text(n, pretty(act(pi, BOTTOM)), binder="d")
     assert pretty(act(pi, t)) == swapped
+    assert act(pi, t) == spine(n, act(pi, BOTTOM), binder=d)
     sigma = Substitution({X: App("f", (AtomTerm(a),))})
     assert pretty(substitute(t, sigma)) == spine_text(n, "g(f(b), c)")
+    assert substitute(t, sigma) == spine(n, App("g", (App("f", (AtomTerm(b),)), AtomTerm(c))))
     # a deep image, once under a suspension's permutation and once bare
     twice = substitute(App("h", (Suspension(pi, Y), var(Y))), Substitution({Y: t}))
     assert pretty(twice) == f"h({swapped}, {spine_text(n, 'g((a b).X, c)')})"
+    assert twice == App("h", (spine(n, act(pi, BOTTOM), binder=d), spine(n, BOTTOM)))
 
 
 @pytest.mark.parametrize("n", DEPTHS)
@@ -135,6 +138,7 @@ def test_scrub_at_depth(n):
     t = deep(n)
     ctx = FreshnessContext.of((a, X), (b, X))
     assert pretty(scrub(ctx, t, [c, d])) == spine_text(n, "g(X, c)")
+    assert scrub(ctx, t, [c, d]) == spine(n, App("g", (var(X), AtomTerm(c))))
 
 
 @pytest.mark.parametrize("n", DEPTHS)
@@ -142,6 +146,7 @@ def test_subterm_at_and_replace_at_at_depth(n):
     t = deep(n)
     assert subterm_at(t, spine_path(n)) is BOTTOM
     assert pretty(replace_at(t, spine_path(n), AtomTerm(d))) == spine_text(n, "d")
+    assert replace_at(t, spine_path(n), AtomTerm(d)) == spine(n, AtomTerm(d))
 
 
 # -- the engines answer on inputs 10^3 deep -----------------------------------
@@ -164,6 +169,7 @@ def test_solve_match_at_depth():
     sigma = solve_match(problem).sigma
     assert alpha_holds(ctx, substitute(problem.pattern, sigma), target)
     assert pretty(sigma[Y]) == spine_text(n, pretty(act(swap(d, e), BOTTOM)))
+    assert sigma == Substitution({Y: spine(n, act(swap(d, e), BOTTOM))})
     assert solve_match(MatchProblem(EMPTY_CTX, problem.pattern, EMPTY_CTX, target)) is None
 
 
@@ -175,6 +181,7 @@ def test_normalization_and_equality_at_depth():
         assert res.status == "normal_form" and len(res.trace) == 1
         assert res.trace[0].path == spine_path(n)
         assert pretty(res.term) == normal
+        assert res.term == spine(n, AtomTerm(c), "lam")
     decision = decide_equal(EMPTY_CTX, s, spine(n, AtomTerm(c), "lam"), BETAETA, assume_convergent=True)
     assert decision.verdict == "equal"
 
@@ -186,6 +193,7 @@ def test_closed_step_and_reachability_at_depth():
     beta_var = next(rule for rule in BETAETA.rules if rule.name == "beta_var")
     [step] = closed_rewrite_step(EMPTY_CTX, s, beta_var)
     assert step.path == spine_path(n) and pretty(step.result) == normal
+    assert step.result == spine(n, AtomTerm(c), "lam") and step.variant is s
     assert [pretty(t) for t in closed_reachable(EMPTY_CTX, s, BETAETA, 2)] == [pretty(s), normal]
 
 
