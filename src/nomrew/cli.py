@@ -17,7 +17,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .alpha import Derivation, FreshnessContext, check_alpha, check_fresh
+from .alpha import Derivation, FreshnessContext, alpha_holds, check_alpha, check_fresh, fresh_holds
 from .closed import NotClosedError, closed_normalize, closed_rewrite_step, decide_equal, is_closed_rule
 from .matching import MatchProblem, solve_match
 from .rewrite import (
@@ -304,23 +304,27 @@ def cmd_equal(args) -> int:
     return {"equal": EXIT_OK, "not_equal": EXIT_NO}.get(decision.verdict, EXIT_INCONCLUSIVE)
 
 
-def _judgement(args, deriv: Derivation | None, report: dict) -> int:
-    """Answer an alpha or freshness judgement, with its derivation printed
-    under --trace and reported under --json, both from one JSON form."""
+def _judgement(args, report: dict, holds, derive, *operands) -> int:
+    """Answer holds(*operands).  The derivation, derive(*operands) or None,
+    is built only to be printed under --trace or reported under --json: it
+    writes out the subterm at each node, in time quadratic in the depth."""
+    derived = args.trace or args.json
+    deriv = derive(*operands) if derived else None
+    answer = deriv is not None if derived else holds(*operands)
     info = None if deriv is None else _deriv_json(deriv)
     if not args.json:
-        print("no" if info is None else "yes")
+        print("yes" if answer else "no")
         if args.trace and info:
             _print_deriv(info)
-    _emit({**report, "holds": info is not None, "derivation": info}, args.json)
-    return EXIT_NO if info is None else EXIT_OK
+    _emit({**report, "holds": answer, "derivation": info}, args.json)
+    return EXIT_OK if answer else EXIT_NO
 
 
 def cmd_alpha(args) -> int:
     ctx = parse_context(args.ctx)
     s, t = parse_term(args.left), parse_term(args.right)
     report = {"schema": SCHEMA, "command": "alpha", "ctx": pretty_ctx(ctx), "left": pretty(s), "right": pretty(t)}
-    return _judgement(args, check_alpha(ctx, s, t), report)
+    return _judgement(args, report, alpha_holds, check_alpha, ctx, s, t)
 
 
 def cmd_fresh(args) -> int:
@@ -332,7 +336,7 @@ def cmd_fresh(args) -> int:
     t = parse_term(args.term)
     report = {"schema": SCHEMA, "command": "fresh", "ctx": pretty_ctx(ctx),
               "atom": atom.atom.name, "term": pretty(t)}
-    return _judgement(args, check_fresh(ctx, atom.atom, t), report)
+    return _judgement(args, report, fresh_holds, check_fresh, ctx, atom.atom, t)
 
 
 def cmd_match(args) -> int:

@@ -7,11 +7,15 @@ with 0-ary formers written bare, freshness is a#X, and a theory file is a
 sequence of `sig`, `rule` and `axiom` statements terminated by semicolons.
 `//` starts a line comment.  The `$` character is reserved for
 machine-generated names and is rejected in user input.
+
+The reader is one regular-expression scanner and one term loop with an
+explicit stack of open binders and applications, so it takes any depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .alpha import FreshnessContext
 from .rewrite import RewriteRule, RuleError, Theory
@@ -43,72 +47,41 @@ class ParseError(NominalError):
 
 PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
          ".": "DOT", ",": "COMMA", "#": "HASH", ":": "COLON", ";": "SEMI", "=": "EQ"}
-KEYWORDS = {"sig", "rule", "axiom", "theory"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | NAT | one of PUNCT values | TURNSTILE | ARROW | EOF
     text: str
     line: int
     col: int
 
 
+# One alternative per token kind, tried in order; BAD takes any other
+# character, so the matches cover the text with no gaps.  IDENT's [^\W\d]
+# also takes numerals that are not digits, such as U+00BD, which start no name.
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|(?P<SPACE>[ \t\r]+)|(?P<COMMENT>//[^\n]*)|(?P<TURNSTILE>\|-)|(?P<ARROW>->)|(?P<NAT>\d+)"
+    rf"|(?P<IDENT>[^\W\d][\w'{re.escape(MACHINE_MARK)}]*)|(?P<PUNCT>[{re.escape(''.join(PUNCT))}])|(?P<BAD>.)"
+)
+
+
 def tokenize(text: str, allow_machine: bool = False) -> list[Token]:
+    """The tokens of text, each with the line and column it starts at.  Tab
+    and carriage return count as one column; a comment advances none."""
     toks: list[Token] = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("|-", i):
-            toks.append(Token("TURNSTILE", "|-", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("->", i):
-            toks.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in PUNCT:
-            toks.append(Token(PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("NAT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'" or text[j] == MACHINE_MARK):
-                j += 1
-            word = text[i:j]
-            if MACHINE_MARK in word and not allow_machine:
-                raise ParseError(f"'{MACHINE_MARK}' is reserved for machine-generated names", line, col)
-            toks.append(Token("IDENT", word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "NEWLINE":
+            line, col = line + 1, 1
+        elif kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", line, col)
+        elif kind == "IDENT" and MACHINE_MARK in word and not allow_machine:
+            raise ParseError(f"'{MACHINE_MARK}' is reserved for machine-generated names", line, col)
+        elif kind != "COMMENT":
+            if kind != "SPACE":
+                toks.append(Token(PUNCT[word] if kind == "PUNCT" else kind, word, line, col))
+            col += len(word)
     toks.append(Token("EOF", "", line, col))
     return toks
 
@@ -145,20 +118,54 @@ class _Parser:
     # terms ---------------------------------------------------------------
 
     def term(self) -> Term:
+        """A term, read in one loop with an explicit stack of open frames: the
+        Atom of each `[a]` waiting for its body, and the name token and the
+        arguments so far of each `f(` waiting for its `)`."""
+        frames: list = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "LBRACK":
+                self.next()
+                frames.append(self.atom_name())
+                self.expect("RBRACK", "']'")
+                continue
+            if tok.kind == "IDENT" and not _is_unknown_name(tok.text) and self.peek(1).kind == "LPAREN":
+                self.pos += 2  # the name and its '('
+                frames.append((tok, []))
+                continue
+            t = self.leaf()
+            while frames:
+                top = frames.pop()
+                if type(top) is Atom:
+                    t = Abstraction(top, t)
+                    continue
+                name_tok, args = top
+                args.append(t)
+                if self.peek().kind == "COMMA":
+                    self.next()
+                    frames.append(top)
+                    break  # on to the next argument
+                self.expect("RPAREN", "')'")
+                self.check_former(name_tok.text, len(args), name_tok)
+                t = App(name_tok.text, tuple(args))
+            else:
+                return t
+
+    def leaf(self) -> Term:
+        """A suspension, an unknown, a nullary former or an atom."""
         tok = self.peek()
-        if tok.kind == "LBRACK":
-            self.next()
-            atom = self.atom_name()
-            self.expect("RBRACK", "']'")
-            return Abstraction(atom, self.term())
         if tok.kind == "LPAREN":
             return self.suspension()
-        if tok.kind == "IDENT":
-            if _is_unknown_name(tok.text):
-                self.next()
-                return var(Unknown(tok.text))
-            return self.atom_or_app()
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+        if tok.kind != "IDENT":
+            self.fail(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+        self.next()
+        name = tok.text
+        if _is_unknown_name(name):
+            return var(Unknown(name))
+        if name in (self.inferred if self.signature is None else self.signature):
+            self.check_former(name, 0, tok)
+            return App(name, ())
+        return AtomTerm(Atom(name))
 
     def suspension(self) -> Term:
         swaps = []
@@ -179,26 +186,6 @@ class _Parser:
         if _is_unknown_name(tok.text):
             self.fail(f"expected an atom (lowercase-initial), found {tok.text!r}", tok)
         return Atom(tok.text)
-
-    def atom_or_app(self) -> Term:
-        tok = self.next()
-        name = tok.text
-        if self.peek().kind == "LPAREN":
-            self.next()
-            args = [self.term()]
-            while self.peek().kind == "COMMA":
-                self.next()
-                args.append(self.term())
-            self.expect("RPAREN", "')'")
-            self.check_former(name, len(args), tok)
-            return App(name, tuple(args))
-        if self.signature is not None and name in self.signature:
-            self.check_former(name, 0, tok)
-            return App(name, ())
-        if self.signature is None and name in self.inferred:
-            self.check_former(name, 0, tok)
-            return App(name, ())
-        return AtomTerm(Atom(name))
 
     def check_former(self, name: str, arity: int, tok: Token):
         if self.signature is not None:

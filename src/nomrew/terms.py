@@ -201,7 +201,8 @@ def swap(a: Atom, b: Atom) -> Permutation:
 
 class Term:
     """Base class of the four term constructors: equal when their flat keys
-    are, with the hash computed on first use and kept in the `_hash` slot."""
+    are, with the hash computed on first use and kept in the `_hash` slot.
+    Their repr shows their concrete syntax, written on `pretty`'s stack."""
 
     __slots__ = ("_hash",)
 
@@ -222,13 +223,17 @@ class Term:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
+    def __repr__(self):
+        from .syntax import pretty  # syntax imports this module
+        return f"{type(self).__name__}({pretty(self)!r})"
 
-@dataclass(slots=True, eq=False)
+
+@dataclass(slots=True, eq=False, repr=False)
 class AtomTerm(Term):
     atom: Atom
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, repr=False)
 class Suspension(Term):
     """A permutation suspended on an unknown, applied once it is instantiated."""
 
@@ -236,13 +241,13 @@ class Suspension(Term):
     unknown: Unknown
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, repr=False)
 class Abstraction(Term):
     atom: Atom
     body: Term
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, repr=False)
 class App(Term):
     former: str
     args: tuple[Term, ...] = ()

@@ -9,7 +9,10 @@ is the rule-by-rule alpha check that test_alpha.py and test_rewrite.py
 compare `alpha_holds` and the library's `check_alpha` against.  At the end are
 the swap-list reading of a permutation and the matcher that copies the
 pattern body under each mismatched binder, which test_terms.py and
-test_matching.py compare `Permutation` and `solve_match` against.
+test_matching.py compare `Permutation` and `solve_match` against.  Last
+is the character-by-character tokenizer and recursive-descent term reader
+that test_syntax.py compares the library's regex scanner and explicit-stack
+reader against.
 """
 
 from __future__ import annotations
@@ -24,12 +27,15 @@ from nomrew import (
     Permutation,
     Substitution,
     Suspension,
+    Unknown,
     alpha_holds,
     atoms_of,
     swap,
+    var,
 )
 from nomrew.rewrite import _complete_perm
-from nomrew.terms import fresh_names
+from nomrew.syntax import PUNCT, ParseError, Token, _is_unknown_name, _Parser
+from nomrew.terms import MACHINE_MARK, fresh_names
 
 
 def act(pi, t):
@@ -328,3 +334,109 @@ def solve_match(problem):
         if not fresh_holds(delta, a, sigma.image(x)):
             return None
     return MatchSolution(sigma)
+
+
+def tokenize(text, allow_machine=False):
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("|-", i):
+            toks.append(Token("TURNSTILE", "|-", line, col))
+            i += 2
+            col += 2
+            continue
+        if text.startswith("->", i):
+            toks.append(Token("ARROW", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in PUNCT:
+            toks.append(Token(PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(Token("NAT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'" or text[j] == MACHINE_MARK):
+                j += 1
+            word = text[i:j]
+            if MACHINE_MARK in word and not allow_machine:
+                raise ParseError(f"'{MACHINE_MARK}' is reserved for machine-generated names", line, col)
+            toks.append(Token("IDENT", word, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("EOF", "", line, col))
+    return toks
+
+
+class Parser(_Parser):
+    """The library's reader with the tokenizer above and terms read by
+    recursive descent; statements and contexts are the library's own."""
+
+    def __init__(self, text, signature=None, allow_machine=False):
+        self.toks = tokenize(text, allow_machine)
+        self.pos = 0
+        self.signature = signature
+        self.inferred = {}
+
+    def term(self):
+        tok = self.peek()
+        if tok.kind == "LBRACK":
+            self.next()
+            atom = self.atom_name()
+            self.expect("RBRACK", "']'")
+            return Abstraction(atom, self.term())
+        if tok.kind == "LPAREN":
+            return self.suspension()
+        if tok.kind == "IDENT":
+            if _is_unknown_name(tok.text):
+                self.next()
+                return var(Unknown(tok.text))
+            return self.atom_or_app()
+        self.fail(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+
+    def atom_or_app(self):
+        tok = self.next()
+        name = tok.text
+        if self.peek().kind == "LPAREN":
+            self.next()
+            args = [self.term()]
+            while self.peek().kind == "COMMA":
+                self.next()
+                args.append(self.term())
+            self.expect("RPAREN", "')'")
+            self.check_former(name, len(args), tok)
+            return App(name, tuple(args))
+        if self.signature is not None and name in self.signature:
+            self.check_former(name, 0, tok)
+            return App(name, ())
+        if self.signature is None and name in self.inferred:
+            self.check_former(name, 0, tok)
+            return App(name, ())
+        return AtomTerm(Atom(name))

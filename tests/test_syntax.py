@@ -1,5 +1,9 @@
+import itertools
+from unittest import mock
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from nomrew import (
     Abstraction,
@@ -13,6 +17,7 @@ from nomrew import (
     swap,
     var,
 )
+from nomrew import syntax
 from nomrew.syntax import (
     ParseError,
     parse_context,
@@ -22,6 +27,7 @@ from nomrew.syntax import (
     pretty_ctx,
     pretty_theory,
 )
+import reference_walkers as ref
 from strategies import contexts_st, terms_st
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -144,3 +150,61 @@ def test_theory_roundtrip():
     )
     th = parse_theory(text)
     assert parse_theory(pretty_theory(th)) == th
+
+
+def test_numeral_that_is_not_a_decimal_digit_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_theory("sig f:\u00b2 ;")
+    assert (err.value.message, err.value.col) == ("unexpected character '\u00b2'", 7)
+
+
+# The library reader against the tokenizer and recursive-descent reader it
+# replaced (reference_walkers.Parser), through every entry point: each text
+# must give equal results, or the same error at the same place.
+READERS = [
+    *(
+        lambda text, sig=sig, machine=machine: parse_term(text, sig, allow_machine=machine)
+        for sig, machine in itertools.product(
+            (None, Signature.of({"u": 1, "g": 2, "tt": 0}), Signature.of({"u": 2, "g": 1})), (False, True)
+        )
+    ),
+    *(lambda text, machine=machine: parse_context(text, allow_machine=machine) for machine in (False, True)),
+    *(lambda text, machine=machine: parse_theory(text, allow_machine=machine) for machine in (False, True)),
+    *(lambda text, machine=machine: syntax.tokenize(text, machine) for machine in (False, True)),
+]
+
+
+def _outcomes(text):
+    got = []
+    for read in READERS:
+        try:
+            got.append(read(text))
+        except Exception as e:  # ParseError's text holds its line and column
+            got.append((type(e), str(e)))
+    return got
+
+
+def assert_reads_as_reference(text):
+    with mock.patch.object(syntax, "_Parser", ref.Parser), mock.patch.object(syntax, "tokenize", ref.tokenize):
+        expected = _outcomes(text)
+    assert _outcomes(text) == expected
+
+
+@given(terms_st, contexts_st)
+def test_reader_agrees_with_reference_on_printed_terms(t, ctx):
+    text = pretty(t)
+    assert_reads_as_reference(text)
+    assert_reads_as_reference(pretty_ctx(ctx))
+    assert_reads_as_reference(f"sig u:1 g:2 ;\nrule r : {pretty_ctx(ctx)} |- {text} -> {text} ; // {text}\n")
+
+
+PIECES = [" ", "\t", "\r", "\n", "// c\n", "//", "$", "->", "|-", "#", "0", "7", "12", "a", "b", "a$1", "x'", "_y",
+          "\u00e9", "\u00bd", "X", "Y", "f", "u(", "g(", "tt", "sig", "rule", "axiom", "theory", "(", ")", "[", "]", ".",
+          ",", ":", ";", "=", "-", "|", "/"]
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+@example("rule r : a -> // c")  # the end of input is where the comment starts
+@example("\t\r a\r\n  b")
+def test_reader_agrees_with_reference_on_token_strings(text):
+    assert_reads_as_reference(text)

@@ -1,11 +1,13 @@
-"""The term walkers at any depth, and against their recursive references.
+"""The term walkers and the command line at any depth, and the walkers
+against their recursive references.
 
 Deep inputs are spines: n levels, alternately an abstraction [a]... and a
 unary application, wrapped around a small bottom term.  Results on them are
 checked through their printed text and, since term == and hash keep their
 own stack, with == against the expected term built separately.  The rewriting
 engines are checked at 10^3 only: `positions` stores a full path per
-position, so it costs O(size x depth).
+position, so it costs O(size x depth).  The command line is run in process,
+as deep terms make arguments longer than one argv string may be.
 """
 
 from functools import cache
@@ -24,7 +26,9 @@ from nomrew import (
     AtomTerm,
     FreshnessContext,
     MatchProblem,
+    Permutation,
     RewriteRule,
+    RewriteStep,
     Substitution,
     Suspension,
     Unknown,
@@ -52,8 +56,8 @@ from nomrew import (
     var,
 )
 from nomrew import cli
-from nomrew.rewrite import _decompositions, _fresh_renaming, _plug, _rename_rule, _rename_term
-from nomrew.syntax import parse_theory, pretty
+from nomrew.rewrite import _decompositions, _fresh_renaming, _plug, _rename_rule, _rename_term, path_str
+from nomrew.syntax import parse_term, parse_theory, pretty
 
 import reference_walkers as ref
 from strategies import ATOMS, contexts_st, perms_st, substs_st, terms_st
@@ -62,8 +66,9 @@ a, b, c, d, e = (Atom(n) for n in "abcde")
 X, Y = Unknown("X"), Unknown("Y")
 DEPTHS = [10**3, 10**4, 10**5]
 BOTTOM = App("g", (Suspension(swap(a, b), X), AtomTerm(c)))  # g((a b).X, c)
-BETAETA = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
-REMARK43 = parse_theory((resources.files("nomrew") / "theories" / "remark43.nrw").read_text())
+THEORIES = resources.files("nomrew") / "theories"
+BETAETA = parse_theory((THEORIES / "betaeta.nrw").read_text())
+REMARK43 = parse_theory((THEORIES / "remark43.nrw").read_text())
 
 
 def spine(n: int, bottom, former: str = "u", binder: Atom = a):
@@ -94,6 +99,7 @@ def spine_path(n: int) -> tuple:
 def test_pretty_size_and_depth_at_depth(n):
     t = deep(n)
     assert pretty(t) == spine_text(n, "g((a b).X, c)")
+    assert parse_term(pretty(t)) == t
     assert term_size(t) == n + 3
     assert term_depth(t) == n + 2
     assert next(islice(subterms(t), n, None)) is BOTTOM
@@ -147,6 +153,18 @@ def test_subterm_at_and_replace_at_at_depth(n):
     assert subterm_at(t, spine_path(n)) is BOTTOM
     assert pretty(replace_at(t, spine_path(n), AtomTerm(d))) == spine_text(n, "d")
     assert replace_at(t, spine_path(n), AtomTerm(d)) == spine(n, AtomTerm(d))
+
+
+def test_parse_wide_term():
+    t = App("g", tuple(spine(i % 7, AtomTerm(ATOMS[i % 4])) for i in range(10**4)))
+    assert parse_term(pretty(t)) == t
+
+
+def test_term_repr_at_depth():
+    t = deep(10**4)
+    assert repr(t) == f"App({pretty(t)!r})"
+    step = RewriteStep("r", (), Permutation(), Substitution({X: t}), t, t, t)
+    assert repr(step).count(repr(t)) == 4
 
 
 # -- the engines answer on inputs 10^3 deep -----------------------------------
@@ -223,6 +241,60 @@ def test_fresh_renaming_at_depth():
     assert _fresh_renaming(rule, _rename_rule(rule, {a: a0, b: b0}, {X: x0}), EMPTY_CTX)
     bad = RewriteRule("deep", FreshnessContext.of((b0, x0)), spine(n, Suspension(swap(a0, c0), x0), binder=a0), var(x0))
     assert not _fresh_renaming(rule, bad, EMPTY_CTX)
+
+
+# -- the command line answers on inputs 10^3 and 10^4 deep -------------------
+
+
+def test_every_command_at_depth(tmp_path, capsys):
+    n = 10**3
+    betaeta = str(THEORIES / "betaeta.nrw")
+    redex, normal = spine_text(n, "app(lam([b]b), c)", "lam"), spine_text(n, "c", "lam")
+    deep_rule = tmp_path / "deep.nrw"
+    deep_rule.write_text(f"sig lam:1 app:2 ;\nrule deep : {spine_text(n, 'app(X, b)', 'lam')} -> X ;\n")
+    report = tmp_path / "normalize.json"
+    assert cli.main(["normalize", betaeta, "--term", redex, "--fuel", "2", "--json"]) == 0
+    report.write_text(capsys.readouterr().out)
+    runs = [
+        (["replay", str(report)], 0, "replayed 1 steps: all valid\n"),
+        (["normalize", betaeta, "--term", redex, "--fuel", "2"], 0, f"{normal}\nstatus: normal_form after 1 steps\n"),
+        (["equal", betaeta, redex, normal, "--fuel", "2"], 0,
+         f"equal\n  {redex} ->* {normal} [normal_form]\n  {normal} ->* {normal} [normal_form]\n"),
+        (["step", betaeta, "--term", redex], 0, f"beta_var at {path_str(spine_path(n))} pi=id ->1 {normal}\n"),
+        (["check", str(deep_rule)], 1, "deep: not closed\n"),
+        (["alpha", redex, normal], 1, "no\n"),
+        (["fresh", "c", redex, "--trace"], 1, "no\n"),
+        (["match", "", spine_text(n, "app(X, Y)", "lam"), "", redex], 0, "solution {X -> lam([b]b), Y -> c}\n"),
+    ]
+    for argv, code, out in runs:
+        assert (cli.main(argv), capsys.readouterr().out) == (code, out), argv[0]
+    # a derivation has a node per subterm of a term with no binder on d
+    assert cli.main(["fresh", "d", redex, "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "yes" and len(lines) == 1 + n + 5
+
+
+def test_plain_judgements_at_depth(capsys):
+    # Without --trace or --json no derivation is built, whose printed
+    # subterms would take time quadratic in the depth.
+    n = 10**4
+    runs = [
+        (["alpha", "[a]" + spine_text(n, "a"), "[b]" + spine_text(n, "b", binder="b")], 0, "yes\n"),
+        (["fresh", "d", spine_text(n, "c")], 0, "yes\n"),
+        (["match", "", spine_text(n, "X"), "", spine_text(n, "c")], 0, "solution {X -> c}\n"),
+    ]
+    for argv, code, out in runs:
+        assert (cli.main(argv), capsys.readouterr().out) == (code, out), argv[0]
+
+
+def test_report_500_steps_deep_replays(tmp_path, capsys):
+    # X ->1 f(X) under a#X runs to the default fuel, so the last terms of
+    # the report are 500 deep.
+    assert cli.main(["normalize", str(THEORIES / "remark43.nrw"), "--term", "X", "--ctx", "a#X", "--json"]) == 3
+    report = tmp_path / "remark43.json"
+    report.write_text(capsys.readouterr().out)
+    assert cli.main(["replay", str(report)]) == 0
+    assert capsys.readouterr().out == "replayed 500 steps: all valid\n"
 
 
 class _Indents:
