@@ -3,11 +3,13 @@
 tries candidate permutations at every position whose shape can match the
 rule) and with the closed engine (plain matching of each rule's one
 freshened variant), assert that both reach alpha-equal normal forms, and
-print the time each took and the match calls each made.  Closed makes one
-match per hole that passes the shape test; general makes up to one per
-candidate permutation at each distinct such hole of a normalization, since
-it keeps what it found at a hole for the rest of the call, and `beta_app`
-copies its argument, so the towers repeat holes.
+print the time each took, the match calls each made and the shape tests
+(`_may_match`) each ran.  Closed makes one match per hole that passes the
+shape test; general makes up to one per candidate permutation at each
+distinct such hole of a normalization, since it keeps what it found at a
+hole for the rest of the call, and `beta_app` copies its argument, so the
+towers repeat holes.  Both engines shape-test a hole only against the rules
+whose lhs head fits it, so they run the same shape tests.
 
     python scripts/bench_closed_vs_general.py [HEIGHT ...]   # default 1 to 6
 """
@@ -31,35 +33,37 @@ def redex_tower(height: int) -> str:
 
 
 @contextmanager
-def counting_matches(module):
-    """Count the calls the engine module makes to solve_match."""
-    real = module.solve_match
+def counting(module, name):
+    """Count the calls the engine module makes to its function `name`."""
+    real = getattr(module, name)
     calls = [0]
 
-    def counted(problem):
+    def counted(*args):
         calls[0] += 1
-        return real(problem)
+        return real(*args)
 
-    module.solve_match = counted
+    setattr(module, name, counted)
     try:
         yield calls
     finally:
-        module.solve_match = real
+        setattr(module, name, real)
 
 
 def main(heights):
     theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
     print(f"{'height':>6} {'closed (s)':>12} {'general (s)':>12} {'steps':>6} {'closed matches':>15} "
-          f"{'general matches':>16}")
+          f"{'closed shape-tests':>19} {'general matches':>16} {'general shape-tests':>20}")
     for height in heights:
         term = parse_term(redex_tower(height), theory.signature)
 
-        with counting_matches(nomrew.closed) as closed_matches:
+        with counting(nomrew.closed, "solve_match") as closed_matches, \
+                counting(nomrew.rewrite, "_may_match") as closed_shapes:
             t0 = time.perf_counter()
             closed = closed_normalize(EMPTY_CTX, term, theory, fuel=500)
             closed_s = time.perf_counter() - t0
 
-        with counting_matches(nomrew.rewrite) as general_matches:
+        with counting(nomrew.rewrite, "solve_match") as general_matches, \
+                counting(nomrew.rewrite, "_may_match") as general_shapes:
             t0 = time.perf_counter()
             general = normalize_general(EMPTY_CTX, term, theory, fuel=500)
             general_s = time.perf_counter() - t0
@@ -68,7 +72,7 @@ def main(heights):
         assert alpha_holds(EMPTY_CTX, closed.term, general.term), (
             pretty(closed.term), pretty(general.term))
         print(f"{height:>6} {closed_s:>12.3f} {general_s:>12.3f} {len(closed.trace):>6} {closed_matches[0]:>15} "
-              f"{general_matches[0]:>16}")
+              f"{closed_shapes[0]:>19} {general_matches[0]:>16} {general_shapes[0]:>20}")
 
 
 if __name__ == "__main__":

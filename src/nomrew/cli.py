@@ -41,7 +41,7 @@ from .syntax import (
     pretty_subst,
     pretty_theory,
 )
-from .terms import Atom, AtomTerm, NominalError, Permutation, Signature, Substitution, Unknown
+from .terms import Atom, AtomTerm, NominalError, Permutation, Substitution, Unknown
 
 SCHEMA = 1
 
@@ -63,8 +63,16 @@ def _parse_theory_text(text: str) -> Theory:
     return parse_theory(text)
 
 
-def _subst_json(sigma: Substitution) -> dict:
-    return {x.name: pretty(t) for x, t in sorted(sigma.items(), key=lambda kv: kv[0].name)}
+def _printer():
+    """`pretty` kept by object (held, so no id is reused) for one report: a
+    step's variant is mostly its source, its result the next step's source,
+    and a rule's freshened sides recur."""
+    memo: dict[int, tuple] = {}
+    return lambda t: (memo.get(id(t)) or memo.setdefault(id(t), (t, pretty(t))))[1]
+
+
+def _subst_json(sigma: Substitution, show=pretty) -> dict:
+    return {x.name: show(t) for x, t in sorted(sigma.items(), key=lambda kv: kv[0].name)}
 
 
 def _ctx_json(ctx: FreshnessContext) -> list:
@@ -75,15 +83,15 @@ def _perm_json(pi: Permutation) -> list:
     return [[a.name, b.name] for a, b in pi.swaps]
 
 
-def _step_json(step: RewriteStep) -> dict:
+def _step_json(step: RewriteStep, show) -> dict:
     out = {
         "rule": step.rule,
         "path": list(step.path),
         "perm": _perm_json(step.perm),
-        "subst": _subst_json(step.subst),
-        "source": pretty(step.source),
-        "variant": pretty(step.variant),
-        "result": pretty(step.result),
+        "subst": _subst_json(step.subst, show),
+        "source": show(step.source),
+        "variant": show(step.variant),
+        "result": show(step.result),
         "mode": step.mode,
         "ctx_extension": _ctx_json(step.ctx_extension),
     }
@@ -92,18 +100,16 @@ def _step_json(step: RewriteStep) -> dict:
         out["freshened"] = {
             "name": fr.name,
             "ctx": pretty_ctx(fr.ctx),
-            "lhs": pretty(fr.lhs),
-            "rhs": pretty(fr.rhs),
+            "lhs": show(fr.lhs),
+            "rhs": show(fr.rhs),
         }
     else:
         out["freshened"] = None
     return out
 
 
-def _step_from_json(data: dict, signature: Signature) -> RewriteStep:
-    """The step a report records, its terms parsed under the theory's
-    signature so that a nullary former reads back as a former, not an atom."""
-    term = lambda text: parse_term(text, signature, allow_machine=True)
+def _step_from_json(data: dict, term) -> RewriteStep:
+    """The step a report records, its terms read by term(text)."""
     freshened = None
     if data.get("freshened"):
         fr = data["freshened"]
@@ -250,15 +256,16 @@ def cmd_normalize(args) -> int:
     else:
         res = closed_normalize(ctx, term, theory, args.fuel, args.strategy)
         mode = "closed"
+    show = _printer()
     if not args.json:
-        print(pretty(res.term))
+        print(show(res.term))
         print(f"status: {res.status} after {len(res.trace)} steps")
         if args.trace:
             for i, step in enumerate(res.trace):
                 pi = pretty_perm(step.perm) or "id"
                 print(
                     f"  {i + 1}. {step.rule} at {path_str(step.path)} pi={pi} "
-                    f"theta={pretty_subst(step.subst)} ->1 {pretty(step.result)}"
+                    f"theta={pretty_subst(step.subst)} ->1 {show(step.result)}"
                 )
     report = {
         "schema": SCHEMA,
@@ -266,10 +273,10 @@ def cmd_normalize(args) -> int:
         "theory": pretty_theory(theory),
         "ctx": pretty_ctx(ctx),
         "mode": mode,
-        "term": pretty(term),
-        "result": pretty(res.term),
+        "term": show(term),
+        "result": show(res.term),
         "status": res.status,
-        "trace": [_step_json(s) for s in res.trace],
+        "trace": [_step_json(s, show) for s in res.trace],
     }
     _emit(report, args.json)
     return EXIT_OK if res.status == "normal_form" else EXIT_INCONCLUSIVE
@@ -285,20 +292,21 @@ def cmd_equal(args) -> int:
     except NotClosedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    show = _printer()
     if not args.json:
         print(decision.verdict)
-        print(f"  {pretty(left)} ->* {pretty(decision.left.term)} [{decision.left.status}]")
-        print(f"  {pretty(right)} ->* {pretty(decision.right.term)} [{decision.right.status}]")
+        print(f"  {show(left)} ->* {show(decision.left.term)} [{decision.left.status}]")
+        print(f"  {show(right)} ->* {show(decision.right.term)} [{decision.right.status}]")
     report = {
         "schema": SCHEMA,
         "command": "equal",
         "theory": pretty_theory(theory),
         "ctx": pretty_ctx(ctx),
         "verdict": decision.verdict,
-        "left": {"term": pretty(left), "normal_form": pretty(decision.left.term),
-                 "status": decision.left.status, "trace": [_step_json(s) for s in decision.left.trace]},
-        "right": {"term": pretty(right), "normal_form": pretty(decision.right.term),
-                  "status": decision.right.status, "trace": [_step_json(s) for s in decision.right.trace]},
+        "left": {"term": show(left), "normal_form": show(decision.left.term),
+                 "status": decision.left.status, "trace": [_step_json(s, show) for s in decision.left.trace]},
+        "right": {"term": show(right), "normal_form": show(decision.right.term),
+                  "status": decision.right.status, "trace": [_step_json(s, show) for s in decision.right.trace]},
     }
     _emit(report, args.json)
     return {"equal": EXIT_OK, "not_equal": EXIT_NO}.get(decision.verdict, EXIT_INCONCLUSIVE)
@@ -372,12 +380,13 @@ def cmd_step(args) -> int:
             got = closed_rewrite_step(ctx, term, rule)
         truncated |= got.truncated
         steps.extend(got)
+    show = _printer()
     if not args.json:
         if not steps:
             print("no steps")
         for step in steps:
             pi = pretty_perm(step.perm) or "id"
-            print(f"{step.rule} at {path_str(step.path)} pi={pi} ->1 {pretty(step.result)}")
+            print(f"{step.rule} at {path_str(step.path)} pi={pi} ->1 {show(step.result)}")
         if truncated:
             print("(permutation universe truncated: absence of steps is inconclusive)")
     report = {
@@ -386,9 +395,9 @@ def cmd_step(args) -> int:
         "theory": pretty_theory(theory),
         "ctx": pretty_ctx(ctx),
         "mode": "general" if args.general else "closed",
-        "term": pretty(term),
+        "term": show(term),
         "truncated": truncated,
-        "steps": [_step_json(s) for s in steps],
+        "steps": [_step_json(s, show) for s in steps],
     }
     _emit(report, args.json)
     return EXIT_INCONCLUSIVE if truncated and not steps else EXIT_OK
@@ -416,11 +425,14 @@ def cmd_replay(args) -> int:
         print(f"error: nothing to replay in a {report['command']!r} report", file=sys.stderr)
         return EXIT_USAGE
 
+    # Under the theory's signature, so a nullary former reads back as one;
+    # once per text, as a variant is mostly its source, a source the last result.
+    term = functools.cache(lambda text: parse_term(text, theory.signature, allow_machine=True))
     checked = 0
     for trace in traces:
         for data in trace:
             try:
-                valid = replay(ctx, _step_from_json(data, theory.signature), rules.get(data["rule"]))
+                valid = replay(ctx, _step_from_json(data, term), rules.get(data["rule"]))
             except ParseError:  # a term outside the theory's signature is no step of it
                 valid = False
             if not valid:

@@ -17,8 +17,8 @@ The core is written once: step enumeration over positions x alpha-variants
 (`rewrite_steps`), the first step under a strategy and normalization
 (`normalize`), reachability (`reachable`) and replay (`replay`).  The two
 engines differ only in how one rule is prepared for one subject, which is a
-`PreparedRule` made once per subject.  The core walks each subject once for
-its atoms and unknowns (`Subject`), and every rule's preparation reads them.
+`PreparedRule`.  The core walks each subject once for its atoms and unknowns
+(`Subject`), and a preparation reads nothing else of the subject.
 The general preparation here renames the rule's unknowns away from the
 subject's and tries the candidate permutations over a universe; the closed
 preparation (closed.py) matches the rule's fixed freshened variant under an
@@ -27,17 +27,21 @@ core asks a preparation for instances only at positions that pass a shape
 test against the prepared lhs (`_may_match`), and a preparation builds what
 it needs for that (its `Firing`) only when the first hole passes.
 
-What does not depend on the step is not redone at each step.  The renamed
-rule depends only on the unknowns it shares with the subject, so it is kept
-with the rule once per shared set, and its names are collected once with it;
-a subject that mentions a machine unknown (stem$n, a name the renaming may
-pick) falls back to a rule renamed for it alone.  The permuted sides
-(pi, pi.lhs, pi.rhs) depend only on the renamed rule and the universe, and
-the instances found at a hole only on those, the context and the hole, so
-`normalize_general`, `rewrite_closure_reachable` and `symmetric_search` keep
-both in a dict of their own for the length of the call
-(`rewrite_step_general`'s call is one step): the permutation search runs
-once per distinct hole per call, however often the hole comes back.
+What does not depend on the step is not redone at each step.  `normalize`,
+`reachable` and `symmetric_search` prepare the theory once per call for each
+pair of atoms and unknowns their subjects have (`_prepare_all`), and
+normalization shape-tests a hole only against the rules whose lhs head fits
+the hole's.  The renamed rule depends only on the unknowns it shares with
+the subject, so it is kept with the rule once per shared set, and its names
+are collected once with it; a subject that mentions a machine unknown
+(stem$n, a name the renaming may pick) falls back to a rule renamed for it
+alone.  The permuted sides (pi, pi.lhs, pi.rhs) depend only on the renamed
+rule and the universe, and the instances found at a hole only on those, the
+context and the hole, so `normalize_general`, `rewrite_closure_reachable`
+and `symmetric_search` keep both in a dict of their own for the length of
+the call (`rewrite_step_general`'s call is one step): the permutation search
+runs once per distinct hole per call, however often the hole comes back,
+and builds each permuted side only when it first reaches its candidate.
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -281,7 +285,8 @@ class Subject:
 
 @dataclass(frozen=True)
 class PreparedRule:
-    """One rule made ready by one engine to fire on one subject.
+    """One rule made ready by one engine to fire on one subject, and so on
+    every subject with the same atoms and unknowns under the same context.
 
     `lhs` is the prepared rule's left-hand side, which the core shape-tests
     each hole against.  `truncated` says the permutation search was cut by
@@ -416,15 +421,16 @@ def _prepare_general(
 
     The renamed rule is kept with the rule, per set of unknowns it shares
     with the subject; a subject that mentions a machine unknown gets a rule
-    renamed for it alone.  The permuted sides (pi, pi.lhs, pi.rhs) are built
-    when the first hole passes the shape test, and kept in `sides`, a dict
-    the caller owns, once per renamed rule, universe and context: a caller
-    running many steps passes one dict for its whole call.  The same entry
-    keeps each hole's instances, keyed by the hole's flat key (`_flat_key`,
-    exact and built without recursion) and filled lazily: a reader that
-    stops at the first instance leaves the rest of the search unrun, and a
-    later reader of an equal hole gets the instances found so far, then the
-    search resumed where it stopped."""
+    renamed for it alone.  The permuted sides (pi, pi.lhs, pi.rhs) are
+    built one by one, in candidate order, as the first search to need each
+    reaches it (most searches stop at the first instance), and kept in
+    `sides`, a dict the caller owns, once per renamed rule, universe and
+    context: a caller running many steps passes one dict for its whole
+    call.  The same entry keeps each hole's instances, keyed by the hole's
+    flat key (`_flat_key`, exact and built without recursion) and filled
+    lazily: a reader that stops at the first instance leaves the rest of
+    the search unrun, and a later reader of an equal hole gets the
+    instances found so far, then the search resumed where it stopped."""
     ctx = subject.ctx
     renamed = _freshen_rule_unknowns(rule, subject.unknowns)
     _require_apart(renamed.lhs_unknowns, subject.unknowns)
@@ -437,11 +443,12 @@ def _prepare_general(
         key = (id(renamed), tuple(universe), ctx)
         if key not in sides:
             perms = _candidate_perms(sorted(renamed.atoms()), universe)
-            sides[key] = renamed, [(pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in perms], {}
+            permuted = ((pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in perms)
+            sides[key] = renamed, ([], permuted), {}
         _, permuted, solved = sides[key]
 
         def search(hole: Term):
-            for pi, lhs, rhs in permuted:
+            for pi, lhs, rhs in _resume(*permuted):
                 sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
                 if sol is not None:
                     yield pi, sol.sigma, substitute(rhs, sol.sigma)
@@ -656,13 +663,34 @@ def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: RewriteRule) -> 
     return replay(ctx, step, rule)
 
 
-def _first_step(s: Term, prepared: list[PreparedRule], innermost: bool) -> Optional[RewriteStep]:
+def _head(t: Term):
+    """A term's root as no permutation or substitution can change it."""
+    return (t.former, len(t.args)) if type(t) is App else type(t)
+
+
+def _prepare_all(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject, rules) -> tuple[list, dict]:
+    """The rules prepared with `prepare(subject, rule)`, kept in the call's
+    dict `kept` per pair of the subject's atoms and unknowns (all that a
+    preparation reads of a subject under the call's one context), with an
+    index, a discrimination tree's first level (Graf): each lhs head lists,
+    in theory order, the rules whose lhs root can sit under it, and
+    `Suspension` lists the suspension lhs alone, for a hole of any other."""
+    key = subject.atoms, subject.unknowns
+    if key not in kept:
+        prepared = [prepare(subject, rule) for rule in rules]
+        heads = {_head(p.lhs) for p in prepared} | {Suspension}
+        kept[key] = prepared, {h: [p for p in prepared if _head(p.lhs) in (h, Suspension)] for h in heads}
+    return kept[key]
+
+
+def _first_step(s: Term, by_head: dict, innermost: bool) -> Optional[RewriteStep]:
     """The first applicable step under the strategy ordering: positions in
     strategy order, rules in theory order, instances in the engine's order.
-    Only identity variants are tried; if any alpha-variant of s can step
-    then so can s itself, so this loses no normal-form detection."""
+    Each hole is shape-tested only against the rules whose lhs head fits
+    its head.  Only identity variants are tried; if any alpha-variant of s
+    can step then so can s itself, so this loses no normal-form detection."""
     for path, hole in positions(s, innermost):
-        for prep in prepared:
+        for prep in by_head.get(_head(hole), by_head[Suspension]):
             if not _may_match(prep.lhs, hole):
                 continue
             firing = prep.firing
@@ -680,8 +708,8 @@ def normalize(
     fuel: int = 500,
 ) -> NormalizeResult:
     """Apply first steps under the strategy (default outermost), preparing
-    every rule once per subject with `prepare(subject, rule)`, until none
-    applies or the fuel runs out.
+    every rule with `prepare(subject, rule)` once per subject's names
+    (`_prepare_all`), until none applies or the fuel runs out.
     The status is normal_form, truncated when no step was found but some
     permutation search was cut short, or fuel_exhausted."""
     if fuel <= 0:
@@ -690,10 +718,10 @@ def normalize(
         raise ValueError(f"unknown strategy {strategy!r}")
     trace: list[RewriteStep] = []
     current = s
+    kept: dict = {}
     while True:
-        subject = Subject(ctx, current)
-        prepared = [prepare(subject, rule) for rule in theory.rules]
-        step = _first_step(current, prepared, strategy == "innermost")
+        prepared, by_head = _prepare_all(kept, prepare, Subject(ctx, current), theory.rules)
+        step = _first_step(current, by_head, strategy == "innermost")
         if step is None:
             status = "truncated" if any(p.truncated for p in prepared) else "normal_form"
             return NormalizeResult(current, trace, status)
@@ -754,12 +782,12 @@ def reachable(
     reached = ReachableSet(ctx)
     reached.add(s)
     frontier = [s]
+    kept: dict = {}
     for _ in range(fuel):
         new: list[Term] = []
         for t in frontier:
-            subject = Subject(ctx, t)
-            for rule in theory.rules:
-                for step in rewrite_steps(t, prepare(subject, rule)):
+            for prepared in _prepare_all(kept, prepare, Subject(ctx, t), theory.rules)[0]:
+                for step in rewrite_steps(t, prepared):
                     if reached.add(step.result):
                         new.append(step.result)
         if not new:
@@ -827,16 +855,15 @@ def symmetric_search(
 
     frontier: list[tuple[Term, list[RewriteStep]]] = [(s, [])]
     expansions = 0
-    sides: dict = {}
+    prepare, kept = partial(_prepare_general, max_support=max_support, sides={}), {}
     while frontier and expansions < fuel:
         nxt: list[tuple[Term, list[RewriteStep]]] = []
         for u, trace in frontier:
             if expansions >= fuel:
                 break
             expansions += 1
-            subject = Subject(ctx2, u)
-            for rule in rules:
-                for step in rewrite_steps(u, _prepare_general(subject, rule, max_support, sides=sides)):
+            for prepared in _prepare_all(kept, prepare, Subject(ctx2, u), rules)[0]:
+                for step in rewrite_steps(u, prepared):
                     key = alpha_key(ctx2, step.result)
                     if key == target:
                         return SearchResult(True, trace + [step], gamma, ctx2)

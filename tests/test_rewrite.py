@@ -7,6 +7,7 @@ import hypothesis.strategies as hst
 import pytest
 from hypothesis import given, settings
 
+import nomrew.closed as closed_module
 import nomrew.rewrite as rewrite_module
 import reference_walkers as ref
 from nomrew import (
@@ -23,6 +24,7 @@ from nomrew import (
     RuleError,
     Signature,
     Substitution,
+    Suspension,
     Theory,
     Unknown,
     act,
@@ -349,7 +351,10 @@ def test_shape_test_on_bundled_rules():
     assert rejected > 500 and passed > 50
 
 
-_theory_terms = hst.sampled_from(BUNDLED).flatmap(lambda th: hst.tuples(hst.just(th), sig_terms_st(th)))
+# remark43's suspension lhs first, then rules with an abstraction and an
+# atom lhs: the head index must list the suspension lhs for every hole.
+_MIXED = Theory(BUNDLED[3].signature, BUNDLED[3].rules + BUNDLED[2].rules, name="mixed")
+_theory_terms = hst.sampled_from([*BUNDLED, _MIXED]).flatmap(lambda th: hst.tuples(hst.just(th), sig_terms_st(th)))
 
 
 def _engine_runs(ctx, theory, s):
@@ -366,10 +371,67 @@ def _engine_runs(ctx, theory, s):
 @settings(max_examples=60, deadline=None)
 @given(_theory_terms, contexts_st)
 def test_shape_test_changes_no_trace(theory_term, ctx):
+    # With neither the head index nor the shape test, every rule is tried at
+    # every hole.
     theory, s = theory_term
     filtered = _engine_runs(ctx, theory, s)
-    with mock.patch.object(rewrite_module, "_may_match", lambda lhs, hole: True):
+    with mock.patch.object(rewrite_module, "_may_match", lambda lhs, hole: True), \
+            mock.patch.object(rewrite_module, "_head", lambda t: Suspension):
         assert _engine_runs(ctx, theory, s) == filtered
+
+
+def _prepare_afresh(kept, prepare, subject, rules):
+    """The core's kept preparations with nothing kept and no index: every
+    rule prepared anew for every subject and tried at every hole."""
+    prepared = [prepare(subject, rule) for rule in rules]
+    return prepared, {Suspension: prepared}
+
+
+def _kept_runs(ctx, theory, s, t):
+    out = []
+    for strategy in ("outermost", "innermost"):
+        out.append(normalize_general(ctx, s, theory, strategy, fuel=6))
+        out.append(closed_normalize(ctx, s, theory, 6, strategy))
+    out.append(list(rewrite_closure_reachable(ctx, s, theory, fuel=2)))
+    out.append(list(closed_reachable(ctx, s, theory, 2)))
+    # A target a step or two away, so that the search finds something, and
+    # one drawn, which it mostly does not.
+    for target in (out[0].term, t):
+        res = symmetric_search(ctx, s, target, theory, fuel=2)
+        out.append((res.found, res.trace, res.ctx))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_theory_terms.flatmap(lambda ts: hst.tuples(hst.just(ts), sig_terms_st(ts[0]))), contexts_st)
+def test_kept_preparations_step_as_preparing_afresh_does(case, ctx):
+    (theory, s), t = case
+    got = _kept_runs(ctx, theory, s, t)
+    with mock.patch.object(rewrite_module, "_prepare_all", _prepare_afresh):
+        assert got == _kept_runs(ctx, theory, s, t)
+
+
+def test_normalize_prepares_each_rule_once_per_names(monkeypatch):
+    # Every subject of these normalizations has the atoms {a} and the
+    # unknowns {P, Q}, or a subset, so the rules are prepared once for each
+    # pair met, not once per step.
+    fol = next(theory for theory in BUNDLED if theory.name == "fol")
+    s = parse_term("not(not(imp(forall([a]and(P,Q)),exists([a]or(P,not(not(Q)))))))", fol.signature)
+    for module, name, run in [
+        (closed_module, "_prepare_closed", lambda: closed_normalize(EMPTY_CTX, s, fol)),
+        (rewrite_module, "_prepare_general", lambda: normalize_general(EMPTY_CTX, s, fol)),
+    ]:
+        calls, real = Counter(), getattr(module, name)
+
+        def counted(subject, rule, *args, **kwargs):
+            calls[rule.name, subject.atoms, subject.unknowns] += 1
+            return real(subject, rule, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        res = run()
+        assert res.status == "normal_form" and len(res.trace) == 5
+        pairs = {(atoms, unknowns) for _, atoms, unknowns in calls}
+        assert set(calls.values()) == {1} and len(calls) == len(fol.rules) * len(pairs) < len(fol.rules) * len(res.trace)
 
 
 def test_general_preparation_refuses_shared_unknowns(monkeypatch):
@@ -603,12 +665,13 @@ def test_general_renamings_are_kept_per_clashing_set(monkeypatch):
 def test_general_search_solves_each_hole_once_per_call(monkeypatch):
     # One search of the nonclosed-search benchmark's kind.  Every match the
     # engine makes is attributed to the rule and universe of the preparation
-    # running it: symmetric_search takes all the steps of one preparation
+    # stepping: symmetric_search takes all the steps of one preparation
     # before it makes the next.
     theory = parse_theory((resources.files("nomrew") / "theories" / "nonclosed.nrw").read_text())
     s, t = parse_term("h(g([c]c),h(a,a))"), parse_term("h(g([c]c),h(b,b))")
-    calls, now, candidates = Counter(), {}, {}
+    calls, now, candidates, owner = Counter(), {}, {}, {}
     real_solve, real_universe, real_freshen = solve_match, rewrite_module._universe, rewrite_module._freshen_rule_unknowns
+    real_prepare, real_steps = rewrite_module._prepare_general, rewrite_module.rewrite_steps
 
     def counted(problem):
         calls[now["rule"], now["universe"], problem.target] += 1
@@ -624,14 +687,26 @@ def test_general_search_solves_each_hole_once_per_call(monkeypatch):
         now["rule"] = rule.name
         return real_freshen(rule, away_from)
 
+    def prepare(*args, **kwargs):  # the rule and universe the two above saw
+        prepared = real_prepare(*args, **kwargs)
+        owner[id(prepared)] = now["rule"], now["universe"]
+        return prepared
+
+    def steps(s, prepared):
+        now["rule"], now["universe"] = owner[id(prepared)]
+        return real_steps(s, prepared)
+
     monkeypatch.setattr(rewrite_module, "solve_match", counted)
     monkeypatch.setattr(rewrite_module, "_universe", universe)
     monkeypatch.setattr(rewrite_module, "_freshen_rule_unknowns", freshen)
+    monkeypatch.setattr(rewrite_module, "_prepare_general", prepare)
+    monkeypatch.setattr(rewrite_module, "rewrite_steps", steps)
     res = symmetric_search(EMPTY_CTX, s, t, theory, fuel=10)
     assert res.found and len(res.trace) == 2
     engine = sum(calls.values())
     assert all(n <= candidates[rule, universe] for (rule, universe, _), n in calls.items())
 
+    monkeypatch.undo()
     calls.clear()
     monkeypatch.setitem(globals(), "solve_match", lambda problem: calls.update(["reference"]) or real_solve(problem))
     with mock.patch.object(rewrite_module, "_prepare_general", _reference_prepare_general):

@@ -10,6 +10,7 @@ position, so it costs O(size x depth).  The command line is run in process,
 as deep terms make arguments longer than one argv string may be.
 """
 
+import json
 from functools import cache
 from importlib import resources
 from itertools import islice
@@ -287,14 +288,24 @@ def test_plain_judgements_at_depth(capsys):
         assert (cli.main(argv), capsys.readouterr().out) == (code, out), argv[0]
 
 
-def test_report_500_steps_deep_replays(tmp_path, capsys):
+def test_report_500_steps_deep_replays(tmp_path, capsys, monkeypatch):
     # X ->1 f(X) under a#X runs to the default fuel, so the last terms of
     # the report are 500 deep.
     assert cli.main(["normalize", str(THEORIES / "remark43.nrw"), "--term", "X", "--ctx", "a#X", "--json"]) == 3
+    text = capsys.readouterr().out
     report = tmp_path / "remark43.json"
-    report.write_text(capsys.readouterr().out)
+    report.write_text(text)
+    # Each distinct term text is parsed once, though each step repeats the
+    # last one's result as its source and its source as its variant.
+    texts = set()
+    for step in json.loads(text)["trace"]:
+        texts |= {step["source"], step["variant"], step["result"], *step["subst"].values()}
+        texts |= {step["freshened"]["lhs"], step["freshened"]["rhs"]}
+    calls = []
+    monkeypatch.setattr(cli, "parse_term", lambda *args, **kwargs: calls.append(1) or parse_term(*args, **kwargs))
     assert cli.main(["replay", str(report)]) == 0
     assert capsys.readouterr().out == "replayed 500 steps: all valid\n"
+    assert 0 < len(calls) <= len(texts) < 3000
 
 
 class _Indents:
