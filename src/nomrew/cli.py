@@ -51,16 +51,18 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _load_theory(path: str) -> Theory:
+def _load_theory(path: str) -> tuple[Theory, str]:
     with open(path, encoding="utf-8") as fh:
         return _parse_theory_text(fh.read())
 
 
 @functools.lru_cache(maxsize=8)
-def _parse_theory_text(text: str) -> Theory:
-    """The theory a file's text parses to, kept for repeated calls in one
-    process, so the variants and verdicts its rules keep are reused."""
-    return parse_theory(text)
+def _parse_theory_text(text: str) -> tuple[Theory, str]:
+    """The theory a file's text parses to and its printed text for reports,
+    kept for repeated calls in one process, so the variants and verdicts its
+    rules keep are reused and each theory is printed once."""
+    theory = parse_theory(text)
+    return theory, pretty_theory(theory)
 
 
 def _printer():
@@ -220,7 +222,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def cmd_check(args) -> int:
-    theory = _load_theory(args.theory)
+    theory, theory_text = _load_theory(args.theory)
     rows = []
     all_closed = True
     for rule in theory.rules:
@@ -234,7 +236,7 @@ def cmd_check(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "check",
-        "theory": pretty_theory(theory),
+        "theory": theory_text,
         "all_closed": all_closed,
         "rules": [
             {"name": rule.name, "closed": res.closed,
@@ -247,7 +249,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    theory = _load_theory(args.theory)
+    theory, theory_text = _load_theory(args.theory)
     ctx = parse_context(args.ctx)
     term = parse_term(args.term, theory.signature)
     if args.general:
@@ -270,7 +272,7 @@ def cmd_normalize(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "normalize",
-        "theory": pretty_theory(theory),
+        "theory": theory_text,
         "ctx": pretty_ctx(ctx),
         "mode": mode,
         "term": show(term),
@@ -283,7 +285,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_equal(args) -> int:
-    theory = _load_theory(args.theory)
+    theory, theory_text = _load_theory(args.theory)
     ctx = parse_context(args.ctx)
     left = parse_term(args.left, theory.signature)
     right = parse_term(args.right, theory.signature)
@@ -300,7 +302,7 @@ def cmd_equal(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "equal",
-        "theory": pretty_theory(theory),
+        "theory": theory_text,
         "ctx": pretty_ctx(ctx),
         "verdict": decision.verdict,
         "left": {"term": show(left), "normal_form": show(decision.left.term),
@@ -368,7 +370,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_step(args) -> int:
-    theory = _load_theory(args.theory)
+    theory, theory_text = _load_theory(args.theory)
     ctx = parse_context(args.ctx)
     term = parse_term(args.term, theory.signature)
     steps = []
@@ -392,7 +394,7 @@ def cmd_step(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "step",
-        "theory": pretty_theory(theory),
+        "theory": theory_text,
         "ctx": pretty_ctx(ctx),
         "mode": "general" if args.general else "closed",
         "term": show(term),

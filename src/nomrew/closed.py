@@ -58,6 +58,7 @@ from .terms import (
     Term,
     Unknown,
     _fold,
+    _share_app,
     act,
     atoms_of,
     fresh_names,
@@ -125,12 +126,14 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
     """Rewrite t to an alpha-equivalent term (under ctx) mentioning as few
     machine atoms as possible: suspension permutations are minimized using
     the freshness facts ctx provides, and machine-named binders are renamed
-    into the pool where freshness allows."""
+    into the pool where freshness allows.  A node it does not change comes
+    back as the same object, as in every rebuild of terms.py."""
 
     def on_susp(u: Suspension) -> Term:
         # disagreements may stay only on atoms ctx makes fresh for x
         x = u.unknown
-        return Suspension(_complete_perm({c: v for c, v in u.perm.mapping.items() if (c, x) not in ctx}), x)
+        pi = _complete_perm({c: v for c, v in u.perm.mapping.items() if (c, x) not in ctx})
+        return u if pi == u.perm else Suspension(pi, x)
 
     def on_abs(u: Abstraction, body: Term) -> Term:
         a = u.atom
@@ -140,9 +143,9 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
                     # the rename pushes a swap into suspensions, so the
                     # renamed body needs scrubbing again
                     return Abstraction(z, scrub(ctx, act(swap(z, a), body), pool))
-        return Abstraction(a, body)
+        return u if body is u.body else Abstraction(a, body)
 
-    return _fold(t, lambda u: u, on_susp, on_abs, lambda u, args: App(u.former, args))
+    return _fold(t, lambda u: u, on_susp, on_abs, _share_app)
 
 
 def _variant(rule: RewriteRule) -> RewriteRule:

@@ -6,16 +6,20 @@ pattern under a pending permutation rho that it carries down instead of
 applying (Calves & Fernandez).  A mismatched abstraction [a]l against [b]s
 records the obligation rho^-1(b) # l, mirroring the ~[b] rule, and goes on
 with l under (b rho(a)) o rho; a suspension pi.X resolves to
-X -> (rho o pi)^-1 . target.  Duplicate occurrences are reconciled by an
-alpha check, and the pending and pattern-context obligations are checked
-once the substitution is complete.  Matching solutions are unique up to
-alpha-equivalence under the target context; the solver returns the first
-computed, which is not canonical.  The alpha checks are linear.  A pending
-check c # l.sigma builds no instance: it walks the pattern body l, and at
-a suspension pi.X asks pi^-1(c) # sigma(X), each (atom, unknown) pair once
-per solve, so each image is walked once per distinct pair however often X
-occurs.  A chain of n nested mismatched binders in the pattern still walks
-O(n^2) pattern nodes.
+X -> (rho o pi)^-1 . target, built once, from X's first occurrence
+(q0, s0), when the walk is done.  A repeated occurrence (q, s) is checked
+by s0 ~ (q0^-1 o q).s, which holds exactly when q0.s0 ~ q.s does, since
+permutations preserve alpha-equivalence under a fixed context (Urban, Pitts
+& Gabbay), and which copies nothing when q = q0.  The pending and
+pattern-context obligations are checked once the substitution is complete.
+Matching solutions are unique up to alpha-equivalence under the target
+context; the solver returns the first computed, which is not canonical.
+The alpha checks are linear.  A pending check c # l.sigma builds no
+instance: it walks the pattern body l, and at a suspension pi.X asks
+pi^-1(c) # sigma(X), each (atom, unknown) pair once per solve, so each
+image is walked once per distinct pair however often X occurs.  A chain of
+n nested mismatched binders in the pattern still walks O(n^2) pattern
+nodes.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def is_solution(problem: MatchProblem, sigma: Substitution) -> bool:
 def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
     """Return a solution, or None when none exists."""
     delta = problem.target_ctx
-    binds: dict = {}
+    binds: dict = {}  # X -> (rho o pi, target) at X's first occurrence, then X's image
     pending: list[tuple[Atom, Term]] = []  # c # l, checked once binds is complete
     work = [(problem.pattern, problem.target, ID)]
     while work:
@@ -115,12 +119,11 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
                 if rho(a) != b:
                     return None
             case (Suspension(pi, x), _):
-                image = act((rho * pi).inverse(), s)
-                if x in binds:
-                    if not alpha_holds(delta, binds[x], image):
-                        return None
-                else:
-                    binds[x] = image
+                r = rho * pi
+                if x not in binds:
+                    binds[x] = r, s
+                elif not alpha_holds(delta, binds[x][1], act(binds[x][0] * r.inverse(), s)):
+                    return None
             case (Abstraction(a, lbody), Abstraction(b, sbody)):
                 a = rho(a)
                 if a != b:  # b # rho.lbody, and (b a).rho.lbody matches sbody
@@ -134,6 +137,7 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
             case _:
                 return None
 
+    binds = {x: act(r.inverse(), s) for x, (r, s) in binds.items()}
     # Unknowns constrained by the pattern context but absent from the
     # pattern can always be sent to an atom fresh for everything in sight.
     leftover = {x for _, x in problem.pattern_ctx if x not in binds}

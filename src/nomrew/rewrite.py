@@ -319,7 +319,8 @@ class PreparedRule:
 def _rename_term(t: Term, amap: dict, umap: dict) -> Term:
     def on_susp(u: Suspension) -> Term:  # pi becomes amap o pi o amap^-1, amap being one-to-one
         pi = Permutation.from_mapping({amap.get(c, c): amap.get(v, v) for c, v in u.perm.mapping.items()})
-        return Suspension(pi, umap.get(u.unknown, u.unknown))
+        x = umap.get(u.unknown, u.unknown)
+        return u if x is u.unknown and pi == u.perm else Suspension(pi, x)
 
     return _rebuild(t, lambda a: amap.get(a, a), on_susp)
 
@@ -503,29 +504,32 @@ def _may_match(lhs: Term, hole: Term) -> bool:
 
 def _decompositions(
     ctx: FreshnessContext, t: Term, path: Path, universe: list[Atom]
-) -> Iterator[tuple[Term, tuple | None]]:
+) -> Iterator[tuple[Term, tuple | None, bool]]:
     """Walk down `path`, renaming each binder passed to another universe
     atom that is fresh for the body (an alpha-move), or keeping it.  Yields
-    the (possibly renamed) subterm at the hole and its rebuild frames, a
+    the (possibly renamed) subterm at the hole, its rebuild frames, a
     linked list (frame, outer frames), innermost first, whose frames are
-    binders and (application, argument index) pairs; `_plug` puts a term
-    in the hole, and plugging the hole itself gives the alpha-variant fired
-    on.  A step is "body" under an abstraction or an int (not a bool) from
-    0 to arity - 1.  With an empty universe only t itself is decomposed."""
-    stack: list = [(t, 0, None)]
+    binders and (application, argument index) pairs, and whether some
+    binder was renamed (a renamed body that mentions neither name is the
+    body itself); `_plug` puts a term in the hole, and plugging the hole
+    itself gives the alpha-variant fired on.  A step is "body" under an
+    abstraction or an int (not a bool) from 0 to arity - 1.  With an empty
+    universe only t itself is decomposed."""
+    stack: list = [(t, 0, None, False)]
     while stack:
-        u, depth, frames = stack.pop()
+        u, depth, frames, renamed = stack.pop()
         if depth == len(path):
-            yield u, frames
+            yield u, frames, renamed
             continue
         step = path[depth]
         if type(u) is Abstraction and step == "body":
             a, body = u.atom, u.body
             renamings = [a] + [z for z in universe if z != a and fresh_holds(ctx, z, body)]
             for z in reversed(renamings):
-                stack.append((body if z == a else act(swap(z, a), body), depth + 1, (z, frames)))
+                moved = z != a
+                stack.append((act(swap(z, a), body) if moved else body, depth + 1, (z, frames), renamed or moved))
         elif type(u) is App and type(step) is int and 0 <= step < len(u.args):
-            stack.append((u.args[step], depth + 1, ((u, step), frames)))
+            stack.append((u.args[step], depth + 1, ((u, step), frames), renamed))
         else:
             raise IndexError(f"no position {path_str(path)} in term")
 
@@ -561,12 +565,12 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
         if not _may_match(prepared.lhs, here):
             continue
         firing = prepared.firing
-        for hole, frames in _decompositions(firing.ctx, s, path, firing.universe):
+        for hole, frames, renamed in _decompositions(firing.ctx, s, path, firing.universe):
             for pi, theta, rhs in firing.instances(hole):
                 result = firing.finish(_plug(frames, rhs))
-                # The hole is s's own subterm only when no binder above it
-                # was renamed, and then the variant fired on is s itself.
-                variant = s if hole is here else _plug(frames, hole)
+                # When no binder above the hole was renamed, the variant
+                # fired on is s itself.
+                variant = _plug(frames, hole) if renamed else s
                 out.append(prepared.step(path, pi, theta, s, variant, result))
     return StepResults(out, prepared.truncated)
 
@@ -646,7 +650,7 @@ def replay(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]
     if not alpha_holds(ctx, step.source, step.variant):
         return False
     try:
-        hole, frames = next(_decompositions(ctx, step.variant, step.path, []))
+        hole, frames, _ = next(_decompositions(ctx, step.variant, step.path, []))
     except IndexError:
         return False
     theta = step.subst

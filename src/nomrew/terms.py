@@ -14,12 +14,14 @@ field (tests/test_terms_immutable.py keeps it so).  Term `==` and `hash`
 read the flat preorder key (`_flat_key`) on an explicit stack, and the hash
 is kept on the node once computed.  Every walker keeps its own stack, so
 terms of any depth work; those that rebuild a term or combine its
-children's values go through one bottom-up fold, `_fold`.
+children's values go through one bottom-up fold, `_fold`.  A rebuild hands
+back each node it does not change, so unchanged subterms stay shared.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 import weakref
 from dataclasses import dataclass
@@ -287,11 +289,19 @@ def _fold(t: Term, on_atom, on_susp, on_abs, on_app):
     return values[0]
 
 
+def _share_app(u: App, args: tuple) -> App:
+    """u itself when every argument came back as the same object, else a
+    new application of u's former to args."""
+    return u if all(map(operator.is_, args, u.args)) else App(u.former, args)
+
+
 def _rebuild(t: Term, rename, on_susp) -> Term:
     """t with each atom a, bound or free, renamed to rename(a) and each
-    suspension u replaced by on_susp(u)."""
-    on_abs = lambda u, body: Abstraction(rename(u.atom), body)
-    return _fold(t, lambda u: AtomTerm(rename(u.atom)), on_susp, on_abs, lambda u, args: App(u.former, args))
+    suspension u replaced by on_susp(u).  A node whose atom maps to itself
+    and whose children come back as the same objects is returned itself."""
+    on_atom = lambda u: u if (a := rename(u.atom)) is u.atom else AtomTerm(a)
+    on_abs = lambda u, body: u if (a := rename(u.atom)) is u.atom and body is u.body else Abstraction(a, body)
+    return _fold(t, on_atom, on_susp, on_abs, _share_app)
 
 
 def act(pi: Permutation, t: Term) -> Term:
@@ -299,7 +309,8 @@ def act(pi: Permutation, t: Term) -> Term:
 
     Suspensions absorb the permutation eagerly, so a term at rest never
     contains a permutation applied to anything but an unknown; abstracted
-    atoms are renamed along with everything else.
+    atoms are renamed along with everything else.  A subterm that holds no
+    suspension and no atom pi moves comes back as the same object.
     """
     if pi.is_identity:
         return t

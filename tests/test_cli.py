@@ -333,6 +333,22 @@ def test_theory_file_is_parsed_once_per_text(tmp_path, monkeypatch, capsys):
     assert len(parsed) == 2
 
 
+def test_theory_text_is_printed_once_per_text(monkeypatch, capsys):
+    printed = []
+    show = cli_module.pretty_theory
+    monkeypatch.setattr(cli_module, "pretty_theory", lambda theory: printed.append(theory) or show(theory))
+    cli_module._parse_theory_text.cache_clear()
+    commands = [
+        ("check", str(FOL)),
+        ("normalize", str(FOL), "--term", "not(not(c))"),
+        ("equal", str(FOL), "not(not(c))", "c"),
+        ("step", str(FOL), "--term", "not(not(c))"),
+    ]
+    reports = [json.loads(run(capsys, *argv, "--json")[1]) for argv in commands * 2]
+    assert len(printed) == 1
+    assert {r["theory"] for r in reports} == {show(nomrew.syntax.parse_theory(FOL.read_text()))}
+
+
 NULLARY = "theory nullary ;\nsig f:1 g:0 h:1 ;\nrule r : f(X) -> g ;\n"
 
 

@@ -45,7 +45,7 @@ from nomrew import (
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
     MAX_SUPPORT, SPARE_CAP, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _prepare_general, _rename_rule,
-    _rename_term, _universe, normalize, reachable, replay, rewrite_steps,
+    _rename_term, _universe, normalize, positions, reachable, replay, rewrite_steps, subterm_at,
 )
 from nomrew.syntax import parse_context, parse_term, parse_theory, pretty
 from nomrew.terms import ID, MACHINE_MARK, Substitution, fresh_names
@@ -575,6 +575,22 @@ def test_closed_steps_of_the_subject_cover_those_of_its_alpha_variants(theory_te
     got = list(closed_reachable(ctx, s, theory, 2))
     want = list(reachable(ctx, s, theory, _enumerating_prepare, 2))
     assert _classes_match(ctx, s, got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subjects)
+def test_closed_steps_keep_every_subterm_off_the_path_to_the_hole(theory_term):
+    # The step rebuilds the path down to the hole, and scrub hands back
+    # every node it leaves alone; under the empty context it leaves alone
+    # all that a user-written subject has, so each subterm neither above
+    # nor inside the hole is the subject's own object.
+    theory, s = theory_term
+    for rule in theory.rules:
+        for step in closed_rewrite_step(EMPTY_CTX, s, rule):
+            for path, u in positions(s):
+                n = min(len(path), len(step.path))
+                if path[:n] != step.path[:n]:
+                    assert subterm_at(step.result, path) is u
 
 
 def _repeated_steps(steps):

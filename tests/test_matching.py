@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import nomrew.matching
 import reference_walkers as ref
 from nomrew import (
+    ID,
     Abstraction,
     App,
     Atom,
@@ -19,7 +20,9 @@ from nomrew import (
     Substitution,
     Suspension,
     Unknown,
+    act,
     freshen_rule,
+    fresh_holds,
     is_solution,
     solve_match,
     subterms,
@@ -30,7 +33,7 @@ from nomrew import (
 from nomrew.rewrite import _rename_rule
 from nomrew.syntax import parse_theory
 from oracles import OracleOverflow, enumerate_solutions_small
-from strategies import alpha_perturb, contexts_st, random_ctx, random_term, substs_st, terms_st
+from strategies import alpha_perturb, atoms_st, contexts_st, perms_st, random_ctx, random_term, substs_st, terms_st
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X, Y, Z = Unknown("X"), Unknown("Y"), Unknown("Z")
@@ -245,3 +248,53 @@ def test_mismatched_binders_never_permute_the_pattern(n, monkeypatch):
     sol = solve_match(_binder_chain(n))
     assert sol.sigma == Substitution({X: AtomTerm(c)})
     assert len(calls) == 1  # the suspension's binding only
+
+
+# -- a repeated unknown is reconciled against its first target ----------------
+
+P = Unknown("P")
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms_st, terms_st, perms_st, perms_st, atoms_st, atoms_st, contexts_st, contexts_st,
+       st.randoms(use_true_random=False))
+def test_repeated_unknowns_agree_with_eager_reference(t, other, pi, bare_pi, x, z, pctx, tctx, rng):
+    # g([x]pi.P, g([x]pi.P, bare_pi.P)): P twice under a binder and once
+    # bare.  The targets are instances by P -> t with both binders renamed
+    # to z where freshness allows (the two occurrences under them reach P
+    # with equal pending permutations, the bare one with another), with
+    # binders renamed at random (mostly differently), and with an unrelated
+    # bare occurrence.
+    under_x = Abstraction(x, Suspension(pi, P))
+    pattern = App("g", (under_x, App("g", (under_x, Suspension(bare_pi, P)))))
+    pattern_ctx = FreshnessContext(frozenset((atom, P) for atom, _ in pctx))
+    instance = substitute(pattern, Substitution({P: t}))
+    (left, (right, bare)) = instance.args[0], instance.args[1].args
+
+    def to_z(u):
+        return Abstraction(z, act(swap(z, u.atom), u.body)) if fresh_holds(tctx, z, u.body) else u
+
+    alike = App("g", (to_z(left), App("g", (to_z(right), bare))))
+    unrelated = App("g", (left, App("g", (right, other))))
+    found = _same_answer(MatchProblem(pattern_ctx, pattern, tctx, alike))
+    assert found or pattern_ctx  # an instance matches when the pattern context asks nothing
+    for target in (alpha_perturb(rng, tctx, instance), unrelated):
+        _same_answer(MatchProblem(pattern_ctx, pattern, tctx, target))
+
+
+def test_repeated_unknown_is_permuted_once(monkeypatch):
+    # [a]g(X,[b]h(Y,a),X) against the instance with a renamed to e and b to
+    # f: both occurrences of X reach it under (e a), so X's image is built
+    # once, and Y's once; the eager copy made one per occurrence.
+    e, f = Atom("e"), Atom("f")
+    ix, iy = App("w", (AtomTerm(a), AtomTerm(c))), Abstraction(c, App("k", (AtomTerm(b), AtomTerm(a))))
+    pattern = Abstraction(a, App("g", (var(X), Abstraction(b, App("h", (var(Y), AtomTerm(a)))), var(X))))
+    ea, fb = swap(e, a), swap(f, b)
+    target = Abstraction(e, App("g", (
+        act(ea, ix), Abstraction(f, App("h", (act(ea, act(fb, iy)), AtomTerm(e)))), act(ea, ix))))
+    calls = []
+    real = nomrew.matching.act
+    monkeypatch.setattr(nomrew.matching, "act", lambda pi, t: calls.append(pi) or real(pi, t))
+    sol = solve_match(MatchProblem(EMPTY_CTX, pattern, EMPTY_CTX, target))
+    assert sol.sigma == Substitution({X: ix, Y: iy})
+    assert len([pi for pi in calls if pi != ID]) == 2

@@ -534,6 +534,23 @@ def test_a_step_fired_on_the_subject_as_written_reuses_it():
     assert counts[True] and counts[False]
 
 
+def test_a_renamed_binder_over_a_body_it_leaves_alone_is_recorded():
+    # Renaming [a] to [d] in [a]f(c) hands back the body itself, so the hole
+    # is the subject's own subterm although a binder above it was renamed;
+    # the step must still record the renamed variant, which replays.
+    d = Atom("d")
+    rule = RewriteRule("r", EMPTY_CTX, App("f", (var(X),)), App("h", (var(X),)))
+    body = App("f", (AtomTerm(c),))
+    s = App("g", (Abstraction(a, body), AtomTerm(d)))
+    assert act(swap(d, a), body) is body
+    steps = rewrite_step_general(EMPTY_CTX, s, rule)
+    assert sorted(st.variant.args[0].atom.name for st in steps) == ["a", "d"]
+    for st in steps:
+        assert st.variant.args[0].atom == st.result.args[0].atom
+        assert (st.variant is s) == (st.variant.args[0].atom == a)
+        assert replay_step(EMPTY_CTX, st, rule)
+
+
 def test_reachability_matches_scan_reference():
     nonempty = 0
     for theory, ctx, s, t in _seeded_cases(61, 40):

@@ -342,14 +342,32 @@ def test_derivation_report_at_depth(monkeypatch):
 # -- every rerouted walker agrees with its recursive reference ---------------
 
 
+def _shares_unchanged(got, source):
+    """A subterm of got equal to source's subterm at the same position is
+    source's own object: a rebuild hands back what it does not change."""
+    for path, u in positions(source):
+        v = subterm_at(got, path)
+        assert v is u or v != u
+    return got
+
+
 @settings(max_examples=150, deadline=None)
 @given(terms_st, perms_st, substs_st)
 def test_actions_match_reference(t, pi, sigma):
-    assert act(pi, t) == ref.act(pi, t)
-    assert substitute(t, sigma) == ref.substitute(t, sigma)
-    amap = {a: Atom("a$0"), b: c, c: b}
-    umap = {X: Unknown("Z$1")}
-    assert _rename_term(t, amap, umap) == ref.rename_term(t, amap, umap)
+    assert _shares_unchanged(act(pi, t), t) == ref.act(pi, t)
+    assert _shares_unchanged(substitute(t, sigma), t) == ref.substitute(t, sigma)
+    for amap in ({a: Atom("a$0"), b: c, c: b}, {a: Atom("a$0")}):
+        umap = {X: Unknown("Z$1")}
+        assert _shares_unchanged(_rename_term(t, amap, umap), t) == ref.rename_term(t, amap, umap)
+
+
+def test_rebuilds_that_change_nothing_return_their_input():
+    t = App("g", (Abstraction(c, App("u", (AtomTerm(c),))), App("g", (Suspension(swap(a, b), X), AtomTerm(d)))))
+    ground = t.args[0]
+    assert act(swap(a, b), ground) is ground and act(swap(a, e), t).args[0] is ground
+    assert substitute(t, Substitution({Y: AtomTerm(a)})) is t
+    assert _rename_term(t, {e: Atom("e$0")}, {Y: Unknown("Y$0")}) is t
+    assert scrub(EMPTY_CTX, t, ATOMS) is t
 
 
 @settings(max_examples=150, deadline=None)
@@ -380,7 +398,7 @@ def test_scrub_matches_reference(ctx, t, machine):
     # renaming one atom to a machine name gives scrub binders to rename
     t = _rename_term(t, {machine: Atom(machine.name + "$0")}, {})
     pool = [z for z in ATOMS if z != machine]
-    assert scrub(ctx, t, pool) == ref.scrub(ctx, t, pool)
+    assert _shares_unchanged(scrub(ctx, t, pool), t) == ref.scrub(ctx, t, pool)
 
 
 def _reference_decompositions(ctx, t, path, universe):
@@ -403,7 +421,15 @@ def _reference_decompositions(ctx, t, path, universe):
 @settings(max_examples=100, deadline=None)
 @given(contexts_st, terms_st)
 def test_decompositions_match_reference(ctx, t):
+    # A decomposition renames some binder exactly when its frames, plugged,
+    # differ from t with the same term put at the path.
     for path, _ in ref.positions(t):
-        got = [(hole, _plug(frames, hole), _plug(frames, AtomTerm(e))) for hole, frames in _decompositions(ctx, t, path, ATOMS)]
-        want = [(hole, rb(hole), rb(AtomTerm(e))) for hole, rb in _reference_decompositions(ctx, t, path, ATOMS)]
+        got = [
+            (hole, _plug(frames, hole), _plug(frames, AtomTerm(e)), renamed)
+            for hole, frames, renamed in _decompositions(ctx, t, path, ATOMS)
+        ]
+        want = [
+            (hole, rb(hole), rb(AtomTerm(e)), rb(AtomTerm(e)) != ref.replace_at(t, path, AtomTerm(e)))
+            for hole, rb in _reference_decompositions(ctx, t, path, ATOMS)
+        ]
         assert got == want
