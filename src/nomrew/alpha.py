@@ -15,7 +15,7 @@ with no failure branches, and answer None otherwise.  Both builds and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .terms import (
     Abstraction,
@@ -122,7 +122,7 @@ def check_fresh(ctx: FreshnessContext, a: Atom, t: Term) -> Optional[Derivation]
 _ABS, _APP, _SUSP = -1, -2, -3
 
 
-def alpha_key(ctx: FreshnessContext, t: Term) -> tuple:
+def alpha_key(ctx: FreshnessContext, t: Term, scope: Sequence[Atom] = ()) -> tuple:
     """A canonical, hashable key for the alpha-class of t under ctx.
 
     The key lists t's nodes in preorder, each node opening with one token.
@@ -138,13 +138,20 @@ def alpha_key(ctx: FreshnessContext, t: Term) -> tuple:
     named "[" or a nullary former named like an atom cannot be mistaken
     for anything else.
 
+    Contract: a node takes a fixed number of tokens, 1 for an atom or an
+    abstraction and 3 for an application or a suspension, so the subterm
+    at a position keys to one slice of the key, found by preorder widths.
+    `scope` lists the atoms bound above t, outermost first (the innermost
+    wins on a repeated name): the key of t under it is the slice t takes
+    in the key of any C[t] whose binders above the hole are `scope`.
+
     The walk keeps its own stack, so terms of any depth work, in time
     linear in the term plus, per suspension, the atoms bound above it.
     """
     pairs = ctx.pairs
     out: list = []
-    level: dict[str, int] = {}  # bound atom's name -> binders outside its innermost binder
-    depth = 0
+    level = {a.name: i for i, a in enumerate(scope)} if scope else {}  # name -> binders outside its binder
+    depth = len(scope)
     stack: list = [t]
     # Dispatch on the exact type: this loop is the alpha layer's hot path,
     # and class patterns in a match statement take about twice as long.

@@ -23,6 +23,7 @@ mentioning as few of them as possible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +53,7 @@ from .terms import (
     Abstraction,
     App,
     Atom,
+    AtomTerm,
     NominalError,
     Substitution,
     Suspension,
@@ -141,11 +143,44 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
             for z in pool:
                 if z != a and fresh_holds(ctx, z, body):
                     # the rename pushes a swap into suspensions, so the
-                    # renamed body needs scrubbing again
-                    return Abstraction(z, scrub(ctx, act(swap(z, a), body), pool))
+                    # renamed body needs scrubbing again; that round trip
+                    # rebuilds inner binders it renames back, so the
+                    # source's own objects are put back where equal
+                    return Abstraction(z, _share_with(scrub(ctx, act(swap(z, a), body), pool), u.body))
         return u if body is u.body else Abstraction(a, body)
 
     return _fold(t, lambda u: u, on_susp, on_abs, _share_app)
+
+
+def _share_with(new: Term, old: Term) -> Term:
+    """new with each subterm that equals old's subterm at the same position
+    replaced by old's own object.  One walk over both, on its own stack."""
+    stack: list = [(new, old)]
+    values: list = []
+    while stack:
+        entry = stack.pop()
+        if len(entry) == 3:  # (u, v, None): the children of u and v are done
+            u, v, _ = entry
+            if type(u) is Abstraction:
+                body = values[-1]
+                values[-1] = v if body is v.body and u.atom == v.atom else u if body is u.body else Abstraction(u.atom, body)
+            else:
+                n = len(values) - len(u.args)
+                args = tuple(values[n:])
+                same = u.former == v.former and all(map(operator.is_, args, v.args))
+                values[n:] = [v if same else _share_app(u, args)]
+            continue
+        u, v = entry
+        kind = type(u)
+        if u is v or kind is not type(v) or kind is AtomTerm or kind is Suspension:
+            values.append(v if u is v or u == v else u)
+        elif kind is Abstraction:
+            stack += ((u, v, None), (u.body, v.body))
+        elif len(u.args) == len(v.args):
+            stack += ((u, v, None), *reversed(tuple(zip(u.args, v.args))))
+        else:
+            values.append(u)
+    return values[0]
 
 
 def _variant(rule: RewriteRule) -> RewriteRule:

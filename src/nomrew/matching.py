@@ -6,20 +6,21 @@ pattern under a pending permutation rho that it carries down instead of
 applying (Calves & Fernandez).  A mismatched abstraction [a]l against [b]s
 records the obligation rho^-1(b) # l, mirroring the ~[b] rule, and goes on
 with l under (b rho(a)) o rho; a suspension pi.X resolves to
-X -> (rho o pi)^-1 . target, built once, from X's first occurrence
-(q0, s0), when the walk is done.  A repeated occurrence (q, s) is checked
+X -> (rho o pi)^-1 . target, from X's first occurrence (q0, s0), built
+once every check has passed.  A repeated occurrence (q, s) is checked
 by s0 ~ (q0^-1 o q).s, which holds exactly when q0.s0 ~ q.s does, since
 permutations preserve alpha-equivalence under a fixed context (Urban, Pitts
 & Gabbay), and which copies nothing when q = q0.  The pending and
-pattern-context obligations are checked once the substitution is complete.
+pattern-context obligations are checked once the walk is done.
 Matching solutions are unique up to alpha-equivalence under the target
 context; the solver returns the first computed, which is not canonical.
 The alpha checks are linear.  A pending check c # l.sigma builds no
 instance: it walks the pattern body l, and at a suspension pi.X asks
-pi^-1(c) # sigma(X), each (atom, unknown) pair once per solve, so each
-image is walked once per distinct pair however often X occurs.  A chain of
-n nested mismatched binders in the pattern still walks O(n^2) pattern
-nodes.
+pi^-1(c) # sigma(X), which is r(c) # s for X's image r^-1.s, on the raw
+target s, each (atom, unknown) pair once per solve.  So each target is
+walked once per distinct pair however often X occurs, and a match whose
+freshness fails builds no image.  A chain of n nested mismatched binders
+in the pattern still walks O(n^2) pattern nodes.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def is_solution(problem: MatchProblem, sigma: Substitution) -> bool:
 def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
     """Return a solution, or None when none exists."""
     delta = problem.target_ctx
-    binds: dict = {}  # X -> (rho o pi, target) at X's first occurrence, then X's image
+    binds: dict = {}  # X -> (r, s) at X's first occurrence, r = rho o pi; X's image is r^-1.s
     pending: list[tuple[Atom, Term]] = []  # c # l, checked once binds is complete
     work = [(problem.pattern, problem.target, ID)]
     while work:
@@ -137,7 +138,6 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
             case _:
                 return None
 
-    binds = {x: act(r.inverse(), s) for x, (r, s) in binds.items()}
     # Unknowns constrained by the pattern context but absent from the
     # pattern can always be sent to an atom fresh for everything in sight.
     leftover = {x for _, x in problem.pattern_ctx if x not in binds}
@@ -145,17 +145,18 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
         used = {a.name for a in atoms_of(problem.pattern_ctx, problem.pattern, problem.target_ctx, problem.target)}
         spare = AtomTerm(Atom(fresh_names("m", 1, used)[0]))
         for x in leftover:
-            binds[x] = spare
+            binds[x] = ID, spare
 
     # b # p.sigma is read off the pattern p: a suspension pi.X asks
-    # pi^-1(b) # sigma(X), and each (atom, unknown) pair is asked once.
-    sigma = Substitution(binds)
+    # pi^-1(b) # sigma(X), and c # r^-1.s is r(c) # s, so each (atom,
+    # unknown) pair is asked once, of the raw target, before any image.
     known: dict = {}
 
     def fresh_image(c: Atom, x: Unknown) -> bool:
         got = known.get((c, x))
         if got is None:
-            got = known[c, x] = fresh_holds(delta, c, sigma.image(x))
+            r, s = binds[x]
+            got = known[c, x] = fresh_holds(delta, r(c), s)
         return got
 
     for b, p in pending:
@@ -164,6 +165,7 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
     for a, x in problem.pattern_ctx:
         if not fresh_image(a, x):
             return None
+    sigma = Substitution({x: act(r.inverse(), s) for x, (r, s) in binds.items()})
     assert is_solution(problem, sigma)
     return MatchSolution(sigma)
 

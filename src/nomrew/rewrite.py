@@ -14,18 +14,19 @@ the subject and so respects alpha-equivalence by itself, and its steps are
 those of the subject as written.
 
 The core is written once: step enumeration over positions x alpha-variants
-(`rewrite_steps`), the first step under a strategy and normalization
-(`normalize`), reachability (`reachable`) and replay (`replay`).  The two
-engines differ only in how one rule is prepared for one subject, which is a
-`PreparedRule`.  The core walks each subject once for its atoms and unknowns
-(`Subject`), and a preparation reads nothing else of the subject.
-The general preparation here renames the rule's unknowns away from the
-subject's and tries the candidate permutations over a universe; the closed
-preparation (closed.py) matches the rule's fixed freshened variant under an
-extended context and the identity permutation, and scrubs the result.  The
-core asks a preparation for instances only at positions that pass a shape
-test against the prepared lhs (`_may_match`), and a preparation builds what
-it needs for that (its `Firing`) only when the first hole passes.
+(`_candidates`, built by `rewrite_steps`), the first step under a strategy
+and normalization (`normalize`), reachability (`reachable`) and replay
+(`replay`).  The two engines differ only in how one rule is prepared for one
+subject, which is a `PreparedRule`.  The core walks each subject once for
+its atoms and unknowns (`Subject`), and a preparation reads nothing else of
+the subject.  The general preparation here renames the rule's unknowns away
+from the subject's and tries the candidate permutations over a universe; the
+closed preparation (closed.py) matches the rule's fixed freshened variant
+under an extended context and the identity permutation, and scrubs the
+result.  The core asks a preparation for instances only at positions that
+pass a shape test against the prepared lhs (`_may_match`), and a preparation
+builds what it needs for that (its `Firing`) only when the first hole
+passes.
 
 What does not depend on the step is not redone at each step.  `normalize`,
 `reachable` and `symmetric_search` prepare the theory once per call for each
@@ -42,6 +43,11 @@ and `symmetric_search` keep both in a dict of their own for the length of
 the call (`rewrite_step_general`'s call is one step): the permutation search
 runs once per distinct hole per call, however often the hole comes back,
 and builds each permuted side only when it first reaches its candidate.
+`symmetric_search` keys a step without building it: a node has a fixed
+width in its alpha key (de Bruijn), so the key of C[r] is the subject's
+with the hole's slice replaced by r's key under C's binders, and an
+alpha-variant keys as the subject outside the hole.  It builds only the
+steps that reach the target or a class it has not met.
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -306,15 +312,6 @@ class PreparedRule:
     def firing(self) -> Firing:
         return self.fire()
 
-    def step(
-        self, path: Path, pi: Permutation, theta: Substitution, source: Term, variant: Term, result: Term
-    ) -> RewriteStep:
-        firing = self.firing
-        return RewriteStep(
-            self.rule.name, path, pi, theta, source, variant, result,
-            self.mode, firing.freshened, firing.ctx_extension,
-        )
-
 
 def _rename_term(t: Term, amap: dict, umap: dict) -> Term:
     def on_susp(u: Suspension) -> Term:  # pi becomes amap o pi o amap^-1, amap being one-to-one
@@ -546,20 +543,13 @@ def _plug(frames: tuple | None, u: Term) -> Term:
     return u
 
 
-def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
-    """All one-step rewrites of s by one prepared rule, modulo alpha on the
-    subject: every position, every alpha-variant renaming the binders above
-    it into the firing's universe (s alone when that is empty, as in closed
-    rewriting), every instance the engine finds at the hole.
-
-    The steps are distinct without a check.  Steps at two positions differ
-    in their path; two alpha-variants at one position rename some binder
-    above it differently, so their general results differ there; two
-    general instances at one hole differ in pi.  Closed rewriting has one
-    variant, the subject, and at most one instance per hole.  So no result
-    is hashed."""
-    out = []
-    for path, here in positions(s):
+def _candidates(s: Term, places: list[tuple[Path, Term]], prepared: PreparedRule) -> Iterator[tuple]:
+    """The steps of s by one prepared rule, unbuilt and in order, as (position
+    index, path, frames, hole, renamed, pi, theta, pi.(rhs theta)): every
+    position in `places` (`positions(s)`), every alpha-variant of s renaming
+    the binders above it into the firing's universe (s alone when that is
+    empty, as in closed rewriting), every instance the engine finds there."""
+    for i, (path, here) in enumerate(places):
         # Alpha-variants differ from s only in atoms, so one shape test
         # covers every variant at this position.
         if not _may_match(prepared.lhs, here):
@@ -567,12 +557,58 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
         firing = prepared.firing
         for hole, frames, renamed in _decompositions(firing.ctx, s, path, firing.universe):
             for pi, theta, rhs in firing.instances(hole):
-                result = firing.finish(_plug(frames, rhs))
-                # When no binder above the hole was renamed, the variant
-                # fired on is s itself.
-                variant = _plug(frames, hole) if renamed else s
-                out.append(prepared.step(path, pi, theta, s, variant, result))
-    return StepResults(out, prepared.truncated)
+                yield i, path, frames, hole, renamed, pi, theta, rhs
+
+
+def _build(s: Term, prepared: PreparedRule, candidate: tuple) -> RewriteStep:
+    _, path, frames, hole, renamed, pi, theta, rhs = candidate
+    firing = prepared.firing
+    # When no binder above the hole was renamed, the variant fired on is s.
+    variant = _plug(frames, hole) if renamed else s
+    result = firing.finish(_plug(frames, rhs))
+    extras = prepared.mode, firing.freshened, firing.ctx_extension
+    return RewriteStep(prepared.rule.name, path, pi, theta, s, variant, result, *extras)
+
+
+def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
+    """All one-step rewrites of s by one prepared rule, modulo alpha on the
+    subject: every step `_candidates` finds, built.
+
+    The steps are distinct without a check.  Steps at two positions differ
+    in their path; two alpha-variants at one position rename some binder
+    above it differently, so their general results differ there; two
+    general instances at one hole differ in pi.  Closed rewriting has one
+    variant, the subject, and at most one instance per hole.  So no result
+    is hashed."""
+    return StepResults([_build(s, prepared, c) for c in _candidates(s, positions(s), prepared)], prepared.truncated)
+
+
+def _spans(places: list[tuple[Path, Term]]) -> list[list[int]]:
+    """Each position's [start, end) slice of the term's alpha key, for
+    `positions` in preorder: a node is 1 token (an atom, an abstraction) or
+    3 (an application, a suspension), and a subterm ends where the next
+    position no deeper than its own begins."""
+    spans, open_, at = [], [], 0
+    for path, u in [*places, ((), None)]:  # the last, at depth 0, ends every span
+        while open_ and open_[-1][0] >= len(path):
+            open_.pop()[1].append(at)
+        spans.append([at])
+        open_.append((len(path), spans[-1]))
+        at += 3 if type(u) is App or type(u) is Suspension else 1
+    return spans
+
+
+def _spliced_key(ctx: FreshnessContext, key: tuple, spans: list[list[int]], candidate: tuple) -> tuple:
+    """The alpha key under ctx of a general candidate's result (a general
+    finish is the identity), unbuilt: its source's key with the hole's
+    slice replaced by the key of pi.(rhs theta) under the frames' binders."""
+    start, end = spans[candidate[0]]
+    scope, frames = [], candidate[2]
+    while frames is not None:
+        frame, frames = frames
+        if type(frame) is Atom:
+            scope.append(frame)
+    return key[:start] + alpha_key(ctx, candidate[7], scope[::-1]) + key[end:]
 
 
 def rewrite_step_general(
@@ -697,9 +733,9 @@ def _first_step(s: Term, by_head: dict, innermost: bool) -> Optional[RewriteStep
         for prep in by_head.get(_head(hole), by_head[Suspension]):
             if not _may_match(prep.lhs, hole):
                 continue
-            firing = prep.firing
-            for pi, theta, rhs in firing.instances(hole):
-                return prep.step(path, pi, theta, s, s, firing.finish(replace_at(s, path, rhs)))
+            for pi, theta, rhs in prep.firing.instances(hole):
+                frames = next(_decompositions(EMPTY_CTX, s, path, []))[1]
+                return _build(s, prep, (None, path, frames, hole, False, pi, theta, rhs))
     return None
 
 
@@ -852,28 +888,37 @@ def symmetric_search(
     ctx2 = ctx | gamma
 
     rules = (*theory.rules, *theory._reversed_rules)
-    target = alpha_key(ctx2, t)
-    reached = {alpha_key(ctx2, s)}
-    if target in reached:
+    target, skey = alpha_key(ctx2, t), alpha_key(ctx2, s)
+    if target == skey:
         return SearchResult(True, [], gamma, ctx2)
 
-    frontier: list[tuple[Term, list[RewriteStep]]] = [(s, [])]
+    # A frontier entry is (term, its key, link), a link being None or (step,
+    # the source's link), so a trace is listed only when found.
+    reached = {skey}
+    frontier: list[tuple[Term, tuple, tuple | None]] = [(s, skey, None)]
     expansions = 0
     prepare, kept = partial(_prepare_general, max_support=max_support, sides={}), {}
     while frontier and expansions < fuel:
-        nxt: list[tuple[Term, list[RewriteStep]]] = []
-        for u, trace in frontier:
+        nxt: list[tuple[Term, tuple, tuple | None]] = []
+        for u, ukey, link in frontier:
             if expansions >= fuel:
                 break
             expansions += 1
+            places = positions(u)
+            spans = _spans(places)
             for prepared in _prepare_all(kept, prepare, Subject(ctx2, u), rules)[0]:
-                for step in rewrite_steps(u, prepared):
-                    key = alpha_key(ctx2, step.result)
-                    if key == target:
-                        return SearchResult(True, trace + [step], gamma, ctx2)
-                    if key not in reached:
+                for candidate in _candidates(u, places, prepared):
+                    key = _spliced_key(ctx2, ukey, spans, candidate)
+                    if key not in reached:  # the target never is
+                        step = _build(u, prepared, candidate)
+                        if key == target:
+                            trace = [step]
+                            while link is not None:
+                                step, link = link
+                                trace.append(step)
+                            return SearchResult(True, trace[::-1], gamma, ctx2)
                         reached.add(key)
-                        nxt.append((step.result, trace + [step]))
+                        nxt.append((step.result, key, (step, link)))
         frontier = nxt
     return SearchResult(False, None, gamma, ctx2)
 

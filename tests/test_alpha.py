@@ -22,6 +22,7 @@ from nomrew import (
     check_alpha,
     check_fresh,
     fresh_holds,
+    positions,
     swap,
     term_depth,
     var,
@@ -239,6 +240,45 @@ def test_alpha_key_tokens_cannot_collide():
     for s, t in pairs:
         assert ref.check_alpha(EMPTY_CTX, s, t) is None
         assert alpha_key(EMPTY_CTX, s) != alpha_key(EMPTY_CTX, t)
+
+
+_WIDTH = {AtomTerm: 1, Abstraction: 1, App: 3, Suspension: 3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(contexts_st, terms_st, hst.lists(hst.sampled_from([a, b, c]), max_size=3))
+def test_alpha_key_has_a_fixed_width_per_node(ctx, t, outer):
+    # Rewriting splices keys on this layout: each node takes 1 token (an
+    # atom, an abstraction) or 3 (an application, a suspension), so the
+    # subterm at a position is the slice starting at the widths of the
+    # positions before it, and keying the subterm alone under the binders
+    # above it gives that slice.  `outer` wraps t in binders, repeats
+    # included, so scopes with shadowed names are covered.
+    for atom in reversed(outer):
+        t = Abstraction(atom, t)
+    key = alpha_key(ctx, t)
+    places = positions(t)
+    assert len(key) == sum(_WIDTH[type(u)] for _, u in places)
+    start = 0
+    for path, u in places:
+        scope, v = [], t
+        for step in path:
+            if step == "body":
+                scope.append(v.atom)
+                v = v.body
+            else:
+                v = v.args[step]
+        part = alpha_key(ctx, u, scope)
+        assert key[start:start + len(part)] == part
+        start += _WIDTH[type(u)]
+
+
+def test_alpha_key_scope_lets_the_innermost_binder_win():
+    body = App("g", (AtomTerm(a), Suspension(swap(a, b), X)))
+    wrapped = Abstraction(a, Abstraction(b, Abstraction(a, body)))
+    assert alpha_key(EMPTY_CTX, body, [a, b, a]) == alpha_key(EMPTY_CTX, wrapped)[3:]
+    assert alpha_key(EMPTY_CTX, body, [a, b, a]) != alpha_key(EMPTY_CTX, body, [b, a, b])
+    assert alpha_key(EMPTY_CTX, body, ()) == alpha_key(EMPTY_CTX, body)
 
 
 @settings(max_examples=300, deadline=None)

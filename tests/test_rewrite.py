@@ -29,6 +29,7 @@ from nomrew import (
     Unknown,
     act,
     alpha_holds,
+    alpha_key,
     atoms_of,
     closed_joinable,
     closed_normalize,
@@ -51,8 +52,9 @@ from nomrew import (
     var,
 )
 from nomrew.rewrite import (
-    MAX_SUPPORT, Firing, PreparedRule, Subject, _candidate_perms, _fresh_maps, _invertible, _may_match,
-    _prepare_general, _rename_rule, _rename_term, _universe, normalize, reachable, rewrite_steps,
+    MAX_SUPPORT, Firing, PreparedRule, Subject, _build, _candidate_perms, _candidates, _fresh_maps, _invertible,
+    _may_match, _prepare_general, _rename_rule, _rename_term, _spans, _spliced_key, _universe, normalize, reachable,
+    rewrite_steps,
 )
 from nomrew.syntax import parse_term, parse_theory
 from nomrew.terms import MACHINE_MARK
@@ -579,6 +581,82 @@ def test_symmetric_search_matches_scan_reference():
     assert 5 < found < 35
 
 
+def test_a_search_builds_one_step_per_new_class(monkeypatch):
+    # symmetric_search keys each candidate without building it: it builds a
+    # step for each class it meets first, and the step that reaches the
+    # target, which ends the search.  The scan reference counts the classes.
+    built, added = [], Counter()
+    real_init, real_add = rewrite_module.RewriteStep.__init__, _ScanSet.add
+
+    def init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    def add(self, t):
+        new = real_add(self, t)
+        added["classes"] += new
+        return new
+
+    monkeypatch.setattr(_ScanSet, "add", add)
+    nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
+    example = (nonclosed, EMPTY_CTX, parse_term("h(g([c]c),h(a,a))"), parse_term("h(g([c]c),h(b,b))"))
+    outcomes = Counter()
+    for theory, ctx, s, t in [*_seeded_cases(67, 40), example]:
+        built.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(rewrite_module.RewriteStep, "__init__", init)
+            res = symmetric_search(ctx, s, t, theory, fuel=3)
+        added.clear()
+        assert (res.found, res.trace) == _scan_search(res.ctx, s, t, theory, fuel=3)
+        stepped = bool(res.trace)  # found by a step, which is built last
+        assert len(built) == max(added["classes"] - 1, 0) + stepped  # s's own class is no step's
+        keys = [alpha_key(res.ctx, step.result) for step in built]
+        assert len(set(keys)) == len(keys) and alpha_key(res.ctx, s) not in keys
+        if stepped:
+            assert built[-1] is res.trace[-1]
+        outcomes[res.found] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def _spliced_against_built(ctx, s, rule) -> Counter:
+    """Check that every candidate step of s by rule, as rewrite_step_general
+    finds them, has the key of its built result as its spliced key, and
+    count the renamed variants and the results with suspensions."""
+    prepared = _prepare_general(Subject(ctx, s), rule, sides={})
+    places = positions(s)
+    spans, key = _spans(places), alpha_key(ctx, s)
+    seen = Counter()
+    for candidate in _candidates(s, places, prepared):
+        result = _build(s, prepared, candidate).result
+        assert _spliced_key(ctx, key, spans, candidate) == alpha_key(ctx, result)
+        seen["renamed"] += candidate[4]
+        seen["suspension"] += any(type(u) is Suspension for u in subterms(result))
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_a_spliced_key_is_the_key_of_the_built_result(data):
+    theory = data.draw(hst.sampled_from(BUNDLED))
+    rule = data.draw(hst.sampled_from(theory.rules + theory._reversed_rules))
+    ctx, s = data.draw(contexts_st), data.draw(sig_terms_st(theory))
+    for atom in data.draw(hst.lists(hst.sampled_from([a, b]), max_size=3)):  # [a][a]... shadows
+        s = Abstraction(atom, s)
+    _spliced_against_built(ctx, s, rule)
+
+
+def test_spliced_keys_cover_variants_suspensions_and_shadowed_binders():
+    seen = Counter()
+    shadows = [(), (a, a), (b, a, b)]
+    for i, (theory, ctx, s, _) in enumerate(_seeded_cases(71, 30)):
+        for atom in shadows[i % 3]:
+            s = Abstraction(atom, s)
+        for rule in theory.rules + theory._reversed_rules:
+            seen += _spliced_against_built(ctx, s, rule)
+        seen["shadowed"] += bool(shadows[i % 3])
+    assert seen["renamed"] and seen["suspension"] and seen["shadowed"]
+
+
 # kept general preparations against per-subject renaming ----------------------------
 
 
@@ -682,13 +760,13 @@ def test_general_renamings_are_kept_per_clashing_set(monkeypatch):
 def test_general_search_solves_each_hole_once_per_call(monkeypatch):
     # One search of the nonclosed-search benchmark's kind.  Every match the
     # engine makes is attributed to the rule and universe of the preparation
-    # stepping: symmetric_search takes all the steps of one preparation
-    # before it makes the next.
+    # stepping: symmetric_search draws all the candidates of one preparation
+    # before it draws the next's.
     theory = parse_theory((resources.files("nomrew") / "theories" / "nonclosed.nrw").read_text())
     s, t = parse_term("h(g([c]c),h(a,a))"), parse_term("h(g([c]c),h(b,b))")
     calls, now, candidates, owner = Counter(), {}, {}, {}
     real_solve, real_universe, real_freshen = solve_match, rewrite_module._universe, rewrite_module._freshen_rule_unknowns
-    real_prepare, real_steps = rewrite_module._prepare_general, rewrite_module.rewrite_steps
+    real_prepare, real_candidates = rewrite_module._prepare_general, rewrite_module._candidates
 
     def counted(problem):
         calls[now["rule"], now["universe"], problem.target] += 1
@@ -709,15 +787,15 @@ def test_general_search_solves_each_hole_once_per_call(monkeypatch):
         owner[id(prepared)] = now["rule"], now["universe"]
         return prepared
 
-    def steps(s, prepared):
+    def unbuilt(s, places, prepared):
         now["rule"], now["universe"] = owner[id(prepared)]
-        return real_steps(s, prepared)
+        return real_candidates(s, places, prepared)
 
     monkeypatch.setattr(rewrite_module, "solve_match", counted)
     monkeypatch.setattr(rewrite_module, "_universe", universe)
     monkeypatch.setattr(rewrite_module, "_freshen_rule_unknowns", freshen)
     monkeypatch.setattr(rewrite_module, "_prepare_general", prepare)
-    monkeypatch.setattr(rewrite_module, "rewrite_steps", steps)
+    monkeypatch.setattr(rewrite_module, "_candidates", unbuilt)
     res = symmetric_search(EMPTY_CTX, s, t, theory, fuel=10)
     assert res.found and len(res.trace) == 2
     engine = sum(calls.values())

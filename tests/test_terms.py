@@ -332,5 +332,24 @@ def test_pending_freshness_agrees_with_the_substituted_body(monkeypatch, image, 
     if got is not None:
         assert got.sigma == sigma
     # X occurs four times in the two pending bodies, and is asked about at
-    # most once per atom, on its image alone.
-    assert asked in ([(c, sigma[X]), (d, sigma[X])], [(c, sigma[X])])
+    # most once per atom, on its raw target: c # rho^-1.image is asked as
+    # rho(c) # image.
+    rho = swap(d, b) * swap(c, a)
+    assert asked in ([(rho(c), image), (rho(d), image)], [(rho(c), image)])
+
+
+def test_a_failing_freshness_check_builds_no_image(monkeypatch):
+    # remark43's expand (a # X |- X -> f(X)) under the candidate (a c)
+    # matches (a c).X against f(c): X's image would be f(a), and a # f(a)
+    # fails.  The check is c # f(c) on the raw target, so no image is built.
+    moved = []
+
+    def counted(pi, t):
+        if not pi.is_identity:
+            moved.append(pi)
+        return act(pi, t)
+
+    monkeypatch.setattr(matching, "act", counted)
+    problem = MatchProblem(FreshnessContext.of((a, X)), Suspension(swap(a, c), X), EMPTY_CTX, App("f", (AtomTerm(c),)))
+    assert solve_match(problem) is None
+    assert moved == []

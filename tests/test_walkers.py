@@ -370,6 +370,13 @@ def test_rebuilds_that_change_nothing_return_their_input():
     assert scrub(EMPTY_CTX, t, ATOMS) is t
 
 
+def test_scrub_rename_keeps_inner_binders_it_renames_back():
+    # renaming [a$0] to [b] swaps the inner [b]b to [a$0]a$0 and back again
+    inner = Abstraction(b, AtomTerm(b))
+    out = scrub(EMPTY_CTX, App("u", (Abstraction(Atom("a$0"), inner),)), [b, c])
+    assert out == App("u", (Abstraction(b, inner),)) and out.args[0].body is inner
+
+
 @settings(max_examples=150, deadline=None)
 @given(terms_st)
 def test_shape_walkers_match_reference(t):
