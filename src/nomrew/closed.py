@@ -17,20 +17,20 @@ variant freshened apart from the subject makes closed steps respect
 alpha-equivalence (Fernandez & Gabbay), so the steps of the subject as
 written are all there is to find.  Machine atoms that the match drags into
 the result only ever occur where the extended context proves them fresh, so
-a scrubbing pass rewrites each result to an alpha-equivalent representative
-mentioning as few of them as possible.
+one scrubbing pass from the root rewrites each result to an alpha-equivalent
+representative mentioning as few of them as possible: each machine binder is
+renamed once, before its body is walked, into a pool of the subject's atoms,
+the rule's and a few spares.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from .alpha import FreshnessContext, alpha_holds, fresh_holds
 from .matching import MatchProblem, _require_apart, solve_match
 from .rewrite import (
-    SPARE_CAP,
     Firing,
     NormalizeResult,
     PreparedRule,
@@ -44,6 +44,7 @@ from .rewrite import (
     _rename_ctx,
     _rename_rule,
     _rename_term,
+    _spares,
     normalize,
     reachable,
     rewrite_steps,
@@ -59,11 +60,8 @@ from .terms import (
     Suspension,
     Term,
     Unknown,
-    _fold,
     _share_app,
-    act,
     atoms_of,
-    fresh_names,
     substitute,
     swap,
     unknowns_of,
@@ -126,60 +124,55 @@ def _match_variant(ctx: FreshnessContext, t: Term, fresh_ctx: FreshnessContext, 
 
 def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
     """Rewrite t to an alpha-equivalent term (under ctx) mentioning as few
-    machine atoms as possible: suspension permutations are minimized using
-    the freshness facts ctx provides, and machine-named binders are renamed
-    into the pool where freshness allows.  A node it does not change comes
-    back as the same object, as in every rebuild of terms.py."""
-
-    def on_susp(u: Suspension) -> Term:
-        # disagreements may stay only on atoms ctx makes fresh for x
-        x = u.unknown
-        pi = _complete_perm({c: v for c, v in u.perm.mapping.items() if (c, x) not in ctx})
-        return u if pi == u.perm else Suspension(pi, x)
-
-    def on_abs(u: Abstraction, body: Term) -> Term:
-        a = u.atom
-        if a.is_machine:
-            for z in pool:
-                if z != a and fresh_holds(ctx, z, body):
-                    # the rename pushes a swap into suspensions, so the
-                    # renamed body needs scrubbing again; that round trip
-                    # rebuilds inner binders it renames back, so the
-                    # source's own objects are put back where equal
-                    return Abstraction(z, _share_with(scrub(ctx, act(swap(z, a), body), pool), u.body))
-        return u if body is u.body else Abstraction(a, body)
-
-    return _fold(t, lambda u: u, on_susp, on_abs, _share_app)
-
-
-def _share_with(new: Term, old: Term) -> Term:
-    """new with each subterm that equals old's subterm at the same position
-    replaced by old's own object.  One walk over both, on its own stack."""
-    stack: list = [(new, old)]
+    machine atoms as possible, in one pass from the root that carries a
+    pending permutation pi, the renamings made above.  A binder [c]b
+    stands for [a]pi.b with a = pi(c).  When c or a is machine-named, it
+    takes the first pool atom z that is either a itself, if a is not
+    machine-named, or fresh for pi.b, and b is walked under (z a) o pi;
+    otherwise it stays [a].  Atoms are mapped through pi, and each
+    suspension s.X becomes pi o s less the disagreements that ctx makes
+    fresh for X.  Testing c as well as a gives a machine binder that an
+    outer rename moved onto a plain atom the name it would get on its own,
+    so steps name binders as when each body was scrubbed before its binder.
+    A node it does not change comes back as the same object, as in every
+    rebuild of terms.py."""
+    stack: list = [(t, ID)]
     values: list = []
     while stack:
         entry = stack.pop()
-        if len(entry) == 3:  # (u, v, None): the children of u and v are done
-            u, v, _ = entry
-            if type(u) is Abstraction:
-                body = values[-1]
-                values[-1] = v if body is v.body and u.atom == v.atom else u if body is u.body else Abstraction(u.atom, body)
+        if type(entry) is not tuple:  # entry's children are done
+            if type(entry) is Abstraction:
+                a, body = values[-2:]
+                values[-2:] = [entry if a is entry.atom and body is entry.body else Abstraction(a, body)]
             else:
-                n = len(values) - len(u.args)
-                args = tuple(values[n:])
-                same = u.former == v.former and all(map(operator.is_, args, v.args))
-                values[n:] = [v if same else _share_app(u, args)]
+                n = len(values) - len(entry.args)
+                values[n:] = [_share_app(entry, tuple(values[n:]))]
             continue
-        u, v = entry
+        u, pi = entry
         kind = type(u)
-        if u is v or kind is not type(v) or kind is AtomTerm or kind is Suspension:
-            values.append(v if u is v or u == v else u)
+        if kind is AtomTerm:
+            values.append(u if (a := pi(u.atom)) is u.atom else AtomTerm(a))
+        elif kind is Suspension:
+            # disagreements may stay only on atoms ctx makes fresh for x
+            x = u.unknown
+            perm = _complete_perm({c: v for c, v in (pi * u.perm).mapping.items() if (c, x) not in ctx})
+            values.append(u if perm == u.perm else Suspension(perm, x))
         elif kind is Abstraction:
-            stack += ((u, v, None), (u.body, v.body))
-        elif len(u.args) == len(v.args):
-            stack += ((u, v, None), *reversed(tuple(zip(u.args, v.args))))
+            a = pi(u.atom)
+            if a.is_machine or u.atom.is_machine:
+                back = pi.inverse()
+                for z in pool:
+                    if z is a and not a.is_machine:
+                        break
+                    if z is not a and fresh_holds(ctx, back(z), u.body):  # z # pi.body
+                        pi, a = swap(z, a) * pi, z
+                        break
+            values.append(a)
+            stack += (u, (u.body, pi))
+        elif kind is App:
+            stack += (u, *[(v, pi) for v in reversed(u.args)])
         else:
-            values.append(u)
+            raise TypeError(f"not a term: {u!r}")
     return values[0]
 
 
@@ -223,9 +216,7 @@ def _prepare_closed(subject: Subject, rule: RewriteRule) -> PreparedRule:
         ctx2 = ctx | extension
         # Binders the match drags in are renamed back to the subject's and
         # the rule's atoms where freshness allows, else to a few spares.
-        used = {a.name for a in rule.atoms() | subject_atoms}
-        spares = [Atom(n) for n in fresh_names("p", min(len(rule.atoms()), SPARE_CAP), used)]
-        pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + spares
+        pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + _spares(rule.atoms(), subject_atoms)
 
         def instances(hole: Term):
             sol = solve_match(MatchProblem._unchecked(frule.ctx, frule.lhs, ctx2, hole))

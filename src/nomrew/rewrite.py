@@ -371,14 +371,18 @@ def _freshen_rule_unknowns(rule: RewriteRule, away_from: set[Unknown]) -> Rewrit
     return kept[clashing]
 
 
+def _spares(rule_atoms: set[Atom], other_atoms: set[Atom]) -> list[Atom]:
+    """One machine-fresh spare per rule atom, at most SPARE_CAP, named
+    apart from the rule atoms and the other atoms."""
+    used = {a.name for a in rule_atoms | other_atoms}
+    return [Atom(n) for n in fresh_names("p", min(len(rule_atoms), SPARE_CAP), used)]
+
+
 def _universe(rule_atoms: set[Atom], other_atoms: set[Atom], max_support: int) -> tuple[list[Atom], bool]:
     """The atom universe for the permutation search: rule atoms, then the
     context/subject atoms, then machine-fresh spares, capped at max_support
     (rule atoms always survive the cap)."""
-    spare_count = min(len(rule_atoms), SPARE_CAP)
-    used = {a.name for a in rule_atoms | other_atoms}
-    spares = [Atom(n) for n in fresh_names("p", spare_count, used)]
-    ordered = sorted(rule_atoms) + sorted(other_atoms - rule_atoms) + spares
+    ordered = sorted(rule_atoms) + sorted(other_atoms - rule_atoms) + _spares(rule_atoms, other_atoms)
     limit = max(max_support, len(rule_atoms))
     if len(ordered) > limit:
         return ordered[:limit], True

@@ -4,7 +4,9 @@ Most functions here are the plain syntax-directed recursion that the
 library's walker replaced with an explicit stack (`terms._fold` or a
 worklist).  The property tests in test_walkers.py check that the two agree
 on small terms; these references raise RecursionError on terms about a
-thousand deep, which is why the library does not use them.  `check_alpha`
+thousand deep, which is why the library does not use them.
+`scrub_innermost_first` is the scrub rule the library ran before its
+one-pass rule, kept to show where the two agree.  `check_alpha`
 is the rule-by-rule alpha check that test_alpha.py and test_rewrite.py
 compare `alpha_holds` and the library's `check_alpha` against.  At the end are
 the swap-list reading of a permutation and the matcher that copies the
@@ -35,7 +37,7 @@ from nomrew import (
 )
 from nomrew.rewrite import _complete_perm
 from nomrew.syntax import PUNCT, ParseError, Token, _is_unknown_name, _Parser
-from nomrew.terms import MACHINE_MARK, fresh_names
+from nomrew.terms import ID, MACHINE_MARK, fresh_names
 
 
 def act(pi, t):
@@ -182,21 +184,49 @@ def pretty(t):
             return f if not args else f"{f}({', '.join(pretty(u) for u in args)})"
 
 
-def scrub(ctx, t, pool):
+def scrub(ctx, t, pool, pi=ID):
+    """The library's one-pass scrub of pi.t, stated recursively: each
+    binder is named before its body is scrubbed, and the renaming is
+    carried down as a pending permutation."""
+    match t:
+        case AtomTerm(a):
+            return AtomTerm(pi(a))
+        case Suspension(sigma, x):
+            return Suspension(_complete_perm({c: v for c, v in (pi * sigma).mapping.items() if (c, x) not in ctx}), x)
+        case Abstraction(c, body):
+            a = pi(c)
+            if a.is_machine or c.is_machine:
+                for z in pool:
+                    if z == a and not a.is_machine:
+                        break
+                    if z != a and fresh_holds(ctx, pi.inverse()(z), body):
+                        return Abstraction(z, scrub(ctx, body, pool, swap(z, a) * pi))
+            return Abstraction(a, scrub(ctx, body, pool, pi))
+        case App(f, args):
+            return App(f, tuple(scrub(ctx, u, pool, pi) for u in args))
+
+
+def scrub_innermost_first(ctx, t, pool):
+    """The scrub the library ran before the one-pass rule: the body first,
+    then the binder, and the renamed body scrubbed again.  It is
+    exponential in nested machine binders.  The one-pass rule names
+    binders as this one does when the pool holds no machine atom and
+    every machine binder can be renamed into it; otherwise the two may
+    pick different binders to rename."""
     match t:
         case AtomTerm():
             return t
         case Suspension(pi, x):
             return Suspension(_complete_perm({c: v for c, v in pi.mapping.items() if (c, x) not in ctx}), x)
         case Abstraction(a, body):
-            body = scrub(ctx, body, pool)
+            body = scrub_innermost_first(ctx, body, pool)
             if a.is_machine:
                 for z in pool:
                     if z != a and fresh_holds(ctx, z, body):
-                        return Abstraction(z, scrub(ctx, act(swap(z, a), body), pool))
+                        return Abstraction(z, scrub_innermost_first(ctx, act(swap(z, a), body), pool))
             return Abstraction(a, body)
         case App(f, args):
-            return App(f, tuple(scrub(ctx, u, pool) for u in args))
+            return App(f, tuple(scrub_innermost_first(ctx, u, pool) for u in args))
 
 
 def positions(t, innermost=False):

@@ -29,6 +29,7 @@ from nomrew import (
     closed_reachable,
     closed_rewrite_step,
     decide_equal,
+    fresh_holds,
     freshen_rule,
     is_closed,
     is_closed_rule,
@@ -38,6 +39,7 @@ from nomrew import (
     rewrite_step_general,
     scrub,
     substitute,
+    subterms,
     swap,
     unknowns_of,
     var,
@@ -45,13 +47,15 @@ from nomrew import (
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
     MAX_SUPPORT, SPARE_CAP, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _prepare_general, _rename_rule,
-    _rename_term, _universe, normalize, positions, reachable, replay, rewrite_steps, subterm_at,
+    _rename_ctx, _rename_term, _universe, normalize, positions, reachable, replay, rewrite_steps, subterm_at,
 )
 from nomrew.syntax import parse_context, parse_term, parse_theory, pretty
 from nomrew.terms import ID, MACHINE_MARK, Substitution, fresh_names
+
+import reference_walkers as ref
 from strategies import (
     ATOMS, UNKNOWNS, alpha_mod_machine, atoms_st, contexts_st, machine_atoms, random_ctx, random_term, sig_terms_st,
-    step_classes_match,
+    step_classes_match, terms_st,
 )
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -285,6 +289,135 @@ def test_scrub_renames_machine_binder():
     z = Atom("z$1")
     scrubbed = scrub(EMPTY_CTX, Abstraction(z, AtomTerm(z)), [a, b])
     assert scrubbed == Abstraction(a, AtomTerm(a))
+    # a machine binder that is itself in the pool still moves to a plain atom
+    assert scrub(EMPTY_CTX, Abstraction(z, AtomTerm(b)), [z, a]) == Abstraction(a, AtomTerm(b))
+
+
+def test_scrub_names_a_shadowing_machine_binder_as_scrubbing_it_first_would():
+    # The outer [a$0] becomes [a], and (a a$0) carries the inner [a$0] onto
+    # the plain atom a.  It is still renamed, to the first pool atom fresh
+    # for its body, as scrubbing the body before the binder does; renaming
+    # only the binders that the pending permutation leaves machine-named
+    # would give [a]g(q, [a]b).
+    a0, q = Atom("a$0"), Atom("q")
+    t = Abstraction(a0, App("g", (AtomTerm(q), Abstraction(a0, AtomTerm(b)))))
+    want = Abstraction(a, App("g", (AtomTerm(q), Abstraction(q, AtomTerm(b)))))
+    assert scrub(EMPTY_CTX, t, [q, a]) == want == ref.scrub_innermost_first(EMPTY_CTX, t, [q, a])
+
+
+def test_closed_normalize_renames_a_binder_the_match_makes_shadow():
+    # beta_fn fires on lam([b]app(..., [b]Z)), so the result holds
+    # [b$0]...[b$0]Z.  The outer [b$0] is renamed to d, and (d b$0) carries
+    # the inner one onto d; it still gets b, the first pool atom fresh for
+    # its body, as the innermost-first rule gives it.
+    ctx = parse_context("a#X,d#Y,c#Y,d#Z,d#X,b#X")
+    s = parse_term("[d]app(lam([a]lam([b]app(app(c, (b c).X), [b]Z))), lam(lam((a c).Z)))")
+    result = closed_normalize(ctx, s, _bundled("betaeta"), 12)
+    assert pretty(result.term) == "[d]lam([d]app(app(c, (c d).X), app(lam([a][b]Z), lam(lam((a c).Z)))))"
+
+
+def test_scrub_may_keep_another_machine_binder_than_innermost_first():
+    # With the pool [c], only one of [b$0] and [a$0] can be renamed.
+    a0, b0 = Atom("a$0"), Atom("b$0")
+    t = Abstraction(b0, Abstraction(a0, AtomTerm(b0)))
+    one_pass = scrub(EMPTY_CTX, t, [c])
+    innermost_first = ref.scrub_innermost_first(EMPTY_CTX, t, [c])
+    assert one_pass == Abstraction(c, Abstraction(a0, AtomTerm(c)))
+    assert innermost_first == Abstraction(c, Abstraction(b0, AtomTerm(c)))
+    assert alpha_holds(EMPTY_CTX, one_pass, t) and alpha_holds(EMPTY_CTX, innermost_first, t)
+
+
+_MACHINE = {z: Atom(z.name + "$0") for z in ATOMS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    contexts_st,
+    terms_st,
+    hst.lists(hst.sampled_from(ATOMS), min_size=1, max_size=2, unique=True),
+    hst.lists(hst.sampled_from(ATOMS + list(_MACHINE.values())), max_size=3, unique=True),
+)
+def test_scrub_is_alpha_equal_and_leaves_no_renamable_machine_binder(ctx, t, machine, pool):
+    # Some atoms of the term and the context become machine-named, so the
+    # context may make machine atoms fresh, as a closed step's extension does.
+    amap = {z: _MACHINE[z] for z in machine}
+    ctx, t = _rename_ctx(ctx, amap, {}), _rename_term(t, amap, {})
+    out = scrub(ctx, t, pool)
+    assert alpha_holds(ctx, out, t)
+    for u in subterms(out):
+        if type(u) is Abstraction and u.atom.is_machine and u.atom not in pool:
+            assert not any(z != u.atom and fresh_holds(ctx, z, u.body) for z in pool)
+    # Where every machine binder can be renamed into a pool of plain atoms,
+    # the binders get the names that scrubbing innermost first gives them.
+    old = ref.scrub_innermost_first(ctx, t, pool)
+    renamed_all = not any(type(u) is Abstraction and u.atom.is_machine for u in subterms(old))
+    if renamed_all and not any(z.is_machine for z in pool):
+        assert out == old
+
+
+def _nested(binders):
+    """[z0]u([z1]u(...[zk]u(c)...)) for the binders z0 ... zk."""
+    t = AtomTerm(c)
+    for z in reversed(binders):
+        t = Abstraction(z, App("u", (t,)))
+    return t
+
+
+def _machine_binders(n):
+    return [Atom(f"a${k}") for k in range(n)]
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_scrub_of_nested_machine_binders_agrees_with_innermost_first(n):
+    t, pool = _nested(_machine_binders(n)), [Atom("p"), Atom("q")]
+    assert scrub(EMPTY_CTX, t, pool) == ref.scrub_innermost_first(EMPTY_CTX, t, pool)
+
+
+def test_scrub_asks_freshness_at_most_once_per_machine_binder_and_pool_atom(monkeypatch):
+    n, pool = 1000, [Atom("p"), Atom("q")]
+    calls = Counter()
+
+    def counted(*args):
+        calls["fresh_holds"] += 1
+        return fresh_holds(*args)
+
+    monkeypatch.setattr(closed_module, "fresh_holds", counted)
+    assert scrub(EMPTY_CTX, _nested(_machine_binders(n)), pool) == _nested([Atom("p")] * n)
+    assert 0 < calls["fresh_holds"] <= n * len(pool)
+
+
+def _seeded_subjects(theory, seed, count):
+    """Rule instances over the theory's signature, some under a binder, each
+    with a random context."""
+    rng = random.Random(seed)
+    formers = list(theory.signature.arities)
+    for _ in range(count):
+        rule = rng.choice(theory.rules)
+        sigma = Substitution({x: random_term(rng, 3, formers=formers) for x in sorted(unknowns_of(rule.lhs))})
+        s = substitute(rule.lhs, sigma)
+        yield random_ctx(rng), Abstraction(rng.choice(ATOMS), s) if rng.random() < 0.3 else s
+
+
+def test_scrub_agrees_with_innermost_first_on_closed_normalizations(monkeypatch):
+    # The two rules differ only where the pool holds a machine atom or some
+    # machine binder cannot be renamed (the tests above); on closed steps of
+    # the bundled theories they agree, so traces stay byte-identical.
+    calls = Counter()
+
+    def checked(ctx, t, pool):
+        out = scrub(ctx, t, pool)
+        assert out == ref.scrub_innermost_first(ctx, t, pool)
+        calls["scrub"] += 1
+        calls["machine_binders"] += any(type(u) is Abstraction and u.atom.is_machine for u in subterms(t))
+        return out
+
+    monkeypatch.setattr(closed_module, "scrub", checked)
+    for seed, name in enumerate(("fol", "betaeta", "remark43")):
+        theory = _bundled(name)
+        for ctx, s in _seeded_subjects(theory, seed, 200):
+            for strategy in ("outermost", "innermost"):
+                closed_normalize(ctx, s, theory, 12, strategy)
+    assert calls["scrub"] > 5000 and calls["machine_binders"] > 300
 
 
 def test_variant_independence_of_closed_steps():

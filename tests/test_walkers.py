@@ -371,7 +371,8 @@ def test_rebuilds_that_change_nothing_return_their_input():
 
 
 def test_scrub_rename_keeps_inner_binders_it_renames_back():
-    # renaming [a$0] to [b] swaps the inner [b]b to [a$0]a$0 and back again
+    # renaming [a$0] to [b] carries (b a$0) into the body, where the inner
+    # [b] reads as [a$0] and is renamed back to [b], undoing the swap
     inner = Abstraction(b, AtomTerm(b))
     out = scrub(EMPTY_CTX, App("u", (Abstraction(Atom("a$0"), inner),)), [b, c])
     assert out == App("u", (Abstraction(b, inner),)) and out.args[0].body is inner
