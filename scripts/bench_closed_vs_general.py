@@ -3,13 +3,17 @@
 tries candidate permutations at every position whose shape can match the
 rule) and with the closed engine (plain matching of each rule's one
 freshened variant), assert that both reach alpha-equal normal forms, and
-print the time each took, the match calls each made and the shape tests
-(`_may_match`) each ran.  Closed makes one match per hole that passes the
-shape test; general makes up to one per candidate permutation at each
-distinct such hole of a normalization, since it keeps what it found at a
-hole for the rest of the call, and `beta_app` copies its argument, so the
-towers repeat holes.  Both engines shape-test a hole only against the rules
-whose lhs head fits it, so they run the same shape tests.  A tower of
+print the time each took, the match calls each made, the shape tests
+(`_may_match`) each ran and the lists of candidate permutations
+(`_candidate_perms`) each built.  Closed makes one match per hole that
+passes the shape test and builds no permutation list; general makes up to
+one match per candidate permutation at each distinct such hole of a
+normalization, since it keeps what it found at a hole for the rest of the
+call, and `beta_app` copies its argument, so the towers repeat holes.
+General keeps each renamed rule's permuted sides across calls, one list
+per universe, so a height builds only the lists the lower heights did not.
+Both engines shape-test a hole only against the rules whose lhs head fits
+it, so they run the same shape tests.  A tower of
 height h normalizes in 3 * 2^h - 3 steps, and each height runs on exactly
 that much fuel, so any height reaches its normal form.
 
@@ -59,29 +63,34 @@ def counting(module, name):
 def main(heights):
     theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
     print(f"{'height':>6} {'closed (s)':>12} {'general (s)':>12} {'steps':>6} {'closed matches':>15} "
-          f"{'closed shape-tests':>19} {'general matches':>16} {'general shape-tests':>20}")
+          f"{'closed shape-tests':>19} {'closed perm-lists':>18} {'general matches':>16} "
+          f"{'general shape-tests':>20} {'general perm-lists':>19}")
     for height in heights:
         term = parse_term(redex_tower(height), theory.signature)
         fuel = max(tower_steps(height), 1)
 
         with counting(nomrew.closed, "solve_match") as closed_matches, \
-                counting(nomrew.rewrite, "_may_match") as closed_shapes:
+                counting(nomrew.rewrite, "_may_match") as closed_shapes, \
+                counting(nomrew.rewrite, "_candidate_perms") as closed_perms:
             t0 = time.perf_counter()
             closed = closed_normalize(EMPTY_CTX, term, theory, fuel=fuel)
             closed_s = time.perf_counter() - t0
 
         with counting(nomrew.rewrite, "solve_match") as general_matches, \
-                counting(nomrew.rewrite, "_may_match") as general_shapes:
+                counting(nomrew.rewrite, "_may_match") as general_shapes, \
+                counting(nomrew.rewrite, "_candidate_perms") as general_perms:
             t0 = time.perf_counter()
             general = normalize_general(EMPTY_CTX, term, theory, fuel=fuel)
             general_s = time.perf_counter() - t0
 
         assert closed.status == general.status == "normal_form"
+        assert closed_perms[0] == 0, "closed rewriting tries no permutation"
         assert len(closed.trace) == len(general.trace) == tower_steps(height)
         assert alpha_holds(EMPTY_CTX, closed.term, general.term), (
             pretty(closed.term), pretty(general.term))
         print(f"{height:>6} {closed_s:>12.3f} {general_s:>12.3f} {len(closed.trace):>6} {closed_matches[0]:>15} "
-              f"{closed_shapes[0]:>19} {general_matches[0]:>16} {general_shapes[0]:>20}")
+              f"{closed_shapes[0]:>19} {closed_perms[0]:>18} {general_matches[0]:>16} {general_shapes[0]:>20} "
+              f"{general_perms[0]:>19}")
 
 
 if __name__ == "__main__":

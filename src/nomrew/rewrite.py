@@ -37,12 +37,13 @@ the subject, so it is kept with the rule once per shared set, and its names
 are collected once with it; a subject that mentions a machine unknown
 (stem$n, a name the renaming may pick) falls back to a rule renamed for it
 alone.  The permuted sides (pi, pi.lhs, pi.rhs) depend only on the renamed
-rule and the universe, and the instances found at a hole only on those, the
-context and the hole, so `normalize_general`, `rewrite_closure_reachable`
-and `symmetric_search` keep both in a dict of their own for the length of
-the call (`rewrite_step_general`'s call is one step): the permutation search
-runs once per distinct hole per call, however often the hole comes back,
-and builds each permuted side only when it first reaches its candidate.
+rule and the universe, so they are kept with the renamed rule across calls,
+one list per universe, each side built when a search first reaches its
+candidate.  The instances found at a hole depend on those, the context and
+the hole, so `normalize_general`, `rewrite_closure_reachable` and
+`symmetric_search` keep them in a dict of their own for the length of the
+call (`rewrite_step_general`'s call is one step): the permutation search
+runs once per distinct hole per call, however often the hole comes back.
 `symmetric_search` keys a step without building it: a node has a fixed
 width in its alpha key (de Bruijn), so the key of C[r] is the subject's
 with the hole's slice replaced by r's key under C's binders, and an
@@ -175,7 +176,8 @@ class RewriteRule:
     @cached_property
     def compiled(self) -> dict:
         """What an engine works out once for this rule object and keeps with
-        it (closed.py keeps the rule's variant and closedness verdict)."""
+        it: closed.py its variant and closedness verdict, the general engine
+        its renamings ("apart") and permuted sides per universe ("permuted")."""
         return {}
 
 
@@ -424,14 +426,15 @@ def _prepare_general(
     The renamed rule is kept with the rule, per set of unknowns it shares
     with the subject; a subject that mentions a machine unknown gets a rule
     renamed for it alone.  The permuted sides (pi, pi.lhs, pi.rhs) are
-    built one by one, in candidate order, as the first search to need each
-    reaches it (most searches stop at the first instance), and kept in
-    `sides`, a dict the caller owns, once per renamed rule, universe and
-    context: a caller running many steps passes one dict for its whole
-    call.  The same entry keeps each hole's instances, keyed by the hole's
-    flat key (`_flat_key`, exact and built without recursion) and filled
-    lazily: a reader that stops at the first instance leaves the rest of
-    the search unrun, and a later reader of an equal hole gets the
+    kept with the renamed rule, in `compiled["permuted"]` per universe, and
+    built slot by slot, in candidate order, as the first search to need
+    each reaches it (most searches stop at the first instance); later calls
+    read them.  `sides`, a dict the caller owns, keeps each hole's
+    instances once per renamed rule, universe and context: a caller running
+    many steps passes one dict for its whole call.  They are keyed by the
+    hole's flat key (`_flat_key`, exact and built without recursion) and
+    filled lazily: a reader that stops at the first instance leaves the rest
+    of the search unrun, and a later reader of an equal hole gets the
     instances found so far, then the search resumed where it stopped."""
     ctx = subject.ctx
     renamed = _freshen_rule_unknowns(rule, subject.unknowns)
@@ -441,16 +444,20 @@ def _prepare_general(
     def fire() -> Firing:
         # Keyed by identity; the entry holds the renamed rule, so no other
         # object takes its id while the dict lives.  A rule renamed for one
-        # subject alone gets an entry that no other subject reads.
-        key = (id(renamed), tuple(universe), ctx)
-        if key not in sides:
+        # subject alone keeps its entries, here and in its own compiled dict.
+        at = tuple(universe)
+        solved = sides.setdefault((id(renamed), at, ctx), (renamed, {}))[1]
+        kept = renamed.compiled.setdefault("permuted", {})
+        if at not in kept:
             perms = _candidate_perms(sorted(renamed.atoms()), universe)
-            permuted = ((pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in perms)
-            sides[key] = renamed, ([], permuted), {}
-        _, permuted, solved = sides[key]
+            kept[at] = perms, [None] * len(perms)
+        perms, permuted = kept[at]
 
         def search(hole: Term):
-            for pi, lhs, rhs in _resume(*permuted):
+            for i, pi in enumerate(perms):
+                if permuted[i] is None:  # the first search to reach pi builds its sides
+                    permuted[i] = act(pi, renamed.lhs), act(pi, renamed.rhs)
+                lhs, rhs = permuted[i]
                 sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
                 if sol is not None:
                     yield pi, sol.sigma, substitute(rhs, sol.sigma)

@@ -7,6 +7,7 @@ import hypothesis.strategies as hst
 import pytest
 from hypothesis import given, settings
 
+import nomrew.cli as cli_module
 import nomrew.closed as closed_module
 import nomrew.rewrite as rewrite_module
 import reference_walkers as ref
@@ -826,6 +827,100 @@ def test_kept_instances_resume_where_the_first_reader_stopped(monkeypatch):
     assert got == want and got[0] == first and len(got) == 3
     assert calls["match"] == 3
     assert list(firing.instances(hole)) == want and calls["match"] == 3
+
+
+def _renamed_rules(theory):
+    """The rule objects that can keep permuted sides: the theory's rules,
+    their reversals and the renamings each keeps."""
+    for rule in theory.rules + theory._reversed_rules:
+        yield rule
+        yield from rule.compiled.get("apart", {}).values()
+
+
+def _forget_sides(theory) -> int:
+    """Drop every kept "permuted" entry; returns how many universes they held."""
+    return sum(len(renamed.compiled.pop("permuted", {})) for renamed in _renamed_rules(theory))
+
+
+def test_permuted_sides_are_built_once_per_renamed_rule_and_universe(monkeypatch):
+    # A theory of its own, so nothing is kept yet.  No subject mentions a
+    # machine unknown, so every renamed rule is kept with its rule.
+    theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
+    builds = Counter()
+    real = rewrite_module._candidate_perms
+
+    def counted(rule_atoms, universe):
+        builds[tuple(rule_atoms), tuple(universe)] += 1
+        return real(rule_atoms, universe)
+
+    monkeypatch.setattr(rewrite_module, "_candidate_perms", counted)
+    subjects = [
+        parse_term(text, theory.signature)
+        for text in ("app(lam([a]app(X,a)),Y)", "lam([a]app(app(lam([b]b),X),a))", "app(lam([a]lam([b]app(X,b))),c)")
+    ]
+    target = parse_term("lam([a]app(X,a))", theory.signature)
+    totals = []
+    for _ in range(3):
+        for s in subjects:
+            normalize_general(EMPTY_CTX, s, theory)
+            for rule in theory.rules:
+                rewrite_step_general(EMPTY_CTX, s, rule)
+            rewrite_closure_reachable(EMPTY_CTX, s, theory, fuel=1)
+            symmetric_search(EMPTY_CTX, s, target, theory, fuel=2)
+        totals.append(sum(builds.values()))
+    # Every build is kept, none twice, and later calls build nothing.
+    kept = sum(len(renamed.compiled.get("permuted", {})) for renamed in _renamed_rules(theory))
+    assert totals[0] == totals[-1] == kept > 10
+
+    # Calls that differ only in max_support or in extra_atoms get entries of
+    # their own, and each steps as preparing afresh does, cold and warm.
+    theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
+    rule = next(r for r in theory.rules if r.name == "beta_fn")
+    s = parse_term("app(lam([c]lam([b]app(c,b))),e)", theory.signature)
+    variants = [(MAX_SUPPORT, frozenset()), (2, frozenset()), (MAX_SUPPORT, frozenset({Atom("d")}))]
+    for i, (max_support, extra) in enumerate(variants * 2):
+        got = rewrite_step_general(EMPTY_CTX, s, rule, max_support, extra)
+        want = rewrite_steps(s, _reference_prepare_general(Subject(EMPTY_CTX, s), rule, max_support, extra))
+        assert (got, got.truncated) == (want, want.truncated) and got
+        assert len(rule.compiled["permuted"]) == min(i + 1, len(variants))
+    assert [universe[:2] for universe in rule.compiled["permuted"]] == [(a, b)] * 3
+
+
+_CLI_CASES = {
+    "betaeta": ("app(lam([a]app(X,a)),app(lam([b]b),c))", ""),
+    "fol": ("not(forall([a]and(P,imp(Q,not(not(Q))))))", "a#Q"),
+    "nonclosed": ("[c][b][a]a", ""),
+    "remark43": ("f(f(X))", "a#X"),
+}
+
+
+def test_kept_sides_leave_outputs_byte_identical(capsys):
+    # Each output is taken cold (the theory parsed afresh), warm, and after
+    # every kept "permuted" entry is dropped.
+    for name, (term, ctx) in _CLI_CASES.items():
+        path = str(resources.files("nomrew") / "theories" / f"{name}.nrw")
+        for command in ("step", "normalize"):
+            cli_module._parse_theory_text.cache_clear()
+            argv = [command, path, "--term", term, "--ctx", ctx, "--general", "--json"]
+            argv += ["--fuel", "6"] if command == "normalize" else []
+            outputs = []
+            for run in ("cold", "warm", "cleared"):
+                if run == "cleared":
+                    assert _forget_sides(cli_module._load_theory(path)[0])
+                assert cli_module.main(argv) != 2
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1] == outputs[2]
+    dropped = 0
+    for theory, ctx, s, t in _seeded_cases(83, 12):
+        theory = parse_theory((resources.files("nomrew") / "theories" / f"{theory.name}.nrw").read_text())
+        searches = []
+        for run in ("cold", "warm", "cleared"):
+            if run == "cleared":
+                dropped += _forget_sides(theory)
+            res = symmetric_search(ctx, s, t, theory, fuel=3)
+            searches.append(repr((res.found, res.trace)))
+        assert searches[0] == searches[1] == searches[2]
+    assert dropped
 
 
 def test_reversed_rules_are_kept_with_the_theory(monkeypatch):

@@ -15,20 +15,29 @@ def test_bench_closed_vs_general_runs(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["bench_closed_vs_general.py", "1", "2", "3", "4"])
     runpy.run_path(str(SCRIPTS / "bench_closed_vs_general.py"), run_name="__main__")
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split()[-8:] == [
-        "closed", "matches", "closed", "shape-tests", "general", "matches", "general", "shape-tests"
+    assert header.split()[-12:] == [
+        "closed", "matches", "closed", "shape-tests", "closed", "perm-lists",
+        "general", "matches", "general", "shape-tests", "general", "perm-lists",
     ]
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
     # Shape-testing every rule at every hole takes 35 / 180 / 820 / 3,520
     # tests at heights 1-4; the head index tries only the rules whose lhs
     # head fits the hole's.
+    general_lists = 0
     for row, every_rule in zip(rows, (35, 180, 820, 3520)):
-        steps, closed_matches, closed_shapes, general_matches, general_shapes = map(int, row.split()[3:])
+        steps, closed_matches, closed_shapes, closed_lists, general_matches, general_shapes, lists = map(
+            int, row.split()[3:]
+        )
         # Every closed step is one successful match.  General keeps each
         # hole's instances for the whole normalization, and the towers repeat
         # holes, so it may make fewer matches than steps.
         assert steps > 0 and closed_matches >= steps and general_matches > 0
         assert closed_shapes == general_shapes < every_rule
+        # Closed builds no permutation list.  General builds one per renamed
+        # rule and universe, kept across heights since the theory is shared.
+        assert closed_lists == 0
+        general_lists += lists
+    assert general_lists > 0
 
 
 def test_alpha_scaling_runs(capsys, monkeypatch):
