@@ -73,7 +73,6 @@ from .closed import (
     Decision,
     NotClosedError,
     PAIR_FORMER,
-    closed_joinable,
     closed_normalize,
     closed_reachable,
     closed_rewrite_step,

@@ -252,19 +252,6 @@ def closed_reachable(ctx: FreshnessContext, s: Term, theory: Theory, fuel: int) 
     return reachable(ctx, s, theory, _prepare_closed, fuel)
 
 
-def closed_joinable(
-    ctx: FreshnessContext,
-    s: Term,
-    t: Term,
-    theory: Theory,
-    fuel: int = 5,
-) -> bool:
-    """Is there a term both sides closed-rewrite to (within the fuel)?"""
-    from_s = closed_reachable(ctx, s, theory, fuel)
-    from_t = closed_reachable(ctx, t, theory, fuel)
-    return any(u in from_t for u in from_s)
-
-
 @dataclass
 class Decision:
     verdict: str  # "equal" | "not_equal" | "inconclusive"

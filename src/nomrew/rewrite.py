@@ -15,18 +15,18 @@ those of the subject as written.
 
 The core is written once: step enumeration over positions x alpha-variants
 (`_candidates`, built by `rewrite_steps`), the first step under a strategy
-and normalization (`normalize`), reachability (`reachable`) and replay
-(`replay`).  The two engines differ only in how one rule is prepared for one
-subject, which is a `PreparedRule`.  The core walks each subject once for
-its atoms and unknowns (`Subject`), and a preparation reads nothing else of
-the subject.  The general preparation here renames the rule's unknowns away
-from the subject's and tries the candidate permutations over a universe; the
-closed preparation (closed.py) matches the rule's fixed freshened variant
-under an extended context and the identity permutation, and scrubs the
-result.  The core asks a preparation for instances only at positions that
-pass a shape test against the prepared lhs (`_may_match`), and a preparation
-builds what it needs for that (its `Firing`) only when the first hole
-passes.
+and normalization (`normalize`), one breadth-first search that `reachable`
+and `symmetric_search` share (`_breadth_first`), and replay (`replay`).  The
+two engines differ only in how one rule is prepared for one subject, which
+is a `PreparedRule`.  The core walks each subject once for its atoms and
+unknowns (`Subject`), and a preparation reads nothing else of the subject.
+The general preparation here renames the rule's unknowns away from the
+subject's and tries the candidate permutations over a universe; the closed
+preparation (closed.py) matches the rule's fixed freshened variant under an
+extended context and the identity permutation, and scrubs the result.  The
+core asks a preparation for instances only at positions that pass a shape
+test against the prepared lhs (`_may_match`), and a preparation builds what
+it needs for that (its `Firing`) only when the first hole passes.
 
 What does not depend on the step is not redone at each step.  `normalize`,
 `reachable` and `symmetric_search` prepare the theory once per call for each
@@ -44,11 +44,11 @@ the hole, so `normalize_general`, `rewrite_closure_reachable` and
 `symmetric_search` keep them in a dict of their own for the length of the
 call (`rewrite_step_general`'s call is one step): the permutation search
 runs once per distinct hole per call, however often the hole comes back.
-`symmetric_search` keys a step without building it: a node has a fixed
-width in its alpha key (de Bruijn), so the key of C[r] is the subject's
-with the hole's slice replaced by r's key under C's binders, and an
-alpha-variant keys as the subject outside the hole.  It builds only the
-steps that reach the target or a class it has not met.
+`_breadth_first` keys a general step without building it: a node has a
+fixed width in its alpha key (de Bruijn), so the key of C[r] is the
+subject's with the hole's slice replaced by r's key under C's binders (an
+alpha-variant keys as the subject outside the hole), and only the steps that
+reach the target or a new class are built.  A closed step is built, then keyed.
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -822,28 +822,70 @@ class ReachableSet:
         return len(self.reps)
 
 
+def _breadth_first(
+    ctx: FreshnessContext, s: Term, rules, prepare: Callable[..., PreparedRule], reached: ReachableSet,
+    levels: int, cap: int | None = None, target: tuple | None = None,
+) -> list[RewriteStep] | None:
+    """Breadth-first over the steps of `rules` from s, `levels` steps deep
+    and expanding at most `cap` terms, writing each class's first
+    representative into `reached` (keyed under ctx).  A general candidate
+    is keyed by splicing (`_spliced_key`) and built only when its class is
+    new; a closed one is built, then keyed.  Returns the trace to the class
+    of key `target`, or None.  A frontier entry is (term, its key, link), a
+    link being None or (step, the source's link)."""
+    reps, skey = reached.reps, alpha_key(ctx, s)
+    if skey == target:
+        return []
+    reps[skey] = s
+    frontier: list[tuple[Term, tuple, tuple | None]] = [(s, skey, None)]
+    kept: dict = {}
+    expanded = 0
+    for _ in range(levels):
+        nxt: list[tuple[Term, tuple, tuple | None]] = []
+        for u, ukey, link in frontier:
+            if expanded == cap:
+                return None
+            expanded += 1
+            places = positions(u)
+            spans = _spans(places)
+            for prepared in _prepare_all(kept, prepare, Subject(ctx, u), rules)[0]:
+                general = prepared.mode == "general"
+                for candidate in _candidates(u, places, prepared):
+                    if general:
+                        key = _spliced_key(ctx, ukey, spans, candidate)
+                        if key in reps:
+                            continue
+                    step = _build(u, prepared, candidate)
+                    if not general:
+                        key = alpha_key(ctx, step.result)
+                        if key in reps:
+                            continue
+                    if key == target:
+                        trace = [step]
+                        while link is not None:
+                            step, link = link
+                            trace.append(step)
+                        return trace[::-1]
+                    reps[key] = step.result
+                    nxt.append((step.result, key, (step, link)))
+        if not nxt:
+            return None
+        frontier = nxt
+    return None
+
+
 def reachable(
     ctx: FreshnessContext, s: Term, theory: Theory, prepare: Callable[..., PreparedRule], fuel: int
 ) -> ReachableSet:
     """Everything reachable from s in at most `fuel` one-step rewrites,
     collected up to alpha-equivalence (so the set contains s's own
-    alpha-variants by construction of membership)."""
+    alpha-variants by construction of membership).  A general step is built
+    only when it reaches a new class; closed reachability builds every
+    step, since a closed result is scrubbed under its own extended context."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     reached = ReachableSet(ctx)
-    reached.add(s)
-    frontier = [s]
-    kept: dict = {}
-    for _ in range(fuel):
-        new: list[Term] = []
-        for t in frontier:
-            for prepared in _prepare_all(kept, prepare, Subject(ctx, t), theory.rules)[0]:
-                for step in rewrite_steps(t, prepared):
-                    if reached.add(step.result):
-                        new.append(step.result)
-        if not new:
-            break
-        frontier = new
+    _breadth_first(ctx, s, theory.rules, prepare, reached, fuel)
     return reached
 
 
@@ -884,12 +926,13 @@ def symmetric_search(
     gamma_budget machine-fresh constraints added all at once.
 
     `found` certifies derivability (the trace replays under the extended
-    context); not_found is only a failure to find within the budget.
+    context); not_found is only a failure to find within the budget.  `fuel`
+    bounds the terms expanded, so fuel 0 finds only s's own class.
     """
     if gamma_budget is None:
         gamma_budget = len(theory.atoms())
-    if gamma_budget < 0:
-        raise ValueError("gamma_budget must not be negative")
+    if fuel < 0 or gamma_budget < 0:
+        raise ValueError("fuel and gamma_budget must not be negative")
     unknowns = sorted(unknowns_of(ctx, s, t))
     used = {a.name for a in atoms_of(ctx, s, t) | theory.atoms()}
     gamma_pairs = []
@@ -899,37 +942,6 @@ def symmetric_search(
     ctx2 = ctx | gamma
 
     rules = (*theory.rules, *theory._reversed_rules)
-    target, skey = alpha_key(ctx2, t), alpha_key(ctx2, s)
-    if target == skey:
-        return SearchResult(True, [], gamma, ctx2)
-
-    # A frontier entry is (term, its key, link), a link being None or (step,
-    # the source's link), so a trace is listed only when found.
-    reached = {skey}
-    frontier: list[tuple[Term, tuple, tuple | None]] = [(s, skey, None)]
-    expansions = 0
-    prepare, kept = partial(_prepare_general, max_support=max_support, sides={}), {}
-    while frontier and expansions < fuel:
-        nxt: list[tuple[Term, tuple, tuple | None]] = []
-        for u, ukey, link in frontier:
-            if expansions >= fuel:
-                break
-            expansions += 1
-            places = positions(u)
-            spans = _spans(places)
-            for prepared in _prepare_all(kept, prepare, Subject(ctx2, u), rules)[0]:
-                for candidate in _candidates(u, places, prepared):
-                    key = _spliced_key(ctx2, ukey, spans, candidate)
-                    if key not in reached:  # the target never is
-                        step = _build(u, prepared, candidate)
-                        if key == target:
-                            trace = [step]
-                            while link is not None:
-                                step, link = link
-                                trace.append(step)
-                            return SearchResult(True, trace[::-1], gamma, ctx2)
-                        reached.add(key)
-                        nxt.append((step.result, key, (step, link)))
-        frontier = nxt
-    return SearchResult(False, None, gamma, ctx2)
-
+    prepare = partial(_prepare_general, max_support=max_support, sides={})
+    trace = _breadth_first(ctx2, s, rules, prepare, ReachableSet(ctx2), fuel, fuel, alpha_key(ctx2, t))
+    return SearchResult(trace is not None, trace, gamma, ctx2)

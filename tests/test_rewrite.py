@@ -32,7 +32,6 @@ from nomrew import (
     alpha_holds,
     alpha_key,
     atoms_of,
-    closed_joinable,
     closed_normalize,
     closed_reachable,
     closed_rewrite_step,
@@ -274,7 +273,14 @@ def test_symmetric_search_refuses_a_negative_gamma_budget():
     for s in (var(X), AtomTerm(b)):  # the budget names gamma atoms only when there are unknowns
         with pytest.raises(ValueError):
             symmetric_search(EMPTY_CTX, s, AtomTerm(b), th, fuel=5, gamma_budget=-1)
+        with pytest.raises(ValueError):
+            symmetric_search(EMPTY_CTX, s, AtomTerm(b), th, fuel=-1)
     assert symmetric_search(EMPTY_CTX, var(X), var(X), th, gamma_budget=0).gamma == EMPTY_CTX
+    # fuel 0 expands nothing, so it finds s's own class and no step
+    s = app(lam(a, AtomTerm(a)), AtomTerm(b))
+    assert symmetric_search(EMPTY_CTX, s, app(lam(c, AtomTerm(c)), AtomTerm(b)), th, fuel=0).trace == []
+    assert not symmetric_search(EMPTY_CTX, s, AtomTerm(b), th, fuel=0).found
+    assert len(symmetric_search(EMPTY_CTX, s, AtomTerm(b), th, fuel=1).trace) == 1
 
 
 def test_equivariance_samples():
@@ -474,6 +480,25 @@ class _ScanSet:
         return len(self.reps)
 
 
+def _scan_reachable(ctx, s, theory, fuel, step):
+    """reachable's reference: breadth-first by levels, every step built by
+    `step(ctx, u, rule)` (rewrite_step_general or closed_rewrite_step), and
+    membership by a scan of the rule-by-rule check_alpha."""
+    reached = _ScanSet(ctx)
+    reached.add(s)
+    frontier = [s]
+    for _ in range(fuel):
+        frontier = [st.result for u in frontier for rule in theory.rules for st in step(ctx, u, rule)
+                    if reached.add(st.result)]
+    return reached
+
+
+def _joinable(ctx, s, t, theory, fuel, reach=closed_reachable):
+    """Is there a term both sides closed-rewrite to within the fuel?"""
+    from_t = reach(ctx, t, theory, fuel)
+    return any(u in from_t for u in reach(ctx, s, theory, fuel))
+
+
 def _scan_search(ctx, s, t, theory, fuel):
     """symmetric_search's breadth-first loop with the target test and the
     visited set done by scans of the rule-by-rule check_alpha; ctx is the
@@ -555,22 +580,49 @@ def test_a_renamed_binder_over_a_body_it_leaves_alone_is_recorded():
 
 
 def test_reachability_matches_scan_reference():
+    scan_closed = lambda ctx, s, theory, fuel: _scan_reachable(ctx, s, theory, fuel, closed_rewrite_step)
     nonempty = 0
     for theory, ctx, s, t in _seeded_cases(61, 40):
-        fast = [
-            list(rewrite_closure_reachable(ctx, s, theory, fuel=2)),
-            list(closed_reachable(ctx, s, theory, 2)),
-            closed_joinable(ctx, s, t, theory, 2),
-        ]
-        with mock.patch.object(rewrite_module, "ReachableSet", _ScanSet):
-            slow = [
-                list(rewrite_closure_reachable(ctx, s, theory, fuel=2)),
-                list(closed_reachable(ctx, s, theory, 2)),
-                closed_joinable(ctx, s, t, theory, 2),
-            ]
-        assert fast == slow
-        nonempty += len(fast[0]) > 1
+        general = list(rewrite_closure_reachable(ctx, s, theory, fuel=2))
+        assert general == list(_scan_reachable(ctx, s, theory, 2, rewrite_step_general))
+        assert list(closed_reachable(ctx, s, theory, 2)) == list(scan_closed(ctx, s, theory, 2))
+        assert _joinable(ctx, s, t, theory, 2) == _joinable(ctx, s, t, theory, 2, scan_closed)
+        nonempty += len(general) > 1
     assert nonempty > 10
+
+
+def test_reachable_fuel_counts_levels():
+    # fuel 1 reaches exactly s's class and every class one step away
+    deeper = 0
+    for theory, ctx, s, _ in _seeded_cases(61, 20):
+        for reach, step in [
+            (rewrite_closure_reachable, rewrite_step_general),
+            (closed_reachable, closed_rewrite_step),
+        ]:
+            one = reach(ctx, s, theory, 1)
+            expected = _ScanSet(ctx)
+            expected.add(s)
+            for rule in theory.rules:
+                for st in step(ctx, s, rule):
+                    expected.add(st.result)
+            assert len(one) == len(expected) and all(u in one for u in expected)
+            deeper += len(reach(ctx, s, theory, 2)) > len(one)
+    assert deeper > 5
+
+
+def test_a_search_expands_fuel_terms(monkeypatch):
+    # symmetric_search's fuel counts the terms it expands, one `positions`
+    # call each, however many classes a level holds.
+    nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
+    s, unreachable = parse_term("h(g([c]c),h(a,a))"), App("k", ())
+    assert len(rewrite_closure_reachable(EMPTY_CTX, s, nonclosed, fuel=1)) >= 4  # at least 3 classes one step away
+    calls = []
+    real = rewrite_module.positions
+    monkeypatch.setattr(rewrite_module, "positions", lambda *args: calls.append(args) or real(*args))
+    for fuel in (0, 1, 2, 3):
+        calls.clear()
+        assert not symmetric_search(EMPTY_CTX, s, unreachable, nonclosed, fuel=fuel).found
+        assert len(calls) == fuel
 
 
 def test_symmetric_search_matches_scan_reference():
@@ -617,6 +669,31 @@ def test_a_search_builds_one_step_per_new_class(monkeypatch):
             assert built[-1] is res.trace[-1]
         outcomes[res.found] += 1
     assert outcomes[True] and outcomes[False]
+
+
+def test_general_reachability_builds_one_step_per_new_class(monkeypatch):
+    # rewrite_closure_reachable keys each general candidate without building
+    # it, so the steps built are exactly those that reach a new class, and
+    # their results are the representatives after s's own.
+    built = []
+    real_init = rewrite_module.RewriteStep.__init__
+
+    def init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
+    # Most candidates of these land in a class already met: built before
+    # being keyed, they would cost 521 and 1,112 steps.
+    pinned = [(nonclosed, EMPTY_CTX, parse_term(text), classes)
+              for text, classes in [("h(g([c]c),h(a,a))", 123), ("h([a]g(b),[c]h(a,c))", 165)]]
+    for theory, ctx, s, classes in [*((th, ctx, s, None) for th, ctx, s, _ in _seeded_cases(61, 40)), *pinned]:
+        built.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(rewrite_module.RewriteStep, "__init__", init)
+            reached = list(rewrite_closure_reachable(ctx, s, theory, fuel=2))
+        assert [step.result for step in built] == reached[1:]
+        assert classes in (None, len(reached))
 
 
 def _spliced_against_built(ctx, s, rule) -> Counter:
