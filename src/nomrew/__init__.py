@@ -60,7 +60,6 @@ from .rewrite import (
     Theory,
     normalize_general,
     path_str,
-    positions,
     replace_at,
     replay_step,
     rewrite_closure_reachable,

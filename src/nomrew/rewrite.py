@@ -13,13 +13,13 @@ rewriting needs no alpha-variants: it fires a variant freshened apart from
 the subject and so respects alpha-equivalence by itself, and its steps are
 those of the subject as written.
 
-The core is written once: step enumeration over positions x alpha-variants
-(`_candidates`, built by `rewrite_steps`), the first step under a strategy
-and normalization (`normalize`), one breadth-first search that `reachable`
-and `symmetric_search` share (`_breadth_first`), and replay (`replay`).  The
-two engines differ only in how one rule is prepared for one subject, which
-is a `PreparedRule`.  The core walks each subject once for its atoms and
-unknowns (`Subject`), and a preparation reads nothing else of the subject.
+The core is written once: one cursor yielding positions as rebuild frames
+(`_places`), step enumeration over them x alpha-variants (`_candidates`,
+built by `rewrite_steps`), the first step and normalization (`normalize`),
+one breadth-first search for `reachable` and `symmetric_search`
+(`_breadth_first`), and replay.  The engines differ only in how one rule is
+prepared for one subject, a `PreparedRule`, which reads of the subject only
+the atoms and unknowns the core collects once per subject (`Subject`).
 The general preparation here renames the rule's unknowns away from the
 subject's and tries the candidate permutations over a universe; the closed
 preparation (closed.py) matches the rule's fixed freshened variant under an
@@ -64,7 +64,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .alpha import EMPTY_CTX, FreshnessContext, alpha_holds, alpha_key, fresh_holds
 from .matching import MatchProblem, _require_apart, solve_match
@@ -104,22 +104,43 @@ def path_str(path: Path) -> str:
     return ".".join("body" if s == "body" else f"arg{s + 1}" if type(s) is int else repr(s) for s in path)
 
 
-def positions(t: Term, innermost: bool = False) -> list[tuple[Path, Term]]:
-    """All positions of t paired with the subterm at each, in
+def _places(t: Term, innermost: bool = False) -> Iterator[tuple[tuple | None, Term]]:
+    """The positions of t, lazily, as (rebuild frames, subterm) in
     leftmost-outermost (preorder) order, or leftmost-innermost (postorder)
-    when innermost is set.  Suspensions are leaves."""
-    out: list[tuple[Path, Term]] = []
-    stack = [((), t)]
+    when innermost is set.  The frames are those `_decompositions` builds,
+    each sharing its parent's, so a walk is linear at any depth."""
+    stack: list = [(False, None, t)]
     while stack:
-        here, u = stack.pop()
-        out.append((here, u))
+        ready, frames, u = stack.pop()
+        if ready or not innermost:
+            yield frames, u
+        if ready:
+            continue
+        if innermost:  # back under its arguments, to be yielded after them
+            stack.append((True, frames, u))
         if type(u) is Abstraction:
-            stack.append((here + ("body",), u.body))
+            stack.append((False, (u.atom, frames), u.body))
         elif type(u) is App:
-            kids = [(here + (i,), arg) for i, arg in enumerate(u.args)]
-            # postorder is the reverse of a right-to-left preorder
-            stack.extend(kids if innermost else reversed(kids))
-    return out[::-1] if innermost else out
+            stack.extend((False, ((u, i), frames), u.args[i]) for i in range(len(u.args) - 1, -1, -1))
+
+
+def _path(frames: tuple | None) -> Path:
+    """The path to the hole of rebuild frames, outermost step first."""
+    out = []
+    while frames is not None:
+        frame, frames = frames
+        out.append("body" if type(frame) is Atom else frame[1])
+    return tuple(reversed(out))
+
+
+def _binders(frames: tuple | None) -> list[Atom]:
+    """The binders of rebuild frames, innermost first."""
+    out = []
+    while frames is not None:
+        frame, frames = frames
+        if type(frame) is Atom:
+            out.append(frame)
+    return out
 
 
 def subterm_at(t: Term, path: Path) -> Term:
@@ -554,31 +575,34 @@ def _plug(frames: tuple | None, u: Term) -> Term:
     return u
 
 
-def _candidates(s: Term, places: list[tuple[Path, Term]], prepared: PreparedRule) -> Iterator[tuple]:
+def _candidates(s: Term, places: Iterable[tuple], prepared: PreparedRule) -> Iterator[tuple]:
     """The steps of s by one prepared rule, unbuilt and in order, as (position
-    index, path, frames, hole, renamed, pi, theta, pi.(rhs theta)): every
-    position in `places` (`positions(s)`), every alpha-variant of s renaming
-    the binders above it into the firing's universe (s alone when that is
-    empty, as in closed rewriting), every instance the engine finds there."""
-    for i, (path, here) in enumerate(places):
+    index, frames, hole, renamed, pi, theta, pi.(rhs theta)): every place of
+    s in `places` (`_places(s)`), every alpha-variant of s renaming the
+    binders above it into the firing's universe (the place itself if it has
+    none or that is empty, as in closed rewriting), every instance found."""
+    for i, (frames, here) in enumerate(places):
         # Alpha-variants differ from s only in atoms, so one shape test
         # covers every variant at this position.
         if not _may_match(prepared.lhs, here):
             continue
         firing = prepared.firing
-        for hole, frames, renamed in _decompositions(firing.ctx, s, path, firing.universe):
+        variants = [(here, frames, False)]
+        if firing.universe and _binders(frames):
+            variants = _decompositions(firing.ctx, s, _path(frames), firing.universe)
+        for hole, at, renamed in variants:
             for pi, theta, rhs in firing.instances(hole):
-                yield i, path, frames, hole, renamed, pi, theta, rhs
+                yield i, at, hole, renamed, pi, theta, rhs
 
 
 def _build(s: Term, prepared: PreparedRule, candidate: tuple) -> RewriteStep:
-    _, path, frames, hole, renamed, pi, theta, rhs = candidate
+    _, frames, hole, renamed, pi, theta, rhs = candidate
     firing = prepared.firing
     # When no binder above the hole was renamed, the variant fired on is s.
     variant = _plug(frames, hole) if renamed else s
     result = firing.finish(_plug(frames, rhs))
     extras = prepared.mode, firing.freshened, firing.ctx_extension
-    return RewriteStep(prepared.rule.name, path, pi, theta, s, variant, result, *extras)
+    return RewriteStep(prepared.rule.name, _path(frames), pi, theta, s, variant, result, *extras)
 
 
 def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
@@ -591,20 +615,23 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
     general instances at one hole differ in pi.  Closed rewriting has one
     variant, the subject, and at most one instance per hole.  So no result
     is hashed."""
-    return StepResults([_build(s, prepared, c) for c in _candidates(s, positions(s), prepared)], prepared.truncated)
+    return StepResults([_build(s, prepared, c) for c in _candidates(s, _places(s), prepared)], prepared.truncated)
 
 
-def _spans(places: list[tuple[Path, Term]]) -> list[list[int]]:
-    """Each position's [start, end) slice of the term's alpha key, for
-    `positions` in preorder: a node is 1 token (an atom, an abstraction) or
-    3 (an application, a suspension), and a subterm ends where the next
-    position no deeper than its own begins."""
-    spans, open_, at = [], [], 0
-    for path, u in [*places, ((), None)]:  # the last, at depth 0, ends every span
-        while open_ and open_[-1][0] >= len(path):
-            open_.pop()[1].append(at)
+def _spans(t: Term) -> list[list[int]]:
+    """Each position's [start, end) slice of t's alpha key, in preorder, in
+    one walk: a node is 1 token (an atom, an abstraction) or 3 (an
+    application, a suspension), and a subterm's span, pushed under its
+    arguments, is popped and ended once they are done."""
+    spans, stack, at = [], [t], 0
+    while stack:
+        u = stack.pop()
+        if type(u) is list:
+            u.append(at)
+            continue
         spans.append([at])
-        open_.append((len(path), spans[-1]))
+        stack.append(spans[-1])
+        stack.extend(reversed(u.args) if type(u) is App else (u.body,) if type(u) is Abstraction else ())
         at += 3 if type(u) is App or type(u) is Suspension else 1
     return spans
 
@@ -614,12 +641,7 @@ def _spliced_key(ctx: FreshnessContext, key: tuple, spans: list[list[int]], cand
     finish is the identity), unbuilt: its source's key with the hole's
     slice replaced by the key of pi.(rhs theta) under the frames' binders."""
     start, end = spans[candidate[0]]
-    scope, frames = [], candidate[2]
-    while frames is not None:
-        frame, frames = frames
-        if type(frame) is Atom:
-            scope.append(frame)
-    return key[:start] + alpha_key(ctx, candidate[7], scope[::-1]) + key[end:]
+    return key[:start] + alpha_key(ctx, candidate[6], _binders(candidate[1])[::-1]) + key[end:]
 
 
 def rewrite_step_general(
@@ -740,13 +762,12 @@ def _first_step(s: Term, by_head: dict, innermost: bool) -> Optional[RewriteStep
     Each hole is shape-tested only against the rules whose lhs head fits
     its head.  Only identity variants are tried; if any alpha-variant of s
     can step then so can s itself, so this loses no normal-form detection."""
-    for path, hole in positions(s, innermost):
+    for frames, hole in _places(s, innermost):
         for prep in by_head.get(_head(hole), by_head[Suspension]):
             if not _may_match(prep.lhs, hole):
                 continue
             for pi, theta, rhs in prep.firing.instances(hole):
-                frames = next(_decompositions(EMPTY_CTX, s, path, []))[1]
-                return _build(s, prep, (None, path, frames, hole, False, pi, theta, rhs))
+                return _build(s, prep, (None, frames, hole, False, pi, theta, rhs))
     return None
 
 
@@ -846,8 +867,8 @@ def _breadth_first(
             if expanded == cap:
                 return None
             expanded += 1
-            places = positions(u)
-            spans = _spans(places)
+            places = list(_places(u))
+            spans = _spans(u)
             for prepared in _prepare_all(kept, prepare, Subject(ctx, u), rules)[0]:
                 general = prepared.mode == "general"
                 for candidate in _candidates(u, places, prepared):

@@ -22,13 +22,12 @@ from nomrew import (
     check_alpha,
     check_fresh,
     fresh_holds,
-    positions,
     swap,
     term_depth,
     var,
     verify_derivation,
 )
-from nomrew.rewrite import ReachableSet
+from nomrew.rewrite import ReachableSet, _path, _places, _spans
 from oracles import NonGroundError, alpha_oracle_ground
 from strategies import alpha_perturb, contexts_st, ground_terms_st, random_ctx, random_perm, random_term, terms_st
 
@@ -252,15 +251,17 @@ def test_alpha_key_has_a_fixed_width_per_node(ctx, t, outer):
     # atom, an abstraction) or 3 (an application, a suspension), so the
     # subterm at a position is the slice starting at the widths of the
     # positions before it, and keying the subterm alone under the binders
-    # above it gives that slice.  `outer` wraps t in binders, repeats
-    # included, so scopes with shadowed names are covered.
+    # above it gives that slice, which `_spans` finds in one walk.  `outer`
+    # wraps t in binders, repeats included, so scopes with shadowed names
+    # are covered.
     for atom in reversed(outer):
         t = Abstraction(atom, t)
     key = alpha_key(ctx, t)
-    places = positions(t)
+    places = [(_path(frames), u) for frames, u in _places(t)]
     assert len(key) == sum(_WIDTH[type(u)] for _, u in places)
-    start = 0
-    for path, u in places:
+    start, spans = 0, _spans(t)
+    assert len(spans) == len(places)
+    for (path, u), span in zip(places, spans):
         scope, v = [], t
         for step in path:
             if step == "body":
@@ -269,7 +270,7 @@ def test_alpha_key_has_a_fixed_width_per_node(ctx, t, outer):
             else:
                 v = v.args[step]
         part = alpha_key(ctx, u, scope)
-        assert key[start:start + len(part)] == part
+        assert key[start:start + len(part)] == part and span == [start, start + len(part)]
         start += _WIDTH[type(u)]
 
 

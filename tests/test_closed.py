@@ -46,7 +46,7 @@ from nomrew import (
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
     MAX_SUPPORT, SPARE_CAP, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _prepare_general, _rename_rule,
-    _rename_ctx, _rename_term, _universe, normalize, positions, reachable, replay, rewrite_steps, subterm_at,
+    _rename_ctx, _rename_term, _universe, normalize, reachable, replay, rewrite_steps, subterm_at,
 )
 from nomrew.syntax import parse_context, parse_term, parse_theory, pretty
 from nomrew.terms import ID, MACHINE_MARK, Substitution, fresh_names
@@ -725,7 +725,7 @@ def test_closed_steps_keep_every_subterm_off_the_path_to_the_hole(theory_term):
     theory, s = theory_term
     for rule in theory.rules:
         for step in closed_rewrite_step(EMPTY_CTX, s, rule):
-            for path, u in positions(s):
+            for path, u in ref.positions(s):
                 n = min(len(path), len(step.path))
                 if path[:n] != step.path[:n]:
                     assert subterm_at(step.result, path) is u

@@ -36,7 +36,6 @@ from nomrew import (
     closed_reachable,
     closed_rewrite_step,
     normalize_general,
-    positions,
     replace_at,
     replay_step,
     rewrite_closure_reachable,
@@ -53,8 +52,8 @@ from nomrew import (
 )
 from nomrew.rewrite import (
     MAX_SUPPORT, Firing, PreparedRule, Subject, _build, _candidate_perms, _candidates, _fresh_maps, _invertible,
-    _may_match, _prepare_general, _rename_rule, _rename_term, _spans, _spliced_key, _universe, normalize, reachable,
-    rewrite_steps,
+    _may_match, _path, _places, _plug, _prepare_general, _rename_rule, _rename_term, _spans, _spliced_key, _universe,
+    normalize, reachable, rewrite_steps,
 )
 from nomrew.syntax import parse_term, parse_theory
 from nomrew.terms import MACHINE_MARK
@@ -97,6 +96,11 @@ BETAETA = Theory(SIG, (BETA_APP, BETA_VAR,
                        ETA))
 
 
+def positions(t, innermost=False):
+    """The cursor's places, each with its path read off its frames."""
+    return [(_path(frames), u) for frames, u in _places(t, innermost)]
+
+
 def test_positions_atom():
     assert positions(AtomTerm(a)) == [((), AtomTerm(a))]
 
@@ -114,9 +118,10 @@ def test_positions_leftmost_outermost():
 
 def test_subterm_and_replace_roundtrip():
     t = app(lam(a, AtomTerm(a)), AtomTerm(b))
-    for path, sub in positions(t):
+    for frames, sub in _places(t):
+        path = _path(frames)
         assert subterm_at(t, path) == sub
-        assert replace_at(t, path, sub) == t
+        assert replace_at(t, path, sub) == t == _plug(frames, sub)
 
 
 def test_positions_leftmost_innermost():
@@ -611,18 +616,20 @@ def test_reachable_fuel_counts_levels():
 
 
 def test_a_search_expands_fuel_terms(monkeypatch):
-    # symmetric_search's fuel counts the terms it expands, one `positions`
-    # call each, however many classes a level holds.
+    # symmetric_search's fuel counts the terms it expands, one walk of the
+    # cursor (`_places`) and one of `_spans` each, however many classes a
+    # level holds.
     nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
     s, unreachable = parse_term("h(g([c]c),h(a,a))"), App("k", ())
     assert len(rewrite_closure_reachable(EMPTY_CTX, s, nonclosed, fuel=1)) >= 4  # at least 3 classes one step away
-    calls = []
-    real = rewrite_module.positions
-    monkeypatch.setattr(rewrite_module, "positions", lambda *args: calls.append(args) or real(*args))
+    calls = Counter()
+    for name in ("_places", "_spans"):
+        real = getattr(rewrite_module, name)
+        monkeypatch.setattr(rewrite_module, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
     for fuel in (0, 1, 2, 3):
         calls.clear()
         assert not symmetric_search(EMPTY_CTX, s, unreachable, nonclosed, fuel=fuel).found
-        assert len(calls) == fuel
+        assert calls["_places"] == calls["_spans"] == fuel
 
 
 def test_symmetric_search_matches_scan_reference():
@@ -701,13 +708,12 @@ def _spliced_against_built(ctx, s, rule) -> Counter:
     finds them, has the key of its built result as its spliced key, and
     count the renamed variants and the results with suspensions."""
     prepared = _prepare_general(Subject(ctx, s), rule, sides={})
-    places = positions(s)
-    spans, key = _spans(places), alpha_key(ctx, s)
+    spans, key = _spans(s), alpha_key(ctx, s)
     seen = Counter()
-    for candidate in _candidates(s, places, prepared):
+    for candidate in _candidates(s, _places(s), prepared):
         result = _build(s, prepared, candidate).result
         assert _spliced_key(ctx, key, spans, candidate) == alpha_key(ctx, result)
-        seen["renamed"] += candidate[4]
+        seen["renamed"] += candidate[3]
         seen["suspension"] += any(type(u) is Suspension for u in subterms(result))
     return seen
 

@@ -5,9 +5,10 @@ Deep inputs are spines: n levels, alternately an abstraction [a]... and a
 unary application, wrapped around a small bottom term.  Results on them are
 checked through their printed text and, since term == and hash keep their
 own stack, with == against the expected term built separately.  The rewriting
-engines are checked at 10^3 only: `positions` stores a full path per
-position, so it costs O(size x depth).  The command line is run in process,
-as deep terms make arguments longer than one argv string may be.
+engines walk positions with one cursor (`_places`), whose places share their
+parents' rebuild frames, and are checked at 10^4, a replayed report at 10^5.
+The command line is run in process, as deep terms make arguments longer than
+one argv string may be.
 """
 
 import json
@@ -43,7 +44,6 @@ from nomrew import (
     decide_equal,
     fresh_holds,
     normalize_general,
-    positions,
     replace_at,
     rewrite_step_general,
     scrub,
@@ -57,7 +57,8 @@ from nomrew import (
     var,
 )
 from nomrew import cli
-from nomrew.rewrite import _decompositions, _fresh_renaming, _plug, _rename_rule, _rename_term, path_str
+from nomrew import rewrite as rewrite_module
+from nomrew.rewrite import _decompositions, _fresh_renaming, _path, _places, _plug, _rename_rule, _rename_term, path_str
 from nomrew.syntax import parse_term, parse_theory, pretty
 
 import reference_walkers as ref
@@ -168,16 +169,40 @@ def test_term_repr_at_depth():
     assert repr(step).count(repr(t)) == 4
 
 
-# -- the engines answer on inputs 10^3 deep -----------------------------------
+# -- the engines answer on inputs 10^3 and 10^4 deep -------------------------
 
 
 def test_positions_at_depth():
-    n = 10**3
-    t = deep(n)
-    outer, inner = positions(t), positions(t, innermost=True)
-    assert len(outer) == len(inner) == n + 3
-    assert outer[0] == ((), t) and inner[-1][1] is t
-    assert outer[n] == (spine_path(n), BOTTOM) and inner[2] == (spine_path(n), BOTTOM)
+    for n in DEPTHS:
+        t = deep(n)
+        outer, inner = list(_places(t)), list(_places(t, innermost=True))
+        assert len(outer) == len(inner) == n + 3
+        assert outer[0] == (None, t) and inner[-1] == (None, t)
+        assert outer[n][1] is BOTTOM and inner[2][1] is BOTTOM
+        assert _path(outer[n][0]) == _path(inner[2][0]) == spine_path(n)
+        assert _plug(outer[n][0], AtomTerm(d)) == _plug(inner[2][0], AtomTerm(d)) == spine(n, AtomTerm(d))
+
+
+def test_normalization_reads_the_cursor_lazily(monkeypatch):
+    # The root is a redex, so the first step reads one place; the second
+    # walk finds the argument 10^4 deep in normal form.
+    n = 10**4
+    arg = spine(n, AtomTerm(c), "lam")
+    s = App("app", (App("lam", (Abstraction(b, AtomTerm(b)),)), arg))
+    real, counts = rewrite_module._places, []
+
+    def counted(*args):
+        counts.append(0)
+        for place in real(*args):
+            counts[-1] += 1
+            yield place
+
+    monkeypatch.setattr(rewrite_module, "_places", counted)
+    for normalize in (closed_normalize, normalize_general):
+        counts.clear()
+        res = normalize(EMPTY_CTX, s, BETAETA)
+        assert res.status == "normal_form" and [step.path for step in res.trace] == [()]
+        assert res.term == arg and counts == [1, n + 1]
 
 
 def test_solve_match_at_depth():
@@ -193,7 +218,7 @@ def test_solve_match_at_depth():
 
 
 def test_normalization_and_equality_at_depth():
-    n = 10**3
+    n = 10**4
     redex = App("app", (App("lam", (Abstraction(b, AtomTerm(b)),)), AtomTerm(c)))
     s, normal = spine(n, redex, "lam"), spine_text(n, "c", "lam")
     for res in (closed_normalize(EMPTY_CTX, s, BETAETA), normalize_general(EMPTY_CTX, s, BETAETA)):
@@ -205,15 +230,22 @@ def test_normalization_and_equality_at_depth():
     assert decision.verdict == "equal"
 
 
-def test_closed_step_and_reachability_at_depth():
-    n = 10**3
+def test_closed_step_and_reachability_at_depth(monkeypatch):
+    n = 10**4
     redex = App("app", (App("lam", (Abstraction(b, AtomTerm(b)),)), AtomTerm(c)))
     s, normal = spine(n, redex, "lam"), spine_text(n, "c", "lam")
     beta_var = next(rule for rule in BETAETA.rules if rule.name == "beta_var")
+    # A closed step fires at the cursor's own place: no descent from the
+    # root, and a path read off its frames only for the step built.
+    calls = []
+    for name in ("_decompositions", "_path"):
+        real = getattr(rewrite_module, name)
+        monkeypatch.setattr(rewrite_module, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
     [step] = closed_rewrite_step(EMPTY_CTX, s, beta_var)
     assert step.path == spine_path(n) and pretty(step.result) == normal
     assert step.result == spine(n, AtomTerm(c), "lam") and step.variant is s
     assert [pretty(t) for t in closed_reachable(EMPTY_CTX, s, BETAETA, 2)] == [pretty(s), normal]
+    assert calls == ["_path", "_path"]
 
 
 def test_general_steps_at_depth():
@@ -226,7 +258,7 @@ def test_general_steps_at_depth():
     wrapped = "f(" * (n + 1) + "c" + ")" * (n + 1)
     # A universe of the rule's atom alone gives one instance per position.
     steps = rewrite_step_general(EMPTY_CTX, t, REMARK43.rules[0], max_support=1)
-    assert steps.truncated and [step.path for step in steps] == [path for path, _ in positions(t)]
+    assert steps.truncated and [step.path for step in steps] == [_path(frames) for frames, _ in _places(t)]
     assert all(step.perm.is_identity and pretty(step.result) == wrapped for step in steps)
     res = normalize_general(EMPTY_CTX, t, REMARK43, fuel=3)
     assert res.status == "fuel_exhausted" and [step.path for step in res.trace] == [()] * 3
@@ -244,11 +276,11 @@ def test_fresh_renaming_at_depth():
     assert not _fresh_renaming(rule, bad, EMPTY_CTX)
 
 
-# -- the command line answers on inputs 10^3 and 10^4 deep -------------------
+# -- the command line answers on inputs 10^3, 10^4 and 10^5 deep -------------
 
 
-def test_every_command_at_depth(tmp_path, capsys):
-    n = 10**3
+@pytest.mark.parametrize("n", DEPTHS[:2])
+def test_every_command_at_depth(tmp_path, capsys, n):
     betaeta = str(THEORIES / "betaeta.nrw")
     redex, normal = spine_text(n, "app(lam([b]b), c)", "lam"), spine_text(n, "c", "lam")
     deep_rule = tmp_path / "deep.nrw"
@@ -269,10 +301,24 @@ def test_every_command_at_depth(tmp_path, capsys):
     ]
     for argv, code, out in runs:
         assert (cli.main(argv), capsys.readouterr().out) == (code, out), argv[0]
+    if n > 10**3:  # each node of a derivation prints its subterm: quadratic
+        return
     # a derivation has a node per subterm of a term with no binder on d
     assert cli.main(["fresh", "d", redex, "--trace"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "yes" and len(lines) == 1 + n + 5
+
+
+def test_normalize_report_replays_at_depth(tmp_path, capsys):
+    n = 10**5
+    redex, normal = spine_text(n, "app(lam([b]b), c)", "lam"), spine_text(n, "c", "lam")
+    assert cli.main(["normalize", str(THEORIES / "betaeta.nrw"), "--term", redex, "--json"]) == 0
+    report = tmp_path / "normalize.json"
+    report.write_text(capsys.readouterr().out)
+    [step] = json.loads(report.read_text())["trace"]
+    assert (step["rule"], step["path"], step["result"]) == ("beta_var", list(spine_path(n)), normal)
+    assert cli.main(["replay", str(report)]) == 0
+    assert capsys.readouterr().out == "replayed 1 steps: all valid\n"
 
 
 def test_plain_judgements_at_depth(capsys):
@@ -345,7 +391,7 @@ def test_derivation_report_at_depth(monkeypatch):
 def _shares_unchanged(got, source):
     """A subterm of got equal to source's subterm at the same position is
     source's own object: a rebuild hands back what it does not change."""
-    for path, u in positions(source):
+    for path, u in ref.positions(source):
         v = subterm_at(got, path)
         assert v is u or v != u
     return got
@@ -386,7 +432,10 @@ def test_shape_walkers_match_reference(t):
     assert term_depth(t) == ref.term_depth(t)
     assert pretty(t) == ref.pretty(t)
     for innermost in (False, True):
-        assert positions(t, innermost) == ref.positions(t, innermost)
+        places = list(_places(t, innermost))
+        assert [(_path(frames), u) for frames, u in places] == ref.positions(t, innermost)
+        # each place's frames are those the descent along its path builds
+        assert all(next(_decompositions(EMPTY_CTX, t, _path(frames), []))[1] == frames for frames, _ in places)
     for path, _ in ref.positions(t):
         assert subterm_at(t, path) == ref.subterm_at(t, path)
         assert replace_at(t, path, AtomTerm(d)) == ref.replace_at(t, path, AtomTerm(d))
