@@ -153,8 +153,6 @@ def alpha_key(ctx: FreshnessContext, t: Term, scope: Sequence[Atom] = ()) -> tup
     level = {a.name: i for i, a in enumerate(scope)} if scope else {}  # name -> binders outside its binder
     depth = len(scope)
     stack: list = [t]
-    # Dispatch on the exact type: this loop is the alpha layer's hot path,
-    # and class patterns in a match statement take about twice as long.
     while stack:
         u = stack.pop()
         kind = type(u)

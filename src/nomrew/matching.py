@@ -115,28 +115,28 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
     work = [(problem.pattern, problem.target, ID)]
     while work:
         l, s, rho = work.pop()  # rho.l is to match s
-        match (l, s):
-            case (AtomTerm(a), AtomTerm(b)):
-                if rho(a) != b:
-                    return None
-            case (Suspension(pi, x), _):
-                r = rho * pi
-                if x not in binds:
-                    binds[x] = r, s
-                elif not alpha_holds(delta, binds[x][1], act(binds[x][0] * r.inverse(), s)):
-                    return None
-            case (Abstraction(a, lbody), Abstraction(b, sbody)):
-                a = rho(a)
-                if a != b:  # b # rho.lbody, and (b a).rho.lbody matches sbody
-                    pending.append((rho.inverse()(b), lbody))
-                    rho = swap(b, a) * rho
-                work.append((lbody, sbody, rho))
-            case (App(f, largs), App(g, sargs)):
-                if f != g or len(largs) != len(sargs):
-                    return None
-                work.extend(zip(largs, sargs, itertools.repeat(rho)))
-            case _:
+        kind = type(l)
+        if kind is Suspension:
+            r, x = rho * l.perm, l.unknown
+            if x not in binds:
+                binds[x] = r, s
+            elif not alpha_holds(delta, binds[x][1], act(binds[x][0] * r.inverse(), s)):
                 return None
+        elif kind is not type(s):
+            return None
+        elif kind is AtomTerm:
+            if rho(l.atom) is not s.atom:
+                return None
+        elif kind is Abstraction:
+            a, b = rho(l.atom), s.atom
+            if a is not b:  # b # rho.lbody, and (b a).rho.lbody matches sbody
+                pending.append((rho.inverse()(b), l.body))
+                rho = swap(b, a) * rho
+            work.append((l.body, s.body, rho))
+        elif kind is App and l.former == s.former and len(l.args) == len(s.args):
+            work.extend(zip(l.args, s.args, itertools.repeat(rho)))
+        else:
+            return None
 
     # Unknowns constrained by the pattern context but absent from the
     # pattern can always be sent to an atom fresh for everything in sight.

@@ -8,9 +8,14 @@ output is only meaningful up to alpha-equivalence.  Because the reflexive
 case of the rewrite relation is alpha-equivalence itself, general step
 enumeration also explores alpha-variants of the subject obtained by renaming
 the binders above the chosen position into the permutation universe; that
-is how [b][a]a reaches [a]b under the abstraction-stripping rule.  Closed
-rewriting needs no alpha-variants: it fires a variant freshened apart from
-the subject and so respects alpha-equivalence by itself, and its steps are
+is how [b][a]a reaches [a]b under the abstraction-stripping rule.  It does
+so only for rules that are not closed.  A closed rule is uniform (Fernandez
+& Gabbay, Nominal rewriting, I&C 2007): a # l.theta implies a # r.theta.
+Its step on a variant renaming [a] to [z] is (z a) applied to the
+subject's own step under (z a) o pi, uniformity makes z fresh for that
+step's result, and so the two results are alpha-equal.  Closed rewriting
+needs no alpha-variants either: it fires a variant freshened apart from the
+subject and so respects alpha-equivalence by itself, and its steps are
 those of the subject as written.
 
 The core is written once: one cursor yielding positions as rebuild frames
@@ -108,20 +113,29 @@ def _places(t: Term, innermost: bool = False) -> Iterator[tuple[tuple | None, Te
     """The positions of t, lazily, as (rebuild frames, subterm) in
     leftmost-outermost (preorder) order, or leftmost-innermost (postorder)
     when innermost is set.  The frames are those `_decompositions` builds,
-    each sharing its parent's, so a walk is linear at any depth."""
-    stack: list = [(False, None, t)]
+    each sharing its parent's, so a walk is linear at any depth.  A stack
+    entry is the pair it yields; a node with arguments, in innermost order,
+    goes back under them wrapped as (pair,), to be yielded after them."""
+    stack: list = [(None, t)]
     while stack:
-        ready, frames, u = stack.pop()
-        if ready or not innermost:
-            yield frames, u
-        if ready:
+        entry = stack.pop()
+        if len(entry) == 1:
+            yield entry[0]
             continue
-        if innermost:  # back under its arguments, to be yielded after them
-            stack.append((True, frames, u))
-        if type(u) is Abstraction:
-            stack.append((False, (u.atom, frames), u.body))
-        elif type(u) is App:
-            stack.extend((False, ((u, i), frames), u.args[i]) for i in range(len(u.args) - 1, -1, -1))
+        frames, u = entry
+        kind = type(u)
+        if kind is Abstraction:
+            below = [((u.atom, frames), u.body)]
+        elif kind is App and u.args:
+            below = [(((u, i), frames), u.args[i]) for i in range(len(u.args) - 1, -1, -1)]
+        else:  # a leaf, yielded as it is popped in either order
+            yield entry
+            continue
+        if innermost:
+            stack.append((entry,))
+        else:
+            yield entry
+        stack += below
 
 
 def _path(frames: tuple | None) -> Path:
@@ -281,9 +295,10 @@ class Firing:
     prepared lhs matches the hole under `ctx`; `finish` turns the rebuilt
     subject into the reported result.  `universe` holds the names binders
     above a position may be renamed to when alpha-variants of the subject
-    are enumerated; only general rewriting needs them, and a closed firing's
-    universe is empty.  A closed step also records the freshened rule and
-    the context extension it fired under.
+    are enumerated; only general rewriting by a rule that is not closed
+    needs them, and every other firing's universe is empty.  A closed step
+    also records the freshened rule and the context extension it fired
+    under.
     """
 
     ctx: FreshnessContext
@@ -442,7 +457,9 @@ def _prepare_general(
 ) -> PreparedRule:
     """Rename the rule's unknowns away from the subject's, then try every
     candidate permutation over the universe of rule, subject and extra
-    atoms.
+    atoms.  A closed rule (its kept verdict, `closed._is_closed`) fires
+    with an empty universe, so no alpha-variant of the subject is tried for
+    it; its candidate permutations are the same.
 
     The renamed rule is kept with the rule, per set of unknowns it shares
     with the subject; a subject that mentions a machine unknown gets a rule
@@ -490,7 +507,9 @@ def _prepare_general(
                 found = solved[hole_key] = [], search(hole)
             return _resume(*found)
 
-        return Firing(ctx, universe, instances)
+        from .closed import _is_closed  # closed.py imports this module
+
+        return Firing(ctx, [] if _is_closed(rule) else universe, instances)
 
     return PreparedRule(rule, renamed.lhs, fire, truncated)
 
@@ -519,15 +538,17 @@ def _may_match(lhs: Term, hole: Term) -> bool:
     work = [(lhs, hole)]
     while work:
         l, s = work.pop()
-        match (l, s):
-            case (Suspension(), _) | (AtomTerm(), AtomTerm()):
-                pass
-            case (Abstraction(_, lbody), Abstraction(_, sbody)):
-                work.append((lbody, sbody))
-            case (App(f, largs), App(g, sargs)) if f == g and len(largs) == len(sargs):
-                work.extend(zip(largs, sargs))
-            case _:
-                return False
+        kind = type(l)
+        if kind is Suspension:
+            continue
+        if kind is not type(s):
+            return False
+        if kind is Abstraction:
+            work.append((l.body, s.body))
+        elif kind is App and l.former == s.former and len(l.args) == len(s.args):
+            work.extend(zip(l.args, s.args))
+        elif kind is not AtomTerm:
+            return False
     return True
 
 
@@ -580,7 +601,8 @@ def _candidates(s: Term, places: Iterable[tuple], prepared: PreparedRule) -> Ite
     index, frames, hole, renamed, pi, theta, pi.(rhs theta)): every place of
     s in `places` (`_places(s)`), every alpha-variant of s renaming the
     binders above it into the firing's universe (the place itself if it has
-    none or that is empty, as in closed rewriting), every instance found."""
+    none or that is empty, as for closed rules and closed rewriting), every
+    instance found."""
     for i, (frames, here) in enumerate(places):
         # Alpha-variants differ from s only in atoms, so one shape test
         # covers every variant at this position.
@@ -667,17 +689,22 @@ def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessConte
     umap: dict[Unknown, Unknown] = {}
     work = [(rule.rhs, renamed.rhs), (rule.lhs, renamed.lhs)]
     while work:
-        match work.pop():
-            case (AtomTerm(a), AtomTerm(b)) if amap.setdefault(a, b) == b:
-                pass
-            case (Suspension(_, x), Suspension(_, y)) if umap.setdefault(x, y) == y:
-                pass
-            case (Abstraction(a, body), Abstraction(b, body2)) if amap.setdefault(a, b) == b:
-                work.append((body, body2))
-            case (App(f, args), App(g, args2)) if f == g and len(args) == len(args2):
-                work.extend(zip(args, args2))
-            case _:
+        u, v = work.pop()
+        kind = type(u)
+        if kind is not type(v):
+            return False
+        if kind is AtomTerm or kind is Abstraction:
+            if amap.setdefault(u.atom, v.atom) is not v.atom:
                 return False
+            if kind is Abstraction:
+                work.append((u.body, v.body))
+        elif kind is Suspension:
+            if umap.setdefault(u.unknown, v.unknown) is not v.unknown:
+                return False
+        elif kind is App and u.former == v.former and len(u.args) == len(v.args):
+            work.extend(zip(u.args, v.args))
+        else:
+            return False
     # Atoms met only in suspensions or in the context: try each assignment.
     rest = sorted(rule.atoms() - amap.keys())
     for images in itertools.permutations(sorted(renamed.atoms() - set(amap.values())), len(rest)):
@@ -867,12 +894,12 @@ def _breadth_first(
             if expanded == cap:
                 return None
             expanded += 1
-            places = list(_places(u))
-            spans = _spans(u)
+            places, spans = list(_places(u)), None
             for prepared in _prepare_all(kept, prepare, Subject(ctx, u), rules)[0]:
                 general = prepared.mode == "general"
                 for candidate in _candidates(u, places, prepared):
                     if general:
+                        spans = spans or _spans(u)  # read by general candidates alone
                         key = _spliced_key(ctx, ukey, spans, candidate)
                         if key in reps:
                             continue

@@ -570,18 +570,56 @@ def test_a_step_fired_on_the_subject_as_written_reuses_it():
 def test_a_renamed_binder_over_a_body_it_leaves_alone_is_recorded():
     # Renaming [a] to [d] in [a]f(c) hands back the body itself, so the hole
     # is the subject's own subterm although a binder above it was renamed;
-    # the step must still record the renamed variant, which replays.
+    # the step must still record the renamed variant, which replays.  The
+    # rule names the free atom c, so it is not closed and its steps are
+    # tried on alpha-variants ([a], [d] and the spare [p$0]).
     d = Atom("d")
-    rule = RewriteRule("r", EMPTY_CTX, App("f", (var(X),)), App("h", (var(X),)))
+    rule = RewriteRule("r", EMPTY_CTX, App("f", (AtomTerm(c),)), App("h", (AtomTerm(c),)))
+    assert not closed_module.is_closed_rule(rule)
     body = App("f", (AtomTerm(c),))
     s = App("g", (Abstraction(a, body), AtomTerm(d)))
     assert act(swap(d, a), body) is body
     steps = rewrite_step_general(EMPTY_CTX, s, rule)
-    assert sorted(st.variant.args[0].atom.name for st in steps) == ["a", "d"]
+    assert sorted(st.variant.args[0].atom.name for st in steps) == ["a", "d", "p$0"]
     for st in steps:
         assert st.variant.args[0].atom == st.result.args[0].atom
         assert (st.variant is s) == (st.variant.args[0].atom == a)
         assert replay_step(EMPTY_CTX, st, rule)
+
+
+def test_a_closed_rule_under_many_binders_lists_the_subject_as_written():
+    # Renaming each binder above the redex into the universe listed 3,750
+    # steps under 4 distinct binders and 380,778 under 6.  beta_var is closed,
+    # so only the subject as written is tried: one step per candidate image
+    # of its bound atom, under 100 binders as under none.
+    s = app(lam(a, AtomTerm(a)), AtomTerm(c))
+    for i in range(100):
+        s = lam(Atom(f"x{i % 4}"), s)
+    assert closed_module._is_closed(BETA_VAR)
+    steps = rewrite_step_general(EMPTY_CTX, s, BETA_VAR)
+    assert len(steps) == 6 and steps.truncated
+    assert all(st.variant is s and st.path == (0, "body") * 100 for st in steps)
+    assert len({alpha_key(EMPTY_CTX, st.result) for st in steps}) == 1
+
+
+def test_closed_rules_reach_the_same_classes_with_alpha_variants_tried(monkeypatch):
+    # A closed rule is uniform, so its step on an alpha-variant of the
+    # subject is alpha-equal to one on the subject as written: trying the
+    # variants, as for a rule that is not closed, reaches no other class,
+    # and a search finds what it found.
+    cases = [case for case in _seeded_cases(73, 200) if case[0].name != "nonclosed"]
+    listed = Counter()
+
+    def run(side):
+        listed[side] = sum(len(rewrite_step_general(ctx, s, rule)) for th, ctx, s, _ in cases for rule in th.rules)
+        reached = [set(rewrite_closure_reachable(ctx, s, th, fuel=3).reps) for th, ctx, s, _ in cases]
+        searched = [symmetric_search(ctx, s, t, th, fuel=3) for th, ctx, s, t in cases]
+        return reached, [(res.found, res.trace) for res in searched]
+
+    as_written = run("as written")
+    monkeypatch.setattr(closed_module, "_is_closed", lambda rule: False)
+    assert run("variants") == as_written
+    assert listed["variants"] > listed["as written"] > 0
 
 
 def test_reachability_matches_scan_reference():
@@ -615,10 +653,23 @@ def test_reachable_fuel_counts_levels():
     assert deeper > 5
 
 
+def test_closed_reachability_walks_no_term_for_its_spans(monkeypatch):
+    # Only a general candidate is keyed by splicing its source's key, so a
+    # term's spans are walked when the first one comes, and closed
+    # reachability, which keys each built result, never walks them.
+    betaeta = next(theory for theory in BUNDLED if theory.name == "betaeta")
+    calls = Counter()
+    real = rewrite_module._spans
+    monkeypatch.setattr(rewrite_module, "_spans", lambda t: calls.update([t]) or real(t))
+    s = parse_term("app(lam([a]app(lam([b]app(b,a)),a)),c)")
+    assert len(closed_reachable(EMPTY_CTX, s, betaeta, 3)) == 17 and not calls
+    assert len(rewrite_closure_reachable(EMPTY_CTX, s, betaeta, 1)) > 1 and list(calls.values()) == [1]
+
+
 def test_a_search_expands_fuel_terms(monkeypatch):
     # symmetric_search's fuel counts the terms it expands, one walk of the
-    # cursor (`_places`) and one of `_spans` each, however many classes a
-    # level holds.
+    # cursor (`_places`) and one of `_spans` each (every term it expands
+    # here has a general candidate), however many classes a level holds.
     nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
     s, unreachable = parse_term("h(g([c]c),h(a,a))"), App("k", ())
     assert len(rewrite_closure_reachable(EMPTY_CTX, s, nonclosed, fuel=1)) >= 4  # at least 3 classes one step away
@@ -747,7 +798,8 @@ def test_spliced_keys_cover_variants_suspensions_and_shadowed_binders():
 def _reference_prepare_general(subject, rule, max_support=MAX_SUPPORT, extra_atoms=frozenset(), sides=None):
     """The general preparation with nothing kept: the rule's unknowns renamed
     apart from each subject, and every permuted side built up front.  sides
-    is accepted and ignored."""
+    is accepted and ignored.  A closed rule tries no alpha-variant, read off
+    the same verdict."""
     ctx, s = subject.ctx, subject.term
     subject_unknowns = unknowns_of(ctx, s)
     clashing = rule.unknowns() & subject_unknowns
@@ -762,7 +814,7 @@ def _reference_prepare_general(subject, rule, max_support=MAX_SUPPORT, extra_ato
             if sol is not None:
                 yield pi, sol.sigma, substitute(rhs, sol.sigma)
 
-    firing = Firing(ctx, universe, instances)
+    firing = Firing(ctx, [] if closed_module._is_closed(rule) else universe, instances)
     return PreparedRule(rule, renamed.lhs, lambda: firing, truncated)
 
 
