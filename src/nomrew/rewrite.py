@@ -13,10 +13,13 @@ so only for rules that are not closed.  A closed rule is uniform (Fernandez
 & Gabbay, Nominal rewriting, I&C 2007): a # l.theta implies a # r.theta.
 Its step on a variant renaming [a] to [z] is (z a) applied to the
 subject's own step under (z a) o pi, uniformity makes z fresh for that
-step's result, and so the two results are alpha-equal.  Closed rewriting
-needs no alpha-variants either: it fires a variant freshened apart from the
-subject and so respects alpha-equivalence by itself, and its steps are
-those of the subject as written.
+step's result, and so the two results are alpha-equal.  Nor is a second
+instance at a hole needed: under ctx plus freshness of a fresh variant's
+atoms each is alpha-equal to the closed step there, unique up to alpha;
+those atoms occur in neither result, so any two are alpha-equal under ctx
+and the search stops at the first.  Closed rewriting needs no variants
+either: it fires a variant freshened apart from the subject and so respects
+alpha-equivalence by itself, and its steps are the subject's as written.
 
 The core is written once: one cursor yielding positions as rebuild frames
 (`_places`), step enumeration over them x alpha-variants (`_candidates`,
@@ -292,7 +295,8 @@ class Firing:
     """What a prepared rule needs to fire at the holes of its subject.
 
     `instances(hole)` yields (pi, theta, pi.(rhs theta)) for every way the
-    prepared lhs matches the hole under `ctx`; `finish` turns the rebuilt
+    prepared lhs matches the hole under `ctx`, or for a closed rule the first
+    alone (the rest are alpha-equal to it); `finish` turns the rebuilt
     subject into the reported result.  `universe` holds the names binders
     above a position may be renamed to when alpha-variants of the subject
     are enumerated; only general rewriting by a rule that is not closed
@@ -457,9 +461,10 @@ def _prepare_general(
 ) -> PreparedRule:
     """Rename the rule's unknowns away from the subject's, then try every
     candidate permutation over the universe of rule, subject and extra
-    atoms.  A closed rule (its kept verdict, `closed._is_closed`) fires
-    with an empty universe, so no alpha-variant of the subject is tried for
-    it; its candidate permutations are the same.
+    atoms.  A closed rule (its kept verdict, `closed._is_closed`, read once
+    per firing) fires with an empty universe, so no alpha-variant of the
+    subject is tried for it, and its search at a hole stops at the first
+    instance, every later one being alpha-equal to it (module docstring).
 
     The renamed rule is kept with the rule, per set of unknowns it shares
     with the subject; a subject that mentions a machine unknown gets a rule
@@ -480,6 +485,8 @@ def _prepare_general(
     universe, truncated = _universe(renamed.atoms(), subject.atoms | extra_atoms, max_support)
 
     def fire() -> Firing:
+        from .closed import _is_closed  # closed.py imports this module
+        closed = _is_closed(rule)
         # Keyed by identity; the entry holds the renamed rule, so no other
         # object takes its id while the dict lives.  A rule renamed for one
         # subject alone keeps its entries, here and in its own compiled dict.
@@ -499,6 +506,8 @@ def _prepare_general(
                 sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
                 if sol is not None:
                     yield pi, sol.sigma, substitute(rhs, sol.sigma)
+                    if closed:  # every later instance is alpha-equal to this one
+                        return
 
         def instances(hole: Term):
             hole_key = _flat_key(hole)
@@ -507,9 +516,7 @@ def _prepare_general(
                 found = solved[hole_key] = [], search(hole)
             return _resume(*found)
 
-        from .closed import _is_closed  # closed.py imports this module
-
-        return Firing(ctx, [] if _is_closed(rule) else universe, instances)
+        return Firing(ctx, [] if closed else universe, instances)
 
     return PreparedRule(rule, renamed.lhs, fire, truncated)
 
@@ -636,8 +643,9 @@ def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
     above it differently, so their general results differ there; two
     general instances at one hole differ in pi.  Closed rewriting has one
     variant, the subject, and at most one instance per hole.  So no result
-    is hashed."""
-    return StepResults([_build(s, prepared, c) for c in _candidates(s, _places(s), prepared)], prepared.truncated)
+    is hashed.  `truncated` is set only if some hole passes the shape test."""
+    cut = prepared.truncated and any(_may_match(prepared.lhs, here) for _, here in _places(s))
+    return StepResults([_build(s, prepared, c) for c in _candidates(s, _places(s), prepared)], cut)
 
 
 def _spans(t: Term) -> list[list[int]]:
@@ -783,19 +791,22 @@ def _prepare_all(kept: dict, prepare: Callable[..., PreparedRule], subject: Subj
     return kept[key]
 
 
-def _first_step(s: Term, by_head: dict, innermost: bool) -> Optional[RewriteStep]:
+def _first_step(s: Term, by_head: dict, innermost: bool) -> tuple[Optional[RewriteStep], bool]:
     """The first applicable step under the strategy ordering: positions in
     strategy order, rules in theory order, instances in the engine's order.
     Each hole is shape-tested only against the rules whose lhs head fits
     its head.  Only identity variants are tried; if any alpha-variant of s
-    can step then so can s itself, so this loses no normal-form detection."""
+    can step then so can s itself, so this loses no normal-form detection.
+    With no step, also whether a search cut by its universe ran at a hole."""
+    cut = False
     for frames, hole in _places(s, innermost):
         for prep in by_head.get(_head(hole), by_head[Suspension]):
             if not _may_match(prep.lhs, hole):
                 continue
             for pi, theta, rhs in prep.firing.instances(hole):
-                return _build(s, prep, (None, frames, hole, False, pi, theta, rhs))
-    return None
+                return _build(s, prep, (None, frames, hole, False, pi, theta, rhs)), False
+            cut |= prep.truncated
+    return None, cut
 
 
 def normalize(
@@ -819,11 +830,10 @@ def normalize(
     current = s
     kept: dict = {}
     while True:
-        prepared, by_head = _prepare_all(kept, prepare, Subject(ctx, current), theory.rules)
-        step = _first_step(current, by_head, strategy == "innermost")
+        by_head = _prepare_all(kept, prepare, Subject(ctx, current), theory.rules)[1]
+        step, cut = _first_step(current, by_head, strategy == "innermost")
         if step is None:
-            status = "truncated" if any(p.truncated for p in prepared) else "normal_form"
-            return NormalizeResult(current, trace, status)
+            return NormalizeResult(current, trace, "truncated" if cut else "normal_form")
         if len(trace) == fuel:
             return NormalizeResult(current, trace, "fuel_exhausted")
         trace.append(step)

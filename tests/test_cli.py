@@ -299,6 +299,25 @@ def test_step_general_truncated_universe_exits_three(tmp_path, capsys):
     assert code == 0 and "->1 h(b, c, d, e, k, m, g)" in out
 
 
+def test_general_rewriting_with_no_fitting_hole_is_not_truncated(capsys):
+    # Six subject atoms cut every betaeta rule's universe, but no lhs fits
+    # any position of this term, so no permutation could give a step.
+    from nomrew.rewrite import Subject, _prepare_general
+    from nomrew.syntax import parse_term
+
+    term = "app(app(a,b),app(c,app(d,app(e,f))))"
+    theory = cli_module._load_theory(str(BETAETA))[0]
+    subject = Subject(nomrew.EMPTY_CTX, parse_term(term))
+    assert all(_prepare_general(subject, rule, sides={}).truncated for rule in theory.rules)
+    code, out, _ = run(capsys, "normalize", str(BETAETA), "--term", term, "--general", "--json")
+    assert code == 0 and json.loads(out)["status"] == "normal_form"
+    code, out, _ = run(capsys, "step", str(BETAETA), "--term", term, "--general")
+    assert code == 0 and out.splitlines() == ["no steps"]
+    # eta fits this term but needs a#X; no universe is cut, so it is normal.
+    code, out, _ = run(capsys, "normalize", str(BETAETA), "--term", "lam([a]app(X,a))", "--general")
+    assert code == 0 and out.splitlines()[1] == "status: normal_form after 0 steps"
+
+
 def test_unexpected_error_never_exits_one(capsys):
     code, _, err = run(capsys, "fresh", "b", "[a]" * 1500 + "a")
     assert code in (0, 2)

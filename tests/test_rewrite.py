@@ -589,15 +589,16 @@ def test_a_renamed_binder_over_a_body_it_leaves_alone_is_recorded():
 
 def test_a_closed_rule_under_many_binders_lists_the_subject_as_written():
     # Renaming each binder above the redex into the universe listed 3,750
-    # steps under 4 distinct binders and 380,778 under 6.  beta_var is closed,
-    # so only the subject as written is tried: one step per candidate image
-    # of its bound atom, under 100 binders as under none.
+    # steps under 4 distinct binders and 380,778 under 6, and trying every
+    # candidate image of its bound atom listed 6 alpha-equal steps.
+    # beta_var is closed, so only the subject as written is tried, and only
+    # up to its first instance: one step, under 100 binders as under none.
     s = app(lam(a, AtomTerm(a)), AtomTerm(c))
     for i in range(100):
         s = lam(Atom(f"x{i % 4}"), s)
     assert closed_module._is_closed(BETA_VAR)
     steps = rewrite_step_general(EMPTY_CTX, s, BETA_VAR)
-    assert len(steps) == 6 and steps.truncated
+    assert len(steps) == 1 and steps.truncated
     assert all(st.variant is s and st.path == (0, "body") * 100 for st in steps)
     assert len({alpha_key(EMPTY_CTX, st.result) for st in steps}) == 1
 
@@ -795,11 +796,14 @@ def test_spliced_keys_cover_variants_suspensions_and_shadowed_binders():
 # kept general preparations against per-subject renaming ----------------------------
 
 
-def _reference_prepare_general(subject, rule, max_support=MAX_SUPPORT, extra_atoms=frozenset(), sides=None):
+def _reference_prepare_general(
+    subject, rule, max_support=MAX_SUPPORT, extra_atoms=frozenset(), sides=None, every=False
+):
     """The general preparation with nothing kept: the rule's unknowns renamed
     apart from each subject, and every permuted side built up front.  sides
-    is accepted and ignored.  A closed rule tries no alpha-variant, read off
-    the same verdict."""
+    is accepted and ignored.  A closed rule tries no alpha-variant and stops
+    at its first instance at a hole, read off the same verdict; with every
+    set, it lists every instance all the same."""
     ctx, s = subject.ctx, subject.term
     subject_unknowns = unknowns_of(ctx, s)
     clashing = rule.unknowns() & subject_unknowns
@@ -808,13 +812,17 @@ def _reference_prepare_general(subject, rule, max_support=MAX_SUPPORT, extra_ato
     universe, truncated = _universe(set(rule_atoms), atoms_of(ctx, s) | set(extra_atoms), max_support)
     permuted = [(pi, act(pi, renamed.lhs), act(pi, renamed.rhs)) for pi in _candidate_perms(rule_atoms, universe)]
 
+    closed = closed_module._is_closed(rule)
+
     def instances(hole):
         for pi, lhs, rhs in permuted:
             sol = solve_match(MatchProblem(renamed.ctx, lhs, ctx, hole))
             if sol is not None:
                 yield pi, sol.sigma, substitute(rhs, sol.sigma)
+                if closed and not every:
+                    return
 
-    firing = Firing(ctx, [] if closed_module._is_closed(rule) else universe, instances)
+    firing = Firing(ctx, [] if closed else universe, instances)
     return PreparedRule(rule, renamed.lhs, lambda: firing, truncated)
 
 
@@ -962,6 +970,80 @@ def test_kept_instances_resume_where_the_first_reader_stopped(monkeypatch):
     assert got == want and got[0] == first and len(got) == 3
     assert calls["match"] == 3
     assert list(firing.instances(hole)) == want and calls["match"] == 3
+
+
+# closed rules fire once per hole ---------------------------------------------------
+
+_every_instance = lambda *args, **kwargs: _reference_prepare_general(*args, **kwargs, every=True)
+
+
+def test_a_closed_rule_drops_only_instances_alpha_equal_to_the_first(monkeypatch):
+    # Every general instance of a closed rule at a hole plugs to a result
+    # alpha-equal under ctx to the first one's, so the search stops at the
+    # first: normal forms, reached classes and found traces are those of
+    # the search that lists every instance.  Forcing the verdict off brings
+    # back every instance at every alpha-variant.
+    cases = [case for case in _seeded_cases(89, 200) if case[0].name != "nonclosed"]
+    dropped = listed = 0
+    for theory, ctx, s, t in cases:
+        for rule in theory.rules + theory._reversed_rules:
+            assert closed_module._is_closed(rule)
+            cut = rewrite_step_general(ctx, s, rule)
+            every = rewrite_steps(s, _every_instance(Subject(ctx, s), rule))
+            first = {}
+            for step in every:
+                first.setdefault(step.path, step)
+                assert alpha_holds(ctx, step.result, first[step.path].result)
+            assert (cut, cut.truncated) == (list(first.values()), every.truncated)
+            dropped += len(every) - len(cut)
+            listed += len(cut)
+        for strategy in ("outermost", "innermost"):
+            got = normalize_general(ctx, s, theory, strategy, fuel=6)
+            assert got == normalize(ctx, s, theory, _every_instance, strategy, 6)
+        got = list(rewrite_closure_reachable(ctx, s, theory, fuel=2))
+        assert got == list(reachable(ctx, s, theory, _every_instance, 2))
+        res = symmetric_search(ctx, s, t, theory, fuel=3)
+        with mock.patch.object(rewrite_module, "_prepare_general", _every_instance):
+            want = symmetric_search(ctx, s, t, theory, fuel=3)
+        assert (res.found, res.trace) == (want.found, want.trace)
+    assert len(cases) > 100 and dropped > listed > 0
+
+    monkeypatch.setattr(closed_module, "_is_closed", lambda rule: False)
+    forced = 0
+    for theory, ctx, s, _ in cases:
+        for rule in theory.rules + theory._reversed_rules:
+            got = rewrite_step_general(ctx, s, rule)
+            assert got == rewrite_steps(s, _reference_prepare_general(Subject(ctx, s), rule))
+            forced += len(got)
+    assert forced > listed + dropped
+
+
+def test_general_rewriting_lists_one_step_per_position_for_a_closed_rule():
+    # The paper's claim as a count: a closed rule needs no permutation
+    # search, so general rewriting lists at most one step where it fires.
+    # A rule that is not closed still lists every instance.
+    listed = Counter()
+    for theory, ctx, s, _ in _seeded_cases(97, 60):
+        for rule in theory.rules + theory._reversed_rules:
+            steps = rewrite_step_general(ctx, s, rule)
+            per_path = max(Counter(step.path for step in steps).values(), default=0)
+            if closed_module._is_closed(rule):
+                assert per_path <= 1
+            else:
+                assert steps == rewrite_steps(s, _every_instance(Subject(ctx, s), rule))
+                listed["several at a path"] += per_path > 1
+            listed[closed_module._is_closed(rule)] += len(steps)
+    assert listed[True] and listed[False] and listed["several at a path"]
+
+    # remark43's expand on [a]a listed (a p$0) at e besides id, both giving f([a]a).
+    remark43 = next(theory for theory in BUNDLED if theory.name == "remark43")
+    steps = rewrite_step_general(EMPTY_CTX, parse_term("[a]a"), remark43.rules[0])
+    assert [step.perm for step in steps if step.path == ()] == [ID]
+    nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
+    strip, atom_ab = (next(r for r in nonclosed.rules if r.name == name) for name in ("strip", "atom_ab"))
+    assert not closed_module._is_closed(strip) and not closed_module._is_closed(atom_ab)
+    assert len(rewrite_step_general(EMPTY_CTX, parse_term("[c]g(c)"), strip)) == 3
+    assert len(rewrite_step_general(EMPTY_CTX, parse_term("g(a)"), atom_ab)) > 1
 
 
 def _renamed_rules(theory):
