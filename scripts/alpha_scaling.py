@@ -4,7 +4,10 @@
 Each pair is [s0]...[s(n-1)]g(s k, s m, c) against the same chain with
 every binder renamed to t0...t(n-1): once with the same leaves (equal) and
 once with the first leaf moved to the next binder (not equal).  A linear
-check takes ten times as long for ten times as many binders.
+check takes ten times as long for ten times as many binders.  The last
+column wraps the equal pair under two different formers, l(s) against
+r(t), so the pair differs at its first node: a check that stops at the
+first difference takes the same time at every length.
 
     python3 scripts/alpha_scaling.py            # 10^2, 10^3, 10^4, 10^5 binders
     python3 scripts/alpha_scaling.py 50 500     # other sizes
@@ -25,18 +28,23 @@ def chain(n: int, stem: str, k: int, m: int):
 
 
 def main(sizes):
-    print(f"{'binders':>8} {'equal (s)':>10} {'unequal (s)':>12}")
+    print(f"{'binders':>8} {'equal (s)':>10} {'unequal (s)':>12} {'root differs (s)':>17}")
     for n in sizes:
         k, m = n // 3, (2 * n) // 3
         s = chain(n, "s", k, m)
+        equal = chain(n, "t", k, m)
+        pairs = (
+            (s, equal, True),
+            (s, chain(n, "t", (k + 1) % n, m), False),
+            (App("l", (s,)), App("r", (equal,)), False),
+        )
         timings = []
-        for k2, want in ((k, True), ((k + 1) % n, False)):
-            t = chain(n, "t", k2, m)
+        for left, right, want in pairs:
             t0 = time.perf_counter()
-            got = alpha_holds(EMPTY_CTX, s, t)
+            got = alpha_holds(EMPTY_CTX, left, right)
             timings.append(time.perf_counter() - t0)
-            assert got == want, (n, k2, got)
-        print(f"{n:>8} {timings[0]:>10.4f} {timings[1]:>12.4f}")
+            assert got == want, (n, want, got)
+        print(f"{n:>8} {timings[0]:>10.4f} {timings[1]:>12.4f} {timings[2]:>17.6f}")
 
 
 if __name__ == "__main__":

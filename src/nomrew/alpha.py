@@ -3,13 +3,14 @@ judgements under a freshness context.
 
 Each judgement is decided once, by a fast path that answers with a plain
 boolean: `fresh_holds` walks the freshness rules with a worklist, and
-`alpha_holds` compares canonical alpha keys (`alpha_key`), flat nameless
-encodings built in one explicit-stack pass; both run in linear time at any
-depth.  A derivation that holds is unique, so `check_fresh` (rules #ab,
-#[a], #[b], #X, #f) and `check_alpha` (rules ~a, ~[a], ~[b], ~X, ~f) read
-the replayable derivation tree off the term once the fast path says yes,
-with no failure branches, and answer None otherwise.  Both builds and
-`verify_derivation` keep their own stacks.
+`alpha_holds` walks s and t together, comparing each pair of nodes token by
+token as their canonical alpha keys (`alpha_key`) would and stopping at the
+first difference; both run in linear time at any depth and build no key.
+A derivation that holds is unique, so `check_fresh` (rules #ab, #[a], #[b],
+#X, #f) and `check_alpha` (rules ~a, ~[a], ~[b], ~X, ~f) read the
+replayable derivation tree off the term once the fast path says yes, with
+no failure branches, and answer None otherwise.  Both builds, `alpha_key`
+and `verify_derivation` keep their own stacks too.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ def check_fresh(ctx: FreshnessContext, a: Atom, t: Term) -> Optional[Derivation]
 # a string, so a tag can never be read as an atom.
 _ABS, _APP, _SUSP = -1, -2, -3
 
+_TERM_KINDS = (AtomTerm, Suspension, Abstraction, App)
+
 
 def alpha_key(ctx: FreshnessContext, t: Term, scope: Sequence[Atom] = ()) -> tuple:
     """A canonical, hashable key for the alpha-class of t under ctx.
@@ -150,30 +153,30 @@ def alpha_key(ctx: FreshnessContext, t: Term, scope: Sequence[Atom] = ()) -> tup
     """
     pairs = ctx.pairs
     out: list = []
-    level = {a.name: i for i, a in enumerate(scope)} if scope else {}  # name -> binders outside its binder
+    level = {a: i for i, a in enumerate(scope)} if scope else {}  # atom -> binders outside its binder
     depth = len(scope)
     stack: list = [t]
     while stack:
         u = stack.pop()
         kind = type(u)
         if kind is AtomTerm:
-            name = u.atom.name
-            n = level.get(name)
-            out.append(name if n is None else depth - 1 - n)
+            a = u.atom
+            n = level.get(a)
+            out.append(a.name if n is None else depth - 1 - n)
         elif kind is Abstraction:
-            name = u.atom.name
+            a = u.atom
             out.append(_ABS)
-            stack.append((name, level.get(name)))  # restores the scope after the body
-            level[name] = depth
+            stack.append((a, level.get(a)))  # restores the scope after the body
+            level[a] = depth
             depth += 1
             stack.append(u.body)
         elif kind is tuple:
-            name, previous = u
+            a, previous = u
             depth -= 1
             if previous is None:
-                del level[name]
+                del level[a]
             else:
-                level[name] = previous
+                level[a] = previous
         elif kind is App:
             out += (_APP, u.former, len(u.args))
             stack.extend(reversed(u.args))
@@ -184,19 +187,17 @@ def alpha_key(ctx: FreshnessContext, t: Term, scope: Sequence[Atom] = ()) -> tup
     return tuple(out)
 
 
-def _suspension_pairs(pairs, pi: Permutation, x: Unknown, level: dict[str, int], depth: int) -> tuple:
+def _suspension_pairs(pairs, pi: Permutation, x: Unknown, level: dict[Atom, int], depth: int) -> tuple:
     """The sorted (c, key of pi(c)) pairs of pi.X under the binders in
     `level`, for the atoms c in supp(pi) or in pi^-1 of a bound atom that
     are not fresh for X."""
-    image = {c.name: (c, v.name) for c, v in pi.mapping.items()}
-    for b in level:  # a bound atom outside supp(pi), which is its own preimage
-        if b not in image:
-            image[b] = (Atom(b), b)
+    image = {b: b for b in level}  # a bound atom outside supp(pi) is its own preimage
+    image.update(pi.mapping)
     entries = []
-    for c, v in image.values():
+    for c, v in image.items():
         if (c, x) not in pairs:
             n = level.get(v)
-            entries.append((c.name, v if n is None else depth - 1 - n))
+            entries.append((c.name, v.name if n is None else depth - 1 - n))
     entries.sort()
     return tuple(entries)
 
@@ -204,6 +205,13 @@ def _suspension_pairs(pairs, pi: Permutation, x: Unknown, level: dict[str, int],
 def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
     """Is ctx |- s =a= t derivable?  Fast path without derivation
     recording: it holds exactly when the alpha keys of s and t are equal.
+    It walks s and t together on one stack, compares each pair of nodes as
+    their key tokens would, and stops at the first pair that differs in
+    node type, former, arity, atom or suspension.  Each side maps its bound
+    atoms to their binders' levels and both share one depth, so two bound
+    atoms have equal distances exactly when they have equal levels; a
+    restore entry, pushed only when outer work waits on the stack, puts a
+    rebound atom's outer level back after the body.
 
     The key (alpha_key) names bound atoms by their de Bruijn distance and
     free atoms by name, and keys a suspension pi.X by X and the map
@@ -214,7 +222,55 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
     fails the pair of pi^-1(b) stays in the key, where b reads as free on
     one side and as bound on the other, so the keys differ.
     """
-    return alpha_key(ctx, s) == alpha_key(ctx, t)
+    pairs = ctx.pairs
+    left: dict[Atom, int] = {}
+    right: dict[Atom, int] = {}
+    depth = 0
+    stack: list = [(s, t)]
+    while stack:
+        u, v = stack.pop()
+        kind = type(u)
+        if kind is not type(v):
+            for w in (u, v):
+                if type(w) not in _TERM_KINDS:
+                    raise TypeError(f"not a term: {w!r}")
+            return False
+        if kind is AtomTerm:
+            a, b = u.atom, v.atom
+            n = left.get(a)
+            if n != right.get(b) or (n is None and a is not b):
+                return False
+        elif kind is Abstraction:
+            a, b = u.atom, v.atom
+            if stack:
+                stack.append(((a, left.get(a)), (b, right.get(b))))
+            left[a] = right[b] = depth
+            depth += 1
+            stack.append((u.body, v.body))
+        elif kind is App:
+            if u.former != v.former or len(u.args) != len(v.args):
+                return False
+            stack += zip(reversed(u.args), reversed(v.args))
+        elif kind is Suspension:
+            x = u.unknown
+            if x is not v.unknown or (
+                _suspension_pairs(pairs, u.perm, x, left, depth) != _suspension_pairs(pairs, v.perm, x, right, depth)
+            ):
+                return False
+        elif kind is tuple:  # a restore entry: the body is done
+            (a, n), (b, m) = u, v
+            depth -= 1
+            if n is None:
+                del left[a]
+            else:
+                left[a] = n
+            if m is None:
+                del right[b]
+            else:
+                right[b] = m
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return True
 
 
 def check_alpha(ctx: FreshnessContext, s: Term, t: Term) -> Optional[Derivation]:

@@ -14,13 +14,14 @@ permutations preserve alpha-equivalence under a fixed context (Urban, Pitts
 pattern-context obligations are checked once the walk is done.
 Matching solutions are unique up to alpha-equivalence under the target
 context; the solver returns the first computed, which is not canonical.
-The alpha checks are linear.  A pending check c # l.sigma builds no
-instance: it walks the pattern body l, and at a suspension pi.X asks
-pi^-1(c) # sigma(X), which is r(c) # s for X's image r^-1.s, on the raw
-target s, each (atom, unknown) pair once per solve.  So each target is
-walked once per distinct pair however often X occurs, and a match whose
-freshness fails builds no image.  A chain of n nested mismatched binders
-in the pattern still walks O(n^2) pattern nodes.
+The alpha checks are linear and build no key: each walks the two terms
+together and stops at the first pair of nodes that differs.  A pending
+check c # l.sigma builds no instance: it walks the pattern body l, and at
+a suspension pi.X asks pi^-1(c) # sigma(X), which is r(c) # s for X's
+image r^-1.s, on the raw target s, each (atom, unknown) pair once per
+solve.  So each target is walked once per distinct pair however often X
+occurs, and a match whose freshness fails builds no image.  A chain of n
+nested mismatched binders in the pattern still walks O(n^2) pattern nodes.
 """
 
 from __future__ import annotations

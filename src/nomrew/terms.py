@@ -27,8 +27,9 @@ import itertools
 import operator
 import threading
 import weakref
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .alpha import FreshnessContext

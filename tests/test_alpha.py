@@ -74,6 +74,28 @@ def test_alpha_different_binders_over_unknown():
     assert alpha_holds(ctx, Abstraction(a, var(X)), Abstraction(b, var(X)))
 
 
+def test_alpha_puts_a_rebound_atom_back_after_its_body():
+    # A sibling binder rebinds a name that the next argument reads free, or
+    # bound by an outer binder, so the outer scope must come back after it.
+    s = App("f", (Abstraction(a, AtomTerm(a)), AtomTerm(a)))
+    assert _assert_agrees(EMPTY_CTX, s, App("f", (Abstraction(b, AtomTerm(b)), AtomTerm(a))))
+    assert not _assert_agrees(EMPTY_CTX, s, App("f", (Abstraction(b, AtomTerm(b)), AtomTerm(b))))
+    outer = Abstraction(a, s)
+    assert _assert_agrees(EMPTY_CTX, outer, Abstraction(b, App("f", (Abstraction(a, AtomTerm(a)), AtomTerm(b)))))
+    assert not _assert_agrees(EMPTY_CTX, outer, Abstraction(b, App("f", (Abstraction(b, AtomTerm(b)), AtomTerm(a)))))
+
+
+def test_alpha_stops_at_the_first_pair_that_differs():
+    # Nothing below a pair that differs is read, so a non-term there is
+    # never reached; a non-term that is reached still raises.
+    junk = "a"
+    assert not alpha_holds(EMPTY_CTX, App("f", (junk,)), App("g", (junk,)))
+    assert not alpha_holds(EMPTY_CTX, App("f", (AtomTerm(a), junk)), App("f", (AtomTerm(b), junk)))
+    for s, t in ((junk, junk), (junk, AtomTerm(a)), (AtomTerm(a), junk), (App("f", (junk,)), App("f", (junk,)))):
+        with pytest.raises(TypeError):
+            alpha_holds(EMPTY_CTX, s, t)
+
+
 def test_derivations_replay():
     ctx = FreshnessContext.of((b, X))
     d = check_fresh(ctx, a, App("g", (Suspension(swap(a, b), X), AtomTerm(b))))
@@ -192,7 +214,8 @@ def test_oracle_agreement_random(s, t, rng):
         assert alpha_holds(EMPTY_CTX, left, right) == alpha_oracle_ground(left, right)
 
 
-# alpha_holds compares alpha keys; the reference check_alpha applies the rules --
+# alpha_holds walks both terms as their alpha keys would compare; the reference
+# check_alpha applies the rules, and the keys themselves are compared too --
 
 
 def _pairs(rng, ctx, s, t):
@@ -204,6 +227,7 @@ def _pairs(rng, ctx, s, t):
 
 def _assert_agrees(ctx, s, t) -> bool:
     derivable = ref.check_alpha(ctx, s, t) is not None
+    assert alpha_holds(ctx, s, t) == (alpha_key(ctx, s) == alpha_key(ctx, t))
     assert alpha_holds(ctx, s, t) == derivable
     assert alpha_holds(ctx, t, s) == derivable
     return derivable

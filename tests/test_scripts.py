@@ -44,5 +44,7 @@ def test_alpha_scaling_runs(capsys, monkeypatch):
     # The script asserts each verdict; small sizes keep the smoke run quick.
     monkeypatch.setattr("sys.argv", ["alpha_scaling.py", "10", "100"])
     runpy.run_path(str(SCRIPTS / "alpha_scaling.py"), run_name="__main__")
-    rows = capsys.readouterr().out.splitlines()[1:]
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["binders", "equal", "(s)", "unequal", "(s)", "root", "differs", "(s)"]
     assert [row.split()[0] for row in rows] == ["10", "100"]
+    assert all(len(row.split()) == 4 for row in rows)
