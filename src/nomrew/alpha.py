@@ -27,6 +27,7 @@ from .terms import (
     Suspension,
     Term,
     Unknown,
+    _END,
     _fold,
     act,
     swap,
@@ -166,12 +167,11 @@ def alpha_key(ctx: FreshnessContext, t: Term, scope: Sequence[Atom] = ()) -> tup
         elif kind is Abstraction:
             a = u.atom
             out.append(_ABS)
-            stack.append((a, level.get(a)))  # restores the scope after the body
+            stack += (a, level.get(a), _END, u.body)  # _END restores the scope after the body
             level[a] = depth
             depth += 1
-            stack.append(u.body)
-        elif kind is tuple:
-            a, previous = u
+        elif u is _END:
+            previous, a = stack.pop(), stack.pop()
             depth -= 1
             if previous is None:
                 del level[a]
@@ -231,6 +231,18 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
         u, v = stack.pop()
         kind = type(u)
         if kind is not type(v):
+            if u is _END:  # a restore entry: the body is done
+                a, n, b, m = v
+                depth -= 1
+                if n is None:
+                    del left[a]
+                else:
+                    left[a] = n
+                if m is None:
+                    del right[b]
+                else:
+                    right[b] = m
+                continue
             for w in (u, v):
                 if type(w) not in _TERM_KINDS:
                     raise TypeError(f"not a term: {w!r}")
@@ -243,7 +255,7 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
         elif kind is Abstraction:
             a, b = u.atom, v.atom
             if stack:
-                stack.append(((a, left.get(a)), (b, right.get(b))))
+                stack.append((_END, (a, left.get(a), b, right.get(b))))
             left[a] = right[b] = depth
             depth += 1
             stack.append((u.body, v.body))
@@ -257,17 +269,6 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
                 _suspension_pairs(pairs, u.perm, x, left, depth) != _suspension_pairs(pairs, v.perm, x, right, depth)
             ):
                 return False
-        elif kind is tuple:  # a restore entry: the body is done
-            (a, n), (b, m) = u, v
-            depth -= 1
-            if n is None:
-                del left[a]
-            else:
-                left[a] = n
-            if m is None:
-                del right[b]
-            else:
-                right[b] = m
         else:
             raise TypeError(f"not a term: {u!r}")
     return True

@@ -26,6 +26,7 @@ the rule's and a few spares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 from typing import Optional
 
 from .alpha import FreshnessContext, alpha_holds, fresh_holds
@@ -60,7 +61,6 @@ from .terms import (
     Suspension,
     Term,
     Unknown,
-    _share_app,
     atoms_of,
     substitute,
     swap,
@@ -146,7 +146,8 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
                 values[-2:] = [entry if a is entry.atom and body is entry.body else Abstraction(a, body)]
             else:
                 n = len(values) - len(entry.args)
-                values[n:] = [_share_app(entry, tuple(values[n:]))]
+                args = values[n:]  # entry itself unless an argument came back new
+                values[n:] = [App(entry.former, tuple(args)) if any(map(is_not, args, entry.args)) else entry]
             continue
         u, pi = entry
         kind = type(u)

@@ -361,7 +361,7 @@ def _rename_term(t: Term, amap: dict, umap: dict) -> Term:
         x = umap.get(u.unknown, u.unknown)
         return u if x is u.unknown and pi == u.perm else Suspension(pi, x)
 
-    return _rebuild(t, lambda a: amap.get(a, a), on_susp)
+    return _rebuild(t, amap, on_susp)
 
 
 def _rename_ctx(ctx: FreshnessContext, amap: dict, umap: dict) -> FreshnessContext:

@@ -13,9 +13,12 @@ classes, immutable by convention: nothing outside this module assigns a
 field (tests/test_terms_immutable.py keeps it so).  Term `==` and `hash`
 read the flat preorder key (`_flat_key`) on an explicit stack, and the hash
 is kept on the node once computed.  Every walker keeps its own stack, so
-terms of any depth work; those that rebuild a term or combine its
-children's values go through one bottom-up fold, `_fold`.  A rebuild hands
-back each node it does not change, so unchanged subterms stay shared.
+terms of any depth work.  The rebuilds (`act`, `substitute` and renaming)
+run on `_rebuild`'s loop, which reads the atom map inline and calls out only
+at a suspension; it hands back each node it does not change, so unchanged
+subterms stay shared.  `_fold` is left to the folds that build values other
+than terms.  A stack entry that is not a node is the private `_END`, so a
+non-term reached as a term raises TypeError in every walker.
 Walkers dispatch on the exact node type (`type(u) is App`), never on class
 patterns in a match statement, which take about twice as long
 (tests/test_dispatch.py keeps it so).
@@ -24,11 +27,11 @@ patterns in a match statement, which take about twice as long
 from __future__ import annotations
 
 import itertools
-import operator
 import threading
 import weakref
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from operator import is_not
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -264,12 +267,17 @@ def var(x: Unknown) -> Suspension:
     return Suspension(ID, x)
 
 
+# Pushed between a node and its children, which are done when it is popped.
+# No term is this object, so a non-term is never read as a stack entry.
+_END = object()
+
+
 def _fold(t: Term, on_atom, on_susp, on_abs, on_app):
     """Combine t bottom-up: a leaf's value is on_atom(u) or on_susp(u), an
     abstraction's on_abs(u, body's value) and an application's on_app(u,
-    tuple of its arguments' values).  Every walker that rebuilds a term or
-    combines its children's values comes here; the walk keeps its own stack,
-    so terms of any depth work, and dispatches on the exact type."""
+    tuple of its arguments' values).  The folds that build values other
+    than terms (check_fresh, term_depth) come here; the walk keeps its own
+    stack, so terms of any depth work, and dispatches on the exact type."""
     stack: list = [t]
     values: list = []
     while stack:
@@ -280,12 +288,12 @@ def _fold(t: Term, on_atom, on_susp, on_abs, on_app):
         elif kind is Suspension:
             values.append(on_susp(u))
         elif kind is Abstraction:
-            stack += ((u,), u.body)
+            stack += (u, _END, u.body)
         elif kind is App:
-            stack += ((u,), *reversed(u.args))
-        elif kind is not tuple:
+            stack += (u, _END, *reversed(u.args))
+        elif u is not _END:
             raise TypeError(f"not a term: {u!r}")
-        elif type(u := u[0]) is Abstraction:  # (u,): u's children are done
+        elif type(u := stack.pop()) is Abstraction:
             values[-1] = on_abs(u, values[-1])
         else:
             n = len(values) - len(u.args)
@@ -293,19 +301,43 @@ def _fold(t: Term, on_atom, on_susp, on_abs, on_app):
     return values[0]
 
 
-def _share_app(u: App, args: tuple) -> App:
-    """u itself when every argument came back as the same object, else a
-    new application of u's former to args."""
-    return u if all(map(operator.is_, args, u.args)) else App(u.former, args)
-
-
-def _rebuild(t: Term, rename, on_susp) -> Term:
-    """t with each atom a, bound or free, renamed to rename(a) and each
-    suspension u replaced by on_susp(u).  A node whose atom maps to itself
-    and whose children come back as the same objects is returned itself."""
-    on_atom = lambda u: u if (a := rename(u.atom)) is u.atom else AtomTerm(a)
-    on_abs = lambda u, body: u if (a := rename(u.atom)) is u.atom and body is u.body else Abstraction(a, body)
-    return _fold(t, on_atom, on_susp, on_abs, _share_app)
+def _rebuild(t: Term, mapping: Mapping[Atom, Atom], on_susp) -> Term:
+    """t with each atom a, bound or free, renamed to mapping.get(a, a) and
+    each suspension u replaced by on_susp(u), the only call the walk makes
+    per node.  A node whose atom maps to itself and whose children come
+    back as the same objects is returned itself, so unchanged subterms stay
+    shared.  The walk keeps its own stack and dispatches on the exact type."""
+    get = mapping.get
+    stack: list = [t]
+    values: list = []
+    while stack:
+        u = stack.pop()
+        if u is _END:  # the node next on the stack has its children done
+            u = stack.pop()
+            if type(u) is Abstraction:
+                a, body = u.atom, values[-1]
+                values[-1] = u if (b := get(a, a)) is a and body is u.body else Abstraction(b, body)
+            else:
+                n = len(values) - len(u.args)
+                args = values[n:]  # u itself unless an argument came back new
+                values[n:] = [App(u.former, tuple(args)) if any(map(is_not, args, u.args)) else u]
+            continue
+        kind = type(u)
+        if kind is AtomTerm:
+            a = u.atom
+            values.append(u if (b := get(a, a)) is a else AtomTerm(b))
+        elif kind is App:
+            if u.args:
+                stack += (u, _END, *reversed(u.args))
+            else:
+                values.append(u)
+        elif kind is Abstraction:
+            stack += (u, _END, u.body)
+        elif kind is Suspension:
+            values.append(on_susp(u))
+        else:
+            raise TypeError(f"not a term: {u!r}")
+    return values[0]
 
 
 def act(pi: Permutation, t: Term) -> Term:
@@ -313,12 +345,13 @@ def act(pi: Permutation, t: Term) -> Term:
 
     Suspensions absorb the permutation eagerly, so a term at rest never
     contains a permutation applied to anything but an unknown; abstracted
-    atoms are renamed along with everything else.  A subterm that holds no
+    atoms are renamed along with everything else, read off pi's mapping in
+    `_rebuild`'s loop with no call per node.  A subterm that holds no
     suspension and no atom pi moves comes back as the same object.
     """
     if pi.is_identity:
         return t
-    return _rebuild(t, pi, lambda u: Suspension(pi * u.perm, u.unknown))
+    return _rebuild(t, pi.mapping, lambda u: Suspension(pi * u.perm, u.unknown))
 
 
 class Substitution(Mapping):
@@ -371,7 +404,7 @@ def substitute(t: Term, sigma: Substitution) -> Term:
     if not sigma:
         return t
     binds = sigma._map
-    return _rebuild(t, lambda a: a, lambda u: act(u.perm, binds[u.unknown]) if u.unknown in binds else u)
+    return _rebuild(t, {}, lambda u: act(u.perm, binds[u.unknown]) if u.unknown in binds else u)
 
 
 def atoms_of(*items: Term | FreshnessContext) -> set[Atom]:
@@ -380,8 +413,8 @@ def atoms_of(*items: Term | FreshnessContext) -> set[Atom]:
     out: set[Atom] = set()
     stack: list = []
     for it in items:
-        if isinstance(it, Term):
-            stack.append(it)
+        if isinstance(it, Term) or not hasattr(it, "pairs"):
+            stack.append(it)  # a non-term raises TypeError in the walk
         else:
             out.update(a for a, _ in it.pairs)
     while stack:
@@ -438,8 +471,8 @@ def unknowns_of(*items: Term | FreshnessContext) -> set[Unknown]:
     out: set[Unknown] = set()
     stack: list = []
     for it in items:
-        if isinstance(it, Term):
-            stack.append(it)
+        if isinstance(it, Term) or not hasattr(it, "pairs"):
+            stack.append(it)  # a non-term raises TypeError in the walk
         else:
             out.update(x for _, x in it.pairs)
     while stack:

@@ -1,10 +1,11 @@
 """Reference definitions that the library replaced with faster ones.
 
 Most functions here are the plain syntax-directed recursion that the
-library's walker replaced with an explicit stack (`terms._fold` or a
-worklist).  The property tests in test_walkers.py check that the two agree
-on small terms; these references raise RecursionError on terms about a
-thousand deep, which is why the library does not use them.
+library's walkers replaced with explicit stacks (`terms._rebuild`,
+`terms._fold` or a worklist).  The property tests in test_walkers.py check
+that the two agree on small terms; these references raise RecursionError
+on terms about a thousand deep, which is why the library does not use
+them.
 `scrub_innermost_first` is the scrub rule the library ran before its
 one-pass rule, kept to show where the two agree.  `check_alpha`
 is the rule-by-rule alpha check that test_alpha.py and test_rewrite.py

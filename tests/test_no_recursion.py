@@ -2,10 +2,10 @@
 
 A function that calls itself once per level of a term raises RecursionError
 on valid terms about a thousand deep, so the walkers keep their own stacks
-(`terms._fold` and the worklists).  No library function calls itself; one
-that must would be listed in ALLOWED with its reason.  This test keeps a
-new walker from bringing the depth limit back unnoticed, and drops an entry
-from the list once its function no longer recurses.
+(`terms._rebuild`, `terms._fold` and the worklists).  No library function
+calls itself; one that must would be listed in ALLOWED with its reason.
+This test keeps a new walker from bringing the depth limit back unnoticed,
+and drops an entry from the list once its function no longer recurses.
 """
 
 import ast

@@ -48,3 +48,13 @@ def test_alpha_scaling_runs(capsys, monkeypatch):
     assert header.split() == ["binders", "equal", "(s)", "unequal", "(s)", "root", "differs", "(s)"]
     assert [row.split()[0] for row in rows] == ["10", "100"]
     assert all(len(row.split()) == 4 for row in rows)
+
+
+def test_action_scaling_runs(capsys, monkeypatch):
+    # The script checks both actions' results; small sizes keep it quick.
+    monkeypatch.setattr("sys.argv", ["action_scaling.py", "30", "300"])
+    runpy.run_path(str(SCRIPTS / "action_scaling.py"), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["nodes", "act", "us/1k", "nodes", "substitute", "us/1k", "nodes"]
+    assert [row.split()[0] for row in rows] == ["31", "301"]
+    assert all(len(row.split()) == 3 for row in rows)

@@ -22,19 +22,24 @@ from nomrew import (
     Suspension,
     Unknown,
     act,
+    alpha_holds,
+    alpha_key,
     atoms_of,
     check_alpha,
     check_fresh,
     fresh_holds,
+    scrub,
     solve_match,
     substitute,
     swap,
+    term_depth,
     unknowns_of,
     var,
     verify_derivation,
 )
 import pytest
 from nomrew import matching
+from nomrew.rewrite import _rename_term
 from nomrew.terms import _flat_key, fresh_names
 from reference_walkers import cycle_swaps, swap_list_mapping
 from strategies import ATOMS, atoms_st, perms_st, random_perm, random_subst, random_term, substs_st, terms_st
@@ -144,6 +149,34 @@ def test_atoms_and_unknowns():
     assert atoms_of(t) == {a, b}
     assert unknowns_of(t) == set()
     assert unknowns_of(App("f", (var(X), Suspension(swap(a, b), Y)))) == {X, Y}
+
+
+# Every walker, given a term with the pair `other` to compare it with where it
+# takes two.
+WALKERS = {
+    "act": lambda t, other: act(swap(a, b), t),
+    "substitute": lambda t, other: substitute(t, Substitution({X: AtomTerm(a)})),
+    "_rename_term": lambda t, other: _rename_term(t, {a: b, b: a}, {X: Y}),
+    "term_depth": lambda t, other: term_depth(t),
+    "check_fresh": lambda t, other: check_fresh(EMPTY_CTX, a, t),
+    "fresh_holds": lambda t, other: fresh_holds(EMPTY_CTX, a, t),
+    "alpha_key": lambda t, other: alpha_key(EMPTY_CTX, t),
+    "alpha_holds": lambda t, other: alpha_holds(EMPTY_CTX, t, other),
+    "check_alpha": lambda t, other: check_alpha(EMPTY_CTX, t, other),
+    "scrub": lambda t, other: scrub(EMPTY_CTX, t, [a, b]),
+    "atoms_of": lambda t, other: atoms_of(t),
+    "unknowns_of": lambda t, other: unknowns_of(t),
+}
+
+
+@pytest.mark.parametrize("walker", WALKERS)
+@pytest.mark.parametrize(
+    "t, other", [((1, 2), (3, 4)), (App("f", ((1, 2),)), App("f", ((3, 4),)))], ids=["root", "argument"]
+)
+def test_walkers_raise_type_error_on_a_non_term(walker, t, other):
+    # A tuple is never read as one of the walker's own stack entries.
+    with pytest.raises(TypeError, match="not a term"):
+        WALKERS[walker](t, other)
 
 
 def test_signature_checks():

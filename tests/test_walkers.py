@@ -416,6 +416,25 @@ def test_rebuilds_that_change_nothing_return_their_input():
     assert scrub(EMPTY_CTX, t, ATOMS) is t
 
 
+def test_act_calls_the_permutation_for_no_node(monkeypatch):
+    # act reads atoms straight off the permutation's mapping in the rebuild
+    # loop, so it makes no Python call per atom leaf or binder.
+    calls = 0
+    call = Permutation.__call__
+
+    def counted(self, atom):
+        nonlocal calls
+        calls += 1
+        return call(self, atom)
+
+    monkeypatch.setattr(Permutation, "__call__", counted)
+    t = App("g", tuple(Abstraction(a, App("h", (AtomTerm(b),))) for _ in range(333)))
+    assert term_size(t) == 1000
+    got = act(swap(a, b), t)
+    assert calls == 0
+    assert got == App("g", tuple(Abstraction(b, App("h", (AtomTerm(a),))) for _ in range(333)))
+
+
 def test_scrub_rename_keeps_inner_binders_it_renames_back():
     # renaming [a$0] to [b] carries (b a$0) into the body, where the inner
     # [b] reads as [a$0] and is renamed back to [b], undoing the swap
