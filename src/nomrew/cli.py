@@ -86,7 +86,8 @@ def _perm_json(pi: Permutation) -> list:
 
 
 def _step_json(step: RewriteStep, show) -> dict:
-    out = {
+    fr = step.freshened
+    return {
         "rule": step.rule,
         "path": list(step.path),
         "perm": _perm_json(step.perm),
@@ -96,18 +97,10 @@ def _step_json(step: RewriteStep, show) -> dict:
         "result": show(step.result),
         "mode": step.mode,
         "ctx_extension": _ctx_json(step.ctx_extension),
+        "freshened": None if fr is None else {
+            "name": fr.name, "ctx": pretty_ctx(fr.ctx), "lhs": show(fr.lhs), "rhs": show(fr.rhs)
+        },
     }
-    if step.freshened is not None:
-        fr = step.freshened
-        out["freshened"] = {
-            "name": fr.name,
-            "ctx": pretty_ctx(fr.ctx),
-            "lhs": show(fr.lhs),
-            "rhs": show(fr.rhs),
-        }
-    else:
-        out["freshened"] = None
-    return out
 
 
 def _step_from_json(data: dict, term) -> RewriteStep:
@@ -445,6 +438,17 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _int_from(low: int):
+    """An argparse type: an int no smaller than `low`."""
+    def at_least(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    at_least.__name__ = "int"  # so a text that is no int gets argparse's "invalid int value"
+    return at_least
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nomrew", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("--term", required=True)
     p.add_argument("--ctx", default="")
-    p.add_argument("--fuel", type=int, default=500)
+    p.add_argument("--fuel", type=_int_from(1), default=500)
     p.add_argument("--strategy", choices=("outermost", "innermost"), default="outermost")
-    p.add_argument("--max-support", type=int, default=MAX_SUPPORT, dest="max_support", help="general rewriting only")
+    p.add_argument("--max-support", type=_int_from(0), default=MAX_SUPPORT, dest="max_support", help="general rewriting only")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--general", action="store_true", help="general rewriting (permutation search)")
     mode.add_argument("--closed", action="store_true", help="closed rewriting (default)")
@@ -473,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--ctx", default="")
-    p.add_argument("--fuel", type=int, default=500)
+    p.add_argument("--fuel", type=_int_from(1), default=500)
     p.add_argument("--assume-convergent", action="store_true", dest="assume_convergent")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_equal)
@@ -506,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("--term", required=True)
     p.add_argument("--ctx", default="")
-    p.add_argument("--max-support", type=int, default=MAX_SUPPORT, dest="max_support", help="general rewriting only")
+    p.add_argument("--max-support", type=_int_from(0), default=MAX_SUPPORT, dest="max_support", help="general rewriting only")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--general", action="store_true")
     mode.add_argument("--closed", action="store_true")
@@ -533,10 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except NominalError as e:
+    except (FileNotFoundError, NominalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:  # exit 1 means "no"; an unexpected failure must not read as one

@@ -37,26 +37,26 @@ test against the prepared lhs (`_may_match`), and a preparation builds what
 it needs for that (its `Firing`) only when the first hole passes.
 
 What does not depend on the step is not redone at each step.  `normalize`,
-`reachable` and `symmetric_search` prepare the theory once per call for each
-pair of atoms and unknowns their subjects have (`_prepare_all`), and
-normalization shape-tests a hole only against the rules whose lhs head fits
-the hole's.  The renamed rule depends only on the unknowns it shares with
-the subject, so it is kept with the rule once per shared set, and its names
-are collected once with it; a subject that mentions a machine unknown
-(stem$n, a name the renaming may pick) falls back to a rule renamed for it
-alone.  The permuted sides (pi, pi.lhs, pi.rhs) depend only on the renamed
-rule and the universe, so they are kept with the renamed rule across calls,
-one list per universe, each side built when a search first reaches its
-candidate.  The instances found at a hole depend on those, the context and
-the hole, so `normalize_general`, `rewrite_closure_reachable` and
+`reachable` and `symmetric_search` prepare a rule at most once per call for
+each pair of atoms and unknowns their subjects have (`_prepare_all`), and
+normalization only at a hole that fits its lhs (`_prepared`), among the rules
+whose lhs head fits the hole's.  The renamed rule depends only on the
+unknowns it shares with the subject, so it is kept with the rule once per
+shared set, and its names are collected once with it; a subject that mentions
+a machine unknown (stem$n, a name the renaming may pick) falls back to a rule
+renamed for it alone.  The permuted sides (pi, pi.lhs, pi.rhs) depend only on
+the renamed rule and the universe, so they are kept with the renamed rule
+across calls, one list per universe, each side built when a search first
+reaches its candidate.  The instances found at a hole depend on those, the
+context and the hole, so `normalize_general`, `rewrite_closure_reachable` and
 `symmetric_search` keep them in a dict of their own for the length of the
-call (`rewrite_step_general`'s call is one step): the permutation search
-runs once per distinct hole per call, however often the hole comes back.
-`_breadth_first` keys a general step without building it: a node has a
-fixed width in its alpha key (de Bruijn), so the key of C[r] is the
-subject's with the hole's slice replaced by r's key under C's binders (an
-alpha-variant keys as the subject outside the hole), and only the steps that
-reach the target or a new class are built.  A closed step is built, then keyed.
+call (`rewrite_step_general`'s call is one step): the permutation search runs
+once per distinct hole per call, however often the hole comes back.
+`_breadth_first` keys a general step without building it: a node has a fixed
+width in its alpha key (de Bruijn), so the key of C[r] is the subject's with
+the hole's slice replaced by r's key under C's binders (an alpha-variant keys
+as the subject outside the hole), and only the steps that reach the target or
+a new class are built.  A closed step is built, then keyed.
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -776,33 +776,36 @@ def _head(t: Term):
     return (t.former, len(t.args)) if type(t) is App else type(t)
 
 
-def _prepare_all(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject, rules) -> tuple[list, dict]:
-    """The rules prepared with `prepare(subject, rule)`, kept in the call's
-    dict `kept` per pair of the subject's atoms and unknowns (all that a
-    preparation reads of a subject under the call's one context), with an
-    index, a discrimination tree's first level (Graf): each lhs head lists,
-    in theory order, the rules whose lhs root can sit under it, and
-    `Suspension` lists the suspension lhs alone, for a hole of any other."""
-    key = subject.atoms, subject.unknowns
+def _prepared(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject, rules, i: int) -> PreparedRule:
+    """Rule i prepared with `prepare(subject, rule)` and kept in the call's
+    dict per pair of the subject's atoms and unknowns, all that a preparation
+    reads of a subject under the call's one context."""
+    key = subject.atoms, subject.unknowns, i
     if key not in kept:
-        prepared = [prepare(subject, rule) for rule in rules]
-        heads = {_head(p.lhs) for p in prepared} | {Suspension}
-        kept[key] = prepared, {h: [p for p in prepared if _head(p.lhs) in (h, Suspension)] for h in heads}
+        kept[key] = prepare(subject, rules[i])
     return kept[key]
 
 
-def _first_step(s: Term, by_head: dict, innermost: bool) -> tuple[Optional[RewriteStep], bool]:
-    """The first applicable step under the strategy ordering: positions in
-    strategy order, rules in theory order, instances in the engine's order.
-    Each hole is shape-tested only against the rules whose lhs head fits
-    its head.  Only identity variants are tried; if any alpha-variant of s
-    can step then so can s itself, so this loses no normal-form detection.
-    With no step, also whether a search cut by its universe ran at a hole."""
+def _prepare_all(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject, rules) -> list[PreparedRule]:
+    """Every rule prepared for the subject, kept as `_prepared` keeps one."""
+    key = subject.atoms, subject.unknowns
+    if key not in kept:
+        kept[key] = [prepare(subject, rule) for rule in rules]
+    return kept[key]
+
+
+def _first_step(s: Term, rules, by_head: dict, prepared: Callable, innermost: bool) -> tuple[Optional[RewriteStep], bool]:
+    """The first step in strategy order of positions, then theory order of
+    the rules `by_head` lists for the hole's head, each prepared by
+    `prepared(i)` at the first hole its lhs fits.  Only identity variants are
+    tried: if an alpha-variant of s can step, so can s.  With no step, also
+    whether a search cut by its universe ran."""
     cut = False
     for frames, hole in _places(s, innermost):
-        for prep in by_head.get(_head(hole), by_head[Suspension]):
-            if not _may_match(prep.lhs, hole):
+        for i in by_head.get(_head(hole), by_head[Suspension]):
+            if not _may_match(rules[i].lhs, hole):
                 continue
+            prep = prepared(i)
             for pi, theta, rhs in prep.firing.instances(hole):
                 return _build(s, prep, (None, frames, hole, False, pi, theta, rhs)), False
             cut |= prep.truncated
@@ -817,21 +820,26 @@ def normalize(
     strategy: str | None = None,
     fuel: int = 500,
 ) -> NormalizeResult:
-    """Apply first steps under the strategy (default outermost), preparing
-    every rule with `prepare(subject, rule)` once per subject's names
-    (`_prepare_all`), until none applies or the fuel runs out.
-    The status is normal_form, truncated when no step was found but some
-    permutation search was cut short, or fuel_exhausted."""
+    """Apply first steps under the strategy (default outermost) until none
+    applies or the fuel runs out.  The head index, a discrimination tree's
+    first level (Graf), is built per call from the rules' own lhs, as no
+    renaming changes a head: a head lists, in theory order, the rules whose
+    lhs root can sit under it, `Suspension` the suspension lhs alone.  The
+    status is normal_form, truncated (no step, but a permutation search was
+    cut short) or fuel_exhausted."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if strategy not in (None, "", "outermost", "innermost"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    rules = theory.rules
+    heads = {_head(rule.lhs) for rule in rules} | {Suspension}
+    by_head = {h: [i for i, rule in enumerate(rules) if _head(rule.lhs) in (h, Suspension)] for h in heads}
     trace: list[RewriteStep] = []
     current = s
     kept: dict = {}
     while True:
-        by_head = _prepare_all(kept, prepare, Subject(ctx, current), theory.rules)[1]
-        step, cut = _first_step(current, by_head, strategy == "innermost")
+        prepared = partial(_prepared, kept, prepare, Subject(ctx, current), rules)
+        step, cut = _first_step(current, rules, by_head, prepared, strategy == "innermost")
         if step is None:
             return NormalizeResult(current, trace, "truncated" if cut else "normal_form")
         if len(trace) == fuel:
@@ -905,7 +913,7 @@ def _breadth_first(
                 return None
             expanded += 1
             places, spans = list(_places(u)), None
-            for prepared in _prepare_all(kept, prepare, Subject(ctx, u), rules)[0]:
+            for prepared in _prepare_all(kept, prepare, Subject(ctx, u), rules):
                 general = prepared.mode == "general"
                 for candidate in _candidates(u, places, prepared):
                     if general:

@@ -13,12 +13,16 @@ compare `alpha_holds` and the library's `check_alpha` against.  At the end are
 the swap-list reading of a permutation and the matcher that copies the
 pattern body under each mismatched binder, which test_terms.py and
 test_matching.py compare `Permutation` and `solve_match` against.  Last
-is the character-by-character tokenizer and recursive-descent term reader
-that test_syntax.py compares the library's regex scanner and explicit-stack
-reader against.
+is a whole reader of its own: the character-by-character tokenizer, which
+gives each token its line and column as it goes, and a parser reading terms
+by recursive descent, with its own `parse_term`, `parse_context` and
+`parse_theory`, which test_syntax.py compares the library's one-scan reader
+against.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from nomrew import (
     Abstraction,
@@ -26,10 +30,16 @@ from nomrew import (
     Atom,
     AtomTerm,
     Derivation,
+    FreshnessContext,
     MatchSolution,
     Permutation,
+    RewriteRule,
+    RuleError,
+    Signature,
+    SignatureError,
     Substitution,
     Suspension,
+    Theory,
     Unknown,
     alpha_holds,
     atoms_of,
@@ -37,7 +47,7 @@ from nomrew import (
     var,
 )
 from nomrew.rewrite import _complete_perm
-from nomrew.syntax import PUNCT, ParseError, Token, _is_unknown_name, _Parser
+from nomrew.syntax import ParseError
 from nomrew.terms import ID, MACHINE_MARK, fresh_names
 
 
@@ -367,6 +377,17 @@ def solve_match(problem):
     return MatchSolution(sigma)
 
 
+PUNCT = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
+         ".": "DOT", ",": "COMMA", "#": "HASH", ":": "COLON", ";": "SEMI", "=": "EQ"}
+
+
+class Token(NamedTuple):
+    kind: str  # IDENT | NAT | one of PUNCT values | TURNSTILE | ARROW | EOF
+    text: str
+    line: int
+    col: int
+
+
 def tokenize(text, allow_machine=False):
     toks = []
     line, col = 1, 1
@@ -426,15 +447,36 @@ def tokenize(text, allow_machine=False):
     return toks
 
 
-class Parser(_Parser):
-    """The library's reader with the tokenizer above and terms read by
-    recursive descent; statements and contexts are the library's own."""
+def _is_unknown_name(name):
+    return name[0].isupper()
+
+
+class Parser:
+    """A reader over the tokens above, terms read by recursive descent."""
 
     def __init__(self, text, signature=None, allow_machine=False):
         self.toks = tokenize(text, allow_machine)
         self.pos = 0
         self.signature = signature
-        self.inferred = {}
+        self.inferred = {}  # arities seen when no signature is given
+
+    def peek(self, ahead=0):
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.next()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        return tok
+
+    def fail(self, message, tok):
+        raise ParseError(message, tok.line, tok.col)
 
     def term(self):
         tok = self.peek()
@@ -471,3 +513,134 @@ class Parser(_Parser):
             self.check_former(name, 0, tok)
             return App(name, ())
         return AtomTerm(Atom(name))
+
+    def suspension(self):
+        swaps = []
+        while self.peek().kind == "LPAREN":
+            self.next()
+            first = self.atom_name()
+            second = self.atom_name()
+            self.expect("RPAREN", "')'")
+            swaps.append((first, second))
+        self.expect("DOT", "'.' after swaps")
+        tok = self.expect("IDENT", "an unknown")
+        if not _is_unknown_name(tok.text):
+            self.fail(f"expected an unknown (uppercase-initial), found {tok.text!r}", tok)
+        return Suspension(Permutation(swaps), Unknown(tok.text))
+
+    def atom_name(self):
+        tok = self.expect("IDENT", "an atom")
+        if _is_unknown_name(tok.text):
+            self.fail(f"expected an atom (lowercase-initial), found {tok.text!r}", tok)
+        return Atom(tok.text)
+
+    def check_former(self, name, arity, tok):
+        if self.signature is not None:
+            try:
+                declared = self.signature.arity(name)
+            except SignatureError:
+                self.fail(f"unknown term-former {name!r}", tok)
+            if declared != arity:
+                self.fail(f"former {name!r} has arity {declared}, applied to {arity} arguments", tok)
+        elif self.inferred.setdefault(name, arity) != arity:
+            self.fail(f"former {name!r} used with arities {self.inferred[name]} and {arity}", tok)
+
+    def context(self):
+        pairs = []
+        if self.peek().kind == "IDENT":
+            while True:
+                atom = self.atom_name()
+                self.expect("HASH", "'#'")
+                tok = self.expect("IDENT", "an unknown")
+                if not _is_unknown_name(tok.text):
+                    self.fail(f"expected an unknown after '#', found {tok.text!r}", tok)
+                pairs.append((atom, Unknown(tok.text)))
+                if self.peek().kind != "COMMA":
+                    break
+                self.next()
+        return FreshnessContext(frozenset(pairs))
+
+    def theory(self):
+        self.signature = Signature(())
+        name = ""
+        arities = []
+        entries = []
+        while self.peek().kind != "EOF":
+            tok = self.next()
+            if tok.kind != "IDENT":
+                self.fail(f"expected a statement, found {tok.text!r}", tok)
+            if tok.text == "theory":
+                name = self.expect("IDENT", "a theory name").text
+                self.expect("SEMI", "';'")
+            elif tok.text == "sig":
+                while self.peek().kind == "IDENT":
+                    former = self.next().text
+                    self.expect("COLON", "':'")
+                    arity = int(self.expect("NAT", "an arity").text)
+                    arities.append((former, arity))
+                self.expect("SEMI", "';'")
+                try:
+                    self.signature = Signature.of(arities)
+                except SignatureError as e:
+                    self.fail(str(e), tok)
+            elif tok.text in ("rule", "axiom"):
+                rule_tok = self.expect("IDENT", "a rule name")
+                self.expect("COLON", "':'")
+                ctx = FreshnessContext(frozenset())
+                first = self.peek().kind
+                if first == "TURNSTILE" or (first == "IDENT" and self.peek(1).kind == "HASH"):
+                    ctx = self.context()
+                    self.expect("TURNSTILE", "'|-'")
+                lhs = self.term()
+                sep = self.next()
+                if tok.text == "rule" and sep.kind != "ARROW":
+                    self.fail("expected '->' in a rule (use 'axiom' for '=')", sep)
+                if tok.text == "axiom" and sep.kind != "EQ":
+                    self.fail("expected '=' in an axiom (use 'rule' for '->')", sep)
+                rhs = self.term()
+                self.expect("SEMI", "';'")
+                entries.append((RewriteRule(rule_tok.text, ctx, lhs, rhs), tok.text, rule_tok))
+            else:
+                self.fail(f"expected 'theory', 'sig', 'rule' or 'axiom', found {tok.text!r}", tok)
+
+        kinds = {kind for _, kind, _ in entries}
+        if kinds == {"rule"} or not kinds:
+            theory_kind = "rewrite"
+        elif kinds == {"axiom"}:
+            theory_kind = "equational"
+        else:
+            _, _, where = next(e for e in entries if e[1] == "axiom")
+            self.fail("a theory may not mix rules and axioms", where)
+
+        seen_names = set()
+        checked = []
+        for rule, _, where in entries:
+            if rule.name in seen_names:
+                self.fail(f"duplicate rule name {rule.name}", where)
+            seen_names.add(rule.name)
+            try:
+                rule.validate()
+            except RuleError as e:
+                self.fail(str(e), where)
+            checked.append(rule)
+        return Theory(self.signature, tuple(checked), theory_kind, name)
+
+
+def _whole(p, read):
+    got = read(p)
+    tok = p.peek()
+    if tok.kind != "EOF":
+        p.fail(f"trailing input {tok.text!r}", tok)
+    return got
+
+
+def parse_term(text, signature=None, allow_machine=False):
+    return _whole(Parser(text, signature, allow_machine), Parser.term)
+
+
+def parse_context(text, allow_machine=False):
+    return _whole(Parser(text, None, allow_machine), Parser.context)
+
+
+def parse_theory(text, allow_machine=False):
+    return Parser(text, None, allow_machine).theory()

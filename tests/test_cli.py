@@ -48,10 +48,41 @@ def test_check_parse_error_exits_two(tmp_path, capsys):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["equal", str(FOL), "imp(P", "P"], "parse error: line 1, col 6: expected ')', found 'end of input'"),
+    (["equal", str(FOL), "P", "and(P,)"], "parse error: line 1, col 7: expected a term, found ')'"),
+    (["equal", str(FOL), "P", "P", "--ctx", "a#X,b"], "parse error: line 1, col 6: expected '#', found 'end of input'"),
+])
+def test_parse_error_positions(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", line + "\n")
+
+
+def test_theory_parse_error_position_counts_a_tab_as_one_column(tmp_path, capsys):
+    bad = tmp_path / "bad.nrw"
+    bad.write_text("// a comment line\nsig f:1 ;\n\trule r : f(X) -> g(X) ;\n")
+    assert run(capsys, "check", str(bad)) == (2, "", "parse error: line 3, col 19: unknown term-former 'g'\n")
+
+
 def test_flag_misuse_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["normalize", str(BETAETA), "--strategy", "sideways", "--term", "a"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["equal", str(FOL), "P", "P", "--fuel", "0"], "argument --fuel: must be at least 1, got 0"),
+    (["normalize", str(FOL), "--term", "P", "--fuel", "-3"], "argument --fuel: must be at least 1, got -3"),
+    (["normalize", str(FOL), "--term", "P", "--general", "--max-support", "-1"],
+     "argument --max-support: must be at least 0, got -1"),
+    (["step", str(FOL), "--term", "P", "--general", "--max-support", "-1"],
+     "argument --max-support: must be at least 0, got -1"),
+    (["equal", str(FOL), "P", "P", "--fuel", "x"], "argument --fuel: invalid int value: 'x'"),
+])
+def test_bad_fuel_or_max_support_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: nomrew ") and message in err
 
 
 def test_normalize_closed(capsys):

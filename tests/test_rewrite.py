@@ -394,11 +394,16 @@ def test_shape_test_changes_no_trace(theory_term, ctx):
         assert _engine_runs(ctx, theory, s) == filtered
 
 
-def _prepare_afresh(kept, prepare, subject, rules):
-    """The core's kept preparations with nothing kept and no index: every
-    rule prepared anew for every subject and tried at every hole."""
-    prepared = [prepare(subject, rule) for rule in rules]
-    return prepared, {Suspension: prepared}
+def _prepare_afresh(kept, prepare, subject, rules, i):
+    """The core's kept preparation with nothing kept: the rule prepared anew
+    at every hole that asks for it."""
+    return prepare(subject, rules[i])
+
+
+def _prepare_all_afresh(kept, prepare, subject, rules):
+    """The core's kept preparations with nothing kept: every rule prepared
+    anew for every subject."""
+    return [prepare(subject, rule) for rule in rules]
 
 
 def _kept_runs(ctx, theory, s, t):
@@ -420,22 +425,45 @@ def _kept_runs(ctx, theory, s, t):
 @given(_theory_terms.flatmap(lambda ts: hst.tuples(hst.just(ts), sig_terms_st(ts[0]))), contexts_st)
 def test_kept_preparations_step_as_preparing_afresh_does(case, ctx):
     (theory, s), t = case
+    # With no head index, normalize shape-tests every rule at every hole and
+    # prepares afresh at each that fits; the searches prepare every rule
+    # afresh for every subject.
     got = _kept_runs(ctx, theory, s, t)
-    with mock.patch.object(rewrite_module, "_prepare_all", _prepare_afresh):
+    with mock.patch.object(rewrite_module, "_prepared", _prepare_afresh), \
+            mock.patch.object(rewrite_module, "_prepare_all", _prepare_all_afresh), \
+            mock.patch.object(rewrite_module, "_head", lambda t: Suspension):
         assert got == _kept_runs(ctx, theory, s, t)
 
 
 def test_normalize_prepares_each_rule_once_per_names(monkeypatch):
     # Every subject of these normalizations has the atoms {a} and the
-    # unknowns {P, Q}, or a subset, so the rules are prepared once for each
-    # pair met, not once per step.
+    # unknowns {P, Q}, or a subset.  A rule is prepared at most once for each
+    # pair met, not once per step, and only for the pairs of the subjects
+    # where some hole the search visits fits its lhs.
     fol = next(theory for theory in BUNDLED if theory.name == "fol")
     s = parse_term("not(not(imp(forall([a]and(P,Q)),exists([a]or(P,not(not(Q)))))))", fol.signature)
+    names = {id(rule.lhs): rule.name for rule in fol.rules}
+    fitted, searched = set(), []
+    real_first_step, real_may_match = rewrite_module._first_step, rewrite_module._may_match
+
+    def first_step(term, *args):
+        searched.append(Subject(EMPTY_CTX, term))
+        return real_first_step(term, *args)
+
+    def may_match(lhs, hole):
+        fits = real_may_match(lhs, hole)
+        if fits:
+            fitted.add((names[id(lhs)], searched[-1].atoms, searched[-1].unknowns))
+        return fits
+
+    monkeypatch.setattr(rewrite_module, "_first_step", first_step)
+    monkeypatch.setattr(rewrite_module, "_may_match", may_match)
     for module, name, run in [
         (closed_module, "_prepare_closed", lambda: closed_normalize(EMPTY_CTX, s, fol)),
         (rewrite_module, "_prepare_general", lambda: normalize_general(EMPTY_CTX, s, fol)),
     ]:
         calls, real = Counter(), getattr(module, name)
+        fitted.clear()
 
         def counted(subject, rule, *args, **kwargs):
             calls[rule.name, subject.atoms, subject.unknowns] += 1
@@ -444,8 +472,23 @@ def test_normalize_prepares_each_rule_once_per_names(monkeypatch):
         monkeypatch.setattr(module, name, counted)
         res = run()
         assert res.status == "normal_form" and len(res.trace) == 5
-        pairs = {(atoms, unknowns) for _, atoms, unknowns in calls}
-        assert set(calls.values()) == {1} and len(calls) == len(fol.rules) * len(pairs) < len(fol.rules) * len(res.trace)
+        assert set(calls.values()) == {1} and set(calls) == fitted
+        assert len({rule for rule, _, _ in calls}) == 5 < len(fol.rules)
+
+
+def test_normalize_walks_no_names_of_a_term_no_lhs_fits(monkeypatch):
+    # Every fol lhs is rooted at imp, not, forall or exists, so no hole of
+    # this term fits one: nothing is prepared and the term is never walked
+    # for its atoms or unknowns.
+    fol = next(theory for theory in BUNDLED if theory.name == "fol")
+    s = parse_term("and(or(P,a),and(b,or(Q,P)))", fol.signature)
+    walks = Counter()
+    for name in ("atoms_of", "unknowns_of"):
+        real = getattr(rewrite_module, name)
+        monkeypatch.setattr(rewrite_module, name, lambda *parts, real=real, name=name: walks.update([name]) or real(*parts))
+    res = closed_normalize(FreshnessContext.of((a, Unknown("P"))), s, fol)
+    assert res.term == s and res.status == "normal_form" and not res.trace
+    assert walks == Counter()
 
 
 def test_general_preparation_refuses_shared_unknowns(monkeypatch):

@@ -58,3 +58,13 @@ def test_action_scaling_runs(capsys, monkeypatch):
     assert header.split() == ["nodes", "act", "us/1k", "nodes", "substitute", "us/1k", "nodes"]
     assert [row.split()[0] for row in rows] == ["31", "301"]
     assert all(len(row.split()) == 3 for row in rows)
+
+
+def test_cli_phases_runs(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["cli_phases.py", "1"])
+    runpy.run_path(str(SCRIPTS / "cli_phases.py"), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["phase", "us/op"]
+    phases = ["argparse", "theory load", "context parse", "term parse", "decide_equal", "report dicts", "JSON text"]
+    assert [row.rsplit(None, 1)[0] for row in rows] == [*phases, "total"]
+    assert all(float(row.split()[-1]) > 0 for row in rows)

@@ -1,5 +1,4 @@
 import itertools
-from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -158,25 +157,38 @@ def test_numeral_that_is_not_a_decimal_digit_is_a_parse_error():
     assert (err.value.message, err.value.col) == ("unexpected character '\u00b2'", 7)
 
 
-# The library reader against the tokenizer and recursive-descent reader it
-# replaced (reference_walkers.Parser), through every entry point: each text
-# must give equal results, or the same error at the same place.
-READERS = [
-    *(
-        lambda text, sig=sig, machine=machine: parse_term(text, sig, allow_machine=machine)
-        for sig, machine in itertools.product(
-            (None, Signature.of({"u": 1, "g": 2, "tt": 0}), Signature.of({"u": 2, "g": 1})), (False, True)
-        )
-    ),
-    *(lambda text, machine=machine: parse_context(text, allow_machine=machine) for machine in (False, True)),
-    *(lambda text, machine=machine: parse_theory(text, allow_machine=machine) for machine in (False, True)),
-    *(lambda text, machine=machine: syntax.tokenize(text, machine) for machine in (False, True)),
-]
+# The library reader against the reader it replaced, a whole reader of its
+# own in reference_walkers, through every entry point: each text must give
+# equal results, or the same error at the same place.  The tokens are
+# compared too, each by kind, text, line and column: the library's are read
+# off its scan, each position worked out as an error would work it out.
+def _tokens(text, machine):
+    p = syntax._Parser(text, None, machine)
+    p.check_chars()
+    return [(syntax._kind(word), word, *p.where(i)) for i, word in enumerate(p.toks)]
 
 
-def _outcomes(text):
+def _readers(reader, tokens):
+    return [
+        *(
+            lambda text, sig=sig, machine=machine: reader.parse_term(text, sig, allow_machine=machine)
+            for sig, machine in itertools.product(
+                (None, Signature.of({"u": 1, "g": 2, "tt": 0}), Signature.of({"u": 2, "g": 1})), (False, True)
+            )
+        ),
+        *(lambda text, machine=machine: reader.parse_context(text, allow_machine=machine) for machine in (False, True)),
+        *(lambda text, machine=machine: reader.parse_theory(text, allow_machine=machine) for machine in (False, True)),
+        *(lambda text, machine=machine: tokens(text, machine) for machine in (False, True)),
+    ]
+
+
+LIBRARY = _readers(syntax, _tokens)
+REFERENCE = _readers(ref, lambda text, machine: [tuple(tok) for tok in ref.tokenize(text, machine)])
+
+
+def _outcomes(readers, text):
     got = []
-    for read in READERS:
+    for read in readers:
         try:
             got.append(read(text))
         except Exception as e:  # ParseError's text holds its line and column
@@ -185,9 +197,7 @@ def _outcomes(text):
 
 
 def assert_reads_as_reference(text):
-    with mock.patch.object(syntax, "_Parser", ref.Parser), mock.patch.object(syntax, "tokenize", ref.tokenize):
-        expected = _outcomes(text)
-    assert _outcomes(text) == expected
+    assert _outcomes(LIBRARY, text) == _outcomes(REFERENCE, text)
 
 
 @given(terms_st, contexts_st)
