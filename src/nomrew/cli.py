@@ -86,8 +86,7 @@ def _perm_json(pi: Permutation) -> list:
 
 
 def _step_json(step: RewriteStep, show) -> dict:
-    fr = step.freshened
-    return {
+    out = {
         "rule": step.rule,
         "path": list(step.path),
         "perm": _perm_json(step.perm),
@@ -97,10 +96,18 @@ def _step_json(step: RewriteStep, show) -> dict:
         "result": show(step.result),
         "mode": step.mode,
         "ctx_extension": _ctx_json(step.ctx_extension),
-        "freshened": None if fr is None else {
-            "name": fr.name, "ctx": pretty_ctx(fr.ctx), "lhs": show(fr.lhs), "rhs": show(fr.rhs)
-        },
     }
+    if step.freshened is not None:
+        fr = step.freshened
+        out["freshened"] = {
+            "name": fr.name,
+            "ctx": pretty_ctx(fr.ctx),
+            "lhs": show(fr.lhs),
+            "rhs": show(fr.rhs),
+        }
+    else:
+        out["freshened"] = None
+    return out
 
 
 def _step_from_json(data: dict, term) -> RewriteStep:
@@ -537,7 +544,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, NominalError) as e:
+    except FileNotFoundError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except NominalError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:  # exit 1 means "no"; an unexpected failure must not read as one

@@ -38,9 +38,9 @@ it needs for that (its `Firing`) only when the first hole passes.
 
 What does not depend on the step is not redone at each step.  `normalize`,
 `reachable` and `symmetric_search` prepare a rule at most once per call for
-each pair of atoms and unknowns their subjects have (`_prepare_all`), and
-normalization only at a hole that fits its lhs (`_prepared`), among the rules
-whose lhs head fits the hole's.  The renamed rule depends only on the
+each pair of atoms and unknowns their subjects have (`_prepared`): a search
+every rule for each subject (`_prepare_all`), normalization only at a hole
+that fits its lhs, among the rules whose lhs head fits the hole's.  The renamed rule depends only on the
 unknowns it shares with the subject, so it is kept with the rule once per
 shared set, and its names are collected once with it; a subject that mentions
 a machine unknown (stem$n, a name the renaming may pick) falls back to a rule
@@ -787,11 +787,8 @@ def _prepared(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject
 
 
 def _prepare_all(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject, rules) -> list[PreparedRule]:
-    """Every rule prepared for the subject, kept as `_prepared` keeps one."""
-    key = subject.atoms, subject.unknowns
-    if key not in kept:
-        kept[key] = [prepare(subject, rule) for rule in rules]
-    return kept[key]
+    """Every rule prepared for the subject, each kept by `_prepared`."""
+    return [_prepared(kept, prepare, subject, rules, i) for i in range(len(rules))]
 
 
 def _first_step(s: Term, rules, by_head: dict, prepared: Callable, innermost: bool) -> tuple[Optional[RewriteStep], bool]:

@@ -54,7 +54,7 @@ _KINDS = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", ".": "DOT"
 # it: a turnstile, an arrow, a numeral, a name, or any other character, so
 # the matches cover the text with no gaps.  A name's [^\W\d] also takes
 # numerals that are not digits, such as U+00BD, which start no name.
-_BLANKS = r"[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+"
+_BLANKS = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
 _LEADING = re.compile(_BLANKS)
 _TOKEN = re.compile(rf"(\|-|->|\d+|[^\W\d][\w'{re.escape(MACHINE_MARK)}]*|.){_BLANKS}")
 

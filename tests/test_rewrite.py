@@ -400,12 +400,6 @@ def _prepare_afresh(kept, prepare, subject, rules, i):
     return prepare(subject, rules[i])
 
 
-def _prepare_all_afresh(kept, prepare, subject, rules):
-    """The core's kept preparations with nothing kept: every rule prepared
-    anew for every subject."""
-    return [prepare(subject, rule) for rule in rules]
-
-
 def _kept_runs(ctx, theory, s, t):
     out = []
     for strategy in ("outermost", "innermost"):
@@ -426,11 +420,10 @@ def _kept_runs(ctx, theory, s, t):
 def test_kept_preparations_step_as_preparing_afresh_does(case, ctx):
     (theory, s), t = case
     # With no head index, normalize shape-tests every rule at every hole and
-    # prepares afresh at each that fits; the searches prepare every rule
-    # afresh for every subject.
+    # prepares afresh at each that fits; the searches, which prepare every
+    # rule for every subject through `_prepared` too, prepare afresh each time.
     got = _kept_runs(ctx, theory, s, t)
     with mock.patch.object(rewrite_module, "_prepared", _prepare_afresh), \
-            mock.patch.object(rewrite_module, "_prepare_all", _prepare_all_afresh), \
             mock.patch.object(rewrite_module, "_head", lambda t: Suspension):
         assert got == _kept_runs(ctx, theory, s, t)
 
