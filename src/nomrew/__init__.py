@@ -60,11 +60,9 @@ from .rewrite import (
     Theory,
     normalize_general,
     path_str,
-    replace_at,
     replay_step,
     rewrite_closure_reachable,
     rewrite_step_general,
-    subterm_at,
     symmetric_search,
 )
 from .closed import (

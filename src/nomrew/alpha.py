@@ -27,7 +27,10 @@ from .terms import (
     Suspension,
     Term,
     Unknown,
+    _ABS,
+    _APP,
     _END,
+    _SUSP,
     _fold,
     act,
     swap,
@@ -118,14 +121,12 @@ def check_fresh(ctx: FreshnessContext, a: Atom, t: Term) -> Optional[Derivation]
     return _fold(t, lambda u: node("#ab", u), lambda u: node("#X", u), on_abs, lambda u, args: node("#f", u, args))
 
 
-# Tags that open a node in an alpha key.  Bound atoms are keyed by their
-# de Bruijn distance, which is never negative, and free atoms by their name,
-# a string, so a tag can never be read as an atom.
-_ABS, _APP, _SUSP = -1, -2, -3
-
 _TERM_KINDS = (AtomTerm, Suspension, Abstraction, App)
 
 
+# An alpha key opens a node with the flat key's tags (terms.py).  Bound
+# atoms are keyed by their de Bruijn distance, which is never negative, and
+# free atoms by their name, a string, so a tag can never be read as an atom.
 def alpha_key(ctx: FreshnessContext, t: Term, scope: Sequence[Atom] = ()) -> tuple:
     """A canonical, hashable key for the alpha-class of t under ctx.
 

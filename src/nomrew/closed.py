@@ -8,7 +8,8 @@ parsed subject can mention, and that variant is kept with the rule object
 together with its closedness verdict.  The closedness test matches the rule
 against that same variant, and closed steps fire it; a subject only falls
 back to a variant freshened away from it when it already mentions one of the
-kept variant's names.  At the first hole whose shape can match, the context is
+kept variant's names.  The core prepares a rule for a subject at the first
+hole the rule's lhs fits, in one object (`_prepare_closed`): the context is
 extended with freshness of the variant's atoms for the subject's unknowns,
 and each hole is solved by plain matching under the identity permutation.
 There is no permutation search at all, which is the efficiency payoff over
@@ -32,7 +33,6 @@ from typing import Optional
 from .alpha import FreshnessContext, alpha_holds, fresh_holds
 from .matching import MatchProblem, _require_apart, solve_match
 from .rewrite import (
-    Firing,
     NormalizeResult,
     PreparedRule,
     ReachableSet,
@@ -198,42 +198,38 @@ def _prepare_closed(subject: Subject, rule: RewriteRule) -> PreparedRule:
     when the subject already mentions a name of it, under the context
     extended with freshness of the variant's atoms for the subject's
     unknowns; each hole is solved by plain matching and results are
-    scrubbed.  All of that but the variant is built at the first hole that
-    passes the shape test, from the subject's names that every rule's
+    scrubbed.  The core calls this at the first hole the rule's own lhs
+    fits, and builds it from the subject's names that every rule's
     preparation shares."""
-    variant = _variant(rule)
+    ctx, subject_atoms, subject_unknowns = subject.ctx, subject.atoms, subject.unknowns
+    frule = _variant(rule)
+    # The kept variant is the one freshening away from the subject would
+    # pick unless the subject mentions one of its names (of either sort,
+    # as freshening avoids both); only then is the rule freshened again.
+    taken = {v.name for v in (*subject_atoms, *subject_unknowns)}
+    if any(v.name in taken for v in (*frule.atoms(), *frule.unknowns())):
+        frule = freshen_rule(rule, subject_atoms, subject_unknowns)
+    _require_apart(frule.lhs_unknowns, subject_unknowns)
+    extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
+    ctx2 = ctx | extension
+    # Binders the match drags in are renamed back to the subject's and
+    # the rule's atoms where freshness allows, else to a few spares.
+    pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + _spares(rule.atoms(), subject_atoms)
 
-    def fire() -> Firing:
-        ctx, subject_atoms, subject_unknowns = subject.ctx, subject.atoms, subject.unknowns
-        frule = variant
-        # The kept variant is the one freshening away from the subject would
-        # pick unless the subject mentions one of its names (of either sort,
-        # as freshening avoids both); only then is the rule freshened again.
-        taken = {v.name for v in (*subject_atoms, *subject_unknowns)}
-        if any(v.name in taken for v in (*frule.atoms(), *frule.unknowns())):
-            frule = freshen_rule(rule, subject_atoms, subject_unknowns)
-        _require_apart(frule.lhs_unknowns, subject_unknowns)
-        extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
-        ctx2 = ctx | extension
-        # Binders the match drags in are renamed back to the subject's and
-        # the rule's atoms where freshness allows, else to a few spares.
-        pool = sorted(subject_atoms) + sorted(rule.atoms() - subject_atoms) + _spares(rule.atoms(), subject_atoms)
+    def instances(hole: Term):
+        sol = solve_match(MatchProblem._unchecked(frule.ctx, frule.lhs, ctx2, hole))
+        if sol is not None:
+            yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
 
-        def instances(hole: Term):
-            sol = solve_match(MatchProblem._unchecked(frule.ctx, frule.lhs, ctx2, hole))
-            if sol is not None:
-                yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
-
-        return Firing(ctx2, [], instances, lambda t: scrub(ctx2, t, pool), frule, extension)
-
-    return PreparedRule(rule, variant.lhs, fire, mode="closed")
+    finish = lambda t: scrub(ctx2, t, pool)
+    return PreparedRule(rule, ctx2, [], instances, finish=finish, freshened=frule, ctx_extension=extension)
 
 
 def closed_rewrite_step(ctx: FreshnessContext, s: Term, rule: RewriteRule) -> StepResults:
     """All closed one-step rewrites of s as written by the rule.  Closed
     steps respect alpha-equivalence: what an alpha-variant of s steps to is,
     under the step's extended context, alpha-equivalent to one of these."""
-    return rewrite_steps(s, _prepare_closed(Subject(ctx, s), rule))
+    return rewrite_steps(ctx, s, rule, _prepare_closed)
 
 
 def closed_normalize(

@@ -26,21 +26,20 @@ The core is written once: one cursor yielding positions as rebuild frames
 built by `rewrite_steps`), the first step and normalization (`normalize`),
 one breadth-first search for `reachable` and `symmetric_search`
 (`_breadth_first`), and replay.  The engines differ only in how one rule is
-prepared for one subject, a `PreparedRule`, which reads of the subject only
-the atoms and unknowns the core collects once per subject (`Subject`).
+prepared for one subject, a `PreparedRule`: its context, universe and
+instances at a hole, and how a result is finished.  It reads of the subject
+only the atoms and unknowns the core collects once per subject (`Subject`).
 The general preparation here renames the rule's unknowns away from the
 subject's and tries the candidate permutations over a universe; the closed
 preparation (closed.py) matches the rule's fixed freshened variant under an
-extended context and the identity permutation, and scrubs the result.  The
-core asks a preparation for instances only at positions that pass a shape
-test against the prepared lhs (`_may_match`), and a preparation builds what
-it needs for that (its `Firing`) only when the first hole passes.
+extended context and the identity permutation, and scrubs the result.  No
+renaming changes the shape of an lhs, so the core shape-tests each position
+against the rule's own lhs (`_may_match`) and prepares the rule only at the
+first position that fits: a rule that fits no position is never prepared.
 
-What does not depend on the step is not redone at each step.  `normalize`,
-`reachable` and `symmetric_search` prepare a rule at most once per call for
-each pair of atoms and unknowns their subjects have (`_prepared`): a search
-every rule for each subject (`_prepare_all`), normalization only at a hole
-that fits its lhs, among the rules whose lhs head fits the hole's.  The renamed rule depends only on the
+What does not depend on the step is not redone at each step.  Every caller
+prepares a rule at most once per call for each pair of atoms and unknowns
+its subjects have (`_prepared`).  The renamed rule depends only on the
 unknowns it shares with the subject, so it is kept with the rule once per
 shared set, and its names are collected once with it; a subject that mentions
 a machine unknown (stem$n, a name the renaming may pick) falls back to a rule
@@ -158,14 +157,6 @@ def _binders(frames: tuple | None) -> list[Atom]:
         if type(frame) is Atom:
             out.append(frame)
     return out
-
-
-def subterm_at(t: Term, path: Path) -> Term:
-    return next(_decompositions(EMPTY_CTX, t, path, []))[0]
-
-
-def replace_at(t: Term, path: Path, new: Term) -> Term:
-    return _plug(next(_decompositions(EMPTY_CTX, t, path, []))[1], new)
 
 
 @dataclass(frozen=True)
@@ -291,29 +282,6 @@ class NormalizeResult:
 
 
 @dataclass(frozen=True)
-class Firing:
-    """What a prepared rule needs to fire at the holes of its subject.
-
-    `instances(hole)` yields (pi, theta, pi.(rhs theta)) for every way the
-    prepared lhs matches the hole under `ctx`, or for a closed rule the first
-    alone (the rest are alpha-equal to it); `finish` turns the rebuilt
-    subject into the reported result.  `universe` holds the names binders
-    above a position may be renamed to when alpha-variants of the subject
-    are enumerated; only general rewriting by a rule that is not closed
-    needs them, and every other firing's universe is empty.  A closed step
-    also records the freshened rule and the context extension it fired
-    under.
-    """
-
-    ctx: FreshnessContext
-    universe: list[Atom]
-    instances: Callable[[Term], Iterator[tuple[Permutation, Substitution, Term]]]
-    finish: Callable[[Term], Term] = lambda t: t
-    freshened: Optional[RewriteRule] = None
-    ctx_extension: FreshnessContext = EMPTY_CTX
-
-
-@dataclass(frozen=True)
 class Subject:
     """A term to rewrite under a context.  Its atoms and unknowns (the
     context's included) are collected on first use and then read by every
@@ -336,23 +304,31 @@ class PreparedRule:
     """One rule made ready by one engine to fire on one subject, and so on
     every subject with the same atoms and unknowns under the same context.
 
-    `lhs` is the prepared rule's left-hand side, which the core shape-tests
-    each hole against.  `truncated` says the permutation search was cut by
-    the universe cap, so finding no instance proves nothing.  `fire` builds
-    the rest, the `Firing`, when the first hole passes the shape test; a
-    preparation whose rule fits no hole never builds it, and none builds it
-    twice.
+    `instances(hole)` yields (pi, theta, pi.(rhs theta)) for every way the
+    prepared lhs matches the hole under `ctx`, or for a closed rule the first
+    alone (the rest are alpha-equal to it); `finish` turns the rebuilt
+    subject into the reported result.  `universe` holds the names binders
+    above a position may be renamed to when alpha-variants of the subject
+    are enumerated; only general rewriting by a rule that is not closed
+    needs them, and every other preparation's universe is empty.
+    `truncated` says the permutation search was cut by the universe cap, so
+    finding no instance proves nothing.  A closed step also records the
+    freshened rule and the context extension it fired under, and these make
+    its mode "closed".
     """
 
     rule: RewriteRule
-    lhs: Term
-    fire: Callable[[], Firing]
+    ctx: FreshnessContext
+    universe: list[Atom]
+    instances: Callable[[Term], Iterator[tuple[Permutation, Substitution, Term]]]
     truncated: bool = False
-    mode: str = "general"
+    finish: Callable[[Term], Term] = lambda t: t
+    freshened: Optional[RewriteRule] = None
+    ctx_extension: FreshnessContext = EMPTY_CTX
 
-    @cached_property
-    def firing(self) -> Firing:
-        return self.fire()
+    @property
+    def mode(self) -> str:
+        return "general" if self.freshened is None else "closed"
 
 
 def _rename_term(t: Term, amap: dict, umap: dict) -> Term:
@@ -461,10 +437,12 @@ def _prepare_general(
 ) -> PreparedRule:
     """Rename the rule's unknowns away from the subject's, then try every
     candidate permutation over the universe of rule, subject and extra
-    atoms.  A closed rule (its kept verdict, `closed._is_closed`, read once
-    per firing) fires with an empty universe, so no alpha-variant of the
-    subject is tried for it, and its search at a hole stops at the first
-    instance, every later one being alpha-equal to it (module docstring).
+    atoms.  The core calls this at the first hole the rule's own lhs fits,
+    so a rule that fits no hole of the subject is never prepared.  A closed
+    rule (its kept verdict, `closed._is_closed`) fires with an empty
+    universe, so no alpha-variant of the subject is tried for it, and its
+    search at a hole stops at the first instance, every later one being
+    alpha-equal to it (module docstring).
 
     The renamed rule is kept with the rule, per set of unknowns it shares
     with the subject; a subject that mentions a machine unknown gets a rule
@@ -479,46 +457,43 @@ def _prepare_general(
     filled lazily: a reader that stops at the first instance leaves the rest
     of the search unrun, and a later reader of an equal hole gets the
     instances found so far, then the search resumed where it stopped."""
+    from .closed import _is_closed  # closed.py imports this module
+
     ctx = subject.ctx
     renamed = _freshen_rule_unknowns(rule, subject.unknowns)
     _require_apart(renamed.lhs_unknowns, subject.unknowns)
     universe, truncated = _universe(renamed.atoms(), subject.atoms | extra_atoms, max_support)
+    closed = _is_closed(rule)
+    # Keyed by identity; the entry holds the renamed rule, so no other
+    # object takes its id while the dict lives.  A rule renamed for one
+    # subject alone keeps its entries, here and in its own compiled dict.
+    at = tuple(universe)
+    solved = sides.setdefault((id(renamed), at, ctx), (renamed, {}))[1]
+    kept = renamed.compiled.setdefault("permuted", {})
+    if at not in kept:
+        perms = _candidate_perms(sorted(renamed.atoms()), universe)
+        kept[at] = perms, [None] * len(perms)
+    perms, permuted = kept[at]
 
-    def fire() -> Firing:
-        from .closed import _is_closed  # closed.py imports this module
-        closed = _is_closed(rule)
-        # Keyed by identity; the entry holds the renamed rule, so no other
-        # object takes its id while the dict lives.  A rule renamed for one
-        # subject alone keeps its entries, here and in its own compiled dict.
-        at = tuple(universe)
-        solved = sides.setdefault((id(renamed), at, ctx), (renamed, {}))[1]
-        kept = renamed.compiled.setdefault("permuted", {})
-        if at not in kept:
-            perms = _candidate_perms(sorted(renamed.atoms()), universe)
-            kept[at] = perms, [None] * len(perms)
-        perms, permuted = kept[at]
+    def search(hole: Term):
+        for i, pi in enumerate(perms):
+            if permuted[i] is None:  # the first search to reach pi builds its sides
+                permuted[i] = act(pi, renamed.lhs), act(pi, renamed.rhs)
+            lhs, rhs = permuted[i]
+            sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
+            if sol is not None:
+                yield pi, sol.sigma, substitute(rhs, sol.sigma)
+                if closed:  # every later instance is alpha-equal to this one
+                    return
 
-        def search(hole: Term):
-            for i, pi in enumerate(perms):
-                if permuted[i] is None:  # the first search to reach pi builds its sides
-                    permuted[i] = act(pi, renamed.lhs), act(pi, renamed.rhs)
-                lhs, rhs = permuted[i]
-                sol = solve_match(MatchProblem._unchecked(renamed.ctx, lhs, ctx, hole))
-                if sol is not None:
-                    yield pi, sol.sigma, substitute(rhs, sol.sigma)
-                    if closed:  # every later instance is alpha-equal to this one
-                        return
+    def instances(hole: Term):
+        hole_key = _flat_key(hole)
+        found = solved.get(hole_key)
+        if found is None:
+            found = solved[hole_key] = [], search(hole)
+        return _resume(*found)
 
-        def instances(hole: Term):
-            hole_key = _flat_key(hole)
-            found = solved.get(hole_key)
-            if found is None:
-                found = solved[hole_key] = [], search(hole)
-            return _resume(*found)
-
-        return Firing(ctx, [] if closed else universe, instances)
-
-    return PreparedRule(rule, renamed.lhs, fire, truncated)
+    return PreparedRule(rule, ctx, [] if closed else universe, instances, truncated)
 
 
 def _resume(done: list, rest: Iterator) -> Iterator:
@@ -603,49 +578,55 @@ def _plug(frames: tuple | None, u: Term) -> Term:
     return u
 
 
-def _candidates(s: Term, places: Iterable[tuple], prepared: PreparedRule) -> Iterator[tuple]:
-    """The steps of s by one prepared rule, unbuilt and in order, as (position
-    index, frames, hole, renamed, pi, theta, pi.(rhs theta)): every place of
-    s in `places` (`_places(s)`), every alpha-variant of s renaming the
-    binders above it into the firing's universe (the place itself if it has
-    none or that is empty, as for closed rules and closed rewriting), every
-    instance found."""
+def _candidates(s: Term, places: Iterable[tuple], rule: RewriteRule, prepared: Callable) -> Iterator[tuple]:
+    """The steps of s by one rule, unbuilt and in order, as (prepared rule,
+    position index, frames, hole, renamed, pi, theta, pi.(rhs theta)):
+    every place of s in `places` (`_places(s)`) whose shape the rule's own
+    lhs fits, every alpha-variant of s renaming the binders above it into
+    the prepared rule's universe (the place itself if it has none or that is
+    empty, as for closed rules and closed rewriting), every instance found.
+    No renaming changes an lhs's shape, so the rule is prepared, by
+    `prepared()`, only at the first place that fits."""
+    prep = None
     for i, (frames, here) in enumerate(places):
         # Alpha-variants differ from s only in atoms, so one shape test
         # covers every variant at this position.
-        if not _may_match(prepared.lhs, here):
+        if not _may_match(rule.lhs, here):
             continue
-        firing = prepared.firing
+        prep = prep or prepared()
         variants = [(here, frames, False)]
-        if firing.universe and _binders(frames):
-            variants = _decompositions(firing.ctx, s, _path(frames), firing.universe)
+        if prep.universe and _binders(frames):
+            variants = _decompositions(prep.ctx, s, _path(frames), prep.universe)
         for hole, at, renamed in variants:
-            for pi, theta, rhs in firing.instances(hole):
-                yield i, at, hole, renamed, pi, theta, rhs
+            for pi, theta, rhs in prep.instances(hole):
+                yield prep, i, at, hole, renamed, pi, theta, rhs
 
 
-def _build(s: Term, prepared: PreparedRule, candidate: tuple) -> RewriteStep:
-    _, frames, hole, renamed, pi, theta, rhs = candidate
-    firing = prepared.firing
+def _build(s: Term, candidate: tuple) -> RewriteStep:
+    prep, _, frames, hole, renamed, pi, theta, rhs = candidate
     # When no binder above the hole was renamed, the variant fired on is s.
     variant = _plug(frames, hole) if renamed else s
-    result = firing.finish(_plug(frames, rhs))
-    extras = prepared.mode, firing.freshened, firing.ctx_extension
-    return RewriteStep(prepared.rule.name, _path(frames), pi, theta, s, variant, result, *extras)
+    result = prep.finish(_plug(frames, rhs))
+    extras = prep.mode, prep.freshened, prep.ctx_extension
+    return RewriteStep(prep.rule.name, _path(frames), pi, theta, s, variant, result, *extras)
 
 
-def rewrite_steps(s: Term, prepared: PreparedRule) -> StepResults:
-    """All one-step rewrites of s by one prepared rule, modulo alpha on the
-    subject: every step `_candidates` finds, built.
+def rewrite_steps(ctx: FreshnessContext, s: Term, rule: RewriteRule, prepare: Callable[..., PreparedRule]) -> StepResults:
+    """All one-step rewrites of s under ctx by the rule, prepared with
+    `prepare(subject, rule)`, modulo alpha on the subject: every step
+    `_candidates` finds, built.
 
     The steps are distinct without a check.  Steps at two positions differ
     in their path; two alpha-variants at one position rename some binder
     above it differently, so their general results differ there; two
     general instances at one hole differ in pi.  Closed rewriting has one
     variant, the subject, and at most one instance per hole.  So no result
-    is hashed.  `truncated` is set only if some hole passes the shape test."""
-    cut = prepared.truncated and any(_may_match(prepared.lhs, here) for _, here in _places(s))
-    return StepResults([_build(s, prepared, c) for c in _candidates(s, _places(s), prepared)], cut)
+    is hashed.  `truncated` is set only if the rule was prepared, some hole
+    having passed the shape test, and its preparation was cut."""
+    kept: dict = {}
+    prepared = partial(_prepared, kept, prepare, Subject(ctx, s), (rule,), 0)
+    steps = [_build(s, c) for c in _candidates(s, _places(s), rule, prepared)]
+    return StepResults(steps, any(prep.truncated for prep in kept.values()))
 
 
 def _spans(t: Term) -> list[list[int]]:
@@ -670,8 +651,8 @@ def _spliced_key(ctx: FreshnessContext, key: tuple, spans: list[list[int]], cand
     """The alpha key under ctx of a general candidate's result (a general
     finish is the identity), unbuilt: its source's key with the hole's
     slice replaced by the key of pi.(rhs theta) under the frames' binders."""
-    start, end = spans[candidate[0]]
-    return key[:start] + alpha_key(ctx, candidate[6], _binders(candidate[1])[::-1]) + key[end:]
+    start, end = spans[candidate[1]]
+    return key[:start] + alpha_key(ctx, candidate[7], _binders(candidate[2])[::-1]) + key[end:]
 
 
 def rewrite_step_general(
@@ -684,7 +665,8 @@ def rewrite_step_general(
     """All one-step rewrites of s by the rule, modulo alpha on the subject,
     within a permutation universe of max_support atoms.  extra_atoms widens
     the universe (used when a specific target is in mind)."""
-    return rewrite_steps(s, _prepare_general(Subject(ctx, s), rule, max_support, extra_atoms, sides={}))
+    prepare = partial(_prepare_general, max_support=max_support, extra_atoms=extra_atoms, sides={})
+    return rewrite_steps(ctx, s, rule, prepare)
 
 
 def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessContext, *terms: Term) -> bool:
@@ -786,11 +768,6 @@ def _prepared(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject
     return kept[key]
 
 
-def _prepare_all(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject, rules) -> list[PreparedRule]:
-    """Every rule prepared for the subject, each kept by `_prepared`."""
-    return [_prepared(kept, prepare, subject, rules, i) for i in range(len(rules))]
-
-
 def _first_step(s: Term, rules, by_head: dict, prepared: Callable, innermost: bool) -> tuple[Optional[RewriteStep], bool]:
     """The first step in strategy order of positions, then theory order of
     the rules `by_head` lists for the hole's head, each prepared by
@@ -803,8 +780,8 @@ def _first_step(s: Term, rules, by_head: dict, prepared: Callable, innermost: bo
             if not _may_match(rules[i].lhs, hole):
                 continue
             prep = prepared(i)
-            for pi, theta, rhs in prep.firing.instances(hole):
-                return _build(s, prep, (None, frames, hole, False, pi, theta, rhs)), False
+            for pi, theta, rhs in prep.instances(hole):
+                return _build(s, (prep, None, frames, hole, False, pi, theta, rhs)), False
             cut |= prep.truncated
     return None, cut
 
@@ -909,16 +886,17 @@ def _breadth_first(
             if expanded == cap:
                 return None
             expanded += 1
-            places, spans = list(_places(u)), None
-            for prepared in _prepare_all(kept, prepare, Subject(ctx, u), rules):
-                general = prepared.mode == "general"
-                for candidate in _candidates(u, places, prepared):
+            places, spans, subject = list(_places(u)), None, Subject(ctx, u)
+            for i, rule in enumerate(rules):
+                prepared = partial(_prepared, kept, prepare, subject, rules, i)
+                for candidate in _candidates(u, places, rule, prepared):
+                    general = candidate[0].freshened is None
                     if general:
                         spans = spans or _spans(u)  # read by general candidates alone
                         key = _spliced_key(ctx, ukey, spans, candidate)
                         if key in reps:
                             continue
-                    step = _build(u, prepared, candidate)
+                    step = _build(u, candidate)
                     if not general:
                         key = alpha_key(ctx, step.result)
                         if key in reps:

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from functools import partial
 from importlib import resources
 
 import hypothesis.strategies as hst
@@ -45,8 +46,8 @@ from nomrew import (
 )
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
-    MAX_SUPPORT, SPARE_CAP, Firing, PreparedRule, Subject, _fresh_maps, _fresh_renaming, _prepare_general, _rename_rule,
-    _rename_ctx, _rename_term, _universe, normalize, reachable, replay, rewrite_steps, subterm_at,
+    MAX_SUPPORT, SPARE_CAP, PreparedRule, _fresh_maps, _fresh_renaming, _prepare_general, _rename_rule, _rename_ctx,
+    _rename_term, _universe, normalize, reachable, replay, rewrite_steps,
 )
 from nomrew.syntax import parse_context, parse_term, parse_theory, pretty
 from nomrew.terms import ID, MACHINE_MARK, Substitution, fresh_names
@@ -590,8 +591,8 @@ def _reference_prepare(subject, rule):
         if sol is not None:
             yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
 
-    firing = Firing(ctx2, [], instances, lambda t: scrub(ctx2, t, pool), frule, extension)
-    return PreparedRule(rule, frule.lhs, lambda: firing, mode="closed")
+    finish = lambda t: scrub(ctx2, t, pool)
+    return PreparedRule(rule, ctx2, [], instances, finish=finish, freshened=frule, ctx_extension=extension)
 
 
 def _same_steps(ctx, rules, got, want):
@@ -628,7 +629,7 @@ def test_kept_variants_step_as_per_subject_freshening_does(theory_term, ctx):
         assert got.status == want.status
         _same_steps(ctx, rules, got.trace, want.trace)
     for rule in theory.rules:
-        want = rewrite_steps(s, _reference_prepare(Subject(ctx, s), rule))
+        want = rewrite_steps(ctx, s, rule, _reference_prepare)
         _same_steps(ctx, rules, closed_rewrite_step(ctx, s, rule), want)
 
 
@@ -668,10 +669,8 @@ def _enumerating_prepare(subject, rule):
     """The closed preparation that also tries every alpha-variant of the
     subject renaming the binders above a position into the general engine's
     permutation universe, as closed rewriting once did."""
-    firing = _reference_prepare(subject, rule).firing
     universe, _ = _universe(rule.atoms(), atoms_of(subject.ctx, subject.term), MAX_SUPPORT)
-    enumerating = dataclasses.replace(firing, universe=universe)
-    return PreparedRule(rule, firing.freshened.lhs, lambda: enumerating, mode="closed")
+    return dataclasses.replace(_reference_prepare(subject, rule), universe=universe)
 
 
 def _classes_match(ctx, s, got, want):
@@ -705,7 +704,7 @@ def test_closed_steps_of_the_subject_cover_those_of_its_alpha_variants(theory_te
     theory, s = theory_term
     for rule in theory.rules:
         got = closed_rewrite_step(ctx, s, rule)
-        want = rewrite_steps(s, _enumerating_prepare(Subject(ctx, s), rule))
+        want = rewrite_steps(ctx, s, rule, _enumerating_prepare)
         assert all(st.variant == s for st in got)
         assert _classes_match(ctx, s, [st.result for st in got], [st.result for st in want])
         # Replay still accepts a closed step fired on an alpha-variant.
@@ -728,7 +727,7 @@ def test_closed_steps_keep_every_subterm_off_the_path_to_the_hole(theory_term):
             for path, u in ref.positions(s):
                 n = min(len(path), len(step.path))
                 if path[:n] != step.path[:n]:
-                    assert subterm_at(step.result, path) is u
+                    assert ref.subterm_at(step.result, path) is u
 
 
 def _repeated_steps(steps):
@@ -749,10 +748,9 @@ _shadowed = hst.one_of([
 @given(_shadowed, contexts_st)
 def test_rewrite_steps_lists_each_step_once(theory_term, ctx):
     theory, s = theory_term
-    subject = Subject(ctx, s)
     for rule in theory.rules:
-        for prepared in (_prepare_general(subject, rule, sides={}), closed_module._prepare_closed(subject, rule)):
-            assert _repeated_steps(rewrite_steps(s, prepared)) == 0
+        for prepare in (partial(_prepare_general, sides={}), closed_module._prepare_closed):
+            assert _repeated_steps(rewrite_steps(ctx, s, rule, prepare)) == 0
 
 
 def test_a_scrubbing_alpha_variant_search_repeats_steps():
@@ -760,8 +758,8 @@ def test_a_scrubbing_alpha_variant_search_repeats_steps():
     # alpha-variants of [a][a]a maps two of them to one step.
     rule = next(r for r in _bundled("nonclosed").rules if r.name == "strip")
     s = parse_term("[a][a]a")
-    assert _repeated_steps(rewrite_steps(s, _enumerating_prepare(Subject(EMPTY_CTX, s), rule))) == 1
-    assert _repeated_steps(rewrite_steps(s, closed_module._prepare_closed(Subject(EMPTY_CTX, s), rule))) == 0
+    assert _repeated_steps(rewrite_steps(EMPTY_CTX, s, rule, _enumerating_prepare)) == 1
+    assert _repeated_steps(rewrite_steps(EMPTY_CTX, s, rule, closed_module._prepare_closed)) == 0
 
 
 def test_closed_steps_do_not_depend_on_the_rule_atom_names():

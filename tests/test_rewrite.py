@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 from importlib import resources
 from unittest import mock
 
@@ -36,13 +37,11 @@ from nomrew import (
     closed_reachable,
     closed_rewrite_step,
     normalize_general,
-    replace_at,
     replay_step,
     rewrite_closure_reachable,
     rewrite_step_general,
     solve_match,
     substitute,
-    subterm_at,
     subterms,
     swap,
     symmetric_search,
@@ -51,9 +50,9 @@ from nomrew import (
     var,
 )
 from nomrew.rewrite import (
-    MAX_SUPPORT, Firing, PreparedRule, Subject, _build, _candidate_perms, _candidates, _fresh_maps, _invertible,
-    _may_match, _path, _places, _plug, _prepare_general, _rename_rule, _rename_term, _spans, _spliced_key, _universe,
-    normalize, reachable, rewrite_steps,
+    MAX_SUPPORT, PreparedRule, Subject, _build, _candidate_perms, _candidates, _decompositions, _fresh_maps,
+    _invertible, _may_match, _path, _places, _plug, _prepare_general, _rename_rule, _rename_term, _spans, _spliced_key,
+    _universe, normalize, reachable, rewrite_steps,
 )
 from nomrew.syntax import parse_term, parse_theory
 from nomrew.terms import MACHINE_MARK
@@ -120,8 +119,8 @@ def test_subterm_and_replace_roundtrip():
     t = app(lam(a, AtomTerm(a)), AtomTerm(b))
     for frames, sub in _places(t):
         path = _path(frames)
-        assert subterm_at(t, path) == sub
-        assert replace_at(t, path, sub) == t == _plug(frames, sub)
+        assert ref.subterm_at(t, path) == sub
+        assert ref.replace_at(t, path, sub) == t == _plug(frames, sub)
 
 
 def test_positions_leftmost_innermost():
@@ -133,9 +132,7 @@ def test_positions_leftmost_innermost():
 def test_a_position_that_does_not_exist_raises(path):
     t = app(lam(a, AtomTerm(a)), AtomTerm(b))  # app(lam([a]a), b)
     with pytest.raises(IndexError):
-        subterm_at(t, path)
-    with pytest.raises(IndexError):
-        replace_at(t, path, AtomTerm(c))
+        next(_decompositions(EMPTY_CTX, t, path, []))
 
 
 def test_rule_validation():
@@ -484,6 +481,29 @@ def test_normalize_walks_no_names_of_a_term_no_lhs_fits(monkeypatch):
     assert walks == Counter()
 
 
+def test_no_step_search_prepares_a_rule_whose_lhs_fits_no_hole(monkeypatch):
+    # Every betaeta lhs is rooted at lam or has a lam under its root app, so
+    # no hole of this term fits one.  Of the reversals only beta_var~ and
+    # eta~ fit it, their lhs being a bare unknown, so a search expanding the
+    # term alone prepares those two and no other rule.
+    betaeta = next(theory for theory in BUNDLED if theory.name == "betaeta")
+    s = parse_term("app(app(a,b),app(c,app(d,app(e,f))))", betaeta.signature)
+    prepared = Counter()
+    for module, name in [(rewrite_module, "_prepare_general"), (closed_module, "_prepare_closed")]:
+        def counted(subject, rule, *args, real=getattr(module, name), **kwargs):
+            prepared[rule.name] += 1
+            return real(subject, rule, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for rule in betaeta.rules:
+        assert not rewrite_step_general(EMPTY_CTX, s, rule) and not closed_rewrite_step(EMPTY_CTX, s, rule)
+    assert list(rewrite_closure_reachable(EMPTY_CTX, s, betaeta, fuel=3)) == [s]
+    assert list(closed_reachable(EMPTY_CTX, s, betaeta, 3)) == [s]
+    assert prepared == Counter()
+    res = symmetric_search(EMPTY_CTX, s, parse_term("app(a,b)", betaeta.signature), betaeta, fuel=1)
+    assert not res.found and prepared == Counter(["beta_var~", "eta~"])
+
+
 def test_general_preparation_refuses_shared_unknowns(monkeypatch):
     # Every hole is a subterm of the subject, so a rule not renamed apart
     # from the subject must be refused once, up front, not matched.
@@ -795,13 +815,13 @@ def _spliced_against_built(ctx, s, rule) -> Counter:
     """Check that every candidate step of s by rule, as rewrite_step_general
     finds them, has the key of its built result as its spliced key, and
     count the renamed variants and the results with suspensions."""
-    prepared = _prepare_general(Subject(ctx, s), rule, sides={})
+    prepared = lambda: _prepare_general(Subject(ctx, s), rule, sides={})
     spans, key = _spans(s), alpha_key(ctx, s)
     seen = Counter()
-    for candidate in _candidates(s, _places(s), prepared):
-        result = _build(s, prepared, candidate).result
+    for candidate in _candidates(s, _places(s), rule, prepared):
+        result = _build(s, candidate).result
         assert _spliced_key(ctx, key, spans, candidate) == alpha_key(ctx, result)
-        seen["renamed"] += candidate[3]
+        seen["renamed"] += candidate[4]
         seen["suspension"] += any(type(u) is Suspension for u in subterms(result))
     return seen
 
@@ -858,8 +878,7 @@ def _reference_prepare_general(
                 if closed and not every:
                     return
 
-    firing = Firing(ctx, [] if closed else universe, instances)
-    return PreparedRule(rule, renamed.lhs, lambda: firing, truncated)
+    return PreparedRule(rule, ctx, [] if closed else universe, instances, truncated)
 
 
 # Half of the subjects mention the machine names that the kept renamings of
@@ -898,7 +917,7 @@ def test_kept_general_preparation_steps_as_per_subject_renaming_does(case):
         assert got == normalize(ctx, s, theory, _reference_prepare_general, strategy, 4)
     for rule in theory.rules:
         got = rewrite_step_general(ctx, s, rule)
-        want = rewrite_steps(s, _reference_prepare_general(Subject(ctx, s), rule))
+        want = rewrite_steps(ctx, s, rule, _reference_prepare_general)
         assert (got, got.truncated) == (want, want.truncated)
     got = list(rewrite_closure_reachable(ctx, s, theory, fuel=2))
     assert got == list(reachable(ctx, s, theory, _reference_prepare_general, 2))
@@ -967,9 +986,13 @@ def test_general_search_solves_each_hole_once_per_call(monkeypatch):
         owner[id(prepared)] = now["rule"], now["universe"]
         return prepared
 
-    def unbuilt(s, places, prepared):
-        now["rule"], now["universe"] = owner[id(prepared)]
-        return real_candidates(s, places, prepared)
+    def unbuilt(s, places, rule, prepared):
+        def attributed():
+            prep = prepared()
+            now["rule"], now["universe"] = owner[id(prep)]
+            return prep
+
+        return real_candidates(s, places, rule, attributed)
 
     monkeypatch.setattr(rewrite_module, "solve_match", counted)
     monkeypatch.setattr(rewrite_module, "_universe", universe)
@@ -998,14 +1021,14 @@ def test_kept_instances_resume_where_the_first_reader_stopped(monkeypatch):
     hole = s.args[0]
     calls = Counter()
     monkeypatch.setattr(rewrite_module, "solve_match", lambda problem: calls.update(["match"]) or solve_match(problem))
-    firing = _prepare_general(Subject(EMPTY_CTX, s), rule, sides={}).firing
-    first = next(firing.instances(hole))
+    prepared = _prepare_general(Subject(EMPTY_CTX, s), rule, sides={})
+    first = next(prepared.instances(hole))
     assert calls["match"] == 1
-    got = list(firing.instances(s.args[1]))
-    want = list(_reference_prepare_general(Subject(EMPTY_CTX, s), rule).firing.instances(hole))
+    got = list(prepared.instances(s.args[1]))
+    want = list(_reference_prepare_general(Subject(EMPTY_CTX, s), rule).instances(hole))
     assert got == want and got[0] == first and len(got) == 3
     assert calls["match"] == 3
-    assert list(firing.instances(hole)) == want and calls["match"] == 3
+    assert list(prepared.instances(hole)) == want and calls["match"] == 3
 
 
 # closed rules fire once per hole ---------------------------------------------------
@@ -1025,7 +1048,7 @@ def test_a_closed_rule_drops_only_instances_alpha_equal_to_the_first(monkeypatch
         for rule in theory.rules + theory._reversed_rules:
             assert closed_module._is_closed(rule)
             cut = rewrite_step_general(ctx, s, rule)
-            every = rewrite_steps(s, _every_instance(Subject(ctx, s), rule))
+            every = rewrite_steps(ctx, s, rule, _every_instance)
             first = {}
             for step in every:
                 first.setdefault(step.path, step)
@@ -1049,7 +1072,7 @@ def test_a_closed_rule_drops_only_instances_alpha_equal_to_the_first(monkeypatch
     for theory, ctx, s, _ in cases:
         for rule in theory.rules + theory._reversed_rules:
             got = rewrite_step_general(ctx, s, rule)
-            assert got == rewrite_steps(s, _reference_prepare_general(Subject(ctx, s), rule))
+            assert got == rewrite_steps(ctx, s, rule, _reference_prepare_general)
             forced += len(got)
     assert forced > listed + dropped
 
@@ -1066,7 +1089,7 @@ def test_general_rewriting_lists_one_step_per_position_for_a_closed_rule():
             if closed_module._is_closed(rule):
                 assert per_path <= 1
             else:
-                assert steps == rewrite_steps(s, _every_instance(Subject(ctx, s), rule))
+                assert steps == rewrite_steps(ctx, s, rule, _every_instance)
                 listed["several at a path"] += per_path > 1
             listed[closed_module._is_closed(rule)] += len(steps)
     assert listed[True] and listed[False] and listed["several at a path"]
@@ -1133,7 +1156,8 @@ def test_permuted_sides_are_built_once_per_renamed_rule_and_universe(monkeypatch
     variants = [(MAX_SUPPORT, frozenset()), (2, frozenset()), (MAX_SUPPORT, frozenset({Atom("d")}))]
     for i, (max_support, extra) in enumerate(variants * 2):
         got = rewrite_step_general(EMPTY_CTX, s, rule, max_support, extra)
-        want = rewrite_steps(s, _reference_prepare_general(Subject(EMPTY_CTX, s), rule, max_support, extra))
+        prepare = partial(_reference_prepare_general, max_support=max_support, extra_atoms=extra)
+        want = rewrite_steps(EMPTY_CTX, s, rule, prepare)
         assert (got, got.truncated) == (want, want.truncated) and got
         assert len(rule.compiled["permuted"]) == min(i + 1, len(variants))
     assert [universe[:2] for universe in rule.compiled["permuted"]] == [(a, b)] * 3

@@ -44,12 +44,10 @@ from nomrew import (
     decide_equal,
     fresh_holds,
     normalize_general,
-    replace_at,
     rewrite_step_general,
     scrub,
     solve_match,
     substitute,
-    subterm_at,
     subterms,
     swap,
     term_depth,
@@ -147,14 +145,6 @@ def test_scrub_at_depth(n):
     ctx = FreshnessContext.of((a, X), (b, X))
     assert pretty(scrub(ctx, t, [c, d])) == spine_text(n, "g(X, c)")
     assert scrub(ctx, t, [c, d]) == spine(n, App("g", (var(X), AtomTerm(c))))
-
-
-@pytest.mark.parametrize("n", DEPTHS)
-def test_subterm_at_and_replace_at_at_depth(n):
-    t = deep(n)
-    assert subterm_at(t, spine_path(n)) is BOTTOM
-    assert pretty(replace_at(t, spine_path(n), AtomTerm(d))) == spine_text(n, "d")
-    assert replace_at(t, spine_path(n), AtomTerm(d)) == spine(n, AtomTerm(d))
 
 
 def test_parse_wide_term():
@@ -392,7 +382,7 @@ def _shares_unchanged(got, source):
     """A subterm of got equal to source's subterm at the same position is
     source's own object: a rebuild hands back what it does not change."""
     for path, u in ref.positions(source):
-        v = subterm_at(got, path)
+        v = ref.subterm_at(got, path)
         assert v is u or v != u
     return got
 
@@ -455,9 +445,6 @@ def test_shape_walkers_match_reference(t):
         assert [(_path(frames), u) for frames, u in places] == ref.positions(t, innermost)
         # each place's frames are those the descent along its path builds
         assert all(next(_decompositions(EMPTY_CTX, t, _path(frames), []))[1] == frames for frames, _ in places)
-    for path, _ in ref.positions(t):
-        assert subterm_at(t, path) == ref.subterm_at(t, path)
-        assert replace_at(t, path, AtomTerm(d)) == ref.replace_at(t, path, AtomTerm(d))
 
 
 @settings(max_examples=150, deadline=None)
