@@ -519,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ctx", default="")
     p.add_argument("--max-support", type=_int_from(0), default=MAX_SUPPORT, dest="max_support", help="general rewriting only")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--general", action="store_true")
+    mode.add_argument("--general", action="store_true", help="general rewriting (permutation search); a rule that "
+                      "is not closed also fires on alpha-variants, each binder renamed only to the first fresh atoms "
+                      "that can reach a new result")
     mode.add_argument("--closed", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_step)

@@ -21,6 +21,21 @@ and the search stops at the first.  Closed rewriting needs no variants
 either: it fires a variant freshened apart from the subject and so respects
 alpha-equivalence by itself, and its steps are the subject's as written.
 
+Nor does a rule that is not closed need every variant.  A variant renaming
+[b] to a fresh [z] fires (z b) applied to a step on the subject, so its
+result differs from that step's only where an atom the rule introduces is z
+there, and so escapes b's binder in the variant.  Any other fresh target z'
+then reaches the same class, by (z z'), if it avoids three kinds of atom:
+those the result uses under their own names; the targets of the other
+binders an introduced atom escapes (with the above at most m - 1, m being
+the rule's atoms, of which b takes one); and the j binder names below [b] on
+the path.  So a binder is tried as written and with only its first m + j
+fresh targets: one of them serves, and comes first in enumeration order, so
+each class keeps its first representative and a search its trace.  A
+universe cut by its cap, whose search is incomplete anyway, still tries
+every fresh target: the cap is checked against every target only on
+universes that were not cut.
+
 The core is written once: one cursor yielding positions as rebuild frames
 (`_places`), step enumeration over them x alpha-variants (`_candidates`,
 built by `rewrite_steps`), the first step and normalization (`normalize`),
@@ -535,10 +550,13 @@ def _may_match(lhs: Term, hole: Term) -> bool:
 
 
 def _decompositions(
-    ctx: FreshnessContext, t: Term, path: Path, universe: list[Atom]
+    ctx: FreshnessContext, t: Term, path: Path, universe: list[Atom], width: int | None = None
 ) -> Iterator[tuple[Term, tuple | None, bool]]:
     """Walk down `path`, renaming each binder passed to another universe
-    atom that is fresh for the body (an alpha-move), or keeping it.  Yields
+    atom that is fresh for the body (an alpha-move), or keeping it.  With
+    `width` set, a binder with j binders below it on the path is renamed to
+    its first width + j such atoms only, and no later atom is tested for
+    freshness (module docstring: width is the rule's atom count).  Yields
     the (possibly renamed) subterm at the hole, its rebuild frames, a
     linked list (frame, outer frames), innermost first, whose frames are
     binders and (application, argument index) pairs, and whether some
@@ -547,21 +565,24 @@ def _decompositions(
     itself gives the alpha-variant fired on.  A step is "body" under an
     abstraction or an int (not a bool) from 0 to arity - 1.  With an empty
     universe only t itself is decomposed."""
-    stack: list = [(t, 0, None, False)]
+    stack: list = [(t, 0, None, False, path.count("body"))]
     while stack:
-        u, depth, frames, renamed = stack.pop()
+        u, depth, frames, renamed, left = stack.pop()
         if depth == len(path):
             yield u, frames, renamed
             continue
         step = path[depth]
         if type(u) is Abstraction and step == "body":
             a, body = u.atom, u.body
-            renamings = [a] + [z for z in universe if z != a and fresh_holds(ctx, z, body)]
+            fresh = (z for z in universe if z != a and fresh_holds(ctx, z, body))
+            # left - 1 binders lie below this one on the path.
+            renamings = [a, *itertools.islice(fresh, None if width is None else width + left - 1)]
             for z in reversed(renamings):
                 moved = z != a
-                stack.append((act(swap(z, a), body) if moved else body, depth + 1, (z, frames), renamed or moved))
+                body_z = act(swap(z, a), body) if moved else body
+                stack.append((body_z, depth + 1, (z, frames), renamed or moved, left - 1))
         elif type(u) is App and type(step) is int and 0 <= step < len(u.args):
-            stack.append((u.args[step], depth + 1, ((u, step), frames), renamed))
+            stack.append((u.args[step], depth + 1, ((u, step), frames), renamed, left))
         else:
             raise IndexError(f"no position {path_str(path)} in term")
 
@@ -585,6 +606,9 @@ def _candidates(s: Term, places: Iterable[tuple], rule: RewriteRule, prepared: C
     lhs fits, every alpha-variant of s renaming the binders above it into
     the prepared rule's universe (the place itself if it has none or that is
     empty, as for closed rules and closed rewriting), every instance found.
+    Unless the universe was cut, a binder is renamed only to its first m + j
+    fresh targets, m the rule's atoms and j the binders below it: the later
+    ones reach no class an earlier candidate has not (module docstring).
     No renaming changes an lhs's shape, so the rule is prepared, by
     `prepared()`, only at the first place that fits."""
     prep = None
@@ -596,7 +620,8 @@ def _candidates(s: Term, places: Iterable[tuple], rule: RewriteRule, prepared: C
         prep = prep or prepared()
         variants = [(here, frames, False)]
         if prep.universe and _binders(frames):
-            variants = _decompositions(prep.ctx, s, _path(frames), prep.universe)
+            width = None if prep.truncated else len(prep.rule.atoms())
+            variants = _decompositions(prep.ctx, s, _path(frames), prep.universe, width)
         for hole, at, renamed in variants:
             for pi, theta, rhs in prep.instances(hole):
                 yield prep, i, at, hole, renamed, pi, theta, rhs

@@ -628,7 +628,9 @@ def test_a_renamed_binder_over_a_body_it_leaves_alone_is_recorded():
     # is the subject's own subterm although a binder above it was renamed;
     # the step must still record the renamed variant, which replays.  The
     # rule names the free atom c, so it is not closed and its steps are
-    # tried on alpha-variants ([a], [d] and the spare [p$0]).
+    # tried on alpha-variants: [a] as written and, the rule having one atom
+    # and no binder lying below [a], its first fresh target [d] (the spare
+    # [p$0] would reach no new class).
     d = Atom("d")
     rule = RewriteRule("r", EMPTY_CTX, App("f", (AtomTerm(c),)), App("h", (AtomTerm(c),)))
     assert not closed_module.is_closed_rule(rule)
@@ -636,7 +638,7 @@ def test_a_renamed_binder_over_a_body_it_leaves_alone_is_recorded():
     s = App("g", (Abstraction(a, body), AtomTerm(d)))
     assert act(swap(d, a), body) is body
     steps = rewrite_step_general(EMPTY_CTX, s, rule)
-    assert sorted(st.variant.args[0].atom.name for st in steps) == ["a", "d", "p$0"]
+    assert sorted(st.variant.args[0].atom.name for st in steps) == ["a", "d"]
     for st in steps:
         assert st.variant.args[0].atom == st.result.args[0].atom
         assert (st.variant is s) == (st.variant.args[0].atom == a)
@@ -677,6 +679,123 @@ def test_closed_rules_reach_the_same_classes_with_alpha_variants_tried(monkeypat
     monkeypatch.setattr(closed_module, "_is_closed", lambda rule: False)
     assert run("variants") == as_written
     assert listed["variants"] > listed["as written"] > 0
+
+
+# Rules that are not closed, with 1 to 3 atoms each, which they introduce
+# into a result: one under a binder of its lhs, one under a freshness side
+# condition.
+ESCAPES = parse_theory(
+    """
+    theory escapes ;
+    sig f:1 g:2 h:1 ;
+    rule one   : f(X) -> b ;
+    rule two   : f(X) -> g(b, c) ;
+    rule three : f(a) -> g(b, c) ;
+    rule bound : [a]f(X) -> [a]g(X, b) ;
+    rule side  : a#X |- h(X) -> g(X, a) ;
+    """
+)
+
+
+def _every_fresh_target(monkeypatch):
+    """Rename each binder above a hole to every fresh universe atom, as
+    with no cap on the targets tried."""
+    every = rewrite_module._decompositions
+    monkeypatch.setattr(rewrite_module, "_decompositions", lambda ctx, t, path, universe, width=None: every(
+        ctx, t, path, universe))
+
+
+def _escape_cases(seed, count):
+    """(max_support, ctx, s, t) for ESCAPES: s is a stack of up to 3
+    binders over a term that often holds a redex, under max_support 5 (often
+    truncated) or 8; t is a step or two from s, or an unrelated term."""
+    rng = random.Random(seed)
+    atoms, formers = [Atom(n) for n in "abcde"], [("f", 1), ("g", 2), ("h", 1)]
+    for _ in range(count):
+        s = random_term(rng, rng.randint(1, 3), atoms[:4], [X] if rng.random() < 0.3 else [], formers)
+        if rng.random() < 0.6:
+            s = App(rng.choice("fh"), (s,))
+        for _ in range(rng.randint(0, 3)):
+            s = Abstraction(rng.choice(atoms), s)
+        if rng.random() < 0.3:
+            s = App("g", (s, AtomTerm(rng.choice(atoms))))
+        ctx = FreshnessContext.of((rng.choice(atoms), X)) if rng.random() < 0.3 else EMPTY_CTX
+        max_support = rng.choice((5, 8))
+        t = random_term(rng, rng.randint(1, 3), atoms[:4], [], formers)
+        for i in range(rng.randint(0, 2)):
+            steps = [st for rule in ESCAPES.rules for st in rewrite_step_general(ctx, t if i else s, rule, max_support)]
+            if steps:
+                t = rng.choice(steps).result
+        yield max_support, ctx, s, t
+
+
+def test_capped_variants_reach_the_classes_every_variant_reaches(monkeypatch):
+    # A binder above a hole is renamed only to its first m + j fresh targets,
+    # m the rule's atoms and j the binders below it on the path (module
+    # docstring).  Renaming it to every fresh target lists more steps but
+    # reaches no other class at any position, and the first representative
+    # of each class comes from the same candidate, so reachability keeps the
+    # same representatives and a search finds the same trace.
+    cases = list(_escape_cases(79, 150))
+    listed, cut = Counter(), set()
+
+    def run(side):
+        classes = []
+        for max_support, ctx, s, _ in cases:
+            for rule in ESCAPES.rules:
+                steps = rewrite_step_general(ctx, s, rule, max_support)
+                listed[side] += len(steps)
+                cut.add(steps.truncated)
+                at = {}
+                for st in steps:
+                    at.setdefault(st.path, set()).add(alpha_key(ctx, st.result))
+                classes.append(at)
+        reached = [list(rewrite_closure_reachable(ctx, s, ESCAPES, 1, ms).reps.items()) for ms, ctx, s, _ in cases]
+        searched = [symmetric_search(ctx, s, t, ESCAPES, fuel=2, max_support=ms) for ms, ctx, s, t in cases]
+        return classes, reached, [(res.found, res.trace) for res in searched]
+
+    capped = run("capped")
+    _every_fresh_target(monkeypatch)
+    assert run("every") == capped
+    assert listed["every"] > listed["capped"] > 0
+    assert cut == {True, False}
+    assert sum(found for found, _ in capped[2]) > 20
+
+
+def test_a_rule_that_is_not_closed_lists_fewer_variants_under_four_binders(monkeypatch):
+    # f(X) -> b introduces b, which a renamed binder may capture, so its
+    # steps are tried on alpha-variants.  With each of the four binders
+    # renamed to every fresh target they list 3,125 steps; with each renamed
+    # to its first 1 + j (one rule atom, j binders below it) they list 600,
+    # and both reach the same 9 classes at the one position.
+    rule = ESCAPES.rules[0]
+    s = parse_term("[a][b][c][d]f(d)", ESCAPES.signature)
+
+    def listing():
+        steps = rewrite_step_general(EMPTY_CTX, s, rule)
+        assert not steps.truncated and all(replay_step(EMPTY_CTX, st, rule) for st in steps[::50])
+        return len(steps), {alpha_key(EMPTY_CTX, st.result) for st in steps}
+
+    capped = listing()
+    _every_fresh_target(monkeypatch)
+    every = listing()
+    assert capped[0] == 600 and every[0] == 3125
+    assert capped[1] == every[1] and len(capped[1]) == 9
+
+
+def test_a_capped_binder_tests_no_target_past_its_cap(monkeypatch):
+    # Six universe atoms, none in the body h(c): with width 1 the outer
+    # binder (one binder below it) takes its first 2 fresh targets and each
+    # of its 3 renamings the inner binder's first 1, so 2 + 3 x 1 freshness
+    # tests; with no width 5 + 6 x 5.
+    calls, real = Counter(), rewrite_module.fresh_holds
+    monkeypatch.setattr(rewrite_module, "fresh_holds", lambda ctx, a, t: calls.update([a]) or real(ctx, a, t))
+    universe = [Atom(n) for n in ("a", "b", "d", "e", "p$0", "p$1")]
+    s = parse_term("[a][b]h(c)", ESCAPES.signature)
+    for width, tests, variants in ((1, 5, 6), (None, 35, 36)):
+        calls.clear()
+        assert len(list(_decompositions(EMPTY_CTX, s, ("body", "body"), universe, width))) == variants
+        assert sum(calls.values()) == tests
 
 
 def test_reachability_matches_scan_reference():

@@ -68,3 +68,20 @@ def test_cli_phases_runs(capsys, monkeypatch):
     phases = ["argparse", "theory load", "context parse", "term parse", "decide_equal", "report dicts", "JSON text"]
     assert [row.rsplit(None, 1)[0] for row in rows] == [*phases, "total"]
     assert all(float(row.split()[-1]) > 0 for row in rows)
+
+
+def test_variant_counts_runs(capsys, monkeypatch):
+    # The script asserts that the cap on renamed binders changes no search's
+    # answer or trace; a few searches per suite keep the smoke run quick.
+    monkeypatch.setattr("sys.argv", ["variant_counts.py", "4"])
+    runpy.run_path(str(SCRIPTS / "variant_counts.py"), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["suite", "side", "found", "candidates", "renamed", "variants", "solve_match", "classes"]
+    suites = ["nonclosed", "remark43", "stack-1", "stack-2", "stack-3", "stack-4"]
+    assert [row.split()[:2] for row in rows] == [[suite, side] for suite in suites for side in ("capped", "every")]
+    for capped, every in zip(rows[::2], rows[1::2]):
+        capped, every = [int(n) for n in capped.split()[2:]], [int(n) for n in every.split()[2:]]
+        assert capped[0] == every[0] and capped[-1] == every[-1]  # found, classes
+        assert all(c <= e for c, e in zip(capped[1:-1], every[1:-1]))
+    # Four binders over one redex: the cap drops most renamed candidates.
+    assert int(rows[-2].split()[4]) < int(rows[-1].split()[4]) / 1.5
