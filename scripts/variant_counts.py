@@ -7,47 +7,38 @@ searches with that cap and, in the same process, with it patched off so
 every fresh target is tried, and asserts that both find the same pairs with
 the same traces (compared by repr).
 
-Each suite is a list of seeded `symmetric_search` calls, searching from s
-to t: on nonclosed.nrw and on remark43.nrw, s a small random term and t one
-step from it (by a rule or a reversed rule) or, searched on fuel 5, an
-underivable term, as in perfbench's nonclosed-search; and on nonclosed.nrw, s a stack of 1 to 4
-binders over h(a, g(c)) and t one step from it.  Per 100 searches it prints
-the candidate steps `_candidates` yields, those fired on a renamed variant,
-the variants `_decompositions` yields, the `solve_match` calls and the
-classes the searches reached.
+Each suite is a list of `symmetric_search` calls, searching from s to t:
+the first ops of perfbench's nonclosed-search workload at seed 1 (its own
+inputs, on nonclosed.nrw and remark43.nrw); and on nonclosed.nrw, s a stack
+of 1 to 4 seeded binders over h(a, g(c)) and t one step from it.  Per 100
+searches it prints the candidate steps `_candidates` yields, those fired on
+a renamed variant, the variants `_decompositions` yields, the `solve_match`
+calls and the classes the searches reached.
 
     python scripts/variant_counts.py [SEARCHES]   # per suite, default 100
 """
 
+import itertools
 import random
 import sys
 from importlib import resources
+from pathlib import Path
 
 import nomrew.rewrite as rewrite
-from nomrew import EMPTY_CTX, Abstraction, App, Atom, AtomTerm, Unknown, rewrite_step_general, var
+import nomrew.terms as terms
+from nomrew import EMPTY_CTX, Abstraction, App, Atom, AtomTerm, rewrite_step_general
 from nomrew.syntax import parse_theory
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from oracle import build  # noqa: E402
+from run import op_stream  # noqa: E402
+from workloads import NonclosedSearch  # noqa: E402
 
 ATOMS = [Atom(n) for n in "abcd"]
 
 
 def theory(name):
-    return parse_theory((resources.files("nomrew") / "theories" / f"{name}.nrw").read_text())
-
-
-def small(rng, size, atoms, formers, unknowns=()):
-    """A random term of about `size` nodes."""
-    if size <= 1:
-        if unknowns and rng.random() < 0.3:
-            return var(rng.choice(unknowns))
-        return AtomTerm(rng.choice(atoms))
-    if rng.random() < 0.4:
-        return Abstraction(rng.choice(atoms), small(rng, size - 1, atoms, formers, unknowns))
-    former, arity = rng.choice(formers)
-    if arity == 1:
-        return App(former, (small(rng, size - 1, atoms, formers, unknowns),))
-    k = rng.randint(1, max(1, size - 2))
-    args = small(rng, k, atoms, formers, unknowns), small(rng, max(1, size - 1 - k), atoms, formers, unknowns)
-    return App(former, args)
+    return parse_theory((resources.files("nomrew") / "theories" / name).read_text())
 
 
 def step_away(rng, th, s):
@@ -57,22 +48,10 @@ def step_away(rng, th, s):
 
 
 def suites(count):
-    rng = random.Random(1)
-    nonclosed, remark43 = theory("nonclosed"), theory("remark43")
-    for name, th, atoms, formers, unknowns in (
-        ("nonclosed", nonclosed, ATOMS[:3], [("g", 1), ("h", 2)], ()),
-        ("remark43", remark43, [ATOMS[0], ATOMS[2]], [("f", 1), ("g", 1)], (Unknown("X"),)),
-    ):
-        searches = []
-        while len(searches) < count:
-            s = small(rng, rng.randint(2, 4), atoms, formers, unknowns)
-            if rng.random() < 0.75:
-                t, fuel = step_away(rng, th, s), rng.choice((5, 10, 15, 20))
-            else:  # underivable: the search uses up its fuel
-                t, fuel = App("g", (s,)), 5
-            if t is not None:
-                searches.append((th, s, t, fuel))
-        yield name, searches
+    theories = {name: theory(name) for name in NonclosedSearch.theories}
+    ops = itertools.islice(op_stream(NonclosedSearch(None, theories, {}), 1), count)
+    yield "nonclosed-search", [(theories[th], build(s, terms), build(t, terms), fuel) for th, s, t, fuel, _ in ops]
+    rng, nonclosed = random.Random(1), theories["nonclosed.nrw"]
     for depth in range(1, 5):
         searches = []
         while len(searches) < count:
@@ -127,7 +106,7 @@ def run(searches, cap):
 
 def main(count):
     columns = ("candidates", "renamed", "variants", "solve_match", "classes")
-    print(f"{'suite':<10} {'side':<7} {'found':>5} " + " ".join(f"{c:>11}" for c in columns))
+    print(f"{'suite':<16} {'side':<7} {'found':>5} " + " ".join(f"{c:>11}" for c in columns))
     for name, searches in suites(count):
         capped, answers = run(searches, cap=True)
         every, every_answers = run(searches, cap=False)
@@ -135,7 +114,7 @@ def main(count):
         found = sum(a.startswith("(True") for a in answers)
         for side, counts in (("capped", capped), ("every", every)):
             per_100 = (round(100 * counts[c] / len(searches)) for c in columns)
-            print(f"{name:<10} {side:<7} {found:>5} " + " ".join(f"{n:>11}" for n in per_100))
+            print(f"{name:<16} {side:<7} {found:>5} " + " ".join(f"{n:>11}" for n in per_100))
 
 
 if __name__ == "__main__":

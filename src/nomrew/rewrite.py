@@ -25,16 +25,14 @@ Nor does a rule that is not closed need every variant.  A variant renaming
 [b] to a fresh [z] fires (z b) applied to a step on the subject, so its
 result differs from that step's only where an atom the rule introduces is z
 there, and so escapes b's binder in the variant.  Any other fresh target z'
-then reaches the same class, by (z z'), if it avoids three kinds of atom:
-those the result uses under their own names; the targets of the other
-binders an introduced atom escapes (with the above at most m - 1, m being
-the rule's atoms, of which b takes one); and the j binder names below [b] on
-the path.  So a binder is tried as written and with only its first m + j
-fresh targets: one of them serves, and comes first in enumeration order, so
-each class keeps its first representative and a search its trace.  A
-universe cut by its cap, whose search is incomplete anyway, still tries
-every fresh target: the cap is checked against every target only on
-universes that were not cut.
+then reaches the same class, by (z z'), a candidate even on a cut universe
+since z' is a universe atom, if it avoids three kinds of atom: those the
+result uses under their own names; the targets of the other binders an
+introduced atom escapes (with the above at most m - 1, m being the rule's
+atoms, of which b takes one); and the j binder names below [b] on the path.
+So a binder is tried as written and with only its first m + j fresh
+targets: one of them serves, and comes first in enumeration order, so
+each class keeps its first representative and a search its trace.
 
 The core is written once: one cursor yielding positions as rebuild frames
 (`_places`), step enumeration over them x alpha-variants (`_candidates`,
@@ -606,9 +604,9 @@ def _candidates(s: Term, places: Iterable[tuple], rule: RewriteRule, prepared: C
     lhs fits, every alpha-variant of s renaming the binders above it into
     the prepared rule's universe (the place itself if it has none or that is
     empty, as for closed rules and closed rewriting), every instance found.
-    Unless the universe was cut, a binder is renamed only to its first m + j
-    fresh targets, m the rule's atoms and j the binders below it: the later
-    ones reach no class an earlier candidate has not (module docstring).
+    A binder is renamed only to its first m + j fresh targets, m the rule's
+    atoms and j the binders below it: the later ones reach no class an
+    earlier candidate has not (module docstring).
     No renaming changes an lhs's shape, so the rule is prepared, by
     `prepared()`, only at the first place that fits."""
     prep = None
@@ -620,8 +618,7 @@ def _candidates(s: Term, places: Iterable[tuple], rule: RewriteRule, prepared: C
         prep = prep or prepared()
         variants = [(here, frames, False)]
         if prep.universe and _binders(frames):
-            width = None if prep.truncated else len(prep.rule.atoms())
-            variants = _decompositions(prep.ctx, s, _path(frames), prep.universe, width)
+            variants = _decompositions(prep.ctx, s, _path(frames), prep.universe, len(prep.rule.atoms()))
         for hole, at, renamed in variants:
             for pi, theta, rhs in prep.instances(hole):
                 yield prep, i, at, hole, renamed, pi, theta, rhs

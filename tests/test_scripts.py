@@ -1,4 +1,5 @@
 import runpy
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -74,10 +75,11 @@ def test_variant_counts_runs(capsys, monkeypatch):
     # The script asserts that the cap on renamed binders changes no search's
     # answer or trace; a few searches per suite keep the smoke run quick.
     monkeypatch.setattr("sys.argv", ["variant_counts.py", "4"])
+    monkeypatch.setattr("sys.path", [*sys.path])  # the script adds perfbench/
     runpy.run_path(str(SCRIPTS / "variant_counts.py"), run_name="__main__")
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["suite", "side", "found", "candidates", "renamed", "variants", "solve_match", "classes"]
-    suites = ["nonclosed", "remark43", "stack-1", "stack-2", "stack-3", "stack-4"]
+    suites = ["nonclosed-search", "stack-1", "stack-2", "stack-3", "stack-4"]
     assert [row.split()[:2] for row in rows] == [[suite, side] for suite in suites for side in ("capped", "every")]
     for capped, every in zip(rows[::2], rows[1::2]):
         capped, every = [int(n) for n in capped.split()[2:]], [int(n) for n in every.split()[2:]]
