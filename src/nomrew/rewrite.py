@@ -62,8 +62,10 @@ across calls, one list per universe, each side built when a search first
 reaches its candidate.  The instances found at a hole depend on those, the
 context and the hole, so `normalize_general`, `rewrite_closure_reachable` and
 `symmetric_search` keep them in a dict of their own for the length of the
-call (`rewrite_step_general`'s call is one step): the permutation search runs
-once per distinct hole per call, however often the hole comes back.
+call (`rewrite_step_general`'s call is one step): readers of a hole share one
+search through `itertools.tee` copies, so it runs once per distinct hole per
+call, however often the hole comes back.  Like generators, the copies must
+not be read from two threads at once.
 `_breadth_first` keys a general step without building it: a node has a fixed
 width in its alpha key (de Bruijn), so the key of C[r] is the subject's with
 the hole's slice replaced by r's key under C's binders (an alpha-variant keys
@@ -466,10 +468,9 @@ def _prepare_general(
     read them.  `sides`, a dict the caller owns, keeps each hole's
     instances once per renamed rule, universe and context: a caller running
     many steps passes one dict for its whole call.  They are keyed by the
-    hole's flat key (`_flat_key`, exact and built without recursion) and
-    filled lazily: a reader that stops at the first instance leaves the rest
-    of the search unrun, and a later reader of an equal hole gets the
-    instances found so far, then the search resumed where it stopped."""
+    hole's flat key (`_flat_key`, exact and built without recursion), and
+    readers of a hole share one search through `tee` copies, which, like
+    generators, must not be read from two threads at once."""
     from .closed import _is_closed  # closed.py imports this module
 
     ctx = subject.ctx
@@ -502,27 +503,11 @@ def _prepare_general(
     def instances(hole: Term):
         hole_key = _flat_key(hole)
         found = solved.get(hole_key)
-        if found is None:
-            found = solved[hole_key] = [], search(hole)
-        return _resume(*found)
+        if found is None:  # kept unread, so its copies replay every item
+            found = solved[hole_key] = itertools.tee(search(hole), 1)[0]
+        return found.__copy__()
 
     return PreparedRule(rule, ctx, [] if closed else universe, instances, truncated)
-
-
-def _resume(done: list, rest: Iterator) -> Iterator:
-    """Yield the items `rest` has given so far, kept in `done`, then draw
-    on from it, keeping each new item.  Every reader of one search sees the
-    same items in the same order, and the search runs at most once however
-    far each reader goes and however their reads interleave."""
-    i = 0
-    while True:
-        while i < len(done):
-            yield done[i]
-            i += 1
-        item = next(rest, None)
-        if item is None:
-            return
-        done.append(item)
 
 
 def _may_match(lhs: Term, hole: Term) -> bool:

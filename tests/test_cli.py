@@ -63,6 +63,14 @@ def test_theory_parse_error_position_counts_a_tab_as_one_column(tmp_path, capsys
     assert run(capsys, "check", str(bad)) == (2, "", "parse error: line 3, col 19: unknown term-former 'g'\n")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["check", "/nonexistent.nrw"], "error: [Errno 2] No such file or directory: '/nonexistent.nrw'"),
+    (["match", "", "X", "", "X"], "error: pattern and target share unknowns: X"),
+])
+def test_missing_file_and_nominal_errors_exit_two(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", line + "\n")
+
+
 def test_flag_misuse_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["normalize", str(BETAETA), "--strategy", "sideways", "--term", "a"])

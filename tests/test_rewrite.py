@@ -1140,13 +1140,19 @@ def test_kept_instances_resume_where_the_first_reader_stopped(monkeypatch):
     hole = s.args[0]
     calls = Counter()
     monkeypatch.setattr(rewrite_module, "solve_match", lambda problem: calls.update(["match"]) or solve_match(problem))
-    prepared = _prepare_general(Subject(EMPTY_CTX, s), rule, sides={})
-    first = next(prepared.instances(hole))
-    assert calls["match"] == 1
-    got = list(prepared.instances(s.args[1]))
     want = list(_reference_prepare_general(Subject(EMPTY_CTX, s), rule).instances(hole))
-    assert got == want and got[0] == first and len(got) == 3
-    assert calls["match"] == 3
+    assert len(want) == 3
+    prepared = _prepare_general(Subject(EMPTY_CTX, s), rule, sides={})
+    reader = prepared.instances(hole)
+    assert next(reader) == want[0] and calls["match"] == 1
+    # A reader dropped mid-way, as `_first_step` drops one after its first
+    # instance, leaves the others where they were.
+    dropped = prepared.instances(hole)
+    assert [next(dropped), next(dropped)] == want[:2] and calls["match"] == 2
+    del dropped
+    assert list(prepared.instances(s.args[1])) == want and calls["match"] == 3
+    # The first reader goes on where it stopped, from what is kept.
+    assert list(reader) == want[1:] and calls["match"] == 3
     assert list(prepared.instances(hole)) == want and calls["match"] == 3
 
 
