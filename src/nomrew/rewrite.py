@@ -34,6 +34,17 @@ So a binder is tried as written and with only its first m + j fresh
 targets: one of them serves, and comes first in enumeration order, so
 each class keeps its first representative and a search its trace.
 
+Nor does a symmetric search fire a reversal that only renames an earlier
+rule, within that rule's own atoms and unknowns (nonclosed's `b -> a` is
+`a -> b` under (a b), and `f(X,Y) = f(Y,X)` reverses onto itself).  General
+rewriting is equivariant: if the reversal is the rule renamed by tau, its
+candidate sigma gives the step the rule's candidate agreeing with
+sigma o tau on the rule's atoms gives, over the same universe, which the
+atom set decides.  Renaming keeps a rule closed or not, so the two try the
+same variants.  The earlier rule runs first on every frontier term, so each
+class the reversal would reach is already met: traces, representatives and
+`found` do not change.  This argues general rewriting only.
+
 The core is written once: one cursor yielding positions as rebuild frames
 (`_places`), step enumeration over them x alpha-variants (`_candidates`,
 built by `rewrite_steps`), the first step and normalization (`normalize`),
@@ -246,8 +257,16 @@ class Theory:
         """The executable reversals of the rules, made once per theory object
         so that what each keeps (its renamings) lasts across searches.  They
         need not pass the parse-time lhs restriction: a bare variable lhs
-        just makes an expansion step, which a search's fuel bounds."""
-        return tuple(RewriteRule(r.name + "~", r.ctx, r.rhs, r.lhs) for r in self.rules if _invertible(r))
+        just makes an expansion step, which a search's fuel bounds.  A
+        reversal that renames an earlier rule (a rule, or a reversal kept)
+        within the same atoms is left out: it steps to no class the earlier
+        rule does not reach first (module docstring)."""
+        kept: list[RewriteRule] = []
+        for r in filter(_invertible, self.rules):
+            rev = RewriteRule(r.name + "~", r.ctx, r.rhs, r.lhs)
+            if not any(e.atoms() == rev.atoms() and _renaming(e, rev) for e in (*self.rules, *kept)):
+                kept.append(rev)
+        return tuple(kept)
 
 
 # The bounded permutation search acts on at most MAX_SUPPORT atoms (6 atoms
@@ -677,14 +696,20 @@ def rewrite_step_general(
 
 
 def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessContext, *terms: Term) -> bool:
-    """Is `renamed` the image of `rule` under one-to-one renamings of its
-    atoms and of its unknowns, onto names that occur nowhere in ctx or the
-    terms?"""
+    """Is `renamed`, named as `rule`, the image of `rule` under one-to-one
+    renamings of its atoms and of its unknowns, onto names that occur nowhere
+    in ctx or the terms?"""
     if renamed.atoms() & atoms_of(ctx, *terms) or renamed.unknowns() & unknowns_of(ctx, *terms):
         return False
+    return renamed.name == rule.name and _renaming(rule, renamed)
+
+
+def _renaming(rule: RewriteRule, other: RewriteRule) -> bool:
+    """Is `other`, its name aside, the image of `rule` under one-to-one
+    renamings of its atoms and of its unknowns?"""
     amap: dict[Atom, Atom] = {}
     umap: dict[Unknown, Unknown] = {}
-    work = [(rule.rhs, renamed.rhs), (rule.lhs, renamed.lhs)]
+    work = [(rule.rhs, other.rhs), (rule.lhs, other.lhs)]
     while work:
         u, v = work.pop()
         kind = type(u)
@@ -704,14 +729,12 @@ def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessConte
             return False
     # Atoms met only in suspensions or in the context: try each assignment.
     rest = sorted(rule.atoms() - amap.keys())
-    for images in itertools.permutations(sorted(renamed.atoms() - set(amap.values())), len(rest)):
+    for images in itertools.permutations(sorted(other.atoms() - set(amap.values())), len(rest)):
         full = {**amap, **dict(zip(rest, images))}
-        if (
-            len(set(full.values())) == len(full)
-            and len(set(umap.values())) == len(umap)
-            and _rename_rule(rule, full, umap) == renamed
-        ):
-            return True
+        if len(set(full.values())) == len(full) and len(set(umap.values())) == len(umap):
+            image = _rename_rule(rule, full, umap)
+            if (image.ctx, image.lhs, image.rhs) == (other.ctx, other.lhs, other.rhs):
+                return True
     return False
 
 
@@ -970,7 +993,7 @@ def symmetric_search(
     max_support: int = MAX_SUPPORT,
 ) -> SearchResult:
     """Bounded search for s <-> t: breadth-first over steps of the theory
-    and of its executable reversals, under the context extended with up to
+    and of the reversals it keeps, under the context extended with up to
     gamma_budget machine-fresh constraints added all at once.
 
     `found` certifies derivability (the trace replays under the extended

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from functools import partial
@@ -51,8 +52,8 @@ from nomrew import (
 )
 from nomrew.rewrite import (
     MAX_SUPPORT, PreparedRule, Subject, _build, _candidate_perms, _candidates, _decompositions, _fresh_maps,
-    _invertible, _may_match, _path, _places, _plug, _prepare_general, _rename_rule, _rename_term, _spans, _spliced_key,
-    _universe, normalize, reachable, rewrite_steps,
+    _fresh_renaming, _invertible, _may_match, _path, _places, _plug, _prepare_general, _rename_rule, _rename_term,
+    _renaming, _spans, _spliced_key, _universe, normalize, reachable, rewrite_steps,
 )
 from nomrew.syntax import parse_term, parse_theory
 from nomrew.terms import MACHINE_MARK
@@ -560,14 +561,17 @@ def _joinable(ctx, s, t, theory, fuel, reach=closed_reachable):
     return any(u in from_t for u in reach(ctx, s, theory, fuel))
 
 
-def _scan_search(ctx, s, t, theory, fuel):
+def _every_reversal(theory):
+    """Every executable reversal, none left out."""
+    return tuple(RewriteRule(r.name + "~", r.ctx, r.rhs, r.lhs) for r in theory.rules if _invertible(r))
+
+
+def _scan_search(ctx, s, t, theory, fuel, max_support=MAX_SUPPORT):
     """symmetric_search's breadth-first loop with the target test and the
-    visited set done by scans of the rule-by-rule check_alpha; ctx is the
-    extended context."""
+    visited set done by scans of the rule-by-rule check_alpha, firing every
+    reversal; ctx is the extended context."""
     same = lambda u, v: ref.check_alpha(ctx, u, v) is not None
-    rules = list(theory.rules) + [
-        RewriteRule(r.name + "~", r.ctx, r.rhs, r.lhs) for r in theory.rules if _invertible(r)
-    ]
+    rules = [*theory.rules, *_every_reversal(theory)]
     if same(s, t):
         return True, []
     reached = _ScanSet(ctx)
@@ -580,7 +584,7 @@ def _scan_search(ctx, s, t, theory, fuel):
                 break
             expansions += 1
             for rule in rules:
-                for step in rewrite_step_general(ctx, u, rule):
+                for step in rewrite_step_general(ctx, u, rule, max_support):
                     if same(step.result, t):
                         return True, trace + [step]
                     if reached.add(step.result):
@@ -589,12 +593,13 @@ def _scan_search(ctx, s, t, theory, fuel):
     return False, None
 
 
-def _seeded_cases(seed, count):
-    """(theory, ctx, s, t) over the bundled theories: t is one step from s,
-    an alpha-variant of such a step, or an unrelated term."""
+def _seeded_cases(seed, count, theories=BUNDLED):
+    """(theory, ctx, s, t) over the theories, the bundled ones by default: t
+    is one step from s, an alpha-variant of such a step, or an unrelated
+    term."""
     rng = random.Random(seed)
     for _ in range(count):
-        theory = rng.choice(BUNDLED)
+        theory = rng.choice(theories)
         formers = list(theory.signature.arities) or FORMERS
         ctx = random_ctx(rng) if rng.random() < 0.5 else EMPTY_CTX
         s = random_term(rng, rng.randint(2, 4), formers=formers)
@@ -1345,3 +1350,103 @@ def test_reversed_rules_are_kept_with_the_theory(monkeypatch):
     res = results[0]
     assert res.found and all((r.found, r.trace) == (res.found, res.trace) for r in results)
     assert (res.found, res.trace) == _scan_search(res.ctx, s, t, theory, fuel=5)
+
+
+# reversals that rename an earlier rule -------------------------------------------
+
+COMM = parse_theory(
+    "theory comm ; sig f:2 h:1 g:1 ;"
+    "axiom comm : f(X,Y) = f(Y,X) ; axiom ab : h(a) = h(b) ; axiom gg : g(X) = g(g(X)) ;"
+)
+
+
+def test_a_search_answers_as_one_firing_every_reversal(monkeypatch):
+    # A reversal left out renames an earlier rule within its own atoms, so
+    # every class it reaches from a term is met first: found, the trace and
+    # the context are those of a search firing every reversal, and of the
+    # scan reference, on cut universes (max_support 3) too.  Each pair is
+    # searched both ways, since t one rule step from s needs a reversal back.
+    dropped = {"atom_ab~", "comm~", "ab~"}
+    cases = [case for case in _seeded_cases(101, 160) if case[0].name != "fol"]
+    cases += list(_seeded_cases(103, 160, [COMM]))
+    cases += [(theory, ctx, t, s) for theory, ctx, s, t in cases]
+    fired, outcomes = Counter(), Counter()
+    real = rewrite_module._candidates
+
+    def counted(s, places, rule, prepared):
+        for candidate in real(s, places, rule, prepared):
+            fired[rule.name] += rule.name in dropped
+            yield candidate
+
+    for i, (theory, ctx, s, t) in enumerate(cases):
+        max_support, gamma_budget = (MAX_SUPPORT, 3)[i % 2], (None, 0)[i // 2 % 2]
+        search = partial(symmetric_search, ctx, s, t, theory, 3, gamma_budget, max_support)
+        res = search()
+        with monkeypatch.context() as patched:
+            patched.setattr(Theory, "_reversed_rules", property(_every_reversal))
+            patched.setattr(rewrite_module, "_candidates", counted)
+            want = search()
+        assert (res.found, res.trace, sorted(res.ctx)) == (want.found, want.trace, sorted(want.ctx))
+        assert (res.found, res.trace) == _scan_search(res.ctx, s, t, theory, 3, max_support)
+        outcomes[theory.name, res.found] += 1
+    assert all(fired[name] for name in dropped)
+    assert all(outcomes[name, found] for name in ("nonclosed", "comm") for found in (True, False))
+
+
+def test_a_reversal_that_renames_an_earlier_rule_is_left_out():
+    names = lambda theory: [rule.name for rule in theory._reversed_rules]
+    theories = {theory.name: theory for theory in BUNDLED}
+    assert names(theories["nonclosed"]) == ["strip~"] and names(theories["remark43"]) == ["expand~"]
+    assert len(names(theories["betaeta"])) == 4 and len(names(theories["fol"])) == 7
+    for name in ("betaeta", "fol"):
+        assert names(theories[name]) == [rule.name for rule in _every_reversal(theories[name])]
+    assert names(COMM) == ["gg~"]  # comm~ is comm under (X Y), ab~ is ab under (a b)
+    # Each reversal renames the other rule, but onto another atom set, which
+    # sets another universe: both are kept.
+    sig = Signature.of({"f": 2, "g": 1})
+    other_atoms = Theory(sig, tuple(
+        RewriteRule(name, EMPTY_CTX, parse_term(lhs), parse_term(rhs))
+        for name, lhs, rhs in (("cd", "f(c,d)", "f(d,d)"), ("xy", "f(x,x)", "f(y,x)"))
+    ))
+    assert names(other_atoms) == ["cd~", "xy~"]
+    assert _renaming(other_atoms.rules[0], other_atoms._reversed_rules[1])
+    # ba~ is ab~, kept, under (a b).
+    swapped = Theory(sig, tuple(
+        RewriteRule(name, EMPTY_CTX, parse_term(lhs), parse_term(rhs))
+        for name, lhs, rhs in (("ab", "f(a,b)", "g(a)"), ("ba", "f(b,a)", "g(b)"))
+    ))
+    assert names(swapped) == ["ab~"]
+    # Renaming keeps a rule closed or not, so the rule a reversal renames
+    # fires on the same alpha-variants.
+    left_out = 0
+    for theory in (*BUNDLED, COMM, other_atoms, swapped):
+        kept = [*theory.rules, *theory._reversed_rules]
+        for rev in _every_reversal(theory):
+            if rev.name in names(theory):
+                continue
+            renamed = [r for r in kept if r.atoms() == rev.atoms() and _renaming(r, rev)]
+            assert renamed and all(closed_module._is_closed(r) == closed_module._is_closed(rev) for r in renamed)
+            left_out += 1
+    assert left_out == 4
+
+
+def test_renaming_ignores_names_and_refuses_a_map_that_is_not_one_to_one():
+    d, Z = Atom("d"), Unknown("Z")
+    rule = RewriteRule("r", FreshnessContext.of((b, X)), App("f", (Suspension(swap(a, c), X),)), var(X))
+    image = _rename_rule(rule, {a: c, b: d, c: a}, {X: Z})
+    # b occurs only in the context, a and c only in a suspension.
+    assert _renaming(rule, image) and _renaming(rule, dataclasses.replace(image, name="s"))
+    # Replay still asks a freshened rule for the name of the rule it renames.
+    assert _fresh_renaming(rule, image, EMPTY_CTX)
+    assert not _fresh_renaming(rule, dataclasses.replace(image, name="s"), EMPTY_CTX)
+    assert not _renaming(rule, dataclasses.replace(image, ctx=FreshnessContext.of((c, Z))))
+    assert not _renaming(rule, dataclasses.replace(image, lhs=App("f", (Suspension(swap(c, d), Z),))))
+    # Two atoms, or two unknowns, onto one.
+    pair = lambda u, v: RewriteRule("p", EMPTY_CTX, App("f", (u, v)), App("g", ()))
+    assert not _renaming(pair(AtomTerm(a), AtomTerm(b)), pair(AtomTerm(c), AtomTerm(c)))
+    assert not _renaming(pair(AtomTerm(c), AtomTerm(c)), pair(AtomTerm(a), AtomTerm(b)))
+    assert not _renaming(pair(var(X), var(Y)), pair(var(Z), var(Z)))
+    assert not _renaming(pair(var(Z), var(Z)), pair(var(X), var(Y)))
+    assert _renaming(pair(var(X), var(Y)), pair(var(Y), var(X)))
+    # A suspension's atoms follow the renaming the other atoms fix.
+    assert not _renaming(pair(Suspension(swap(a, b), X), AtomTerm(a)), pair(Suspension(swap(c, b), X), AtomTerm(a)))
