@@ -3,17 +3,18 @@
 tries candidate permutations at every position whose shape can match the
 rule) and with the closed engine (plain matching of each rule's one
 freshened variant), assert that both reach alpha-equal normal forms, and
-print the time each took, the match calls each made, the shape tests
-(`_may_match`) each ran and the lists of candidate permutations
-(`_candidate_perms`) each built.  Closed makes one match per hole that
-passes the shape test and builds no permutation list; general makes up to
+print the time each took, the match calls each made, the (position,
+fitting rule) pairs the rule set's discrimination tree answered
+(`_Tree.fits`, one lookup per position visited) and the lists of candidate
+permutations (`_candidate_perms`) each built.  Closed makes one match per hole that a
+rule's lhs shape fits and builds no permutation list; general makes up to
 one match per candidate permutation at each distinct such hole of a
 normalization, since it keeps what it found at a hole for the rest of the
 call, and `beta_app` copies its argument, so the towers repeat holes.
 General keeps each renamed rule's permuted sides across calls, one list
 per universe, so a height builds only the lists the lower heights did not.
-Both engines shape-test a hole only against the rules whose lhs head fits
-it, so they run the same shape tests.  A tower of
+Both engines look up the same positions in the same tree, so they count
+the same pairs.  A tower of
 height h normalizes in 3 * 2^h - 3 steps, and each height runs on exactly
 that much fuel, so any height reaches its normal form.
 
@@ -44,40 +45,42 @@ def tower_steps(height: int) -> int:
 
 
 @contextmanager
-def counting(module, name):
-    """Count the calls the engine module makes to its function `name`."""
-    real = getattr(module, name)
+def counting(owner, name, weight=lambda result: 1):
+    """Count the calls the engine makes to `owner.name` (a module's function
+    or a class's method), each weighted by `weight` of its result."""
+    real = getattr(owner, name)
     calls = [0]
 
     def counted(*args):
-        calls[0] += 1
-        return real(*args)
+        result = real(*args)
+        calls[0] += weight(result)
+        return result
 
-    setattr(module, name, counted)
+    setattr(owner, name, counted)
     try:
         yield calls
     finally:
-        setattr(module, name, real)
+        setattr(owner, name, real)
 
 
 def main(heights):
     theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
     print(f"{'height':>6} {'closed (s)':>12} {'general (s)':>12} {'steps':>6} {'closed matches':>15} "
-          f"{'closed shape-tests':>19} {'closed perm-lists':>18} {'general matches':>16} "
-          f"{'general shape-tests':>20} {'general perm-lists':>19}")
+          f"{'closed fit-pairs':>17} {'closed perm-lists':>18} {'general matches':>16} "
+          f"{'general fit-pairs':>18} {'general perm-lists':>19}")
     for height in heights:
         term = parse_term(redex_tower(height), theory.signature)
         fuel = max(tower_steps(height), 1)
 
         with counting(nomrew.closed, "solve_match") as closed_matches, \
-                counting(nomrew.rewrite, "_may_match") as closed_shapes, \
+                counting(nomrew.rewrite._Tree, "fits", len) as closed_fits, \
                 counting(nomrew.rewrite, "_candidate_perms") as closed_perms:
             t0 = time.perf_counter()
             closed = closed_normalize(EMPTY_CTX, term, theory, fuel=fuel)
             closed_s = time.perf_counter() - t0
 
         with counting(nomrew.rewrite, "solve_match") as general_matches, \
-                counting(nomrew.rewrite, "_may_match") as general_shapes, \
+                counting(nomrew.rewrite._Tree, "fits", len) as general_fits, \
                 counting(nomrew.rewrite, "_candidate_perms") as general_perms:
             t0 = time.perf_counter()
             general = normalize_general(EMPTY_CTX, term, theory, fuel=fuel)
@@ -89,7 +92,7 @@ def main(heights):
         assert alpha_holds(EMPTY_CTX, closed.term, general.term), (
             pretty(closed.term), pretty(general.term))
         print(f"{height:>6} {closed_s:>12.3f} {general_s:>12.3f} {len(closed.trace):>6} {closed_matches[0]:>15} "
-              f"{closed_shapes[0]:>19} {closed_perms[0]:>18} {general_matches[0]:>16} {general_shapes[0]:>20} "
+              f"{closed_fits[0]:>17} {closed_perms[0]:>18} {general_matches[0]:>16} {general_fits[0]:>18} "
               f"{general_perms[0]:>19}")
 
 

@@ -10,7 +10,8 @@ the same traces (compared by repr).
 Each suite is a list of `symmetric_search` calls, searching from s to t:
 the first ops of perfbench's nonclosed-search workload at seed 1 (its own
 inputs, on nonclosed.nrw and remark43.nrw); and on nonclosed.nrw, s a stack
-of 1 to 4 seeded binders over h(a, g(c)) and t one step from it.  Per 100
+of 1 to 4 seeded binders over h(a, g(c)) and t one step from it by a rule
+as written.  Per 100
 searches it prints the candidate steps `_candidates` yields, those fired on
 a renamed variant, the variants `_decompositions` yields, the `solve_match`
 calls and the classes the searches reached.
@@ -42,8 +43,10 @@ def theory(name):
 
 
 def step_away(rng, th, s):
-    """A term one step from s by a rule of th or a reversal, or None."""
-    steps = [st for rule in (*th.rules, *th._reversed_rules) for st in rewrite_step_general(EMPTY_CTX, s, rule)]
+    """A term one step from s by a rule of th, or None.  Only the rules as
+    written are drawn from, so which reversals a search keeps does not
+    change the suites' inputs."""
+    steps = [st for rule in th.rules for st in rewrite_step_general(EMPTY_CTX, s, rule)]
     return rng.choice(steps).result if steps else None
 
 

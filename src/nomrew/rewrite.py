@@ -52,14 +52,19 @@ one breadth-first search for `reachable` and `symmetric_search`
 (`_breadth_first`), and replay.  The engines differ only in how one rule is
 prepared for one subject, a `PreparedRule`: its context, universe and
 instances at a hole, and how a result is finished.  It reads of the subject
-only the atoms and unknowns the core collects once per subject (`Subject`).
-The general preparation here renames the rule's unknowns away from the
-subject's and tries the candidate permutations over a universe; the closed
-preparation (closed.py) matches the rule's fixed freshened variant under an
-extended context and the identity permutation, and scrubs the result.  No
-renaming changes the shape of an lhs, so the core shape-tests each position
-against the rule's own lhs (`_may_match`) and prepares the rule only at the
-first position that fits: a rule that fits no position is never prepared.
+only the atoms and unknowns the core collects once per subject, both in one
+walk (`Subject`).  The general preparation here renames the rule's unknowns
+away from the subject's and tries the candidate permutations over a
+universe; the closed preparation (closed.py) matches the rule's fixed
+freshened variant under an extended context and the identity permutation,
+and scrubs the result.  No renaming changes the shape of an lhs, so each rule
+set keeps one discrimination tree of its rules' own lhs shapes (`_Tree`),
+built once per rule-set object: a theory's rules, a search's rules and kept
+reversals, the lone rule of `rewrite_steps`.  Each position visited is looked
+up in it in one walk, which lists the rules whose lhs fits there in rule
+order, and a rule is prepared only at the first position it fits: a rule
+that fits no position is never prepared, and a subject no rule fits is never
+walked for its names.
 
 What does not depend on the step is not redone at each step.  Every caller
 prepares a rule at most once per call for each pair of atoms and unknowns
@@ -73,9 +78,11 @@ across calls, one list per universe, each side built when a search first
 reaches its candidate.  The instances found at a hole depend on those, the
 context and the hole, so `normalize_general`, `rewrite_closure_reachable` and
 `symmetric_search` keep them in a dict of their own for the length of the
-call (`rewrite_step_general`'s call is one step): readers of a hole share one
-search through `itertools.tee` copies, so it runs once per distinct hole per
-call, however often the hole comes back.  Like generators, the copies must
+call (`rewrite_step_general`'s call is one step), keyed by the hole's flat
+key, which the dict keeps per hole object, so a hole is keyed once per call
+however many rules fit it: readers of a hole share one search through
+`itertools.tee` copies, so it runs once per distinct hole per call, however
+often the hole comes back.  Like generators, the copies must
 not be read from two threads at once.
 `_breadth_first` keys a general step without building it: a node has a fixed
 width in its alpha key (de Bruijn), so the key of C[r] is the subject's with
@@ -120,6 +127,7 @@ from .terms import (
     atoms_of,
     fresh_names,
     substitute,
+    subterms,
     swap,
     unknowns_of,
 )
@@ -185,6 +193,25 @@ def _binders(frames: tuple | None) -> list[Atom]:
     return out
 
 
+def _names_of(ctx: FreshnessContext, *terms: Term) -> tuple[frozenset[Atom], frozenset[Unknown]]:
+    """The atoms and the unknowns of ctx and the terms, as `atoms_of` and
+    `unknowns_of` collect them, in one walk."""
+    atoms, unknowns, stack = {a for a, _ in ctx}, {x for _, x in ctx}, list(terms)
+    while stack:
+        u = stack.pop()
+        kind = type(u)
+        if kind is App:
+            stack += u.args
+        elif kind is Suspension:
+            atoms.update(u.perm.mapping)
+            unknowns.add(u.unknown)
+        else:  # an atom or an abstraction
+            atoms.add(u.atom)
+            if kind is Abstraction:
+                stack.append(u.body)
+    return frozenset(atoms), frozenset(unknowns)
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     """ctx |- lhs -> rhs.  Executability requires the unknowns of the rhs
@@ -196,15 +223,11 @@ class RewriteRule:
     rhs: Term
 
     def validate(self) -> None:
-        lhs_unknowns = unknowns_of(self.lhs)
-        extra = unknowns_of(self.rhs) - lhs_unknowns
-        if extra:
-            names = ", ".join(sorted(x.name for x in extra))
-            raise RuleError(f"rule {self.name}: unknowns on rhs not on lhs: {names}")
-        extra = unknowns_of(self.ctx) - lhs_unknowns
-        if extra:
-            names = ", ".join(sorted(x.name for x in extra))
-            raise RuleError(f"rule {self.name}: context constrains unknowns not on lhs: {names}")
+        for part, what in ((self.rhs, "unknowns on rhs"), (self.ctx, "context constrains unknowns")):
+            extra = unknowns_of(part) - unknowns_of(self.lhs)
+            if extra:
+                names = ", ".join(sorted(x.name for x in extra))
+                raise RuleError(f"rule {self.name}: {what} not on lhs: {names}")
         if isinstance(self.lhs, Suspension) and not any(x == self.lhs.unknown for _, x in self.ctx):
             # A completely unconstrained variable lhs would rewrite every
             # term to an instance of the rhs; reject it as degenerate.
@@ -219,14 +242,18 @@ class RewriteRule:
     @cached_property
     def _names(self) -> tuple[frozenset[Atom], frozenset[Unknown]]:
         """The rule's atoms and unknowns, collected on first use."""
-        parts = (self.ctx, self.lhs, self.rhs)
-        return frozenset(atoms_of(*parts)), frozenset(unknowns_of(*parts))
+        return _names_of(self.ctx, self.lhs, self.rhs)
 
     @cached_property
     def lhs_unknowns(self) -> frozenset[Unknown]:
         """The unknowns of the context and the lhs, which a subject may not
         share with the rule when the rule fires on it."""
         return frozenset(unknowns_of(self.ctx, self.lhs))
+
+    @cached_property
+    def _tree(self) -> "_Tree":
+        """The one-rule discrimination tree `rewrite_steps` reads."""
+        return _Tree((self,))
 
     @cached_property
     def compiled(self) -> dict:
@@ -247,10 +274,7 @@ class Theory:
     name: str = ""
 
     def atoms(self) -> set[Atom]:
-        out: set[Atom] = set()
-        for rule in self.rules:
-            out |= rule.atoms()
-        return out
+        return set().union(*(rule.atoms() for rule in self.rules))
 
     @cached_property
     def _reversed_rules(self) -> tuple[RewriteRule, ...]:
@@ -267,6 +291,18 @@ class Theory:
             if not any(e.atoms() == rev.atoms() and _renaming(e, rev) for e in (*self.rules, *kept)):
                 kept.append(rev)
         return tuple(kept)
+
+    @cached_property
+    def _tree(self) -> "_Tree":
+        """The discrimination tree of the rules, which `normalize` and
+        `reachable` read, built once per theory object."""
+        return _Tree(self.rules)
+
+    @cached_property
+    def _search_tree(self) -> "_Tree":
+        """The tree of the rules and then the kept reversals, which
+        `symmetric_search` reads."""
+        return _Tree((*self.rules, *self._reversed_rules))
 
 
 # The bounded permutation search acts on at most MAX_SUPPORT atoms (6 atoms
@@ -318,19 +354,24 @@ class NormalizeResult:
 @dataclass(frozen=True)
 class Subject:
     """A term to rewrite under a context.  Its atoms and unknowns (the
-    context's included) are collected on first use and then read by every
-    rule prepared for it, so one step walks the subject once for each."""
+    context's included) are collected together, in one walk, on first use of
+    either, and then read by every rule prepared for it; a subject no rule's
+    lhs fits is never walked."""
 
     ctx: FreshnessContext
     term: Term
 
     @cached_property
     def atoms(self) -> frozenset[Atom]:
-        return frozenset(atoms_of(self.ctx, self.term))
+        return self._names[0]
 
     @cached_property
     def unknowns(self) -> frozenset[Unknown]:
-        return frozenset(unknowns_of(self.ctx, self.term))
+        return self._names[1]
+
+    @cached_property
+    def _names(self) -> tuple[frozenset[Atom], frozenset[Unknown]]:
+        return _names_of(self.ctx, self.term)
 
 
 @dataclass(frozen=True)
@@ -436,9 +477,7 @@ def _universe(rule_atoms: set[Atom], other_atoms: set[Atom], max_support: int) -
     (rule atoms always survive the cap)."""
     ordered = sorted(rule_atoms) + sorted(other_atoms - rule_atoms) + _spares(rule_atoms, other_atoms)
     limit = max(max_support, len(rule_atoms))
-    if len(ordered) > limit:
-        return ordered[:limit], True
-    return ordered, False
+    return ordered[:limit], len(ordered) > limit
 
 
 def _complete_perm(mapping: dict[Atom, Atom]) -> Permutation:
@@ -487,9 +526,11 @@ def _prepare_general(
     read them.  `sides`, a dict the caller owns, keeps each hole's
     instances once per renamed rule, universe and context: a caller running
     many steps passes one dict for its whole call.  They are keyed by the
-    hole's flat key (`_flat_key`, exact and built without recursion), and
-    readers of a hole share one search through `tee` copies, which, like
-    generators, must not be read from two threads at once."""
+    hole's flat key (`_flat_key`, exact and built without recursion), which
+    `sides` also keeps per hole object, so a hole that several rules fit is
+    keyed once per call, and readers of a hole share one search through
+    `tee` copies, which, like generators, must not be read from two threads
+    at once."""
     from .closed import _is_closed  # closed.py imports this module
 
     ctx = subject.ctx
@@ -497,11 +538,13 @@ def _prepare_general(
     _require_apart(renamed.lhs_unknowns, subject.unknowns)
     universe, truncated = _universe(renamed.atoms(), subject.atoms | extra_atoms, max_support)
     closed = _is_closed(rule)
-    # Keyed by identity; the entry holds the renamed rule, so no other
-    # object takes its id while the dict lives.  A rule renamed for one
-    # subject alone keeps its entries, here and in its own compiled dict.
+    # Keyed by identity: an entry holds the object whose id keys it (the
+    # renamed rule, a hole), so no other object takes that id while the dict
+    # lives.  A rule renamed for one subject alone keeps its entries, here
+    # and in its own compiled dict.
     at = tuple(universe)
     solved = sides.setdefault((id(renamed), at, ctx), (renamed, {}))[1]
+    hole_keys = sides.setdefault("holes", {})
     kept = renamed.compiled.setdefault("permuted", {})
     if at not in kept:
         perms = _candidate_perms(sorted(renamed.atoms()), universe)
@@ -520,35 +563,60 @@ def _prepare_general(
                     return
 
     def instances(hole: Term):
-        hole_key = _flat_key(hole)
-        found = solved.get(hole_key)
+        known = hole_keys.get(id(hole))
+        if known is None:
+            known = hole_keys[id(hole)] = hole, _flat_key(hole)
+        found = solved.get(known[1])
         if found is None:  # kept unread, so its copies replay every item
-            found = solved[hole_key] = itertools.tee(search(hole), 1)[0]
+            found = solved[known[1]] = itertools.tee(search(hole), 1)[0]
         return found.__copy__()
 
     return PreparedRule(rule, ctx, [] if closed else universe, instances, truncated)
 
 
-def _may_match(lhs: Term, hole: Term) -> bool:
-    """False only when no permutation and no substitution can make lhs
-    match hole: the two differ in a constructor, a former or an arity at a
-    place where lhs is not a suspension.  A permutation renames only atoms
-    and a substitution only fills suspensions, so neither can mend that."""
-    work = [(lhs, hole)]
-    while work:
-        l, s = work.pop()
-        kind = type(l)
-        if kind is Suspension:
-            continue
-        if kind is not type(s):
-            return False
-        if kind is Abstraction:
-            work.append((l.body, s.body))
-        elif kind is App and l.former == s.former and len(l.args) == len(s.args):
-            work.extend(zip(l.args, s.args))
-        elif kind is not AtomTerm:
-            return False
-    return True
+class _Tree:
+    """A discrimination tree (Graf, Term Indexing, 1996) over the shapes of
+    the rules' lhs.  An lhs is read in preorder as tokens: an atom (any
+    atom), an abstraction, a former with its arity, and a suspension as a
+    wildcard standing for a whole subterm.  A permutation renames only atoms
+    and a substitution only fills suspensions, so no candidate of a rule can
+    match a hole whose tokens differ from its lhs's where the lhs has no
+    wildcard, and no renaming of a rule changes its tokens: the tree is
+    built once per rule set, from the rules as given.  A node maps a token
+    to its child, and a leaf (key None) lists the rules whose lhs ends
+    there."""
+
+    def __init__(self, rules):
+        self.rules, self.root = rules, {}
+        for i, rule in enumerate(rules):
+            node = self.root
+            for u in subterms(rule.lhs):  # preorder, a suspension a leaf
+                node = node.setdefault((u.former, len(u.args)) if type(u) is App else type(u), {})
+            node.setdefault(None, []).append(i)
+
+    def fits(self, hole: Term) -> list[int]:
+        """The indices, in rule order, of the rules whose lhs shape fits the
+        hole.  A walk state is a node and the hole's subterms still to read,
+        as a linked list; a wildcard skips the next of them whole."""
+        out, work = [], [(self.root, (hole, None))]
+        while work:
+            node, pending = work.pop()
+            if pending is None:
+                out += node[None]
+                continue
+            u, rest = pending
+            if Suspension in node:
+                work.append((node[Suspension], rest))
+            kind = type(u)
+            if kind is App:
+                child = node.get((u.former, len(u.args)))
+                if child is not None:
+                    for arg in reversed(u.args):
+                        rest = arg, rest
+                    work.append((child, rest))
+            elif kind is not Suspension and kind in node:  # an atom or an abstraction
+                work.append((node[kind], (u.body, rest) if kind is Abstraction else rest))
+        return sorted(out)
 
 
 def _decompositions(
@@ -601,25 +669,20 @@ def _plug(frames: tuple | None, u: Term) -> Term:
     return u
 
 
-def _candidates(s: Term, places: Iterable[tuple], rule: RewriteRule, prepared: Callable) -> Iterator[tuple]:
-    """The steps of s by one rule, unbuilt and in order, as (prepared rule,
-    position index, frames, hole, renamed, pi, theta, pi.(rhs theta)):
-    every place of s in `places` (`_places(s)`) whose shape the rule's own
-    lhs fits, every alpha-variant of s renaming the binders above it into
-    the prepared rule's universe (the place itself if it has none or that is
-    empty, as for closed rules and closed rewriting), every instance found.
-    A binder is renamed only to its first m + j fresh targets, m the rule's
-    atoms and j the binders below it: the later ones reach no class an
-    earlier candidate has not (module docstring).
-    No renaming changes an lhs's shape, so the rule is prepared, by
-    `prepared()`, only at the first place that fits."""
-    prep = None
-    for i, (frames, here) in enumerate(places):
-        # Alpha-variants differ from s only in atoms, so one shape test
-        # covers every variant at this position.
-        if not _may_match(rule.lhs, here):
-            continue
-        prep = prep or prepared()
+def _candidates(s: Term, places: Iterable[tuple], prep: PreparedRule) -> Iterator[tuple]:
+    """The steps of s by one prepared rule, unbuilt and in order, as
+    (prepared rule, position index, frames, hole, renamed, pi, theta,
+    pi.(rhs theta)): every place of s in `places`, as (its index in
+    `_places(s)`, frames, hole), which are the places whose shape the rule's
+    lhs fits (`_Tree.fits`); every alpha-variant of s renaming the binders
+    above it into the prepared rule's universe (the place itself if it has
+    none or that is empty, as for closed rules and closed rewriting); every
+    instance found.  Alpha-variants differ from s only in atoms, so one
+    shape test covers every variant at a place.  A binder is renamed only to
+    its first m + j fresh targets, m the rule's atoms and j the binders below
+    it: the later ones reach no class an earlier candidate has not (module
+    docstring)."""
+    for i, frames, here in places:
         variants = [(here, frames, False)]
         if prep.universe and _binders(frames):
             variants = _decompositions(prep.ctx, s, _path(frames), prep.universe, len(prep.rule.atoms()))
@@ -647,12 +710,15 @@ def rewrite_steps(ctx: FreshnessContext, s: Term, rule: RewriteRule, prepare: Ca
     above it differently, so their general results differ there; two
     general instances at one hole differ in pi.  Closed rewriting has one
     variant, the subject, and at most one instance per hole.  So no result
-    is hashed.  `truncated` is set only if the rule was prepared, some hole
-    having passed the shape test, and its preparation was cut."""
-    kept: dict = {}
-    prepared = partial(_prepared, kept, prepare, Subject(ctx, s), (rule,), 0)
-    steps = [_build(s, c) for c in _candidates(s, _places(s), rule, prepared)]
-    return StepResults(steps, any(prep.truncated for prep in kept.values()))
+    is hashed.  The rule is prepared only if some hole fits its lhs shape
+    (the rule's own one-rule tree), and `truncated` is set only if then its
+    preparation was cut."""
+    fits = rule._tree.fits
+    places = [(i, frames, here) for i, (frames, here) in enumerate(_places(s)) if fits(here)]
+    if not places:
+        return StepResults()
+    prep = prepare(Subject(ctx, s), rule)
+    return StepResults([_build(s, c) for c in _candidates(s, places, prep)], prep.truncated)
 
 
 def _spans(t: Term) -> list[list[int]]:
@@ -783,11 +849,6 @@ def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: RewriteRule) -> 
     return replay(ctx, step, rule)
 
 
-def _head(t: Term):
-    """A term's root as no permutation or substitution can change it."""
-    return (t.former, len(t.args)) if type(t) is App else type(t)
-
-
 def _prepared(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject, rules, i: int) -> PreparedRule:
     """Rule i prepared with `prepare(subject, rule)` and kept in the call's
     dict per pair of the subject's atoms and unknowns, all that a preparation
@@ -798,17 +859,16 @@ def _prepared(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject
     return kept[key]
 
 
-def _first_step(s: Term, rules, by_head: dict, prepared: Callable, innermost: bool) -> tuple[Optional[RewriteStep], bool]:
-    """The first step in strategy order of positions, then theory order of
-    the rules `by_head` lists for the hole's head, each prepared by
-    `prepared(i)` at the first hole its lhs fits.  Only identity variants are
-    tried: if an alpha-variant of s can step, so can s.  With no step, also
-    whether a search cut by its universe ran."""
+def _first_step(s: Term, tree: _Tree, prepared: Callable, innermost: bool) -> tuple[Optional[RewriteStep], bool]:
+    """The first step in strategy order of positions, then rule order of
+    the rules whose lhs shape fits the hole, read off the rule set's tree
+    in one walk per position, each rule prepared by `prepared(i)` at the
+    first hole it fits.  Only identity variants are tried: if an
+    alpha-variant of s can step, so can s.  With no step, also whether a
+    search cut by its universe ran."""
     cut = False
     for frames, hole in _places(s, innermost):
-        for i in by_head.get(_head(hole), by_head[Suspension]):
-            if not _may_match(rules[i].lhs, hole):
-                continue
+        for i in tree.fits(hole):
             prep = prepared(i)
             for pi, theta, rhs in prep.instances(hole):
                 return _build(s, (prep, None, frames, hole, False, pi, theta, rhs)), False
@@ -825,25 +885,22 @@ def normalize(
     fuel: int = 500,
 ) -> NormalizeResult:
     """Apply first steps under the strategy (default outermost) until none
-    applies or the fuel runs out.  The head index, a discrimination tree's
-    first level (Graf), is built per call from the rules' own lhs, as no
-    renaming changes a head: a head lists, in theory order, the rules whose
-    lhs root can sit under it, `Suspension` the suspension lhs alone.  The
-    status is normal_form, truncated (no step, but a permutation search was
-    cut short) or fuel_exhausted."""
+    applies or the fuel runs out.  The rules that may fit a hole come from
+    the theory's discrimination tree, built once per theory object and kept
+    with it, so each position visited is looked up in one walk.  The status
+    is normal_form, truncated (no step, but a permutation search was cut
+    short) or fuel_exhausted."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     if strategy not in (None, "", "outermost", "innermost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    rules = theory.rules
-    heads = {_head(rule.lhs) for rule in rules} | {Suspension}
-    by_head = {h: [i for i, rule in enumerate(rules) if _head(rule.lhs) in (h, Suspension)] for h in heads}
+    tree = theory._tree
     trace: list[RewriteStep] = []
     current = s
     kept: dict = {}
     while True:
-        prepared = partial(_prepared, kept, prepare, Subject(ctx, current), rules)
-        step, cut = _first_step(current, rules, by_head, prepared, strategy == "innermost")
+        prepared = partial(_prepared, kept, prepare, Subject(ctx, current), tree.rules)
+        step, cut = _first_step(current, tree, prepared, strategy == "innermost")
         if step is None:
             return NormalizeResult(current, trace, "truncated" if cut else "normal_form")
         if len(trace) == fuel:
@@ -893,16 +950,18 @@ class ReachableSet:
 
 
 def _breadth_first(
-    ctx: FreshnessContext, s: Term, rules, prepare: Callable[..., PreparedRule], reached: ReachableSet,
+    ctx: FreshnessContext, s: Term, tree: _Tree, prepare: Callable[..., PreparedRule], reached: ReachableSet,
     levels: int, cap: int | None = None, target: tuple | None = None,
 ) -> list[RewriteStep] | None:
-    """Breadth-first over the steps of `rules` from s, `levels` steps deep
-    and expanding at most `cap` terms, writing each class's first
-    representative into `reached` (keyed under ctx).  A general candidate
-    is keyed by splicing (`_spliced_key`) and built only when its class is
-    new; a closed one is built, then keyed.  Returns the trace to the class
-    of key `target`, or None.  A frontier entry is (term, its key, link), a
-    link being None or (step, the source's link)."""
+    """Breadth-first over the steps of the tree's rules from s, `levels`
+    steps deep and expanding at most `cap` terms, writing each class's first
+    representative into `reached` (keyed under ctx).  Each position of a
+    term is looked up in the tree once, and each rule then steps at the
+    positions it fits, in rule order.  A general candidate is keyed by
+    splicing (`_spliced_key`) and built only when its class is new; a closed
+    one is built, then keyed.  Returns the trace to the class of key
+    `target`, or None.  A frontier entry is (term, its key, link), a link
+    being None or (step, the source's link)."""
     reps, skey = reached.reps, alpha_key(ctx, s)
     if skey == target:
         return []
@@ -916,10 +975,13 @@ def _breadth_first(
             if expanded == cap:
                 return None
             expanded += 1
-            places, spans, subject = list(_places(u)), None, Subject(ctx, u)
-            for i, rule in enumerate(rules):
-                prepared = partial(_prepared, kept, prepare, subject, rules, i)
-                for candidate in _candidates(u, places, rule, prepared):
+            spans, subject, fitting = None, Subject(ctx, u), {}
+            for at, (frames, here) in enumerate(_places(u)):
+                for i in tree.fits(here):
+                    fitting.setdefault(i, []).append((at, frames, here))
+            for i, places in sorted(fitting.items()):
+                prep = _prepared(kept, prepare, subject, tree.rules, i)
+                for candidate in _candidates(u, places, prep):
                     general = candidate[0].freshened is None
                     if general:
                         spans = spans or _spans(u)  # read by general candidates alone
@@ -956,7 +1018,7 @@ def reachable(
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     reached = ReachableSet(ctx)
-    _breadth_first(ctx, s, theory.rules, prepare, reached, fuel)
+    _breadth_first(ctx, s, theory._tree, prepare, reached, fuel)
     return reached
 
 
@@ -1004,15 +1066,11 @@ def symmetric_search(
         gamma_budget = len(theory.atoms())
     if fuel < 0 or gamma_budget < 0:
         raise ValueError("fuel and gamma_budget must not be negative")
-    unknowns = sorted(unknowns_of(ctx, s, t))
-    used = {a.name for a in atoms_of(ctx, s, t) | theory.atoms()}
-    gamma_pairs = []
-    for name in fresh_names("g", gamma_budget if unknowns else 0, used):
-        gamma_pairs.extend((Atom(name), x) for x in unknowns)
-    gamma = FreshnessContext(frozenset(gamma_pairs))
+    atoms, unknowns = _names_of(ctx, s, t)
+    names = fresh_names("g", gamma_budget if unknowns else 0, {a.name for a in atoms | theory.atoms()})
+    gamma = FreshnessContext(frozenset((Atom(name), x) for name in names for x in unknowns))
     ctx2 = ctx | gamma
 
-    rules = (*theory.rules, *theory._reversed_rules)
     prepare = partial(_prepare_general, max_support=max_support, sides={})
-    trace = _breadth_first(ctx2, s, rules, prepare, ReachableSet(ctx2), fuel, fuel, alpha_key(ctx2, t))
+    trace = _breadth_first(ctx2, s, theory._search_tree, prepare, ReachableSet(ctx2), fuel, fuel, alpha_key(ctx2, t))
     return SearchResult(trace is not None, trace, gamma, ctx2)

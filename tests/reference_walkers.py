@@ -7,7 +7,9 @@ that the two agree on small terms; these references raise RecursionError
 on terms about a thousand deep, which is why the library does not use
 them.
 `scrub_innermost_first` is the scrub rule the library ran before its
-one-pass rule, kept to show where the two agree.  `check_alpha`
+one-pass rule, kept to show where the two agree.  `may_match` is the
+rule-by-rule shape test that the discrimination tree (`rewrite._Tree`)
+replaced, which test_tree.py compares the tree's lookups against.  `check_alpha`
 is the rule-by-rule alpha check that test_alpha.py and test_rewrite.py
 compare `alpha_holds` and the library's `check_alpha` against.  At the end are
 the swap-list reading of a permutation and the matcher that copies the
@@ -284,6 +286,28 @@ def replace_at(t, path, new):
     if step == "body":
         return Abstraction(t.atom, replace_at(t.body, rest, new))
     return App(t.former, t.args[:step] + (replace_at(t.args[step], rest, new),) + t.args[step + 1 :])
+
+
+def may_match(lhs, hole):
+    """False only when no permutation and no substitution can make lhs
+    match hole: the two differ in a constructor, a former or an arity at a
+    place where lhs is not a suspension.  A permutation renames only atoms
+    and a substitution only fills suspensions, so neither can mend that."""
+    work = [(lhs, hole)]
+    while work:
+        l, s = work.pop()
+        kind = type(l)
+        if kind is Suspension:
+            continue
+        if kind is not type(s):
+            return False
+        if kind is Abstraction:
+            work.append((l.body, s.body))
+        elif kind is App and l.former == s.former and len(l.args) == len(s.args):
+            work.extend(zip(l.args, s.args))
+        elif kind is not AtomTerm:
+            return False
+    return True
 
 
 # -- permutations as swap lists ------------------------------------------------

@@ -52,8 +52,8 @@ from nomrew import (
 )
 from nomrew.rewrite import (
     MAX_SUPPORT, PreparedRule, Subject, _build, _candidate_perms, _candidates, _decompositions, _fresh_maps,
-    _fresh_renaming, _invertible, _may_match, _path, _places, _plug, _prepare_general, _rename_rule, _rename_term,
-    _renaming, _spans, _spliced_key, _universe, normalize, reachable, rewrite_steps,
+    _fresh_renaming, _invertible, _path, _places, _plug, _prepare_general, _rename_rule, _rename_term,
+    _renaming, _spans, _spliced_key, _Tree, _universe, normalize, reachable, rewrite_steps,
 )
 from nomrew.syntax import parse_term, parse_theory
 from nomrew.terms import MACHINE_MARK
@@ -334,18 +334,24 @@ def _matches_under_some_perm(pattern, ctx, hole) -> bool:
     )
 
 
+def _fits(pattern, hole) -> bool:
+    """The shape test as the core runs it: a lookup in the one-rule tree of
+    a rule with lhs pattern."""
+    return bool(_Tree((RewriteRule("r", EMPTY_CTX, pattern, pattern),)).fits(hole))
+
+
 @settings(max_examples=200, deadline=None)
 @given(terms_st, contexts_st, terms_st)
 def test_shape_test_rejects_only_unmatchable_holes(pattern, ctx, hole):
     pattern = _apart(pattern)
-    if not _may_match(pattern, hole):
+    if not _fits(pattern, hole):
         assert not _matches_under_some_perm(pattern, ctx, hole)
 
 
 @settings(max_examples=200, deadline=None)
 @given(terms_st, perms_st, substs_st)
 def test_shape_test_passes_every_instance(pattern, pi, sigma):
-    assert _may_match(pattern, act(pi, substitute(pattern, sigma)))
+    assert _fits(pattern, act(pi, substitute(pattern, sigma)))
 
 
 def test_shape_test_on_bundled_rules():
@@ -355,7 +361,7 @@ def test_shape_test_on_bundled_rules():
         for rule in th.rules:
             pattern = _apart(rule.lhs)
             for hole in holes:
-                if _may_match(pattern, hole):
+                if _fits(pattern, hole):
                     passed += 1
                 else:
                     rejected += 1
@@ -364,7 +370,7 @@ def test_shape_test_on_bundled_rules():
 
 
 # remark43's suspension lhs first, then rules with an abstraction and an
-# atom lhs: the head index must list the suspension lhs for every hole.
+# atom lhs: the tree must list the suspension lhs for every hole.
 _MIXED = Theory(BUNDLED[3].signature, BUNDLED[3].rules + BUNDLED[2].rules, name="mixed")
 _theory_terms = hst.sampled_from([*BUNDLED, _MIXED]).flatmap(lambda th: hst.tuples(hst.just(th), sig_terms_st(th)))
 
@@ -383,13 +389,17 @@ def _engine_runs(ctx, theory, s):
 @settings(max_examples=60, deadline=None)
 @given(_theory_terms, contexts_st)
 def test_shape_test_changes_no_trace(theory_term, ctx):
-    # With neither the head index nor the shape test, every rule is tried at
-    # every hole.
+    # With the tree's lookup answering every rule at every hole, in theory
+    # order, every rule is tried at every hole.
     theory, s = theory_term
     filtered = _engine_runs(ctx, theory, s)
-    with mock.patch.object(rewrite_module, "_may_match", lambda lhs, hole: True), \
-            mock.patch.object(rewrite_module, "_head", lambda t: Suspension):
+    with mock.patch.object(_Tree, "fits", _every_rule):
         assert _engine_runs(ctx, theory, s) == filtered
+
+
+def _every_rule(tree, hole):
+    """A tree lookup with no shape test: every rule, in theory order."""
+    return list(range(len(tree.rules)))
 
 
 def _prepare_afresh(kept, prepare, subject, rules, i):
@@ -417,12 +427,12 @@ def _kept_runs(ctx, theory, s, t):
 @given(_theory_terms.flatmap(lambda ts: hst.tuples(hst.just(ts), sig_terms_st(ts[0]))), contexts_st)
 def test_kept_preparations_step_as_preparing_afresh_does(case, ctx):
     (theory, s), t = case
-    # With no head index, normalize shape-tests every rule at every hole and
-    # prepares afresh at each that fits; the searches, which prepare every
-    # rule for every subject through `_prepared` too, prepare afresh each time.
+    # With the tree's lookup answering every rule at every hole, normalize
+    # and the searches try every rule at every hole and prepare afresh at
+    # each one: the searches prepare through `_prepared` too.
     got = _kept_runs(ctx, theory, s, t)
     with mock.patch.object(rewrite_module, "_prepared", _prepare_afresh), \
-            mock.patch.object(rewrite_module, "_head", lambda t: Suspension):
+            mock.patch.object(_Tree, "fits", _every_rule):
         assert got == _kept_runs(ctx, theory, s, t)
 
 
@@ -433,22 +443,21 @@ def test_normalize_prepares_each_rule_once_per_names(monkeypatch):
     # where some hole the search visits fits its lhs.
     fol = next(theory for theory in BUNDLED if theory.name == "fol")
     s = parse_term("not(not(imp(forall([a]and(P,Q)),exists([a]or(P,not(not(Q)))))))", fol.signature)
-    names = {id(rule.lhs): rule.name for rule in fol.rules}
     fitted, searched = set(), []
-    real_first_step, real_may_match = rewrite_module._first_step, rewrite_module._may_match
+    real_first_step, real_fits = rewrite_module._first_step, _Tree.fits
 
     def first_step(term, *args):
         searched.append(Subject(EMPTY_CTX, term))
         return real_first_step(term, *args)
 
-    def may_match(lhs, hole):
-        fits = real_may_match(lhs, hole)
-        if fits:
-            fitted.add((names[id(lhs)], searched[-1].atoms, searched[-1].unknowns))
-        return fits
+    def fits(tree, hole):
+        found = real_fits(tree, hole)
+        for i in found:
+            fitted.add((tree.rules[i].name, searched[-1].atoms, searched[-1].unknowns))
+        return found
 
     monkeypatch.setattr(rewrite_module, "_first_step", first_step)
-    monkeypatch.setattr(rewrite_module, "_may_match", may_match)
+    monkeypatch.setattr(_Tree, "fits", fits)
     for module, name, run in [
         (closed_module, "_prepare_closed", lambda: closed_normalize(EMPTY_CTX, s, fol)),
         (rewrite_module, "_prepare_general", lambda: normalize_general(EMPTY_CTX, s, fol)),
@@ -474,12 +483,18 @@ def test_normalize_walks_no_names_of_a_term_no_lhs_fits(monkeypatch):
     fol = next(theory for theory in BUNDLED if theory.name == "fol")
     s = parse_term("and(or(P,a),and(b,or(Q,P)))", fol.signature)
     walks = Counter()
-    for name in ("atoms_of", "unknowns_of"):
+    for name in ("atoms_of", "unknowns_of", "_names_of"):
         real = getattr(rewrite_module, name)
         monkeypatch.setattr(rewrite_module, name, lambda *parts, real=real, name=name: walks.update([name]) or real(*parts))
     res = closed_normalize(FreshnessContext.of((a, Unknown("P"))), s, fol)
     assert res.term == s and res.status == "normal_form" and not res.trace
     assert walks == Counter()
+    # A subject's names are collected in one walk, whichever sort is read
+    # first, and kept.
+    subject = Subject(FreshnessContext.of((a, Unknown("P"))), s)
+    assert subject.unknowns == {Unknown("P"), Unknown("Q")} and subject.atoms == {a, b}
+    assert (subject.atoms, subject.unknowns) == (atoms_of(subject.ctx, s), unknowns_of(subject.ctx, s))
+    assert walks == Counter(["_names_of"])
 
 
 def test_no_step_search_prepares_a_rule_whose_lhs_fits_no_hole(monkeypatch):
@@ -939,10 +954,11 @@ def _spliced_against_built(ctx, s, rule) -> Counter:
     """Check that every candidate step of s by rule, as rewrite_step_general
     finds them, has the key of its built result as its spliced key, and
     count the renamed variants and the results with suspensions."""
-    prepared = lambda: _prepare_general(Subject(ctx, s), rule, sides={})
+    places = [(i, frames, here) for i, (frames, here) in enumerate(_places(s)) if rule._tree.fits(here)]
+    prepared = _prepare_general(Subject(ctx, s), rule, sides={})
     spans, key = _spans(s), alpha_key(ctx, s)
     seen = Counter()
-    for candidate in _candidates(s, _places(s), rule, prepared):
+    for candidate in _candidates(s, places, prepared):
         result = _build(s, candidate).result
         assert _spliced_key(ctx, key, spans, candidate) == alpha_key(ctx, result)
         seen["renamed"] += candidate[4]
@@ -1110,13 +1126,9 @@ def test_general_search_solves_each_hole_once_per_call(monkeypatch):
         owner[id(prepared)] = now["rule"], now["universe"]
         return prepared
 
-    def unbuilt(s, places, rule, prepared):
-        def attributed():
-            prep = prepared()
-            now["rule"], now["universe"] = owner[id(prep)]
-            return prep
-
-        return real_candidates(s, places, rule, attributed)
+    def unbuilt(s, places, prep):
+        now["rule"], now["universe"] = owner[id(prep)]
+        return real_candidates(s, places, prep)
 
     monkeypatch.setattr(rewrite_module, "solve_match", counted)
     monkeypatch.setattr(rewrite_module, "_universe", universe)
@@ -1373,9 +1385,9 @@ def test_a_search_answers_as_one_firing_every_reversal(monkeypatch):
     fired, outcomes = Counter(), Counter()
     real = rewrite_module._candidates
 
-    def counted(s, places, rule, prepared):
-        for candidate in real(s, places, rule, prepared):
-            fired[rule.name] += rule.name in dropped
+    def counted(s, places, prep):
+        for candidate in real(s, places, prep):
+            fired[prep.rule.name] += prep.rule.name in dropped
             yield candidate
 
     for i, (theory, ctx, s, t) in enumerate(cases):
@@ -1384,6 +1396,7 @@ def test_a_search_answers_as_one_firing_every_reversal(monkeypatch):
         res = search()
         with monkeypatch.context() as patched:
             patched.setattr(Theory, "_reversed_rules", property(_every_reversal))
+            patched.setattr(Theory, "_search_tree", property(lambda th: _Tree((*th.rules, *_every_reversal(th)))))
             patched.setattr(rewrite_module, "_candidates", counted)
             want = search()
         assert (res.found, res.trace, sorted(res.ctx)) == (want.found, want.trace, sorted(want.ctx))

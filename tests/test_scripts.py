@@ -17,23 +17,23 @@ def test_bench_closed_vs_general_runs(capsys, monkeypatch):
     runpy.run_path(str(SCRIPTS / "bench_closed_vs_general.py"), run_name="__main__")
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[-12:] == [
-        "closed", "matches", "closed", "shape-tests", "closed", "perm-lists",
-        "general", "matches", "general", "shape-tests", "general", "perm-lists",
+        "closed", "matches", "closed", "fit-pairs", "closed", "perm-lists",
+        "general", "matches", "general", "fit-pairs", "general", "perm-lists",
     ]
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
-    # Shape-testing every rule at every hole takes 35 / 180 / 820 / 3,520
-    # tests at heights 1-4; the head index tries only the rules whose lhs
-    # head fits the hole's.
+    # Every rule at every position visited makes 35 / 180 / 820 / 3,520
+    # (position, rule) pairs at heights 1-4; the tree answers only the rules
+    # whose lhs shape fits the position's.
     general_lists = 0
     for row, every_rule in zip(rows, (35, 180, 820, 3520)):
-        steps, closed_matches, closed_shapes, closed_lists, general_matches, general_shapes, lists = map(
+        steps, closed_matches, closed_fits, closed_lists, general_matches, general_fits, lists = map(
             int, row.split()[3:]
         )
         # Every closed step is one successful match.  General keeps each
         # hole's instances for the whole normalization, and the towers repeat
         # holes, so it may make fewer matches than steps.
         assert steps > 0 and closed_matches >= steps and general_matches > 0
-        assert closed_shapes == general_shapes < every_rule
+        assert 0 < closed_fits == general_fits < every_rule
         # Closed builds no permutation list.  General builds one per renamed
         # rule and universe, kept across heights since the theory is shared.
         assert closed_lists == 0
@@ -74,7 +74,7 @@ def test_cli_phases_runs(capsys, monkeypatch):
 def test_variant_counts_runs(capsys, monkeypatch):
     # The script asserts that the cap on renamed binders changes no search's
     # answer or trace; a few searches per suite keep the smoke run quick.
-    monkeypatch.setattr("sys.argv", ["variant_counts.py", "4"])
+    monkeypatch.setattr("sys.argv", ["variant_counts.py", "6"])
     monkeypatch.setattr("sys.path", [*sys.path])  # the script adds perfbench/
     runpy.run_path(str(SCRIPTS / "variant_counts.py"), run_name="__main__")
     header, *rows = capsys.readouterr().out.splitlines()
