@@ -5,7 +5,11 @@ above a hole, each binder to at most its first m + j fresh targets (m the
 rule's atoms, j the binders below it on the path); the script runs the same
 searches with that cap and, in the same process, with it patched off so
 every fresh target is tried, and asserts that both find the same pairs with
-the same traces (compared by repr).
+the same traces (compared by repr).  Both runs patch off the count check
+that answers a search at once when s and t differ in a count no rule
+changes (`rewrite._kept_counts_differ`): a quarter of the nonclosed-search
+pairs are answered so, and would make no candidates, so with the check on
+the counts would not compare with those of earlier versions.
 
 Each suite is a list of `symmetric_search` calls, searching from s to t:
 the first ops of perfbench's nonclosed-search workload at seed 1 (its own
@@ -69,7 +73,8 @@ def run(searches, cap):
     """Run the searches with the cap on or off; the counts and each
     search's (found, trace) repr."""
     counts = dict.fromkeys(("candidates", "renamed", "variants", "solve_match", "classes"), 0)
-    real = {name: getattr(rewrite, name) for name in ("_candidates", "_decompositions", "solve_match", "_breadth_first")}
+    real = {name: getattr(rewrite, name) for name in (
+        "_candidates", "_decompositions", "solve_match", "_breadth_first", "_kept_counts_differ")}
 
     def candidates(*args):
         for candidate in real["_candidates"](*args):
@@ -93,7 +98,7 @@ def run(searches, cap):
             counts["classes"] += len(args[4])
 
     patched = {"_candidates": candidates, "_decompositions": decompositions, "solve_match": solve_match,
-               "_breadth_first": breadth_first}
+               "_breadth_first": breadth_first, "_kept_counts_differ": lambda theory, s, t: False}
     for name, fn in patched.items():
         setattr(rewrite, name, fn)
     try:

@@ -45,6 +45,20 @@ same variants.  The earlier rule runs first on every frontier term, so each
 class the reversal would reach is already met: traces, representatives and
 `found` do not change.  This argues general rewriting only.
 
+Nor does a symmetric search run when s and t differ in the count of a node
+kind that no rule changes (`_kept_counts_differ`).  A kind is a token of
+the tree below (an atom, an abstraction, a former with its arity) or one
+unknown's suspensions.  A step C[h] -> C[pi.(r theta)], h alpha-equal to
+pi.(l theta), changes a kind's count by (its count in r - in l) + the sum
+over the rule's unknowns X of (X's occurrences in r - in l) x (its count in
+theta X).  So when each rule has each unknown as often on its two sides, a
+kind keeps its count unless some rule's sides differ in it.  Permutations,
+alpha-variants, alpha-equivalence and gamma change no count, each kept
+reversal is a rule reversed, and the target test compares alpha keys: no
+trace joins two terms that differ in a kept count.  A theory with a rule
+that has an unknown a different number of times on its two sides (betaeta's
+beta_eps and beta_app) keeps no count, and its searches all run.
+
 The core is written once: one cursor yielding positions as rebuild frames
 (`_places`), step enumeration over them x alpha-variants (`_candidates`,
 built by `rewrite_steps`), the first step and normalization (`normalize`),
@@ -102,6 +116,7 @@ source of incompleteness, surfaced through the `truncated` flag and the
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional
@@ -303,6 +318,16 @@ class Theory:
         """The tree of the rules and then the kept reversals, which
         `symmetric_search` reads."""
         return _Tree((*self.rules, *self._reversed_rules))
+
+    @cached_property
+    def _changed_kinds(self) -> frozenset | None:
+        """The node kinds whose count some rule changes, or None when some
+        rule changes an unknown's (module docstring)."""
+        changed: set = set()
+        for rule in self.rules:
+            lhs, rhs = _kind_counts(rule.lhs), _kind_counts(rule.rhs)
+            changed.update(lhs - rhs, rhs - lhs)
+        return None if any(type(kind) is Unknown for kind in changed) else frozenset(changed)
 
 
 # The bounded permutation search acts on at most MAX_SUPPORT atoms (6 atoms
@@ -574,6 +599,26 @@ def _prepare_general(
     return PreparedRule(rule, ctx, [] if closed else universe, instances, truncated)
 
 
+def _token(u: Term):
+    """A node's tree token: a former with its arity, else the node's type."""
+    return (u.former, len(u.args)) if type(u) is App else type(u)
+
+
+def _kind_counts(t: Term) -> Counter:
+    """Each node kind's count in t: its token, or a suspension's unknown."""
+    return Counter(u.unknown if type(u) is Suspension else _token(u) for u in subterms(t))
+
+
+def _kept_counts_differ(theory: Theory, s: Term, t: Term) -> bool:
+    """Do s and t differ in the count of a kind that no rule of the theory
+    changes?  Then no search joins them (module docstring)."""
+    changed = theory._changed_kinds
+    if changed is None:
+        return False
+    s_counts, t_counts = _kind_counts(s), _kind_counts(t)
+    return any(s_counts[kind] != t_counts[kind] for kind in (s_counts.keys() | t_counts.keys()) - changed)
+
+
 class _Tree:
     """A discrimination tree (Graf, Term Indexing, 1996) over the shapes of
     the rules' lhs.  An lhs is read in preorder as tokens: an atom (any
@@ -591,7 +636,7 @@ class _Tree:
         for i, rule in enumerate(rules):
             node = self.root
             for u in subterms(rule.lhs):  # preorder, a suspension a leaf
-                node = node.setdefault((u.former, len(u.args)) if type(u) is App else type(u), {})
+                node = node.setdefault(_token(u), {})
             node.setdefault(None, []).append(i)
 
     def fits(self, hole: Term) -> list[int]:
@@ -1035,6 +1080,9 @@ def rewrite_closure_reachable(
 
 @dataclass
 class SearchResult:
+    """A symmetric search's answer: found and its trace, or not found (and
+    no trace) within the budget or, at once, by a count no rule changes."""
+
     found: bool
     trace: list[RewriteStep] | None
     gamma: FreshnessContext
@@ -1059,8 +1107,11 @@ def symmetric_search(
     gamma_budget machine-fresh constraints added all at once.
 
     `found` certifies derivability (the trace replays under the extended
-    context); not_found is only a failure to find within the budget.  `fuel`
-    bounds the terms expanded, so fuel 0 finds only s's own class.
+    context); not_found is only a failure to find within the budget.  When s
+    and t differ in the count of a node kind that no rule changes, no trace
+    can join them, and the search answers not_found at once, expanding
+    nothing (module docstring).  `fuel` bounds the terms expanded, so fuel 0
+    finds only s's own class.
     """
     if gamma_budget is None:
         gamma_budget = len(theory.atoms())
@@ -1070,7 +1121,8 @@ def symmetric_search(
     names = fresh_names("g", gamma_budget if unknowns else 0, {a.name for a in atoms | theory.atoms()})
     gamma = FreshnessContext(frozenset((Atom(name), x) for name in names for x in unknowns))
     ctx2 = ctx | gamma
-
+    if _kept_counts_differ(theory, s, t):
+        return SearchResult(False, None, gamma, ctx2)
     prepare = partial(_prepare_general, max_support=max_support, sides={})
     trace = _breadth_first(ctx2, s, theory._search_tree, prepare, ReachableSet(ctx2), fuel, fuel, alpha_key(ctx2, t))
     return SearchResult(trace is not None, trace, gamma, ctx2)

@@ -53,7 +53,8 @@ from nomrew import (
 from nomrew.rewrite import (
     MAX_SUPPORT, PreparedRule, Subject, _build, _candidate_perms, _candidates, _decompositions, _fresh_maps,
     _fresh_renaming, _invertible, _path, _places, _plug, _prepare_general, _rename_rule, _rename_term,
-    _renaming, _spans, _spliced_key, _Tree, _universe, normalize, reachable, rewrite_steps,
+    _kept_counts_differ, _kind_counts, _renaming, _spans, _spliced_key, _Tree, _universe, normalize, reachable,
+    rewrite_steps,
 )
 from nomrew.syntax import parse_term, parse_theory
 from nomrew.terms import MACHINE_MARK
@@ -402,6 +403,13 @@ def _every_rule(tree, hole):
     return list(range(len(tree.rules)))
 
 
+def _never(theory, s, t):
+    """The count check patched off, so that every search runs: a test that
+    compares two search configurations then compares searches, not two
+    answers given at once."""
+    return False
+
+
 def _prepare_afresh(kept, prepare, subject, rules, i):
     """The core's kept preparation with nothing kept: the rule prepared anew
     at every hole that asks for it."""
@@ -430,10 +438,11 @@ def test_kept_preparations_step_as_preparing_afresh_does(case, ctx):
     # With the tree's lookup answering every rule at every hole, normalize
     # and the searches try every rule at every hole and prepare afresh at
     # each one: the searches prepare through `_prepared` too.
-    got = _kept_runs(ctx, theory, s, t)
-    with mock.patch.object(rewrite_module, "_prepared", _prepare_afresh), \
-            mock.patch.object(_Tree, "fits", _every_rule):
-        assert got == _kept_runs(ctx, theory, s, t)
+    with mock.patch.object(rewrite_module, "_kept_counts_differ", _never):
+        got = _kept_runs(ctx, theory, s, t)
+        with mock.patch.object(rewrite_module, "_prepared", _prepare_afresh), \
+                mock.patch.object(_Tree, "fits", _every_rule):
+            assert got == _kept_runs(ctx, theory, s, t)
 
 
 def test_normalize_prepares_each_rule_once_per_names(monkeypatch):
@@ -688,6 +697,7 @@ def test_closed_rules_reach_the_same_classes_with_alpha_variants_tried(monkeypat
     # and a search finds what it found.
     cases = [case for case in _seeded_cases(73, 200) if case[0].name != "nonclosed"]
     listed = Counter()
+    monkeypatch.setattr(rewrite_module, "_kept_counts_differ", _never)
 
     def run(side):
         listed[side] = sum(len(rewrite_step_general(ctx, s, rule)) for th, ctx, s, _ in cases for rule in th.rules)
@@ -758,6 +768,7 @@ def test_capped_variants_reach_the_classes_every_variant_reaches(monkeypatch):
     # same representatives and a search finds the same trace.
     cases = list(_escape_cases(79, 150))
     listed, cut = Counter(), set()
+    monkeypatch.setattr(rewrite_module, "_kept_counts_differ", _never)
 
     def run(side):
         classes = []
@@ -866,8 +877,12 @@ def test_a_search_expands_fuel_terms(monkeypatch):
     # symmetric_search's fuel counts the terms it expands, one walk of the
     # cursor (`_places`) and one of `_spans` each (every term it expands
     # here has a general candidate), however many classes a level holds.
+    # The target is s with its outer h's arguments swapped: it keeps every
+    # count s has, so the count check does not answer it, and nonclosed's
+    # rules only rename atoms and add or drop binders, so no search reaches it.
     nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
-    s, unreachable = parse_term("h(g([c]c),h(a,a))"), App("k", ())
+    s, unreachable = parse_term("h(g([c]c),h(a,a))"), parse_term("h(h(a,a),g([c]c))")
+    assert not _kept_counts_differ(nonclosed, s, unreachable)
     assert len(rewrite_closure_reachable(EMPTY_CTX, s, nonclosed, fuel=1)) >= 4  # at least 3 classes one step away
     calls = Counter()
     for name in ("_places", "_spans"):
@@ -905,6 +920,7 @@ def test_a_search_builds_one_step_per_new_class(monkeypatch):
         return new
 
     monkeypatch.setattr(_ScanSet, "add", add)
+    monkeypatch.setattr(rewrite_module, "_kept_counts_differ", _never)  # every search expands s
     nonclosed = next(theory for theory in BUNDLED if theory.name == "nonclosed")
     example = (nonclosed, EMPTY_CTX, parse_term("h(g([c]c),h(a,a))"), parse_term("h(g([c]c),h(b,b))"))
     outcomes = Counter()
@@ -1065,9 +1081,10 @@ def test_kept_general_preparation_steps_as_per_subject_renaming_does(case):
     # which most searches do not find and so expand a second subject.
     steps = [step for rule in theory.rules for step in rewrite_step_general(ctx, s, rule)]
     for target, fuel in [(step.result, 1) for step in steps[:1]] + [(t, 2)]:
-        res = symmetric_search(ctx, s, target, theory, fuel=fuel)
-        with mock.patch.object(rewrite_module, "_prepare_general", _reference_prepare_general):
-            want = symmetric_search(ctx, s, target, theory, fuel=fuel)
+        with mock.patch.object(rewrite_module, "_kept_counts_differ", _never):
+            res = symmetric_search(ctx, s, target, theory, fuel=fuel)
+            with mock.patch.object(rewrite_module, "_prepare_general", _reference_prepare_general):
+                want = symmetric_search(ctx, s, target, theory, fuel=fuel)
         assert (res.found, res.trace) == (want.found, want.trace)
 
 
@@ -1186,6 +1203,7 @@ def test_a_closed_rule_drops_only_instances_alpha_equal_to_the_first(monkeypatch
     # back every instance at every alpha-variant.
     cases = [case for case in _seeded_cases(89, 200) if case[0].name != "nonclosed"]
     dropped = listed = 0
+    monkeypatch.setattr(rewrite_module, "_kept_counts_differ", _never)
     for theory, ctx, s, t in cases:
         for rule in theory.rules + theory._reversed_rules:
             assert closed_module._is_closed(rule)
@@ -1384,6 +1402,7 @@ def test_a_search_answers_as_one_firing_every_reversal(monkeypatch):
     cases += [(theory, ctx, t, s) for theory, ctx, s, t in cases]
     fired, outcomes = Counter(), Counter()
     real = rewrite_module._candidates
+    monkeypatch.setattr(rewrite_module, "_kept_counts_differ", _never)
 
     def counted(s, places, prep):
         for candidate in real(s, places, prep):
@@ -1463,3 +1482,82 @@ def test_renaming_ignores_names_and_refuses_a_map_that_is_not_one_to_one():
     assert _renaming(pair(var(X), var(Y)), pair(var(Y), var(X)))
     # A suspension's atoms follow the renaming the other atoms fix.
     assert not _renaming(pair(Suspension(swap(a, b), X), AtomTerm(a)), pair(Suspension(swap(c, b), X), AtomTerm(a)))
+
+
+# searches answered by a count no rule changes ----------------------------------
+
+# Hand-made theories for the count check: commutativity, which changes no
+# count; a rule that drops an unknown, so the theory keeps no count; an lhs
+# with a permuted suspension; and an lhs that is a bare suspension.
+COUNTED = [
+    parse_theory(text) for text in (
+        "theory swap ; sig f:2 ; rule comm : f(X,Y) -> f(Y,X) ;",
+        "theory drop ; sig f:2 g:1 ; rule drop : f(X,Y) -> g(X) ;",
+        "theory permuted ; sig h:1 g:2 ; rule p : h((a b).X) -> g([a]X,b) ;",
+        "theory bare ; sig k:2 ; rule grow : a#X |- X -> k(X,a) ;",
+    )
+]
+
+
+def test_each_theory_changes_the_kinds_counted_by_hand():
+    changed = {theory.name: theory._changed_kinds for theory in [*BUNDLED, *COUNTED]}
+    assert changed == {
+        "betaeta": None,  # beta_eps drops X, beta_app doubles Y
+        "fol": {("forall", 1), ("exists", 1), ("not", 1), ("or", 2), ("imp", 2), Abstraction},
+        "nonclosed": {Abstraction},  # atom_ab renames an atom
+        "remark43": {("f", 1)},
+        "swap": frozenset(),
+        "drop": None,
+        "permuted": {("h", 1), ("g", 2), Abstraction, AtomTerm},
+        "bare": {("k", 2), AtomTerm},
+    }
+    assert _kind_counts(parse_term("f([a]a,(a b).X)")) == Counter(
+        {("f", 2): 1, Abstraction: 1, AtomTerm: 1, X: 1}
+    )
+
+
+def test_a_pair_the_count_check_refutes_has_no_trace(monkeypatch):
+    # The oracle is the scan reference, which fires every reversal and knows
+    # nothing of counts: it finds no pair the check refutes at fuel 3.  Every
+    # step of every trace found keeps each count no rule changes, and the
+    # check changes no answer, context or gamma.
+    theories = [theory for theory in BUNDLED if theory.name != "betaeta"] + COUNTED
+    refuted, found = Counter(), Counter()
+    for theory, ctx, s, t in _seeded_cases(5, 300, theories):
+        res = symmetric_search(ctx, s, t, theory, fuel=3)
+        with monkeypatch.context() as patched:
+            patched.setattr(rewrite_module, "_kept_counts_differ", _never)
+            want = symmetric_search(ctx, s, t, theory, fuel=3)
+        assert (res.found, res.trace, res.gamma, res.ctx) == (want.found, want.trace, want.gamma, want.ctx)
+        if _kept_counts_differ(theory, s, t):
+            refuted[theory.name] += 1
+            assert _scan_search(res.ctx, s, t, theory, fuel=3) == (False, None)
+        changed = theory._changed_kinds
+        kept = lambda u: {kind: n for kind, n in _kind_counts(u).items() if kind not in changed}
+        for step in (res.trace or []) if changed is not None else []:
+            assert kept(step.source) == kept(step.variant) == kept(step.result)
+        found[theory.name] += res.found
+    assert refuted["drop"] == 0 and all(refuted[th.name] for th in theories if th.name != "drop")
+    assert all(found[th.name] for th in theories)
+
+
+def test_a_refuted_search_checks_its_arguments_and_answers_with_its_context(monkeypatch):
+    # remark43 changes only f's count, so X and [a]X differ in a kept count:
+    # the search answers at once, expanding nothing, under the gamma and the
+    # context a search with the check off runs under.
+    remark43 = next(theory for theory in BUNDLED if theory.name == "remark43")
+    ctx, s, t = FreshnessContext.of((b, X)), var(X), Abstraction(a, var(X))
+    assert _kept_counts_differ(remark43, s, t)
+    with pytest.raises(ValueError):
+        symmetric_search(ctx, s, t, remark43, fuel=-1)
+    with pytest.raises(ValueError):
+        symmetric_search(ctx, s, t, remark43, gamma_budget=-1)
+    expanded = Counter()
+    real = rewrite_module._breadth_first
+    monkeypatch.setattr(rewrite_module, "_breadth_first", lambda *args: expanded.update(["search"]) or real(*args))
+    res = symmetric_search(ctx, s, t, remark43, fuel=5)
+    assert not expanded and (res.found, res.trace) == (False, None) and res.gamma
+    monkeypatch.setattr(rewrite_module, "_kept_counts_differ", _never)
+    want = symmetric_search(ctx, s, t, remark43, fuel=5)
+    assert expanded["search"] == 1 and not want.found
+    assert (res.gamma, res.ctx) == (want.gamma, want.ctx)
