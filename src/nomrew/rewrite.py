@@ -46,13 +46,16 @@ class the reversal would reach is already met: traces, representatives and
 `found` do not change.  This argues general rewriting only.
 
 Nor does a symmetric search run when s and t differ in the count of a node
-kind that no rule changes (`_kept_counts_differ`).  A kind is a token of
-the tree below (an atom, an abstraction, a former with its arity) or one
-unknown's suspensions.  A step C[h] -> C[pi.(r theta)], h alpha-equal to
+kind that no rule changes (`_kept_counts_differ`).  A kind is an atom
+(whatever binds it), an abstraction, a former with its arity (`_token`) or
+one unknown's suspensions.  A step C[h] -> C[pi.(r theta)], h alpha-equal to
 pi.(l theta), changes a kind's count by (its count in r - in l) + the sum
 over the rule's unknowns X of (X's occurrences in r - in l) x (its count in
-theta X).  So when each rule has each unknown as often on its two sides, a
-kind keeps its count unless some rule's sides differ in it.  Permutations,
+theta X).  That needs theta X to count the same wherever r puts X, so the
+tree's atom tokens, which tell one binding from another, are not kinds: an
+atom's binding inside theta X can change under a binder of r.  So when
+each rule has each unknown as often on its two sides, a kind keeps its
+count unless some rule's sides differ in it.  Permutations,
 alpha-variants, alpha-equivalence and gamma change no count, each kept
 reversal is a rule reversed, and the target test compares alpha keys: no
 trace joins two terms that differ in a kept count.  A theory with a rule
@@ -71,8 +74,9 @@ walk (`Subject`).  The general preparation here renames the rule's unknowns
 away from the subject's and tries the candidate permutations over a
 universe; the closed preparation (closed.py) matches the rule's fixed
 freshened variant under an extended context and the identity permutation,
-and scrubs the result.  No renaming changes the shape of an lhs, so each rule
-set keeps one discrimination tree of its rules' own lhs shapes (`_Tree`),
+and scrubs the result.  No renaming changes the shape of an lhs or which of
+its binders binds each atom leaf, so each rule set keeps one
+discrimination tree of its rules' own lhs shapes and bindings (`_Tree`),
 built once per rule-set object: a theory's rules, a search's rules and kept
 reversals, the lone rule of `rewrite_steps`.  Each position visited is looked
 up in it in one walk, which lists the rules whose lhs fits there in rule
@@ -600,8 +604,15 @@ def _prepare_general(
 
 
 def _token(u: Term):
-    """A node's tree token: a former with its arity, else the node's type."""
+    """A node's token: a former with its arity, else the node's type.  The
+    tree reads an atom leaf's binding after it; a count does not."""
     return (u.former, len(u.args)) if type(u) is App else type(u)
+
+
+def _bound(atom: Atom, scope: tuple) -> int | None:
+    """An atom leaf's binding: its distance to the innermost binder of its
+    name in scope (binders innermost first), or None when none binds it."""
+    return scope.index(atom) if atom in scope else None
 
 
 def _kind_counts(t: Term) -> Counter:
@@ -621,35 +632,54 @@ def _kept_counts_differ(theory: Theory, s: Term, t: Term) -> bool:
 
 class _Tree:
     """A discrimination tree (Graf, Term Indexing, 1996) over the shapes of
-    the rules' lhs.  An lhs is read in preorder as tokens: an atom (any
-    atom), an abstraction, a former with its arity, and a suspension as a
-    wildcard standing for a whole subterm.  A permutation renames only atoms
-    and a substitution only fills suspensions, so no candidate of a rule can
-    match a hole whose tokens differ from its lhs's where the lhs has no
-    wildcard, and no renaming of a rule changes its tokens: the tree is
-    built once per rule set, from the rules as given.  A node maps a token
-    to its child, and a leaf (key None) lists the rules whose lhs ends
-    there."""
+    the rules' lhs.  An lhs is read in preorder as tokens: an atom leaf as
+    an atom then its binding (`_bound`: its distance to the lhs binder that
+    binds it, or None when no lhs binder does), an abstraction, a former
+    with its arity, and a suspension as a wildcard standing for a whole
+    subterm.  A hole's atom leaf is read the same way against the hole's
+    own binders.  A permutation (or a renaming of a rule) is a bijection on
+    atoms, so it keeps each leaf's binding; a substitution fills only
+    suspensions, so the path to a leaf crosses lhs binders alone; and
+    alpha-equivalence keeps each leaf's binding, as the alpha key records
+    it (de Bruijn).  So no candidate of either engine can match a hole whose
+    tokens differ from its lhs's where the lhs has no wildcard.  Nor can one
+    match an alpha-variant of the subject that `_decompositions` tries at
+    the hole instead: it renames binders above the hole by a swap of the
+    whole body, which keeps each binding in the hole.  No renaming of a rule
+    changes its tokens, so the tree is built once per rule set, from the
+    rules as given.  A node maps a token to its child (an atom to a dict
+    from binding to child), and a leaf (key None) lists the rules whose lhs
+    ends there."""
 
     def __init__(self, rules):
         self.rules, self.root = rules, {}
         for i, rule in enumerate(rules):
-            node = self.root
-            for u in subterms(rule.lhs):  # preorder, a suspension a leaf
+            node, work = self.root, [(rule.lhs, ())]
+            while work:  # preorder, a suspension a leaf
+                u, scope = work.pop()
+                kind = type(u)
                 node = node.setdefault(_token(u), {})
+                if kind is AtomTerm:
+                    node = node.setdefault(_bound(u.atom, scope), {})
+                elif kind is App:
+                    work += [(arg, scope) for arg in reversed(u.args)]
+                elif kind is Abstraction:
+                    work.append((u.body, (u.atom, *scope)))
             node.setdefault(None, []).append(i)
 
     def fits(self, hole: Term) -> list[int]:
-        """The indices, in rule order, of the rules whose lhs shape fits the
-        hole.  A walk state is a node and the hole's subterms still to read,
-        as a linked list; a wildcard skips the next of them whole."""
-        out, work = [], [(self.root, (hole, None))]
+        """The indices, in rule order, of the rules whose lhs fits the hole
+        by shape and by the binding of each atom leaf.  A walk state is a
+        node and the hole's subterms still to read, as a linked list of
+        (subterm, the tuple of the hole's binders above it, innermost first,
+        rest); a wildcard skips the next of them whole."""
+        out, work = [], [(self.root, (hole, (), None))]
         while work:
             node, pending = work.pop()
             if pending is None:
                 out += node[None]
                 continue
-            u, rest = pending
+            u, scope, rest = pending
             if Suspension in node:
                 work.append((node[Suspension], rest))
             kind = type(u)
@@ -657,10 +687,14 @@ class _Tree:
                 child = node.get((u.former, len(u.args)))
                 if child is not None:
                     for arg in reversed(u.args):
-                        rest = arg, rest
+                        rest = arg, scope, rest
                     work.append((child, rest))
             elif kind is not Suspension and kind in node:  # an atom or an abstraction
-                work.append((node[kind], (u.body, rest) if kind is Abstraction else rest))
+                child = node[kind]
+                if kind is Abstraction:
+                    work.append((child, (u.body, (u.atom, *scope), rest)))
+                elif (child := child.get(_bound(u.atom, scope))) is not None:
+                    work.append((child, rest))
         return sorted(out)
 
 
@@ -722,8 +756,10 @@ def _candidates(s: Term, places: Iterable[tuple], prep: PreparedRule) -> Iterato
     lhs fits (`_Tree.fits`); every alpha-variant of s renaming the binders
     above it into the prepared rule's universe (the place itself if it has
     none or that is empty, as for closed rules and closed rewriting); every
-    instance found.  Alpha-variants differ from s only in atoms, so one
-    shape test covers every variant at a place.  A binder is renamed only to
+    instance found.  An alpha-variant renames the binders above a place by
+    swaps of their whole bodies, which keep the hole's shape and the binding
+    of each of its atom leaves, so one lookup covers every variant at a
+    place.  A binder is renamed only to
     its first m + j fresh targets, m the rule's atoms and j the binders below
     it: the later ones reach no class an earlier candidate has not (module
     docstring)."""
@@ -755,8 +791,8 @@ def rewrite_steps(ctx: FreshnessContext, s: Term, rule: RewriteRule, prepare: Ca
     above it differently, so their general results differ there; two
     general instances at one hole differ in pi.  Closed rewriting has one
     variant, the subject, and at most one instance per hole.  So no result
-    is hashed.  The rule is prepared only if some hole fits its lhs shape
-    (the rule's own one-rule tree), and `truncated` is set only if then its
+    is hashed.  The rule is prepared only if its lhs fits some hole, by
+    shape and binding (the rule's own one-rule tree), and `truncated` is set only if then its
     preparation was cut."""
     fits = rule._tree.fits
     places = [(i, frames, here) for i, (frames, here) in enumerate(_places(s)) if fits(here)]
@@ -906,7 +942,7 @@ def _prepared(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject
 
 def _first_step(s: Term, tree: _Tree, prepared: Callable, innermost: bool) -> tuple[Optional[RewriteStep], bool]:
     """The first step in strategy order of positions, then rule order of
-    the rules whose lhs shape fits the hole, read off the rule set's tree
+    the rules whose lhs fits the hole, read off the rule set's tree
     in one walk per position, each rule prepared by `prepared(i)` at the
     first hole it fits.  Only identity variants are tried: if an
     alpha-variant of s can step, so can s.  With no step, also whether a

@@ -9,9 +9,11 @@ them.
 `scrub_innermost_first` is the scrub rule the library ran before its
 one-pass rule, kept to show where the two agree.  `may_match` is the
 rule-by-rule shape test that the discrimination tree (`rewrite._Tree`)
-replaced, which test_tree.py compares the tree's lookups against.  `check_alpha`
-is the rule-by-rule alpha check that test_alpha.py and test_rewrite.py
-compare `alpha_holds` and the library's `check_alpha` against.  At the end are
+replaced, with the test of each atom leaf's binding that the tree makes,
+on explicit scope lists; test_tree.py compares the tree's lookups against
+it.  `check_alpha` is the rule-by-rule alpha check that test_alpha.py and
+test_rewrite.py compare `alpha_holds` and the library's `check_alpha`
+against.  At the end are
 the swap-list reading of a permutation and the matcher that copies the
 pattern body under each mismatched binder, which test_terms.py and
 test_matching.py compare `Permutation` and `solve_match` against.  Last
@@ -288,24 +290,36 @@ def replace_at(t, path, new):
     return App(t.former, t.args[:step] + (replace_at(t.args[step], rest, new),) + t.args[step + 1 :])
 
 
+def binding(atom, scope):
+    """How many binders of scope (outermost first) lie inside the innermost
+    one named atom, or None when none is."""
+    for distance, binder in enumerate(reversed(scope)):
+        if binder == atom:
+            return distance
+    return None
+
+
 def may_match(lhs, hole):
     """False only when no permutation and no substitution can make lhs
-    match hole: the two differ in a constructor, a former or an arity at a
-    place where lhs is not a suspension.  A permutation renames only atoms
-    and a substitution only fills suspensions, so neither can mend that."""
-    work = [(lhs, hole)]
+    match hole up to alpha: the two differ in a constructor, a former or an
+    arity at a place where lhs is not a suspension, or an atom leaf of lhs
+    differs from the hole's in its binding, read against the binders of lhs
+    and of the hole above it.  A permutation renames only atoms, one to one,
+    so it keeps each binding; a substitution only fills suspensions; and
+    alpha-equivalence keeps each binding.  So none of them can mend that."""
+    work = [(lhs, hole, [], [])]
     while work:
-        l, s = work.pop()
+        l, s, lscope, sscope = work.pop()
         kind = type(l)
         if kind is Suspension:
             continue
         if kind is not type(s):
             return False
         if kind is Abstraction:
-            work.append((l.body, s.body))
+            work.append((l.body, s.body, lscope + [l.atom], sscope + [s.atom]))
         elif kind is App and l.former == s.former and len(l.args) == len(s.args):
-            work.extend(zip(l.args, s.args))
-        elif kind is not AtomTerm:
+            work.extend((la, sa, lscope, sscope) for la, sa in zip(l.args, s.args))
+        elif kind is not AtomTerm or binding(l.atom, lscope) != binding(s.atom, sscope):
             return False
     return True
 

@@ -357,6 +357,22 @@ def test_general_rewriting_with_no_fitting_hole_is_not_truncated(capsys):
     assert code == 0 and out.splitlines()[1] == "status: normal_form after 0 steps"
 
 
+def test_general_rewriting_where_no_lhs_fits_by_binding_is_not_truncated(capsys):
+    # eta's lhs lam([a]app(X,a)) fits the root's shape, but its leaf a is
+    # bound there while the root's leaf c is free: no permutation can mend
+    # that, so eta's cut universe (six subject atoms) proves nothing missed.
+    term = "lam([a]app(app(app(b,d),app(e,app(f,g))),c))"
+    code, out, _ = run(capsys, "normalize", str(BETAETA), "--term", term, "--general", "--json")
+    assert code == 0 and json.loads(out)["status"] == "normal_form"
+    code, out, _ = run(capsys, "step", str(BETAETA), "--term", term, "--general")
+    assert code == 0 and out.splitlines() == ["no steps"]
+    # Where eta fits by binding too, the cut still counts: a is bound at the
+    # root's last leaf, but a#X fails, and the search ran on a cut universe.
+    term = "lam([a]app(app(app(b,d),app(e,app(f,app(g,a)))),a))"
+    code, out, _ = run(capsys, "normalize", str(BETAETA), "--term", term, "--general")
+    assert code == 3 and out.splitlines()[1] == "status: truncated after 0 steps"
+
+
 def test_unexpected_error_never_exits_one(capsys):
     code, _, err = run(capsys, "fresh", "b", "[a]" * 1500 + "a")
     assert code in (0, 2)

@@ -1,4 +1,6 @@
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,3 +89,23 @@ def test_variant_counts_runs(capsys, monkeypatch):
         assert all(c <= e for c, e in zip(capped[1:-1], every[1:-1]))
     # Four binders over one redex: the cap drops most renamed candidates.
     assert int(rows[-2].split()[4]) < int(rows[-1].split()[4]) / 1.5
+
+
+def test_op_counts_repeat_in_fresh_processes():
+    # The script runs itself again under PYTHONHASHSEED=0 when that is not
+    # set, so two runs under other hash seeds print the same counts and
+    # digest; it writes nothing under perfbench/.
+    perfbench = SCRIPTS.parent / "perfbench"
+    before = sorted(perfbench.rglob("*"))
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        argv = [sys.executable, str(SCRIPTS / "op_counts.py"), "beta-general", "--ops", "3"]
+        outs.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    assert outs[0] == outs[1]
+    lines = [line.split() for line in outs[0].splitlines()]
+    assert lines[0] == ["workload", "beta-general", "seed", "1", "ops", "3"]
+    assert [line[0] for line in lines[1:]] == ["opcodes", "python_calls", "solve_match", "digest"]
+    opcodes, calls, matches = (int(line[1]) for line in lines[1:4])
+    assert opcodes > calls > matches > 0 and len(lines[4][1]) == 64
+    assert sorted(perfbench.rglob("*")) == before
