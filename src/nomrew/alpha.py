@@ -78,18 +78,10 @@ class Derivation:
 
 
 def fresh_holds(ctx: FreshnessContext, a: Atom, t: Term) -> bool:
-    """Is ctx |- a # t derivable?  Fast path without derivation recording,
-    in one worklist pass that skips the bodies of binders of a."""
+    """Is ctx |- a # t derivable?  Fast path without derivation recording:
+    the freshness rules on one worklist, which skips the bodies of binders
+    of a and asks the context pi^-1(a) # X at each suspension pi.X."""
     pairs = ctx.pairs
-    return _fresh_where(a, t, lambda c, x: (c, x) in pairs)
-
-
-def _fresh_where(a: Atom, t: Term, fresh_susp) -> bool:
-    """The freshness rules for a # t on one worklist, asking
-    fresh_susp(pi^-1(a), X) at each suspension pi.X: is a # pi.X, that is
-    pi^-1(a) # X, to be taken as holding?  fresh_holds asks the context;
-    matching asks about the image of X under a substitution, which reads
-    a # t.sigma off t without building it."""
     stack = [t]
     while stack:
         u = stack.pop()
@@ -103,7 +95,7 @@ def _fresh_where(a: Atom, t: Term, fresh_susp) -> bool:
             if u.atom is a:
                 return False
         elif kind is Suspension:
-            if not fresh_susp(u.perm.inverse()(a), u.unknown):
+            if (u.perm.inverse()(a), u.unknown) not in pairs:
                 return False
         else:
             raise TypeError(f"not a term: {u!r}")
@@ -212,7 +204,10 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
     atoms to their binders' levels and both share one depth, so two bound
     atoms have equal distances exactly when they have equal levels; a
     restore entry, pushed only when outer work waits on the stack, puts a
-    rebound atom's outer level back after the body.
+    rebound atom's outer level back after the body.  A binder's bodies are
+    walked next without a stack entry, and an application's atom-leaf
+    arguments are compared in its own loop, under the levels in force at
+    it, so only its other arguments go on the stack.
 
     The key (alpha_key) names bound atoms by their de Bruijn distance and
     free atoms by name, and keys a suspension pi.X by X and the map
@@ -227,43 +222,50 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
     left: dict[Atom, int] = {}
     right: dict[Atom, int] = {}
     depth = 0
-    stack: list = [(s, t)]
-    while stack:
-        u, v = stack.pop()
+    stack: list = []
+    u, v = s, t
+    while True:
         kind = type(u)
         if kind is not type(v):
-            if u is _END:  # a restore entry: the body is done
-                a, n, b, m = v
-                depth -= 1
-                if n is None:
-                    del left[a]
-                else:
-                    left[a] = n
-                if m is None:
-                    del right[b]
-                else:
-                    right[b] = m
-                continue
-            for w in (u, v):
-                if type(w) not in _TERM_KINDS:
-                    raise TypeError(f"not a term: {w!r}")
-            return False
-        if kind is AtomTerm:
-            a, b = u.atom, v.atom
-            n = left.get(a)
-            if n != right.get(b) or (n is None and a is not b):
+            if u is not _END:
+                for w in (u, v):
+                    if type(w) not in _TERM_KINDS:
+                        raise TypeError(f"not a term: {w!r}")
                 return False
+            a, n, b, m = v  # a restore entry: the body is done
+            depth -= 1
+            if n is None:
+                del left[a]
+            else:
+                left[a] = n
+            if m is None:
+                del right[b]
+            else:
+                right[b] = m
+        elif kind is App:
+            if u.former != v.former or len(u.args) != len(v.args):
+                return False
+            for p, q in zip(u.args, v.args):
+                if type(p) is AtomTerm and type(q) is AtomTerm:
+                    a, b = p.atom, q.atom
+                    n = left.get(a)
+                    if n != right.get(b) or (n is None and a is not b):
+                        return False
+                else:
+                    stack.append((p, q))
         elif kind is Abstraction:
             a, b = u.atom, v.atom
             if stack:
                 stack.append((_END, (a, left.get(a), b, right.get(b))))
             left[a] = right[b] = depth
             depth += 1
-            stack.append((u.body, v.body))
-        elif kind is App:
-            if u.former != v.former or len(u.args) != len(v.args):
+            u, v = u.body, v.body  # the body is walked next, without a stack entry
+            continue
+        elif kind is AtomTerm:
+            a, b = u.atom, v.atom
+            n = left.get(a)
+            if n != right.get(b) or (n is None and a is not b):
                 return False
-            stack += zip(reversed(u.args), reversed(v.args))
         elif kind is Suspension:
             x = u.unknown
             if x is not v.unknown or (
@@ -272,7 +274,9 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
                 return False
         else:
             raise TypeError(f"not a term: {u!r}")
-    return True
+        if not stack:
+            return True
+        u, v = stack.pop()
 
 
 def check_alpha(ctx: FreshnessContext, s: Term, t: Term) -> Optional[Derivation]:

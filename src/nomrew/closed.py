@@ -26,11 +26,12 @@ the rule's and a few spares.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import is_not
 from typing import Optional
 
-from .alpha import FreshnessContext, alpha_holds, fresh_holds
+from .alpha import FreshnessContext, alpha_holds
 from .matching import MatchProblem, _require_apart, solve_match
 from .rewrite import (
     NormalizeResult,
@@ -52,18 +53,21 @@ from .rewrite import (
 )
 from .terms import (
     ID,
+    _END,
     Abstraction,
     App,
     Atom,
     AtomTerm,
     NominalError,
+    Permutation,
     Substitution,
     Suspension,
     Term,
     Unknown,
+    _swap_into,
+    _undo,
     atoms_of,
     substitute,
-    swap,
     unknowns_of,
 )
 
@@ -135,46 +139,146 @@ def scrub(ctx: FreshnessContext, t: Term, pool: list[Atom]) -> Term:
     outer rename moved onto a plain atom the name it would get on its own,
     so steps name binders as when each body was scrubbed before its binder.
     A node it does not change comes back as the same object, as in every
-    rebuild of terms.py."""
-    stack: list = [(t, ID)]
+    rebuild of terms.py.
+
+    pi is one map and its inverse, updated in place at a renamed binder and
+    put back once its body is done.  z # pi.b is pi^-1(z) # b, which
+    `_Bindings` answers by binary search after one pass over the subtree of
+    the first machine binder met, so n nested machine binders take time
+    O(n log n).
+    """
+    rename: dict[Atom, Atom] = {}  # pi's moved atoms
+    back: dict[Atom, Atom] = {}  # pi^-1
+    bindings = None  # for the subtree of a machine binder met outside the last one's subtree
+    pos = -1  # the preorder position of the node walked
+    stack: list = [t]
     values: list = []
     while stack:
-        entry = stack.pop()
-        if type(entry) is not tuple:  # entry's children are done
-            if type(entry) is Abstraction:
+        u = stack.pop()
+        if u is _END:  # the node next on the stack has its children done
+            u = stack.pop()
+            if type(u) is Abstraction:
+                _undo(stack.pop())  # pi as it was above the binder
                 a, body = values[-2:]
-                values[-2:] = [entry if a is entry.atom and body is entry.body else Abstraction(a, body)]
+                values[-2:] = [u if a is u.atom and body is u.body else Abstraction(a, body)]
             else:
-                n = len(values) - len(entry.args)
-                args = values[n:]  # entry itself unless an argument came back new
-                values[n:] = [App(entry.former, tuple(args)) if any(map(is_not, args, entry.args)) else entry]
+                n = len(values) - len(u.args)
+                args = values[n:]  # u itself unless an argument came back new
+                values[n:] = [App(u.former, tuple(args)) if any(map(is_not, args, u.args)) else u]
             continue
-        u, pi = entry
+        pos += 1
         kind = type(u)
         if kind is AtomTerm:
-            values.append(u if (a := pi(u.atom)) is u.atom else AtomTerm(a))
+            values.append(u if (a := rename.get(u.atom, u.atom)) is u.atom else AtomTerm(a))
         elif kind is Suspension:
             # disagreements may stay only on atoms ctx makes fresh for x
             x = u.unknown
-            perm = _complete_perm({c: v for c, v in (pi * u.perm).mapping.items() if (c, x) not in ctx})
+            composed = Permutation._of(dict(rename)) * u.perm if rename else u.perm
+            perm = _complete_perm({c: v for c, v in composed.mapping.items() if (c, x) not in ctx})
             values.append(u if perm == u.perm else Suspension(perm, x))
         elif kind is Abstraction:
-            a = pi(u.atom)
-            if a.is_machine or u.atom.is_machine:
-                back = pi.inverse()
+            c = u.atom
+            a = rename.get(c, c)
+            undo: list | tuple = ()
+            if a.is_machine or c.is_machine:
+                undo = []
+                if bindings is None or pos > bindings.stop:
+                    bindings = _Bindings(u, pos)
                 for z in pool:
                     if z is a and not a.is_machine:
                         break
-                    if z is not a and fresh_holds(ctx, back(z), u.body):  # z # pi.body
-                        pi, a = swap(z, a) * pi, z
+                    if z is not a and bindings.fresh(ctx, back.get(z, z), pos):  # z # pi.body
+                        _swap_into(rename, back, z, a, undo)
+                        a = z
                         break
             values.append(a)
-            stack += (u, (u.body, pi))
+            stack += (undo, u, _END, u.body)
         elif kind is App:
-            stack += (u, *[(v, pi) for v in reversed(u.args)])
+            stack += (u, _END, *reversed(u.args))
         else:
             raise TypeError(f"not a term: {u!r}")
     return values[0]
+
+
+class _Bindings:
+    """Where each binding of a term is used, read in one preorder pass, to
+    answer y # b for the body b of any binder in the term.
+
+    Nodes are named by their preorder positions, the root's being `first`.
+    A binding is the position of a binder, or -1 for an atom free in the
+    term.  An atom leaf is filed under its atom and binding, and each
+    binder keeps the last position of its body and the binding its atom
+    had around it.  Then y # b holds when no leaf filed under y and y's
+    binding at b lies in b, found by binary search, and every suspension
+    pi.X in b either is under another binder of y or has (pi^-1(y), X) in
+    the context.
+    """
+
+    def __init__(self, t: Term, first: int):
+        self.starts: dict[Atom, list[int]] = {}  # atom -> its binders
+        self.last: dict[int, int] = {}  # binder -> the last position of its body
+        self.outer: dict[int, int] = {}  # binder -> its atom's binding around it
+        self.leaves: dict[tuple[Atom, int], list[int]] = {}
+        self.suspension_at: list[int] = []
+        self.suspensions: list[Suspension] = []
+        scope: dict[Atom, int] = {}  # atom -> its binding at the node walked, if bound in t
+        pos = first - 1
+        stack: list = [t]
+        while stack:
+            u = stack.pop()
+            if u is _END:
+                start, a = stack.pop(), stack.pop()
+                self.last[start] = pos
+                if self.outer[start] < 0:
+                    del scope[a]
+                else:
+                    scope[a] = self.outer[start]
+                continue
+            pos += 1
+            kind = type(u)
+            if kind is AtomTerm:
+                self.leaves.setdefault((u.atom, scope.get(u.atom, -1)), []).append(pos)
+            elif kind is Abstraction:
+                a = u.atom
+                self.starts.setdefault(a, []).append(pos)
+                self.outer[pos] = scope.get(a, -1)
+                scope[a] = pos
+                stack += (a, pos, _END, u.body)
+            elif kind is App:
+                stack.extend(reversed(u.args))
+            elif kind is Suspension:
+                self.suspension_at.append(pos)
+                self.suspensions.append(u)
+            else:
+                raise TypeError(f"not a term: {u!r}")
+        self.stop = pos
+
+    def binding(self, y: Atom, pos: int) -> int:
+        """y's binding at the node at pos.  The last binder of y before pos
+        holds pos or ended before it.  Binders of one atom nest or are
+        disjoint, so in the second case any binder of y around pos is around
+        that one too, and the walk out through `outer` reaches the innermost."""
+        starts = self.starts.get(y, ())
+        i = bisect_left(starts, pos) - 1
+        b = starts[i] if i >= 0 else -1
+        while b >= 0 and self.last[b] < pos:
+            b = self.outer[b]
+        return b
+
+    def fresh(self, ctx: FreshnessContext, y: Atom, binder: int) -> bool:
+        """ctx |- y # b for the body b of the binder at that position."""
+        lo, hi = binder + 1, self.last[binder]
+        binding = self.binding(y, lo)
+        used = self.leaves.get((y, binding), ())
+        i = bisect_left(used, lo)
+        if i < len(used) and used[i] <= hi:
+            return False
+        at = self.suspension_at
+        for i in range(bisect_left(at, lo), bisect_right(at, hi)):
+            u = self.suspensions[i]
+            if (u.perm.inverse()(y), u.unknown) not in ctx and self.binding(y, at[i]) == binding:
+                return False
+        return True
 
 
 def _variant(rule: RewriteRule) -> RewriteRule:

@@ -10,34 +10,40 @@ X -> (rho o pi)^-1 . target, from X's first occurrence (q0, s0), built
 once every check has passed.  A repeated occurrence (q, s) is checked
 by s0 ~ (q0^-1 o q).s, which holds exactly when q0.s0 ~ q.s does, since
 permutations preserve alpha-equivalence under a fixed context (Urban, Pitts
-& Gabbay), and which copies nothing when q = q0.  The pending and
-pattern-context obligations are checked once the walk is done.
+& Gabbay), and which copies nothing when q = q0.
 Matching solutions are unique up to alpha-equivalence under the target
 context; the solver returns the first computed, which is not canonical.
-The alpha checks are linear and build no key: each walks the two terms
-together and stops at the first pair of nodes that differs.  A pending
-check c # l.sigma builds no instance: it walks the pattern body l, and at
-a suspension pi.X asks pi^-1(c) # sigma(X), which is r(c) # s for X's
-image r^-1.s, on the raw target s, each (atom, unknown) pair once per
-solve.  So each target is walked once per distinct pair however often X
-occurs, and a match whose freshness fails builds no image.  A chain of n
-nested mismatched binders in the pattern still walks O(n^2) pattern nodes.
+
+rho is one map and its inverse, updated in place in O(1) at a mismatched
+binder and put back by a restore entry once the binder's body is done, as
+`alpha_holds` restores its levels; rho o pi is built only at a suspension.
+The obligations c # l are answered in the same walk, which visits every
+node of l anyway: the walk keeps the atoms c pending under the binders
+above it, a pattern binder of c hides c in its body, a pattern atom leaf
+that is pending fails the match at once, and a suspension pi.X under
+pending c asks pi^-1(c) # sigma(X).  That is r(c) # s for X's image
+r^-1.s, asked of the raw target s once X is bound, each (atom, unknown)
+pair once per solve, together with the pattern context's.  So a chain of
+n nested mismatched binders takes O(n) steps plus one O(n) snapshot of
+rho per suspension, a match whose freshness fails builds no image, and the
+alpha checks, linear and stopping at the first difference, build no key.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .alpha import FreshnessContext, _fresh_where, alpha_holds, fresh_holds
+from .alpha import FreshnessContext, alpha_holds, fresh_holds
 from .terms import (
     ID,
+    _END,
     Abstraction,
     App,
     Atom,
     AtomTerm,
     NominalError,
+    Permutation,
     Substitution,
     Suspension,
     Term,
@@ -45,8 +51,9 @@ from .terms import (
     act,
     atoms_of,
     fresh_names,
+    _swap_into,
+    _undo,
     substitute,
-    swap,
     unknowns_of,
 )
 
@@ -112,30 +119,52 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
     """Return a solution, or None when none exists."""
     delta = problem.target_ctx
     binds: dict = {}  # X -> (r, s) at X's first occurrence, r = rho o pi; X's image is r^-1.s
-    pending: list[tuple[Atom, Term]] = []  # c # l, checked once binds is complete
-    work = [(problem.pattern, problem.target, ID)]
+    asks: dict = {}  # (c, X) -> None: c # sigma(X) is asked once binds is complete
+    rho: dict[Atom, Atom] = {}  # the pending permutation's moved atoms, pattern side -> target side
+    back: dict[Atom, Atom] = {}  # rho^-1
+    pending: dict[Atom, bool] = {}  # c -> True while c # l is pending for the pattern node l walked
+    work: list = [(problem.pattern, problem.target)]
     while work:
-        l, s, rho = work.pop()  # rho.l is to match s
+        l, s = work.pop()  # rho.l is to match s
         kind = type(l)
         if kind is Suspension:
-            r, x = rho * l.perm, l.unknown
+            x = l.unknown
+            r = Permutation._of(dict(rho)) * l.perm if rho else l.perm
             if x not in binds:
                 binds[x] = r, s
             elif not alpha_holds(delta, binds[x][1], act(binds[x][0] * r.inverse(), s)):
                 return None
+            if pending:  # c # pi.X is pi^-1(c) # X
+                inverse = l.perm.inverse()
+                for c in pending:
+                    asks[inverse(c), x] = None
         elif kind is not type(s):
+            if l is _END:  # a restore entry: the binder's body is done
+                _undo(s)
+                continue
             return None
         elif kind is AtomTerm:
-            if rho(l.atom) is not s.atom:
+            a = l.atom
+            if a in pending or rho.get(a, a) is not s.atom:
                 return None
         elif kind is Abstraction:
-            a, b = rho(l.atom), s.atom
-            if a is not b:  # b # rho.lbody, and (b a).rho.lbody matches sbody
-                pending.append((rho.inverse()(b), l.body))
-                rho = swap(b, a) * rho
-            work.append((l.body, s.body, rho))
+            a, b = l.atom, s.atom
+            ra = rho.get(a, a)
+            undo: list = []
+            if a in pending:  # [a] hides a from the checks pending above it
+                undo.append((pending, a, True))
+                del pending[a]
+            if ra is not b:  # rho^-1(b) # lbody, and (b ra) o rho . lbody matches sbody
+                c = back.get(b, b)
+                if c not in pending:
+                    undo.append((pending, c, None))
+                    pending[c] = True
+                _swap_into(rho, back, b, ra, undo)
+            if undo and work:
+                work.append((_END, undo))
+            work.append((l.body, s.body))
         elif kind is App and l.former == s.former and len(l.args) == len(s.args):
-            work.extend(zip(l.args, s.args, itertools.repeat(rho)))
+            work.extend(zip(l.args, s.args))
         else:
             return None
 
@@ -148,25 +177,14 @@ def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:
         for x in leftover:
             binds[x] = ID, spare
 
-    # b # p.sigma is read off the pattern p: a suspension pi.X asks
-    # pi^-1(b) # sigma(X), and c # r^-1.s is r(c) # s, so each (atom,
-    # unknown) pair is asked once, of the raw target, before any image.
-    known: dict = {}
-
-    def fresh_image(c: Atom, x: Unknown) -> bool:
-        got = known.get((c, x))
-        if got is None:
-            r, s = binds[x]
-            got = known[c, x] = fresh_holds(delta, r(c), s)
-        return got
-
-    for b, p in pending:
-        if not _fresh_where(b, p, fresh_image):
-            return None
+    # c # sigma(X) is c # r^-1.s, that is r(c) # s: each (atom, unknown)
+    # pair is asked once, of the raw target, before any image is built.
     for a, x in problem.pattern_ctx:
-        if not fresh_image(a, x):
+        asks[a, x] = None
+    for c, x in asks:
+        r, s = binds[x]
+        if not fresh_holds(delta, r(c), s):
             return None
     sigma = Substitution({x: act(r.inverse(), s) for x, (r, s) in binds.items()})
     assert is_solution(problem, sigma)
     return MatchSolution(sigma)
-

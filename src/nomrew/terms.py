@@ -16,9 +16,10 @@ is kept on the node once computed.  Every walker keeps its own stack, so
 terms of any depth work.  The rebuilds (`act`, `substitute` and renaming)
 run on `_rebuild`'s loop, which reads the atom map inline and calls out only
 at a suspension; it hands back each node it does not change, so unchanged
-subterms stay shared.  `_fold` is left to the folds that build values other
-than terms.  A stack entry that is not a node is the private `_END`, so a
-non-term reached as a term raises TypeError in every walker.
+subterms stay shared, and builds one new leaf per renamed atom.  `_fold` is
+left to the folds that build values other than terms.  A stack entry that
+is not a node is the private `_END`, so a non-term reached as a term raises
+TypeError in every walker.
 Walkers dispatch on the exact node type (`type(u) is App`), never on class
 patterns in a match statement, which take about twice as long
 (tests/test_dispatch.py keeps it so).
@@ -208,6 +209,30 @@ def swap(a: Atom, b: Atom) -> Permutation:
     return Permutation(((a, b),))
 
 
+def _swap_into(forward: dict[Atom, Atom], backward: dict[Atom, Atom], a: Atom, b: Atom, undo: list) -> None:
+    """Make the permutation pi whose moved atoms map as `forward` and back
+    as `backward` into (a b) o pi, in place and in O(1), appending to undo
+    the entries `_undo` reads to put pi back.  Only pi^-1(a) and pi^-1(b)
+    change their images."""
+    x, y = backward.get(a, a), backward.get(b, b)
+    for table, key, value in ((forward, x, b), (forward, y, a), (backward, b, x), (backward, a, y)):
+        undo.append((table, key, table.get(key)))
+        if key is value:
+            table.pop(key, None)
+        else:
+            table[key] = value
+
+
+def _undo(undo: list) -> None:
+    """Put back, last first, each (table, key, old value) entry of undo: a
+    key whose old value is None was absent."""
+    for table, key, old in reversed(undo):
+        if old is None:
+            table.pop(key, None)
+        else:
+            table[key] = old
+
+
 class Term:
     """Base class of the four term constructors: equal when their flat keys
     are, with the hash computed on first use and kept in the `_hash` slot.
@@ -306,13 +331,42 @@ def _rebuild(t: Term, mapping: Mapping[Atom, Atom], on_susp) -> Term:
     each suspension u replaced by on_susp(u), the only call the walk makes
     per node.  A node whose atom maps to itself and whose children come
     back as the same objects is returned itself, so unchanged subterms stay
-    shared.  The walk keeps its own stack and dispatches on the exact type."""
+    shared; the leaves of a renamed atom share one new AtomTerm per call,
+    which terms being immutable allows.  The walk keeps its own stack, goes
+    on to a node's first child without a stack entry, and dispatches on the
+    exact type."""
     get = mapping.get
-    stack: list = [t]
+    leaves: dict[Atom, AtomTerm] = {}  # b -> the one AtomTerm(b) this call builds
+    stack: list = []
     values: list = []
-    while stack:
-        u = stack.pop()
-        if u is _END:  # the node next on the stack has its children done
+    u = t
+    while True:
+        kind = type(u)
+        if kind is AtomTerm:
+            a = u.atom
+            if (b := get(a, a)) is not a:
+                u = leaves.get(b) or leaves.setdefault(b, AtomTerm(b))
+            values.append(u)
+        elif kind is App and u.args:  # its first argument is walked next, without a stack entry
+            stack += (u, _END, *u.args[:0:-1])
+            u = u.args[0]
+            continue
+        elif kind is Abstraction:
+            stack += (u, _END)
+            u = u.body
+            continue
+        elif kind is Suspension:
+            values.append(on_susp(u))
+        elif kind is App:
+            values.append(u)
+        else:
+            raise TypeError(f"not a term: {u!r}")
+        while True:  # u is done: finish each node whose children now are, up to the next to walk
+            if not stack:
+                return values[0]
+            u = stack.pop()
+            if u is not _END:
+                break
             u = stack.pop()
             if type(u) is Abstraction:
                 a, body = u.atom, values[-1]
@@ -321,23 +375,6 @@ def _rebuild(t: Term, mapping: Mapping[Atom, Atom], on_susp) -> Term:
                 n = len(values) - len(u.args)
                 args = values[n:]  # u itself unless an argument came back new
                 values[n:] = [App(u.former, tuple(args)) if any(map(is_not, args, u.args)) else u]
-            continue
-        kind = type(u)
-        if kind is AtomTerm:
-            a = u.atom
-            values.append(u if (b := get(a, a)) is a else AtomTerm(b))
-        elif kind is App:
-            if u.args:
-                stack += (u, _END, *reversed(u.args))
-            else:
-                values.append(u)
-        elif kind is Abstraction:
-            stack += (u, _END, u.body)
-        elif kind is Suspension:
-            values.append(on_susp(u))
-        else:
-            raise TypeError(f"not a term: {u!r}")
-    return values[0]
 
 
 def act(pi: Permutation, t: Term) -> Term:

@@ -33,7 +33,18 @@ from nomrew import (
 from nomrew.rewrite import _rename_rule
 from nomrew.syntax import parse_theory
 from oracles import OracleOverflow, enumerate_solutions_small
-from strategies import alpha_perturb, atoms_st, contexts_st, perms_st, random_ctx, random_term, substs_st, terms_st
+from strategies import (
+    ATOMS,
+    alpha_perturb,
+    atoms_st,
+    contexts_st,
+    perms_st,
+    random_ctx,
+    random_subst,
+    random_term,
+    substs_st,
+    terms_st,
+)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 X, Y, Z = Unknown("X"), Unknown("Y"), Unknown("Z")
@@ -207,6 +218,53 @@ def test_solve_match_agrees_with_eager_reference(t, other, sigma, pctx, tctx, rn
     pattern_ctx = FreshnessContext(frozenset((a, APART[x].unknown) for a, x in pctx))
     for target in (other, alpha_perturb(rng, tctx, substitute(t, sigma))):
         _same_answer(MatchProblem(pattern_ctx, pattern, tctx, target))
+
+
+def _mutate(rng, t):
+    """t with one atom leaf or binder on a random path replaced at random."""
+    kind = type(t)
+    if kind is AtomTerm:
+        return AtomTerm(rng.choice(ATOMS))
+    if kind is Abstraction:
+        atom = t.atom if rng.random() < 0.7 else rng.choice(ATOMS)
+        return Abstraction(atom, _mutate(rng, t.body))
+    if kind is App and t.args:
+        i = rng.randrange(len(t.args))
+        return App(t.former, (*t.args[:i], _mutate(rng, t.args[i]), *t.args[i + 1:]))
+    return t
+
+
+def test_solve_match_agrees_with_eager_reference_on_near_instances():
+    # Instances with binders renamed where freshness allows, and the same
+    # with one leaf or binder changed, which mostly breaks them deep inside,
+    # after the walk has hidden and restored pending checks on the way.
+    rng = random.Random(11)
+    hits = misses = 0
+    for _ in range(1500):
+        t, tctx = random_term(rng, depth=5), random_ctx(rng)
+        pattern_ctx = FreshnessContext(frozenset((atom, APART[x].unknown) for atom, x in random_ctx(rng)))
+        instance = alpha_perturb(rng, tctx, substitute(t, random_subst(rng)))
+        for target in (instance, _mutate(rng, instance)):
+            if _same_answer(MatchProblem(pattern_ctx, _rename_unknowns_apart(t), tctx, target)):
+                hits += 1
+            else:
+                misses += 1
+    assert hits > 300 and misses > 300
+
+
+def test_a_pattern_binder_hides_a_pending_check_for_its_body_only():
+    # [a]f(b, [b]b) against [b]f(a, [b]b): the mismatched binders ask
+    # b # f(b, [b]b), which the inner [b] hides only in its own body, so the
+    # free b fails it whichever argument the walk reads first.
+    inner = Abstraction(b, AtomTerm(b))
+    for args in ((AtomTerm(b), inner), (inner, AtomTerm(b))):
+        target_args = tuple(AtomTerm(a) if u == AtomTerm(b) else u for u in args)
+        problem = MatchProblem(EMPTY_CTX, Abstraction(a, App("f", args)), EMPTY_CTX, Abstraction(b, App("f", target_args)))
+        assert solve_match(problem) is None
+    # With X where the free b was, X's image would be b, which the check forbids.
+    pattern = Abstraction(a, App("f", (var(X), inner)))
+    target = Abstraction(b, App("f", (AtomTerm(a), inner)))
+    assert solve_match(MatchProblem(EMPTY_CTX, pattern, EMPTY_CTX, target)) is None
 
 
 def _bundled_rules():

@@ -1,3 +1,4 @@
+import json
 import os
 import runpy
 import subprocess
@@ -50,6 +51,16 @@ def test_alpha_scaling_runs(capsys, monkeypatch):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["binders", "equal", "(s)", "unequal", "(s)", "root", "differs", "(s)"]
     assert [row.split()[0] for row in rows] == ["10", "100"]
+    assert all(len(row.split()) == 4 for row in rows)
+
+
+def test_match_scaling_runs(capsys, monkeypatch):
+    # The script asserts each verdict and binding; small sizes keep it quick.
+    monkeypatch.setattr("sys.argv", ["match_scaling.py", "1", "10", "100"])
+    runpy.run_path(str(SCRIPTS / "match_scaling.py"), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["binders", "instance", "(s)", "non-instance", "(s)", "root", "differs", "(s)"]
+    assert [row.split()[0] for row in rows] == ["1", "10", "100"]
     assert all(len(row.split()) == 4 for row in rows)
 
 
@@ -109,3 +120,12 @@ def test_op_counts_repeat_in_fresh_processes():
     opcodes, calls, matches = (int(line[1]) for line in lines[1:4])
     assert opcodes > calls > matches > 0 and len(lines[4][1]) == 64
     assert sorted(perfbench.rglob("*")) == before
+
+
+def test_pinned_digests_name_every_workload():
+    # CI diffs scripts/op_counts.py's digests against this file, one line
+    # per workload of BENCHMARK.json: the name and a sha256 digest.
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    lines = [line.split() for line in (SCRIPTS / "op_counts_digests.txt").read_text().splitlines()]
+    assert [name for name, _ in lines] == [w["name"] for w in spec["workloads"]]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)

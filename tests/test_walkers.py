@@ -12,6 +12,7 @@ one argv string may be.
 """
 
 import json
+import random
 from functools import cache
 from importlib import resources
 from itertools import islice
@@ -60,7 +61,7 @@ from nomrew.rewrite import _decompositions, _fresh_renaming, _path, _places, _pl
 from nomrew.syntax import parse_term, parse_theory, pretty
 
 import reference_walkers as ref
-from strategies import ATOMS, contexts_st, perms_st, substs_st, terms_st
+from strategies import ATOMS, contexts_st, perms_st, random_ctx, random_term, substs_st, terms_st
 
 a, b, c, d, e = (Atom(n) for n in "abcde")
 X, Y = Unknown("X"), Unknown("Y")
@@ -462,6 +463,18 @@ def test_scrub_matches_reference(ctx, t, machine):
     t = _rename_term(t, {machine: Atom(machine.name + "$0")}, {})
     pool = [z for z in ATOMS if z != machine]
     assert _shares_unchanged(scrub(ctx, t, pool), t) == ref.scrub(ctx, t, pool)
+
+
+def test_scrub_matches_reference_on_nested_machine_binders():
+    # Machine atoms bind inside binders of the same atom and inside each
+    # other, so scrub's renaming and its reading of which binder an atom
+    # leaf or a suspension refers to are tested where scopes nest and end.
+    rng = random.Random(5)
+    atoms = [*ATOMS[:3], Atom("a$0"), Atom("b$0"), Atom("c$1")]
+    for _ in range(3000):
+        t, ctx = random_term(rng, 7, atoms), random_ctx(rng, atoms)
+        pool = rng.sample(atoms, rng.randint(1, 4))
+        assert scrub(ctx, t, pool) == ref.scrub(ctx, t, pool)
 
 
 def _reference_decompositions(ctx, t, path, universe):
