@@ -22,7 +22,11 @@ and nothing is written under perfbench/.
 
 Counts repeat only under one hash seed, so the script runs itself again in
 a fresh process with PYTHONHASHSEED=0 when that is not already set.  Work
-done in C (dict and set operations, hashing, regex scans) is not counted.
+done in C (dict and set operations, hashing, regex scans) is not counted,
+and neither are Python frames whose code lies outside the engine's
+package, such as `functools.cached_property.__get__` and the lock it takes
+on a first read before Python 3.12: a change that removes such work shows
+in seconds, not in opcodes.
 
     python scripts/op_counts.py WORKLOAD [--seed N] [--ops 100]
 """

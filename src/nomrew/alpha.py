@@ -24,6 +24,7 @@ from .terms import (
     Atom,
     AtomTerm,
     Permutation,
+    Substitution,
     Suspension,
     Term,
     Unknown,
@@ -195,7 +196,13 @@ def _suspension_pairs(pairs, pi: Permutation, x: Unknown, level: dict[Atom, int]
     return tuple(entries)
 
 
-def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
+# The deepest binder stack under which alpha_holds compares the two sides'
+# levels, in O(depth), to skip a sigma image: past it the image is walked,
+# so a deep pattern with a suspension at every level stays linear.
+_SKIP_DEPTH = 16
+
+
+def alpha_holds(ctx: FreshnessContext, s: Term, t: Term, _sigma: Optional[Substitution] = None) -> bool:
     """Is ctx |- s =a= t derivable?  Fast path without derivation
     recording: it holds exactly when the alpha keys of s and t are equal.
     It walks s and t together on one stack, compares each pair of nodes as
@@ -217,8 +224,19 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
     side condition b # pi.X of the ~[b] rule is pi^-1(b) # X, and when that
     fails the pair of pi^-1(b) stays in the key, where b reads as free on
     one side and as bound on the other, so the keys differ.
+
+    `_sigma`, private to `matching.is_solution`, asks s.sigma =a= t with no
+    instance built: a suspension pi.X of s with X in dom sigma is read, where
+    the walk meets it, as act(pi, sigma(X)), whose own suspensions are read
+    as they are, as `substitute` leaves them.  When that term is the very
+    node of t it faces and both sides map their bound atoms to equal levels,
+    under at most _SKIP_DEPTH binders, the two have equal keys and the pair
+    holds unwalked.  Only the branches a suspension reaches test for one,
+    so a call without sigma pays one test per suspension and nothing per
+    other node.
     """
     pairs = ctx.pairs
+    images = every = _sigma._map if _sigma is not None else ()  # () inside an image
     left: dict[Atom, int] = {}
     right: dict[Atom, int] = {}
     depth = 0
@@ -227,21 +245,27 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
     while True:
         kind = type(u)
         if kind is not type(v):
-            if u is not _END:
+            if u is _END:  # a restore entry: the body is done
+                a, n, b, m = v
+                depth -= 1
+                if n is None:
+                    del left[a]
+                else:
+                    left[a] = n
+                if m is None:
+                    del right[b]
+                else:
+                    right[b] = m
+            elif kind is not Suspension or u.unknown not in images:
                 for w in (u, v):
                     if type(w) not in _TERM_KINDS:
                         raise TypeError(f"not a term: {w!r}")
                 return False
-            a, n, b, m = v  # a restore entry: the body is done
-            depth -= 1
-            if n is None:
-                del left[a]
-            else:
-                left[a] = n
-            if m is None:
-                del right[b]
-            else:
-                right[b] = m
+            elif (u := act(u.perm, images[u.unknown])) is not v or depth > _SKIP_DEPTH or left != right:
+                if stack:  # else nothing follows the image
+                    stack.append((_END, _END))  # popped once the image is done
+                images = ()
+                continue
         elif kind is App:
             if u.former != v.former or len(u.args) != len(v.args):
                 return False
@@ -268,10 +292,18 @@ def alpha_holds(ctx: FreshnessContext, s: Term, t: Term) -> bool:
                 return False
         elif kind is Suspension:
             x = u.unknown
-            if x is not v.unknown or (
+            if x in images:
+                if (u := act(u.perm, images[x])) is not v or depth > _SKIP_DEPTH or left != right:
+                    if stack:
+                        stack.append((_END, _END))
+                    images = ()
+                    continue
+            elif x is not v.unknown or (
                 _suspension_pairs(pairs, u.perm, x, left, depth) != _suspension_pairs(pairs, v.perm, x, right, depth)
             ):
                 return False
+        elif u is _END:  # an image is done: s's suspensions are read through sigma again
+            images = every
         else:
             raise TypeError(f"not a term: {u!r}")
         if not stack:

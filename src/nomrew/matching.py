@@ -27,6 +27,15 @@ pair once per solve, together with the pattern context's.  So a chain of
 n nested mismatched binders takes O(n) steps plus one O(n) snapshot of
 rho per suspension, a match whose freshness fails builds no image, and the
 alpha checks, linear and stopping at the first difference, build no key.
+
+The solution is checked against its definition before it is returned
+(`is_solution`), again without building the instance pattern.sigma: the
+alpha walk reads each pattern suspension pi.X as pi.sigma(X) where it
+meets it.  For a bare X first met under no mismatched binder, rho o pi is
+the identity, so sigma(X) is the target subterm s0 met there and
+pi.sigma(X) is s0 itself; the same object under binders that both sides
+map to equal levels keys alike, so the pair is skipped unwalked.  Anywhere
+else the image is walked.
 """
 
 from __future__ import annotations
@@ -53,7 +62,6 @@ from .terms import (
     fresh_names,
     _swap_into,
     _undo,
-    substitute,
     unknowns_of,
 )
 
@@ -106,13 +114,18 @@ class MatchSolution:
 def is_solution(problem: MatchProblem, sigma: Substitution) -> bool:
     """The three defining conditions: the domain lies within the pattern
     side, the instantiated pattern context holds under the target context,
-    and the instantiated pattern is alpha-equivalent to the target."""
+    and the instantiated pattern is alpha-equivalent to the target.
+
+    The last is asked in one walk with no instance built: `alpha_holds`
+    reads each pattern suspension pi.X as act(pi, sigma(X)) in place, and
+    skips the pair unwalked where that is the target's own node under
+    binders that both sides map to equal levels (module docstring)."""
     if not set(sigma) <= unknowns_of(problem.pattern_ctx, problem.pattern):
         return False
     for a, x in problem.pattern_ctx:
         if not fresh_holds(problem.target_ctx, a, sigma.image(x)):
             return False
-    return alpha_holds(problem.target_ctx, substitute(problem.pattern, sigma), problem.target)
+    return alpha_holds(problem.target_ctx, problem.pattern, problem.target, sigma)
 
 
 def solve_match(problem: MatchProblem) -> Optional[MatchSolution]:

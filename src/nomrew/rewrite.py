@@ -380,27 +380,30 @@ class NormalizeResult:
     status: str  # "normal_form" | "truncated" | "fuel_exhausted"
 
 
-@dataclass(frozen=True)
 class Subject:
     """A term to rewrite under a context.  Its atoms and unknowns (the
-    context's included) are collected together, in one walk, on first use of
-    either, and then read by every rule prepared for it; a subject no rule's
-    lhs fits is never walked."""
+    context's included) are collected together, in one walk, on first read
+    of either, into one slot that every rule prepared for it then reads; a
+    subject no rule's lhs fits is never walked.  The slot is filled with no
+    lock, unlike a `cached_property` before Python 3.12: a subject belongs
+    to the one call that made it, and a second walk would give equal sets."""
 
-    ctx: FreshnessContext
-    term: Term
+    __slots__ = ("ctx", "term", "_names")
 
-    @cached_property
+    def __init__(self, ctx: FreshnessContext, term: Term):
+        self.ctx, self.term, self._names = ctx, term, None
+
+    @property
     def atoms(self) -> frozenset[Atom]:
-        return self._names[0]
+        return (self._names or self._collect())[0]
 
-    @cached_property
+    @property
     def unknowns(self) -> frozenset[Unknown]:
-        return self._names[1]
+        return (self._names or self._collect())[1]
 
-    @cached_property
-    def _names(self) -> tuple[frozenset[Atom], frozenset[Unknown]]:
-        return _names_of(self.ctx, self.term)
+    def _collect(self) -> tuple[frozenset[Atom], frozenset[Unknown]]:
+        self._names = names = _names_of(self.ctx, self.term)
+        return names
 
 
 @dataclass(frozen=True)

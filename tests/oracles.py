@@ -3,8 +3,9 @@
 Each decides its question without the engine's fast paths: the nameless
 form of a ground term decides alpha-equivalence, the brute-force
 enumeration of candidate substitutions decides matching on desk-scale
-problems, and the equivariance sample checks that a permuted step is still
-a step.
+problems, filtered by the definition of a solution on the recursive
+reference walkers rather than by the engine's `is_solution`, and the
+equivariance sample checks that a permuted step is still a step.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from nomrew import (
     act,
     alpha_holds,
     atoms_of,
-    is_solution,
     rewrite_step_general,
     subterms,
     term_size,
     unknowns_of,
 )
-from nomrew.terms import fresh_names
+from nomrew.terms import ID, fresh_names
+
+import reference_walkers as ref
 
 
 # -- alpha-equivalence of ground terms -----------------------------------------
@@ -85,13 +87,32 @@ MAX_ORACLE_NODES = 12
 MAX_ORACLE_UNKNOWNS = 3
 
 
+def solution_by_definition(problem: MatchProblem, sigma: Substitution) -> bool:
+    """The definition of a matching solution, on the recursive reference
+    walkers: dom(sigma) lies within the unknowns of the pattern and its
+    context, target_ctx |- a # X.sigma for each a # X of the pattern
+    context, and target_ctx |- pattern.sigma ~ target by the rules, with the
+    instance built first."""
+    pattern_side = {x for _, x in problem.pattern_ctx}
+    pattern_side.update(u.unknown for u in ref.subterms(problem.pattern) if type(u) is Suspension)
+    if not set(sigma) <= pattern_side:
+        return False
+    delta = problem.target_ctx
+    for a, x in problem.pattern_ctx:
+        if not ref.fresh_holds(delta, a, ref.substitute(Suspension(ID, x), sigma)):
+            return False
+    return ref.check_alpha(delta, ref.substitute(problem.pattern, sigma), problem.target) is not None
+
+
 def enumerate_solutions_small(problem: MatchProblem, atom_budget: int = 1) -> list[Substitution]:
     """Brute-force matching oracle for desk-scale problems.
 
     Candidate images are the subterms of the target (plus bare atoms) closed
     under all permutations of the problem's atoms plus `atom_budget` spare
     atoms; every assignment of pattern unknowns to candidates is filtered
-    through is_solution.  Used to certify no-match answers in tests.
+    through `solution_by_definition`, which shares no code with the
+    engine's matcher or its check.  Used to certify no-match answers in
+    tests.
     Raises OracleOverflow beyond its documented bounds rather than silently
     truncating.
     """
@@ -120,7 +141,7 @@ def enumerate_solutions_small(problem: MatchProblem, atom_budget: int = 1) -> li
         if sigma in seen:
             continue
         seen.add(sigma)
-        if is_solution(problem, sigma):
+        if solution_by_definition(problem, sigma):
             out.append(sigma)
     return out
 

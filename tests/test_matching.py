@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nomrew.alpha
 import nomrew.matching
+import nomrew.terms
 import reference_walkers as ref
 from nomrew import (
     ID,
@@ -32,7 +35,7 @@ from nomrew import (
 )
 from nomrew.rewrite import _rename_rule
 from nomrew.syntax import parse_theory
-from oracles import OracleOverflow, enumerate_solutions_small
+from oracles import OracleOverflow, enumerate_solutions_small, solution_by_definition
 from strategies import (
     ATOMS,
     alpha_perturb,
@@ -40,6 +43,7 @@ from strategies import (
     contexts_st,
     perms_st,
     random_ctx,
+    random_perm,
     random_subst,
     random_term,
     substs_st,
@@ -195,6 +199,125 @@ def test_solution_stability_under_alpha():
         assert is_solution(p, perturbed)
         checked += 1
     assert checked > 100
+
+
+# -- the solution check, read in one walk, against its definition ------------
+
+
+H = Unknown("H")
+
+
+def _with_own_subterm(rng, t, pi):
+    """t with the subterm s0 at the end of a random path replaced by pi.H
+    and the binders on the path each renamed half the time; and s0."""
+    kind = type(t)
+    if kind is Abstraction and rng.random() < 0.8:
+        body, s0 = _with_own_subterm(rng, t.body, pi)
+        return Abstraction(rng.choice(ATOMS) if rng.random() < 0.5 else t.atom, body), s0
+    if kind is App and t.args and rng.random() < 0.8:
+        i = rng.randrange(len(t.args))
+        arg, s0 = _with_own_subterm(rng, t.args[i], pi)
+        return App(t.former, (*t.args[:i], arg, *t.args[i + 1:])), s0
+    return Suspension(pi, H), t
+
+
+def _agree(problem, sigma):
+    verdict = is_solution(problem, sigma)
+    assert verdict == solution_by_definition(problem, sigma)
+    return verdict
+
+
+def test_is_solution_agrees_with_its_definition():
+    # Solutions found by solve_match, each also perturbed: one image with a
+    # leaf or binder changed, one image mentioning a pattern unknown (which
+    # substitution leaves as it is), an extra domain unknown, and an image
+    # that breaks a freshness constraint of the pattern.
+    rng = random.Random(17)
+    outcomes = Counter()
+    for _ in range(1500):
+        target, delta = random_term(rng, depth=4), random_ctx(rng)
+        pattern = _rename_unknowns_apart(_generalise(rng, target))
+        unknowns = sorted({u.unknown for u in subterms(pattern) if type(u) is Suspension})
+        pattern_ctx = FreshnessContext(frozenset((atom, x) for atom in ATOMS for x in unknowns if rng.random() < 0.2))
+        problem = MatchProblem(pattern_ctx, pattern, delta, target)
+        sol = solve_match(problem)
+        if sol is None:
+            continue
+        sigma = dict(sol.sigma)
+        outcomes["solved", _agree(problem, sol.sigma)] += 1
+        for x in sigma:
+            outcomes["near miss", _agree(problem, Substitution({**sigma, x: _mutate(rng, sigma[x])}))] += 1
+            image = App("g", (sigma[x], var(rng.choice(unknowns))))
+            outcomes["unknown in image", _agree(problem, Substitution({**sigma, x: image}))] += 1
+        outcomes["extra domain", _agree(problem, Substitution({**sigma, X: AtomTerm(a)}))] += 1
+        for atom, x in pattern_ctx:
+            image = App("g", (sigma.get(x, var(x)), AtomTerm(atom)))
+            outcomes["not fresh", _agree(problem, Substitution({**sigma, x: image}))] += 1
+    assert outcomes["solved", True] > 800 and not outcomes["solved", False]
+    assert outcomes["near miss", True] > 300 and outcomes["near miss", False] > 150
+    assert outcomes["unknown in image", False] > 500
+    assert outcomes["extra domain", False] > 800 and not outcomes["extra domain", True]
+    assert outcomes["not fresh", False] > 200 and not outcomes["not fresh", True]
+    # An image naming a pattern unknown stays as it is, as substitution
+    # leaves it: g(P, Q) by P -> Q, Q -> a is g(Q, a), not g(a, a).
+    Q = Unknown("Q")
+    problem = MatchProblem(EMPTY_CTX, App("g", (var(P), var(Q))), EMPTY_CTX, App("g", (AtomTerm(a), AtomTerm(a))))
+    assert not _agree(problem, Substitution({P: var(Q), Q: AtomTerm(a)}))
+
+
+def test_is_solution_agrees_with_its_definition_on_own_subterm_images():
+    # The image of H is the target's own subterm under the pattern's
+    # binders, which are renamed half the time, and H is suspended under a
+    # random permutation half the time: the walk may skip such an image
+    # only when the two sides' binders give its atoms the same levels and
+    # the permutation moves none of them.
+    rng = random.Random(23)
+    outcomes = Counter()
+    for _ in range(3000):
+        target, delta = random_term(rng, depth=5), random_ctx(rng)
+        pi = random_perm(rng) if rng.random() < 0.5 else ID
+        pattern, s0 = _with_own_subterm(rng, target, pi)
+        pattern_ctx = FreshnessContext(frozenset((atom, H) for atom in ATOMS if rng.random() < 0.2))
+        problem = MatchProblem(pattern_ctx, _rename_unknowns_apart(pattern), delta, target)
+        verdict = _agree(problem, Substitution({H: s0}))
+        outcomes[verdict, pi.is_identity] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_is_solution_builds_no_instance_for_own_subterm_images(monkeypatch):
+    # Under binders named alike every image solve_match gives is the
+    # target's own subterm, and the check reads each in place: it neither
+    # substitutes nor rebuilds.
+    calls = Counter()
+    for name in ("substitute", "_rebuild"):
+        real = getattr(nomrew.terms, name)
+        monkeypatch.setattr(nomrew.terms, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    deep = App("g", (App("u", (App("u", (AtomTerm(b),)),)), AtomTerm(c)))
+    target = Abstraction(a, App("g", (deep, Abstraction(b, App("g", (AtomTerm(a), Abstraction(c, AtomTerm(b))))))))
+    pattern = Abstraction(a, App("g", (var(P), Abstraction(b, App("g", (var(Unknown("Q")), var(Unknown("R"))))))))
+    alike = MatchProblem(EMPTY_CTX, pattern, EMPTY_CTX, target)
+    sigma = solve_match(alike).sigma
+    assert sigma[P] is deep and calls == Counter()
+    assert is_solution(alike, sigma) and calls == Counter()
+    # With the binder above renamed, the target's own subterm is not P's
+    # image: its deep leaf a, bound by [a] in the target, would be free in
+    # the instance.  The two sides' levels differ, so the image is walked
+    # and the leaf is caught.
+    deep = App("g", (App("u", (App("u", (AtomTerm(a),)),)), AtomTerm(c)))
+    target = Abstraction(a, App("g", (deep, AtomTerm(c))))
+    problem = MatchProblem(EMPTY_CTX, Abstraction(b, App("g", (var(P), AtomTerm(c)))), EMPTY_CTX, target)
+    assert solve_match(problem).sigma == Substitution({P: act(swap(a, b), deep)})
+    wrong = Substitution({P: deep})
+    assert not is_solution(problem, wrong) and not solution_by_definition(problem, wrong)
+    # Under more than _SKIP_DEPTH binders the levels are not compared: the
+    # images are walked, still in place, with the same verdicts.
+    calls.clear()
+    for problem, sigma, verdict in ((alike, sigma, True), (problem, wrong, False)):
+        pattern, target = problem.pattern, problem.target
+        for i in range(nomrew.alpha._SKIP_DEPTH + 4):
+            pattern, target = Abstraction(Atom(f"z{i}"), pattern), Abstraction(Atom(f"z{i}"), target)
+        assert is_solution(MatchProblem(EMPTY_CTX, pattern, EMPTY_CTX, target), sigma) is verdict
+    assert calls == Counter()
 
 
 # -- the pending permutation against the eager copy ---------------------------

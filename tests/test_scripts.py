@@ -124,8 +124,9 @@ def test_op_counts_repeat_in_fresh_processes():
 
 def test_pinned_digests_name_every_workload():
     # CI diffs scripts/op_counts.py's digests against this file, one line
-    # per workload of BENCHMARK.json: the name and a sha256 digest.
+    # per seed, 1 then 3, and workload of BENCHMARK.json: the name, the seed
+    # and a sha256 digest.
     spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
     lines = [line.split() for line in (SCRIPTS / "op_counts_digests.txt").read_text().splitlines()]
-    assert [name for name, _ in lines] == [w["name"] for w in spec["workloads"]]
-    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in lines)
+    assert [(name, seed) for name, seed, _ in lines] == [(w["name"], seed) for seed in ("1", "3") for w in spec["workloads"]]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, _, digest in lines)
