@@ -16,7 +16,6 @@ from nomrew import (
     symmetric_search,
     var,
 )
-from nomrew.rewrite import replay
 from nomrew.syntax import parse_term, parse_theory, pretty, pretty_perm, pretty_subst
 
 
@@ -45,7 +44,7 @@ def main():
     print(f"  {pretty(term)}")
     for step in res.trace:
         print(f"    --{step.rule}--> {pretty(step.result)}")
-        assert replay(EMPTY_CTX, step, step.freshened)
+        assert replay_step(EMPTY_CTX, step, step.freshened)
     print(f"  status: {res.status}, every step replays")
 
     banner("a rewrite that needs a permutation: [b][a]a under [a]X -> X")

@@ -27,7 +27,7 @@ from .rewrite import (
     Theory,
     normalize_general,
     path_str,
-    replay,
+    replay_step,
     rewrite_step_general,
 )
 from .syntax import (
@@ -434,7 +434,7 @@ def cmd_replay(args) -> int:
     for trace in traces:
         for data in trace:
             try:
-                valid = replay(ctx, _step_from_json(data, term), rules.get(data["rule"]))
+                valid = replay_step(ctx, _step_from_json(data, term), rules.get(data["rule"]))
             except ParseError:  # a term outside the theory's signature is no step of it
                 valid = False
             if not valid:

@@ -67,6 +67,7 @@ from .terms import (
     _swap_into,
     _undo,
     atoms_of,
+    names_of,
     substitute,
     unknowns_of,
 )
@@ -103,7 +104,7 @@ def is_closed(ctx: FreshnessContext, t: Term) -> ClosednessResult:
     """Does (ctx |- t) match its own freshened variant under ctx extended
     with freshness of all the variant's atoms for all of t's unknowns?  The
     answer does not depend on which freshened variant is chosen."""
-    amap, umap = _fresh_maps(atoms_of(ctx, t), unknowns_of(ctx, t), set())
+    amap, umap = _fresh_maps(*names_of(ctx, t), set())
     return _match_variant(ctx, t, _rename_ctx(ctx, amap, umap), _rename_term(t, amap, umap))
 
 
@@ -313,7 +314,7 @@ def _prepare_closed(subject: Subject, rule: RewriteRule) -> PreparedRule:
     taken = {v.name for v in (*subject_atoms, *subject_unknowns)}
     if any(v.name in taken for v in (*frule.atoms(), *frule.unknowns())):
         frule = freshen_rule(rule, subject_atoms, subject_unknowns)
-    _require_apart(frule.lhs_unknowns, subject_unknowns)
+    _require_apart(frule.unknowns(), subject_unknowns)
     extension = FreshnessContext(frozenset((a, x) for a in frule.atoms() for x in subject_unknowns))
     ctx2 = ctx | extension
     # Binders the match drags in are renamed back to the subject's and

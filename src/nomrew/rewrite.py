@@ -69,8 +69,8 @@ one breadth-first search for `reachable` and `symmetric_search`
 (`_breadth_first`), and replay.  The engines differ only in how one rule is
 prepared for one subject, a `PreparedRule`: its context, universe and
 instances at a hole, and how a result is finished.  It reads of the subject
-only the atoms and unknowns the core collects once per subject, both in one
-walk (`Subject`).  The general preparation here renames the rule's unknowns
+only its atoms and unknowns, which `Subject` collects once, in one walk of
+`terms.names_of`.  The general preparation here renames the rule's unknowns
 away from the subject's and tries the candidate permutations over a
 universe; the closed preparation (closed.py) matches the rule's fixed
 freshened variant under an extended context and the identity permutation,
@@ -143,8 +143,8 @@ from .terms import (
     _flat_key,
     _rebuild,
     act,
-    atoms_of,
     fresh_names,
+    names_of,
     substitute,
     subterms,
     swap,
@@ -212,25 +212,6 @@ def _binders(frames: tuple | None) -> list[Atom]:
     return out
 
 
-def _names_of(ctx: FreshnessContext, *terms: Term) -> tuple[frozenset[Atom], frozenset[Unknown]]:
-    """The atoms and the unknowns of ctx and the terms, as `atoms_of` and
-    `unknowns_of` collect them, in one walk."""
-    atoms, unknowns, stack = {a for a, _ in ctx}, {x for _, x in ctx}, list(terms)
-    while stack:
-        u = stack.pop()
-        kind = type(u)
-        if kind is App:
-            stack += u.args
-        elif kind is Suspension:
-            atoms.update(u.perm.mapping)
-            unknowns.add(u.unknown)
-        else:  # an atom or an abstraction
-            atoms.add(u.atom)
-            if kind is Abstraction:
-                stack.append(u.body)
-    return frozenset(atoms), frozenset(unknowns)
-
-
 @dataclass(frozen=True)
 class RewriteRule:
     """ctx |- lhs -> rhs.  Executability requires the unknowns of the rhs
@@ -261,13 +242,7 @@ class RewriteRule:
     @cached_property
     def _names(self) -> tuple[frozenset[Atom], frozenset[Unknown]]:
         """The rule's atoms and unknowns, collected on first use."""
-        return _names_of(self.ctx, self.lhs, self.rhs)
-
-    @cached_property
-    def lhs_unknowns(self) -> frozenset[Unknown]:
-        """The unknowns of the context and the lhs, which a subject may not
-        share with the rule when the rule fires on it."""
-        return frozenset(unknowns_of(self.ctx, self.lhs))
+        return names_of(self.ctx, self.lhs, self.rhs)
 
     @cached_property
     def _tree(self) -> "_Tree":
@@ -382,8 +357,8 @@ class NormalizeResult:
 
 class Subject:
     """A term to rewrite under a context.  Its atoms and unknowns (the
-    context's included) are collected together, in one walk, on first read
-    of either, into one slot that every rule prepared for it then reads; a
+    context's included) fill one slot on first read of either, in one walk
+    of `terms.names_of`, and every rule prepared for it reads them; a
     subject no rule's lhs fits is never walked.  The slot is filled with no
     lock, unlike a `cached_property` before Python 3.12: a subject belongs
     to the one call that made it, and a second walk would give equal sets."""
@@ -402,7 +377,7 @@ class Subject:
         return (self._names or self._collect())[1]
 
     def _collect(self) -> tuple[frozenset[Atom], frozenset[Unknown]]:
-        self._names = names = _names_of(self.ctx, self.term)
+        self._names = names = names_of(self.ctx, self.term)
         return names
 
 
@@ -567,7 +542,7 @@ def _prepare_general(
 
     ctx = subject.ctx
     renamed = _freshen_rule_unknowns(rule, subject.unknowns)
-    _require_apart(renamed.lhs_unknowns, subject.unknowns)
+    _require_apart(renamed.unknowns(), subject.unknowns)
     universe, truncated = _universe(renamed.atoms(), subject.atoms | extra_atoms, max_support)
     closed = _is_closed(rule)
     # Keyed by identity: an entry holds the object whose id keys it (the
@@ -849,7 +824,8 @@ def _fresh_renaming(rule: RewriteRule, renamed: RewriteRule, ctx: FreshnessConte
     """Is `renamed`, named as `rule`, the image of `rule` under one-to-one
     renamings of its atoms and of its unknowns, onto names that occur nowhere
     in ctx or the terms?"""
-    if renamed.atoms() & atoms_of(ctx, *terms) or renamed.unknowns() & unknowns_of(ctx, *terms):
+    atoms, unknowns = names_of(ctx, *terms)
+    if renamed.atoms() & atoms or renamed.unknowns() & unknowns:
         return False
     return renamed.name == rule.name and _renaming(rule, renamed)
 
@@ -888,7 +864,7 @@ def _renaming(rule: RewriteRule, other: RewriteRule) -> bool:
     return False
 
 
-def replay(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]) -> bool:
+def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]) -> bool:
     """Re-verify a step from its recorded witness against `rule`, the rule
     the step names (None when there is no such rule).
 
@@ -926,11 +902,6 @@ def replay(ctx: FreshnessContext, step: RewriteStep, rule: Optional[RewriteRule]
     if not alpha_holds(ctx, hole, substitute(act(step.perm, rule.lhs), theta)):
         return False
     return alpha_holds(ctx, _plug(frames, substitute(act(step.perm, rule.rhs), theta)), step.result)
-
-
-def replay_step(ctx: FreshnessContext, step: RewriteStep, rule: RewriteRule) -> bool:
-    """Re-verify a step from its recorded witness against the named rule."""
-    return replay(ctx, step, rule)
 
 
 def _prepared(kept: dict, prepare: Callable[..., PreparedRule], subject: Subject, rules, i: int) -> PreparedRule:
@@ -1156,7 +1127,7 @@ def symmetric_search(
         gamma_budget = len(theory.atoms())
     if fuel < 0 or gamma_budget < 0:
         raise ValueError("fuel and gamma_budget must not be negative")
-    atoms, unknowns = _names_of(ctx, s, t)
+    atoms, unknowns = names_of(ctx, s, t)
     names = fresh_names("g", gamma_budget if unknowns else 0, {a.name for a in atoms | theory.atoms()})
     gamma = FreshnessContext(frozenset((Atom(name), x) for name in names for x in unknowns))
     ctx2 = ctx | gamma

@@ -7,19 +7,20 @@ f(t1,...,tn).  Permutations are finitely supported bijections on atoms kept
 as the canonical map of the atoms they move; swap lists are only read and
 printed.  Substitutions map unknowns to terms and do not avoid capture.
 
-Atoms and unknowns are interned: one live object per name, so they compare
-by identity and hash by address, both in C.  Term nodes are plain slotted
-classes, immutable by convention: nothing outside this module assigns a
-field (tests/test_terms_immutable.py keeps it so).  Term `==` and `hash`
-read the flat preorder key (`_flat_key`) on an explicit stack, and the hash
-is kept on the node once computed.  Every walker keeps its own stack, so
-terms of any depth work.  The rebuilds (`act`, `substitute` and renaming)
-run on `_rebuild`'s loop, which reads the atom map inline and calls out only
-at a suspension; it hands back each node it does not change, so unchanged
-subterms stay shared, and builds one new leaf per renamed atom.  `_fold` is
-left to the folds that build values other than terms.  A stack entry that
-is not a node is the private `_END`, so a non-term reached as a term raises
-TypeError in every walker.
+Atoms and unknowns are interned, one object per name in one plain table per
+class for the life of the process (`dict.setdefault` gives two threads that
+make one name one object), so they compare by identity and hash by address,
+both in C.  Term nodes are plain slotted classes, immutable by convention:
+nothing outside this module assigns a field (tests/test_terms_immutable.py
+keeps it so).  Term `==` and `hash` read the flat preorder key (`_flat_key`)
+on an explicit stack, and the hash is kept on the node once computed.  Every
+walker keeps its own stack, so terms of any depth work.  The rebuilds
+(`act`, `substitute` and renaming) run on `_rebuild`'s loop, which reads the
+atom map inline and calls out only at a suspension; it hands back each node
+it does not change, so unchanged subterms stay shared, and builds one new
+leaf per renamed atom.  `_fold` is left to the folds that build values other
+than terms.  A stack entry that is not a node is the private `_END`, so a
+non-term reached as a term raises TypeError in every walker.
 Walkers dispatch on the exact node type (`type(u) is App`), never on class
 patterns in a match statement, which take about twice as long
 (tests/test_dispatch.py keeps it so).
@@ -28,8 +29,6 @@ patterns in a match statement, which take about twice as long
 from __future__ import annotations
 
 import itertools
-import threading
-import weakref
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import is_not
@@ -49,30 +48,24 @@ class SignatureError(NominalError):
     pass
 
 
-_INTERNING = threading.Lock()
-
-
 class _Name:
-    """An interned name: one live object per (class, name), so equality is
-    identity and hashing is the object's own, both in C.  Each subclass
-    keeps its own weak table, so an unused name is not kept alive.  Names
+    """An interned name: one object per (class, name) for the life of the
+    process, kept in the class's plain table and stored there with the atomic
+    `dict.setdefault`, so two threads that make one name get one object.
+    Equality is identity and hashing is the object's own, both in C.  Names
     are immutable; copying or pickling one interns it again."""
 
-    __slots__ = ("name", "__weakref__")
+    __slots__ = ("name",)
 
     def __init_subclass__(cls):
-        cls._interned = weakref.WeakValueDictionary()
+        cls._interned = {}
 
     def __new__(cls, name: str):
         got = cls._interned.get(name)
         if got is None:
-            # Two threads making the same new name must get one object.
-            with _INTERNING:
-                got = cls._interned.get(name)
-                if got is None:
-                    got = object.__new__(cls)
-                    object.__setattr__(got, "name", name)
-                    cls._interned[name] = got
+            got = object.__new__(cls)
+            object.__setattr__(got, "name", name)
+            got = cls._interned.setdefault(name, got)
         return got
 
     def __setattr__(self, attr, value):
@@ -444,31 +437,41 @@ def substitute(t: Term, sigma: Substitution) -> Term:
     return _rebuild(t, {}, lambda u: act(u.perm, binds[u.unknown]) if u.unknown in binds else u)
 
 
-def atoms_of(*items: Term | FreshnessContext) -> set[Atom]:
-    """All atoms of the given terms and freshness contexts.  The atoms of a
-    suspension are the support of its permutation."""
-    out: set[Atom] = set()
+def names_of(*items: Term | FreshnessContext) -> tuple[frozenset[Atom], frozenset[Unknown]]:
+    """The atoms and the unknowns of the given terms and freshness contexts,
+    in one walk.  The atoms of a suspension are the support of its
+    permutation."""
+    atoms: set[Atom] = set()
+    unknowns: set[Unknown] = set()
     stack: list = []
     for it in items:
-        if isinstance(it, Term) or not hasattr(it, "pairs"):
+        if not hasattr(it, "pairs"):
             stack.append(it)  # a non-term raises TypeError in the walk
-        else:
-            out.update(a for a, _ in it.pairs)
+        elif it.pairs:
+            ctx_atoms, ctx_unknowns = zip(*it.pairs)
+            atoms.update(ctx_atoms)
+            unknowns.update(ctx_unknowns)
     while stack:
         u = stack.pop()
         kind = type(u)
         if kind is App:
-            stack.extend(u.args)
-        elif kind is Abstraction:
-            out.add(u.atom)
-            stack.append(u.body)
+            stack += u.args
         elif kind is AtomTerm:
-            out.add(u.atom)
+            atoms.add(u.atom)
+        elif kind is Abstraction:
+            atoms.add(u.atom)
+            stack.append(u.body)
         elif kind is Suspension:
-            out.update(u.perm.mapping)
+            atoms.update(u.perm.mapping)
+            unknowns.add(u.unknown)
         else:
             raise TypeError(f"not a term: {u!r}")
-    return out
+    return frozenset(atoms), frozenset(unknowns)
+
+
+def atoms_of(*items: Term | FreshnessContext) -> frozenset[Atom]:
+    """All atoms of the given terms and freshness contexts (`names_of`)."""
+    return names_of(*items)[0]
 
 
 # Tags that open a node in a flat key.  Atoms are keyed by their name, a
@@ -503,6 +506,8 @@ def _flat_key(t: Term) -> tuple:
     return tuple(out)
 
 
+# A walk of its own, leaner than names_of's: it is the check on every
+# MatchProblem and every is_solution.
 def unknowns_of(*items: Term | FreshnessContext) -> set[Unknown]:
     """All unknowns of the given terms and freshness contexts."""
     out: set[Unknown] = set()

@@ -102,6 +102,23 @@ def test_traced_span_metrics_resolve():
     assert not _missing(names)
 
 
+def test_traced_spans_are_defined_where_they_are_named():
+    # The tracer names a span by its defining module, so a function moved
+    # elsewhere and imported back would resolve here but read 0 calls.
+    for module, name in span_metrics():
+        assert getattr(_module(module), name).__module__ == f"nomrew.{module}", (module, name)
+
+
+def test_a_subjects_names_walk_is_traced_in_the_terms_layer():
+    # The tracer wraps public module-level functions that are not
+    # generators, so a traced run counts each subject's walk under `terms`.
+    terms, rewrite = _module("terms"), _module("rewrite")
+    fn = terms.names_of
+    assert inspect.isfunction(fn) and not inspect.isgeneratorfunction(fn)
+    assert fn.__name__ == fn.__qualname__ == "names_of" and fn.__module__ == "nomrew.terms"
+    assert rewrite.names_of is fn and _module("closed").names_of is fn
+
+
 def test_workload_chains_resolve():
     names = engine_chains(PERFBENCH / "workloads.py")
     assert ("rewrite", "replay_step") in names and ("nomrew", "symmetric_search") in names

@@ -47,7 +47,7 @@ from nomrew import (
 from nomrew.matching import MatchProblem, solve_match
 from nomrew.rewrite import (
     MAX_SUPPORT, SPARE_CAP, PreparedRule, _fresh_maps, _fresh_renaming, _prepare_general, _rename_rule, _rename_ctx,
-    _rename_term, _universe, normalize, reachable, replay, rewrite_steps,
+    _rename_term, _universe, normalize, reachable, rewrite_steps,
 )
 from nomrew.syntax import parse_context, parse_term, parse_theory, pretty
 from nomrew.terms import ID, MACHINE_MARK, Substitution, fresh_names
@@ -250,7 +250,7 @@ def test_closed_steps_replay():
         ctx = random_ctx(rng)
         for rule in BETAETA.rules:
             for st in closed_rewrite_step(ctx, s, rule):
-                assert replay(ctx, st, st.freshened) and replay_step(ctx, st, rule)
+                assert replay_step(ctx, st, st.freshened) and replay_step(ctx, st, rule)
 
 
 def test_closed_replay_checks_the_freshening():
@@ -258,7 +258,7 @@ def test_closed_replay_checks_the_freshening():
 
     ctx = FreshnessContext.of((a, X))
     st = next(iter(closed_rewrite_step(ctx, var(X), EXPAND)))
-    assert replay_step(ctx, st, EXPAND) and replay(ctx, st, st.freshened)
+    assert replay_step(ctx, st, EXPAND) and replay_step(ctx, st, st.freshened)
     # the recorded rule must rename the rule it names
     assert not replay_step(ctx, st, RewriteRule("expand", EMPTY_CTX, var(X), App("f", (var(X),))))
     # to names fresh for the context and the source
@@ -557,7 +557,7 @@ def test_subject_mentioning_the_kept_variant_gets_one_freshened_apart():
     assert step.freshened == freshen_rule(rule, atoms_of(ctx, s), unknowns_of(ctx, s)) != kept
     assert not step.freshened.atoms() & atoms_of(ctx, s) and not step.freshened.unknowns() & unknowns_of(ctx, s)
     assert _fresh_renaming(rule, step.freshened, ctx, s) and not _fresh_renaming(rule, kept, ctx, s)
-    assert replay(ctx, step, rule)
+    assert replay_step(ctx, step, rule)
     assert closed_module._variant(rule) is kept
 
 
@@ -585,7 +585,7 @@ def _reference_prepare(subject, rule):
 def _same_steps(ctx, rules, got, want):
     assert [(st.rule, st.path) for st in got] == [(st.rule, st.path) for st in want]
     assert all(alpha_mod_machine(ctx, g.result, w.result) for g, w in zip(got, want))
-    assert all(replay(ctx, st, rules[st.rule]) for st in got)
+    assert all(replay_step(ctx, st, rules[st.rule]) for st in got)
     # The kept variant is the one per-subject freshening picks, names and all.
     assert got == want
 
@@ -695,7 +695,7 @@ def test_closed_steps_of_the_subject_cover_those_of_its_alpha_variants(theory_te
         assert all(st.variant == s for st in got)
         assert _classes_match(ctx, s, [st.result for st in got], [st.result for st in want])
         # Replay still accepts a closed step fired on an alpha-variant.
-        assert all(replay(ctx, st, rule) for st in want)
+        assert all(replay_step(ctx, st, rule) for st in want)
     got = list(closed_reachable(ctx, s, theory, 2))
     want = list(reachable(ctx, s, theory, _enumerating_prepare, 2))
     assert _classes_match(ctx, s, got, want)
@@ -775,7 +775,7 @@ def test_replay_rejects_a_freshened_name_in_the_variant():
     )
     assert _fresh_renaming(rule, fr, EMPTY_CTX, source)
     assert not _fresh_renaming(rule, fr, EMPTY_CTX, source, variant)
-    assert not replay(EMPTY_CTX, step, rule)
+    assert not replay_step(EMPTY_CTX, step, rule)
 
 
 def _beta_var_under(n, redex=app(lam(a, AtomTerm(a)), AtomTerm(c))):

@@ -130,3 +130,46 @@ def test_pinned_digests_name_every_workload():
     lines = [line.split() for line in (SCRIPTS / "op_counts_digests.txt").read_text().splitlines()]
     assert [(name, seed) for name, seed, _ in lines] == [(w["name"], seed) for seed in ("1", "3") for w in spec["workloads"]]
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, _, digest in lines)
+
+
+CODE_LINES_MODULE = '''"""Module doc,
+two lines."""
+
+# a comment
+import os  # trailing comment
+
+
+def f(x):
+    """One line, µ."""
+    s = """not a
+docstring"""
+    return x  # comment
+
+
+"""A bare string
+statement."""
+def g(): """a docstring on a code line"""
+'''
+
+
+def test_code_lines_splits_a_package(tmp_path, capsys, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text(CODE_LINES_MODULE, encoding="utf-8")
+    (tmp_path / "sub" / "b.py").write_text("x = 1\n\n# end\n")
+    monkeypatch.setattr("sys.argv", ["code_lines.py", str(tmp_path), "--json"])
+    runpy.run_path(str(SCRIPTS / "code_lines.py"), run_name="__main__")
+    got = json.loads(capsys.readouterr().out)
+    # a.py: code on lines 5, 8, 10-12 and 17; docstrings on 1-2, 9 and
+    # 15-16; a comment alone on 4; blank 3, 6-7 and 13-14.
+    assert got["modules"] == {
+        "a.py": {"code": 6, "docstring": 5, "comment": 1, "blank": 5},
+        "sub/b.py": {"code": 1, "docstring": 0, "comment": 1, "blank": 1},
+    }
+    assert got["total"] == {"code": 7, "docstring": 5, "comment": 2, "blank": 6}
+    monkeypatch.setattr("sys.argv", ["code_lines.py", str(tmp_path)])
+    runpy.run_path(str(SCRIPTS / "code_lines.py"), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "code", "docstring", "comment", "blank", "lines"]
+    assert [row.split() for row in rows] == [
+        ["a.py", "6", "5", "1", "5", "17"], ["sub/b.py", "1", "0", "1", "1", "3"], ["total", "7", "5", "2", "6", "20"],
+    ]

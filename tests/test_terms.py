@@ -1,6 +1,9 @@
 import copy
 import pickle
 import random
+import sys
+import threading
+import uuid
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,9 +43,12 @@ from nomrew import (
 import pytest
 from nomrew import matching
 from nomrew.rewrite import _rename_term
-from nomrew.terms import _flat_key, fresh_names
+from nomrew.terms import _flat_key, fresh_names, names_of
+import reference_walkers as ref
 from reference_walkers import cycle_swaps, swap_list_mapping
-from strategies import ATOMS, atoms_st, perms_st, random_perm, random_subst, random_term, substs_st, terms_st
+from strategies import (
+    ATOMS, atoms_st, perms_st, random_ctx, random_perm, random_subst, random_term, substs_st, terms_st,
+)
 
 a, b, c, d, e = (Atom(n) for n in "abcde")
 X, Y = Unknown("X"), Unknown("Y")
@@ -151,6 +157,36 @@ def test_atoms_and_unknowns():
     assert unknowns_of(App("f", (var(X), Suspension(swap(a, b), Y)))) == {X, Y}
 
 
+def _names_by_definition(*items):
+    """The atoms and unknowns of terms and contexts, read off every subterm
+    by the recursive reference walk."""
+    atoms, unknowns = set(), set()
+    for it in items:
+        if isinstance(it, FreshnessContext):
+            atoms.update(a for a, _ in it)
+            unknowns.update(x for _, x in it)
+            continue
+        for u in ref.subterms(it):
+            if isinstance(u, Suspension):
+                atoms.update(u.perm.support)
+                unknowns.add(u.unknown)
+            elif isinstance(u, (AtomTerm, Abstraction)):
+                atoms.add(u.atom)
+    return atoms, unknowns
+
+
+def test_names_of_agrees_with_its_definition():
+    rng = random.Random(36)
+    for _ in range(300):
+        items = [random_term(rng, rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):
+            items.insert(rng.randint(0, len(items)), random_ctx(rng))
+        got = names_of(*items)
+        assert got == _names_by_definition(*items) == (atoms_of(*items), unknowns_of(*items))
+        assert all(type(names) is frozenset for names in got)
+    assert names_of() == (frozenset(), frozenset())
+
+
 # Every walker, given a term with the pair `other` to compare it with where it
 # takes two.
 WALKERS = {
@@ -166,6 +202,7 @@ WALKERS = {
     "scrub": lambda t, other: scrub(EMPTY_CTX, t, [a, b]),
     "atoms_of": lambda t, other: atoms_of(t),
     "unknowns_of": lambda t, other: unknowns_of(t),
+    "names_of": lambda t, other: names_of(EMPTY_CTX, t),
 }
 
 
@@ -274,6 +311,36 @@ def test_names_are_interned_and_immutable():
             name.name = "b"
     assert repr(a) == "Atom('a')" and repr(X) == "Unknown('X')"
     assert sorted([c, a, b]) == [a, b, c] and Atom("m$0").is_machine and not X.is_machine
+
+
+def test_threads_making_one_new_name_get_one_object():
+    # A name is made between the table's miss and its store, so a thread
+    # switch there would let two threads each make one: switch often, and
+    # make fresh names in several rounds.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            names = [f"t{uuid.uuid4().hex}" for _ in range(500)]
+            start = threading.Barrier(8, timeout=30)
+            made = [None] * 8
+
+            def make(i):
+                start.wait()
+                made[i] = [(Atom(n), Unknown(n)) for n in names]
+
+            threads = [threading.Thread(target=make, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads) and None not in made
+            for i, name in enumerate(names):
+                atom, unknown = made[0][i]
+                assert all(row[i][0] is atom and row[i][1] is unknown for row in made)
+                assert atom.name == unknown.name == name and Atom(name) is atom and Unknown(name) is unknown
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_terms_copy_and_pickle_as_values():

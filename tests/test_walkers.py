@@ -59,6 +59,7 @@ from nomrew import cli
 from nomrew import rewrite as rewrite_module
 from nomrew.rewrite import _decompositions, _fresh_renaming, _path, _places, _plug, _rename_rule, _rename_term, path_str
 from nomrew.syntax import parse_term, parse_theory, pretty
+from nomrew.terms import atoms_of, names_of, unknowns_of
 
 import reference_walkers as ref
 from strategies import ATOMS, contexts_st, perms_st, random_ctx, random_term, substs_st, terms_st
@@ -146,6 +147,15 @@ def test_scrub_at_depth(n):
     ctx = FreshnessContext.of((a, X), (b, X))
     assert pretty(scrub(ctx, t, [c, d])) == spine_text(n, "g(X, c)")
     assert scrub(ctx, t, [c, d]) == spine(n, App("g", (var(X), AtomTerm(c))))
+
+
+@pytest.mark.parametrize("n", DEPTHS)
+def test_names_at_depth(n):
+    t = deep(n)
+    ctx = FreshnessContext.of((d, Y))
+    assert names_of(t) == ({a, b, c}, {X}) and names_of(ctx, t) == ({a, b, c, d}, {X, Y})
+    assert atoms_of(ctx, t) == {a, b, c, d} and unknowns_of(ctx, t) == {X, Y}
+    assert names_of(spine(n, AtomTerm(e), binder=d), t) == ({a, b, c, d, e}, {X})
 
 
 def test_parse_wide_term():
