@@ -6,8 +6,10 @@ freshened variant), assert that both reach alpha-equal normal forms, and
 print the time each took, the match calls each made, the (position,
 fitting rule) pairs the rule set's discrimination tree answered
 (`_Tree.fits`, one lookup per position visited) and the lists of candidate
-permutations (`_candidate_perms`) each built.  Closed makes one match per hole that a
-rule's lhs shape fits and builds no permutation list; general makes up to
+permutations (`_candidate_perms`) each built, and for closed the nodes of
+the terms `closed.scrub` returns, a closed step scrubbing only the instance
+it puts in the hole.  Closed makes one match per hole that a rule's lhs
+shape fits and builds no permutation list; general makes up to
 one match per candidate permutation at each distinct such hole of a
 normalization, since it keeps what it found at a hole for the rest of the
 call, and `beta_app` copies its argument, so the towers repeat holes.
@@ -28,7 +30,7 @@ from importlib import resources
 
 import nomrew.closed
 import nomrew.rewrite
-from nomrew import EMPTY_CTX, alpha_holds, closed_normalize, normalize_general
+from nomrew import EMPTY_CTX, alpha_holds, closed_normalize, normalize_general, term_size
 from nomrew.syntax import parse_term, parse_theory, pretty
 
 
@@ -66,7 +68,7 @@ def counting(owner, name, weight=lambda result: 1):
 def main(heights):
     theory = parse_theory((resources.files("nomrew") / "theories" / "betaeta.nrw").read_text())
     print(f"{'height':>6} {'closed (s)':>12} {'general (s)':>12} {'steps':>6} {'closed matches':>15} "
-          f"{'closed fit-pairs':>17} {'closed perm-lists':>18} {'general matches':>16} "
+          f"{'closed fit-pairs':>17} {'closed perm-lists':>18} {'closed scrubbed-nodes':>22} {'general matches':>16} "
           f"{'general fit-pairs':>18} {'general perm-lists':>19}")
     for height in heights:
         term = parse_term(redex_tower(height), theory.signature)
@@ -74,7 +76,8 @@ def main(heights):
 
         with counting(nomrew.closed, "solve_match") as closed_matches, \
                 counting(nomrew.rewrite._Tree, "fits", len) as closed_fits, \
-                counting(nomrew.rewrite, "_candidate_perms") as closed_perms:
+                counting(nomrew.rewrite, "_candidate_perms") as closed_perms, \
+                counting(nomrew.closed, "scrub", term_size) as closed_scrubbed:
             t0 = time.perf_counter()
             closed = closed_normalize(EMPTY_CTX, term, theory, fuel=fuel)
             closed_s = time.perf_counter() - t0
@@ -92,8 +95,8 @@ def main(heights):
         assert alpha_holds(EMPTY_CTX, closed.term, general.term), (
             pretty(closed.term), pretty(general.term))
         print(f"{height:>6} {closed_s:>12.3f} {general_s:>12.3f} {len(closed.trace):>6} {closed_matches[0]:>15} "
-              f"{closed_fits[0]:>17} {closed_perms[0]:>18} {general_matches[0]:>16} {general_fits[0]:>18} "
-              f"{general_perms[0]:>19}")
+              f"{closed_fits[0]:>17} {closed_perms[0]:>18} {closed_scrubbed[0]:>22} {general_matches[0]:>16} "
+              f"{general_fits[0]:>18} {general_perms[0]:>19}")
 
 
 if __name__ == "__main__":

@@ -17,11 +17,12 @@ general rewriting, and no alpha-variant of the subject is tried: firing a
 variant freshened apart from the subject makes closed steps respect
 alpha-equivalence (Fernandez & Gabbay), so the steps of the subject as
 written are all there is to find.  Machine atoms that the match drags into
-the result only ever occur where the extended context proves them fresh, so
-one scrubbing pass from the root rewrites each result to an alpha-equivalent
-representative mentioning as few of them as possible: each machine binder is
-renamed once, before its body is walked, into a pool of the subject's atoms,
-the rule's and a few spares.
+the instance only ever occur where the extended context proves them fresh,
+so one scrubbing pass over the instance rewrites it to an alpha-equivalent
+one mentioning as few of them as possible: each machine binder is renamed
+once, before its body is walked, into a pool of the subject's atoms, the
+rule's and a few spares.  A step's result is C[scrub(r theta)], as a general
+one is C[pi.(r theta)]: nothing outside the hole changes.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def _prepare_closed(subject: Subject, rule: RewriteRule) -> PreparedRule:
     """Match the rule's kept variant, or one freshened away from the subject
     when the subject already mentions a name of it, under the context
     extended with freshness of the variant's atoms for the subject's
-    unknowns; each hole is solved by plain matching and results are
+    unknowns; each hole is solved by plain matching and its instance
     scrubbed.  The core calls this at the first hole the rule's own lhs
     fits, and builds it from the subject's names that every rule's
     preparation shares."""
@@ -324,10 +325,9 @@ def _prepare_closed(subject: Subject, rule: RewriteRule) -> PreparedRule:
     def instances(hole: Term):
         sol = solve_match(MatchProblem._unchecked(frule.ctx, frule.lhs, ctx2, hole))
         if sol is not None:
-            yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
+            yield ID, sol.sigma, scrub(ctx2, substitute(frule.rhs, sol.sigma), pool)
 
-    finish = lambda t: scrub(ctx2, t, pool)
-    return PreparedRule(rule, ctx2, [], instances, finish=finish, freshened=frule, ctx_extension=extension)
+    return PreparedRule(rule, ctx2, [], instances, freshened=frule, ctx_extension=extension)
 
 
 def closed_rewrite_step(ctx: FreshnessContext, s: Term, rule: RewriteRule) -> StepResults:

@@ -68,14 +68,14 @@ built by `rewrite_steps`), the first step and normalization (`normalize`),
 one breadth-first search for `reachable` and `symmetric_search`
 (`_breadth_first`), and replay.  The engines differ only in how one rule is
 prepared for one subject, a `PreparedRule`: its context, universe and
-instances at a hole, and how a result is finished.  It reads of the subject
-only its atoms and unknowns, which `Subject` collects once, in one walk of
-`terms.names_of`.  The general preparation here renames the rule's unknowns
-away from the subject's and tries the candidate permutations over a
-universe; the closed preparation (closed.py) matches the rule's fixed
+instances at a hole, which a step puts in the hole as they are.  It reads of
+the subject only its atoms and unknowns, which `Subject` collects once, in
+one walk of `terms.names_of`.  The general preparation here renames the
+rule's unknowns away from the subject's and tries the candidate permutations
+over a universe; the closed preparation (closed.py) matches the rule's fixed
 freshened variant under an extended context and the identity permutation,
-and scrubs the result.  No renaming changes the shape of an lhs or which of
-its binders binds each atom leaf, so each rule set keeps one
+and scrubs the instance.  No renaming changes the shape of an lhs or which
+of its binders binds each atom leaf, so each rule set keeps one
 discrimination tree of its rules' own lhs shapes and bindings (`_Tree`),
 built once per rule-set object: a theory's rules, a search's rules and kept
 reversals, the lone rule of `rewrite_steps`.  Each position visited is looked
@@ -102,11 +102,11 @@ however many rules fit it: readers of a hole share one search through
 `itertools.tee` copies, so it runs once per distinct hole per call, however
 often the hole comes back.  Like generators, the copies must
 not be read from two threads at once.
-`_breadth_first` keys a general step without building it: a node has a fixed
-width in its alpha key (de Bruijn), so the key of C[r] is the subject's with
-the hole's slice replaced by r's key under C's binders (an alpha-variant keys
-as the subject outside the hole), and only the steps that reach the target or
-a new class are built.  A closed step is built, then keyed.
+`_breadth_first` keys a step without building it: a node has a fixed width
+in its alpha key (de Bruijn), so the key of C[r] is the subject's with the
+hole's slice replaced by r's key under C's binders (an alpha-variant keys as
+the subject outside the hole), and only the steps that reach the target or a
+new class are built.
 
 The permutation search is bounded: candidates are generated from the rule's
 atoms mapped injectively into a finite universe (the atoms of the rule, the
@@ -386,13 +386,13 @@ class PreparedRule:
     """One rule made ready by one engine to fire on one subject, and so on
     every subject with the same atoms and unknowns under the same context.
 
-    `instances(hole)` yields (pi, theta, pi.(rhs theta)) for every way the
-    prepared lhs matches the hole under `ctx`, or for a closed rule the first
-    alone (the rest are alpha-equal to it); `finish` turns the rebuilt
-    subject into the reported result.  `universe` holds the names binders
-    above a position may be renamed to when alpha-variants of the subject
-    are enumerated; only general rewriting by a rule that is not closed
-    needs them, and every other preparation's universe is empty.
+    `instances(hole)` yields (pi, theta, r) for every way the prepared lhs
+    matches the hole under `ctx`, or for a closed rule the first alone (the
+    rest are alpha-equal to it), r being what the step puts in the hole:
+    pi.(rhs theta), scrubbed in closed rewriting.  `universe` holds the
+    names binders above a position may be renamed to when alpha-variants of
+    the subject are enumerated; only general rewriting by a rule that is not
+    closed needs them, and every other preparation's universe is empty.
     `truncated` says the permutation search was cut by the universe cap, so
     finding no instance proves nothing.  A closed step also records the
     freshened rule and the context extension it fired under, and these make
@@ -404,7 +404,6 @@ class PreparedRule:
     universe: list[Atom]
     instances: Callable[[Term], Iterator[tuple[Permutation, Substitution, Term]]]
     truncated: bool = False
-    finish: Callable[[Term], Term] = lambda t: t
     freshened: Optional[RewriteRule] = None
     ctx_extension: FreshnessContext = EMPTY_CTX
 
@@ -728,8 +727,8 @@ def _plug(frames: tuple | None, u: Term) -> Term:
 
 def _candidates(s: Term, places: Iterable[tuple], prep: PreparedRule) -> Iterator[tuple]:
     """The steps of s by one prepared rule, unbuilt and in order, as
-    (prepared rule, position index, frames, hole, renamed, pi, theta,
-    pi.(rhs theta)): every place of s in `places`, as (its index in
+    (prepared rule, position index, frames, hole, renamed, pi, theta, r),
+    r as `instances` yields it: every place of s in `places`, as (its index in
     `_places(s)`, frames, hole), which are the places whose shape the rule's
     lhs fits (`_Tree.fits`); every alpha-variant of s renaming the binders
     above it into the prepared rule's universe (the place itself if it has
@@ -754,9 +753,8 @@ def _build(s: Term, candidate: tuple) -> RewriteStep:
     prep, _, frames, hole, renamed, pi, theta, rhs = candidate
     # When no binder above the hole was renamed, the variant fired on is s.
     variant = _plug(frames, hole) if renamed else s
-    result = prep.finish(_plug(frames, rhs))
     extras = prep.mode, prep.freshened, prep.ctx_extension
-    return RewriteStep(prep.rule.name, _path(frames), pi, theta, s, variant, result, *extras)
+    return RewriteStep(prep.rule.name, _path(frames), pi, theta, s, variant, _plug(frames, rhs), *extras)
 
 
 def rewrite_steps(ctx: FreshnessContext, s: Term, rule: RewriteRule, prepare: Callable[..., PreparedRule]) -> StepResults:
@@ -799,9 +797,9 @@ def _spans(t: Term) -> list[list[int]]:
 
 
 def _spliced_key(ctx: FreshnessContext, key: tuple, spans: list[list[int]], candidate: tuple) -> tuple:
-    """The alpha key under ctx of a general candidate's result (a general
-    finish is the identity), unbuilt: its source's key with the hole's
-    slice replaced by the key of pi.(rhs theta) under the frames' binders."""
+    """The alpha key under ctx of a candidate's result, unbuilt: its
+    source's key with the hole's slice replaced by the key of what the step
+    puts in the hole under the frames' binders."""
     start, end = spans[candidate[1]]
     return key[:start] + alpha_key(ctx, candidate[7], _binders(candidate[2])[::-1]) + key[end:]
 
@@ -1012,11 +1010,10 @@ def _breadth_first(
     steps deep and expanding at most `cap` terms, writing each class's first
     representative into `reached` (keyed under ctx).  Each position of a
     term is looked up in the tree once, and each rule then steps at the
-    positions it fits, in rule order.  A general candidate is keyed by
-    splicing (`_spliced_key`) and built only when its class is new; a closed
-    one is built, then keyed.  Returns the trace to the class of key
-    `target`, or None.  A frontier entry is (term, its key, link), a link
-    being None or (step, the source's link)."""
+    positions it fits, in rule order.  A candidate is keyed by splicing
+    (`_spliced_key`) and built only when its class is new.  Returns the
+    trace to the class of key `target`, or None.  A frontier entry is (term,
+    its key, link), a link being None or (step, the source's link)."""
     reps, skey = reached.reps, alpha_key(ctx, s)
     if skey == target:
         return []
@@ -1037,17 +1034,11 @@ def _breadth_first(
             for i, places in sorted(fitting.items()):
                 prep = _prepared(kept, prepare, subject, tree.rules, i)
                 for candidate in _candidates(u, places, prep):
-                    general = candidate[0].freshened is None
-                    if general:
-                        spans = spans or _spans(u)  # read by general candidates alone
-                        key = _spliced_key(ctx, ukey, spans, candidate)
-                        if key in reps:
-                            continue
+                    spans = spans or _spans(u)
+                    key = _spliced_key(ctx, ukey, spans, candidate)
+                    if key in reps:
+                        continue
                     step = _build(u, candidate)
-                    if not general:
-                        key = alpha_key(ctx, step.result)
-                        if key in reps:
-                            continue
                     if key == target:
                         trace = [step]
                         while link is not None:
@@ -1067,9 +1058,8 @@ def reachable(
 ) -> ReachableSet:
     """Everything reachable from s in at most `fuel` one-step rewrites,
     collected up to alpha-equivalence (so the set contains s's own
-    alpha-variants by construction of membership).  A general step is built
-    only when it reaches a new class; closed reachability builds every
-    step, since a closed result is scrubbed under its own extended context."""
+    alpha-variants by construction of membership).  A step is built only
+    when it reaches a new class."""
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     reached = ReachableSet(ctx)

@@ -6,7 +6,7 @@ from importlib import resources
 
 import hypothesis.strategies as hst
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import nomrew.closed as closed_module
 from nomrew import (
@@ -576,10 +576,9 @@ def _reference_prepare(subject, rule):
     def instances(hole):
         sol = solve_match(MatchProblem(frule.ctx, frule.lhs, ctx2, hole))
         if sol is not None:
-            yield ID, sol.sigma, substitute(frule.rhs, sol.sigma)
+            yield ID, sol.sigma, scrub(ctx2, substitute(frule.rhs, sol.sigma), pool)
 
-    finish = lambda t: scrub(ctx2, t, pool)
-    return PreparedRule(rule, ctx2, [], instances, finish=finish, freshened=frule, ctx_extension=extension)
+    return PreparedRule(rule, ctx2, [], instances, freshened=frule, ctx_extension=extension)
 
 
 def _same_steps(ctx, rules, got, want):
@@ -702,15 +701,16 @@ def test_closed_steps_of_the_subject_cover_those_of_its_alpha_variants(theory_te
 
 
 @settings(max_examples=60, deadline=None)
-@given(_subjects)
-def test_closed_steps_keep_every_subterm_off_the_path_to_the_hole(theory_term):
-    # The step rebuilds the path down to the hole, and scrub hands back
-    # every node it leaves alone; under the empty context it leaves alone
-    # all that a user-written subject has, so each subterm neither above
-    # nor inside the hole is the subject's own object.
+@given(_subjects, contexts_st)
+@example((_bundled("fol"), parse_term("and(exists([a]d),(a b).Z)")), parse_context("a#Z, b#Z"))
+def test_closed_steps_keep_every_subterm_off_the_path_to_the_hole(theory_term, ctx):
+    # The step rebuilds the path down to the hole and scrubs only what it
+    # puts there, so under any context, and with permuted suspensions that
+    # the context makes redundant, as (a b).Z above, each subterm neither
+    # above nor inside the hole is the subject's own object.
     theory, s = theory_term
     for rule in theory.rules:
-        for step in closed_rewrite_step(EMPTY_CTX, s, rule):
+        for step in closed_rewrite_step(ctx, s, rule):
             for path, u in ref.positions(s):
                 n = min(len(path), len(step.path))
                 if path[:n] != step.path[:n]:
@@ -740,12 +740,20 @@ def test_rewrite_steps_lists_each_step_once(theory_term, ctx):
             assert _repeated_steps(rewrite_steps(ctx, s, rule, prepare)) == 0
 
 
+def _repeating_prepare(subject, rule):
+    """`_enumerating_prepare` over a universe that lists an atom twice, as
+    one would that does not take the rule's atoms out of the subject's."""
+    universe = sorted(rule.atoms()) + sorted(atoms_of(subject.ctx, subject.term))
+    return dataclasses.replace(_reference_prepare(subject, rule), universe=universe)
+
+
 def test_a_scrubbing_alpha_variant_search_repeats_steps():
-    # The check above can fail: scrubbing the results of a closed firing on
-    # alpha-variants of [a][a]a maps two of them to one step.
+    # The check above can fail: a variant search over the universe [a, a, b]
+    # renames a binder of [b][b][a]a to a twice, and so fires two steps twice.
     rule = next(r for r in _bundled("nonclosed").rules if r.name == "strip")
-    s = parse_term("[a][a]a")
-    assert _repeated_steps(rewrite_steps(EMPTY_CTX, s, rule, _enumerating_prepare)) == 1
+    s = parse_term("[b][b][a]a")
+    assert _repeated_steps(rewrite_steps(EMPTY_CTX, s, rule, _repeating_prepare)) == 2
+    assert _repeated_steps(rewrite_steps(EMPTY_CTX, s, rule, _enumerating_prepare)) == 0
     assert _repeated_steps(rewrite_steps(EMPTY_CTX, s, rule, closed_module._prepare_closed)) == 0
 
 

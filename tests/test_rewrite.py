@@ -860,17 +860,17 @@ def test_reachable_fuel_counts_levels():
     assert deeper > 5
 
 
-def test_closed_reachability_walks_no_term_for_its_spans(monkeypatch):
-    # Only a general candidate is keyed by splicing its source's key, so a
-    # term's spans are walked when the first one comes, and closed
-    # reachability, which keys each built result, never walks them.
+def test_closed_reachability_builds_one_step_per_new_class(monkeypatch):
+    # closed_reachable keys each candidate by splicing its source's key, as
+    # general reachability does, so it builds a step only for a class not
+    # yet reached, and the results built are the representatives after s's.
     betaeta = next(theory for theory in BUNDLED if theory.name == "betaeta")
-    calls = Counter()
-    real = rewrite_module._spans
-    monkeypatch.setattr(rewrite_module, "_spans", lambda t: calls.update([t]) or real(t))
+    built = []
+    real = rewrite_module._build
+    monkeypatch.setattr(rewrite_module, "_build", lambda s, candidate: built.append(real(s, candidate)) or built[-1])
     s = parse_term("app(lam([a]app(lam([b]app(b,a)),a)),c)")
-    assert len(closed_reachable(EMPTY_CTX, s, betaeta, 3)) == 17 and not calls
-    assert len(rewrite_closure_reachable(EMPTY_CTX, s, betaeta, 1)) > 1 and list(calls.values()) == [1]
+    reached = list(closed_reachable(EMPTY_CTX, s, betaeta, 3))
+    assert len(reached) == 17 and [step.result for step in built] == reached[1:]
 
 
 def test_a_search_expands_fuel_terms(monkeypatch):
@@ -966,12 +966,13 @@ def test_general_reachability_builds_one_step_per_new_class(monkeypatch):
         assert classes in (None, len(reached))
 
 
-def _spliced_against_built(ctx, s, rule) -> Counter:
-    """Check that every candidate step of s by rule, as rewrite_step_general
-    finds them, has the key of its built result as its spliced key, and
-    count the renamed variants and the results with suspensions."""
+def _spliced_against_built(ctx, s, rule, prepare=None) -> Counter:
+    """Check that every candidate step of s by rule, as `prepare` finds
+    them (by default as rewrite_step_general does), has the key of its
+    built result as its spliced key, and count the renamed variants and the
+    results with suspensions."""
     places = [(i, frames, here) for i, (frames, here) in enumerate(_places(s)) if rule._tree.fits(here)]
-    prepared = _prepare_general(Subject(ctx, s), rule, sides={})
+    prepared = (prepare or partial(_prepare_general, sides={}))(Subject(ctx, s), rule)
     spans, key = _spans(s), alpha_key(ctx, s)
     seen = Counter()
     for candidate in _candidates(s, places, prepared):
@@ -990,7 +991,8 @@ def test_a_spliced_key_is_the_key_of_the_built_result(data):
     ctx, s = data.draw(contexts_st), data.draw(sig_terms_st(theory))
     for atom in data.draw(hst.lists(hst.sampled_from([a, b]), max_size=3)):  # [a][a]... shadows
         s = Abstraction(atom, s)
-    _spliced_against_built(ctx, s, rule)
+    for prepare in (partial(_prepare_general, sides={}), closed_module._prepare_closed):
+        _spliced_against_built(ctx, s, rule, prepare)
 
 
 def test_spliced_keys_cover_variants_suspensions_and_shadowed_binders():

@@ -19,8 +19,8 @@ def test_bench_closed_vs_general_runs(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["bench_closed_vs_general.py", "1", "2", "3", "4"])
     runpy.run_path(str(SCRIPTS / "bench_closed_vs_general.py"), run_name="__main__")
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split()[-12:] == [
-        "closed", "matches", "closed", "fit-pairs", "closed", "perm-lists",
+    assert header.split()[-14:] == [
+        "closed", "matches", "closed", "fit-pairs", "closed", "perm-lists", "closed", "scrubbed-nodes",
         "general", "matches", "general", "fit-pairs", "general", "perm-lists",
     ]
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4"]
@@ -29,7 +29,7 @@ def test_bench_closed_vs_general_runs(capsys, monkeypatch):
     # whose lhs shape fits the position's.
     general_lists = 0
     for row, every_rule in zip(rows, (35, 180, 820, 3520)):
-        steps, closed_matches, closed_fits, closed_lists, general_matches, general_fits, lists = map(
+        steps, closed_matches, closed_fits, closed_lists, scrubbed, general_matches, general_fits, lists = map(
             int, row.split()[3:]
         )
         # Every closed step is one successful match.  General keeps each
@@ -40,6 +40,8 @@ def test_bench_closed_vs_general_runs(capsys, monkeypatch):
         # Closed builds no permutation list.  General builds one per renamed
         # rule and universe, kept across heights since the theory is shared.
         assert closed_lists == 0
+        # Each closed step scrubs the instance it puts in the hole, a node at least.
+        assert scrubbed >= steps
         general_lists += lists
     assert general_lists > 0
 
